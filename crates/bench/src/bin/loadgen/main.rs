@@ -1,17 +1,15 @@
 //! loadgen: the concurrent verdict-serving load record behind the
 //! `serve_throughput` and `serve_latency` keys of `BENCH_PIPELINE.json`.
 //!
-//! Starts both serving engines in-process over an identical verdict set
-//! and drives each with `FREEPHISH_LOADGEN_CONNS` (default 64) concurrent
-//! client connections for `FREEPHISH_LOADGEN_SECS` (default 2) seconds:
+//! Starts the serving engine in-process and drives it with
+//! `FREEPHISH_LOADGEN_CONNS` (default 64) concurrent client connections
+//! for `FREEPHISH_LOADGEN_SECS` (default 2) seconds per phase:
 //!
-//! * **threaded / CHECK** — the seed's thread-per-connection line server,
-//!   one synchronous `CHECK` RPC at a time per connection;
-//! * **evented / CHECK** — the poll-loop engine on the same line
-//!   protocol, isolating the event-loop-vs-thread-pool difference;
-//! * **evented / CHECKN** — the poll-loop engine driven over the binary
-//!   protocol with `FREEPHISH_LOADGEN_BATCH` (default 64) URLs per frame,
-//!   the deployment shape for browser-fleet fanout.
+//! * **CHECK** — the line protocol, one synchronous `CHECK` RPC at a
+//!   time per connection;
+//! * **CHECKN** — the binary protocol with `FREEPHISH_LOADGEN_BATCH`
+//!   (default 64) URLs per frame, the deployment shape for browser-fleet
+//!   fanout.
 //!
 //! Throughput is URLs verdicted per second across all connections;
 //! latency is per-RPC microseconds (p50/p99 over every sample). During
@@ -28,7 +26,6 @@ mod cluster;
 mod soak;
 
 use bytes::BytesMut;
-use freephish_core::extension::{KnownSetChecker, VerdictServer};
 use freephish_core::groundtruth::{build, GroundTruthConfig};
 use freephish_core::resolver::{
     MapFetcher, ResolverModels, TieredResolver, TieredResolverConfig, WallClock,
@@ -530,25 +527,13 @@ fn main() {
     let (known, pool) = url_pool(4096);
     let pool = Arc::new(pool);
     println!(
-        "loadgen: {conns} connections, {secs}s per engine, CHECKN batch {batch}, \
+        "loadgen: {conns} connections, {secs}s per phase, CHECKN batch {batch}, \
          pool {} URLs ({} known)",
         pool.len(),
         known.len()
     );
 
-    // Threaded engine: the seed's thread-per-connection line server.
-    let mut threaded = VerdictServer::start(Arc::new(KnownSetChecker::new(known.clone())))
-        .expect("start threaded engine");
-    let t_addr = threaded.addr();
-    let p = pool.clone();
-    let (threaded_rps, threaded_lat) = drive(conns, secs, move |stop, tid| {
-        line_worker(t_addr, p.clone(), stop, tid)
-    });
-    threaded.shutdown();
-    threaded.drain(Duration::from_secs(5));
-    println!("  threaded  CHECK : {threaded_rps:>12.0} urls/s");
-
-    // Evented engine, line protocol then binary CHECKN, same verdict set.
+    // Line protocol then binary CHECKN, same verdict set.
     let index = ShardedIndex::with_default_shards();
     index.publish(known.clone());
     let mut evented = EventedServer::start(Arc::new(index)).expect("start evented engine");
@@ -608,10 +593,6 @@ fn main() {
         window_gauge(&varz, "checkn", "p999"),
         scrape_latency["samples"]
     );
-    println!(
-        "  evented CHECKN vs threaded CHECK: {:.1}x",
-        eventedn_rps / threaded_rps.max(1.0)
-    );
 
     // Merge into the perfbench record rather than clobbering it.
     let mut record: serde_json::Value = std::fs::read_to_string(&out)
@@ -622,13 +603,10 @@ fn main() {
         "connections": conns,
         "duration_secs": secs,
         "checkn_batch": batch,
-        "threaded_check_urls_per_sec": threaded_rps,
         "evented_check_urls_per_sec": evented_rps,
         "evented_checkn_urls_per_sec": eventedn_rps,
-        "evented_checkn_vs_threaded_check": eventedn_rps / threaded_rps.max(1.0),
     });
     let latency = serde_json::json!({
-        "threaded_check": latency_json(threaded_lat),
         "evented_check": latency_json(evented_lat),
         "evented_checkn_per_frame": latency_json(eventedn_lat),
     });

@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! freephish-extd serve [--port N] [--blocklist FILE] [--store DIR]
-//!                      [--index-file FILE] [--rebake-secs N]
-//!                      [--engine threaded|evented] [--ops-port N]
+//!                      [--index-file FILE] [--rebake-secs N] [--ops-port N]
 //!                      [--classify-on-miss] [--rate-cap N]
 //!                      [--replication-port N] [--replicate-from ADDR]
 //!     Serve verdicts on 127.0.0.1:N (default: an ephemeral port).
@@ -16,17 +15,15 @@
 //!     malformed lines are skipped with a warning. With --store DIR the
 //!     daemon follows a pipeline run journal instead: verdicts hot-reload
 //!     as the pipeline appends them, and ADDs are durably journaled in
-//!     DIR/extd-adds. --engine picks the serving engine: "evented" (the
-//!     default) runs the freephish-serve poll-loop engine with the binary
-//!     CHECKN protocol, backpressure and load shedding; "threaded" runs
-//!     the classic thread-per-connection line server. With
-//!     --classify-on-miss the daemon mounts the tiered resolver in front
-//!     of the lookup: a URL-lexical pre-filter serves confident-safe
-//!     misses inline, the residue is classified off the serve path as
-//!     microbatches, and inline phishing verdicts are journaled through
-//!     the store (with --store, durably — a restart recovers them with
-//!     zero re-classification). Models train on a background thread at
-//!     startup. With --ops-port N the daemon also mounts the ops plane on
+//!     DIR/extd-adds. Serving is the freephish-serve poll-loop engine:
+//!     line and binary CHECKN protocols on one port, backpressure and
+//!     BUSY load shedding. With --classify-on-miss the daemon mounts the
+//!     tiered resolver in front of the lookup: a URL-lexical pre-filter
+//!     serves confident-safe misses inline, the residue is classified
+//!     off the serve path as microbatches, and inline phishing verdicts
+//!     are journaled through the store (with --store, durably — a
+//!     restart recovers them with zero re-classification). Models train
+//!     on a background thread at startup. With --ops-port N the daemon also mounts the ops plane on
 //!     127.0.0.1:N: GET /metrics (Prometheus text, including the
 //!     resolver_* tier series), /varz (JSON), /healthz, /readyz, /events
 //!     and /traces/slow. /readyz reports 503 until the serving index has
@@ -39,14 +36,14 @@
 //!     verdict index (DESIGN.md §15) as the serving baseline — a node
 //!     carrying millions of entries restarts in milliseconds, replaying
 //!     only the journal suffix past the bake's cursor; live entries
-//!     shadow baked ones bit-identically. --rebake-secs N (evented
-//!     engine) re-bakes the journal into FILE (default:
-//!     DIR/verdicts.mapidx) every N seconds on the serve loop — temp
-//!     file + atomic rename, then an in-process baseline swap.
+//!     shadow baked ones bit-identically. --rebake-secs N re-bakes the
+//!     journal into FILE (default: DIR/verdicts.mapidx) every N seconds
+//!     on the serve loop — temp file + atomic rename, then an in-process
+//!     baseline swap.
 //!
 //!     Cluster flags: --rate-cap N sheds check traffic past N URLs/sec
-//!     with BUSY (a per-replica QoS quota; evented engine only). N must
-//!     be positive — the cap is off when the flag is absent.
+//!     with BUSY (a per-replica QoS quota). N must be positive — the
+//!     cap is off when the flag is absent.
 //!     --replication-port N makes this daemon the cluster primary
 //!     (DESIGN.md §14): it owns --store DIR as its WAL — wire ADDs (and
 //!     inline classify-on-miss verdicts) are journaled straight into it,
@@ -61,7 +58,7 @@
 //!
 //! freephish-extd route [--port N] --backends ADDR,ADDR,...
 //!                      [--backend-ops ADDR|-,...] [--ops-port N]
-//!     Consistent-hash router front-end over evented backends: speaks
+//!     Consistent-hash router front-end over `serve` backends: speaks
 //!     the same line + BINARY verdict wire, scatters CHECKN batches by
 //!     ring owner, gathers in order, fails over along the ring when a
 //!     backend is down or shedding. --backend-ops lists each backend's
@@ -76,12 +73,12 @@
 use freephish_cluster::{
     Replica, ReplicaConfig, ReplicationSource, Router, RouterConfig, RouterServer, SourceConfig,
 };
-use freephish_core::extension::{KnownSetChecker, UrlChecker, VerdictClient, VerdictServer};
+use freephish_core::extension::{UrlChecker, VerdictClient};
 use freephish_core::journal::{encode_event, obs_store_observer, AddEvent, RunEvent};
 use freephish_core::resolver::{SyntheticFetcher, TieredResolver, TieredResolverConfig};
 use freephish_core::verdictstore::{journal_payload_decoder, StoreBacking};
 use freephish_serve::{
-    EventedServer, IndexPublisher, OpsConfig, OpsServer, ServeConfig, ShardedIndex, Verdict,
+    EventedServer, IndexPublisher, OpsServer, ServeConfig, ShardedIndex, Verdict,
 };
 use freephish_store::{Store, StoreOptions};
 use std::net::SocketAddr;
@@ -181,7 +178,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: freephish-extd serve [--port N] [--blocklist FILE] [--store DIR] \
          [--index-file FILE] [--rebake-secs N] \
-         [--engine threaded|evented] [--ops-port N] [--classify-on-miss] [--rate-cap N] \
+         [--ops-port N] [--classify-on-miss] [--rate-cap N] \
          [--replication-port N] [--replicate-from ADDR]"
     );
     eprintln!(
@@ -197,50 +194,6 @@ const SERVE_POLL: Duration = Duration::from_millis(150);
 /// How long shutdown waits for in-flight connections to finish.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The serving engine behind one `--engine` choice; both expose the same
-/// address / shutdown / drain contract to the serve loop.
-enum Engine {
-    Threaded(VerdictServer),
-    Evented(EventedServer),
-}
-
-impl Engine {
-    fn addr(&self) -> SocketAddr {
-        match self {
-            Engine::Threaded(s) => s.addr(),
-            Engine::Evented(s) => s.addr(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Engine::Threaded(_) => "threaded",
-            Engine::Evented(_) => "evented",
-        }
-    }
-
-    fn shutdown(&mut self) {
-        match self {
-            Engine::Threaded(s) => s.shutdown(),
-            Engine::Evented(s) => s.shutdown(),
-        }
-    }
-
-    fn ops_config(&self) -> OpsConfig {
-        match self {
-            Engine::Threaded(s) => s.ops_config(),
-            Engine::Evented(s) => s.ops_config(),
-        }
-    }
-
-    fn drain(&self, timeout: Duration) -> bool {
-        match self {
-            Engine::Threaded(s) => s.drain(timeout),
-            Engine::Evented(s) => s.drain(timeout),
-        }
-    }
-}
-
 /// How long shutdown lets the classify queue finish its residue before
 /// stopping the resolver (journaled verdicts are durable regardless).
 const RESOLVER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
@@ -250,7 +203,6 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     let mut port: u16 = 0;
     let mut ops_port: Option<u16> = None;
     let mut store_dir: Option<String> = None;
-    let mut evented = true;
     let mut classify_on_miss = false;
     let mut rate_cap: u64 = 0;
     let mut index_file: Option<String> = None;
@@ -319,30 +271,14 @@ fn serve(args: &[String]) -> std::io::Result<()> {
                 let dir = args.get(i).cloned().unwrap_or_else(|| usage());
                 store_dir = Some(dir);
             }
-            "--engine" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("threaded") => evented = false,
-                    Some("evented") => evented = true,
-                    _ => usage(),
-                }
-            }
             "--classify-on-miss" => classify_on_miss = true,
             _ => usage(),
         }
         i += 1;
     }
 
-    if rate_cap > 0 && !evented {
-        eprintln!("--rate-cap requires the evented engine");
-        usage();
-    }
     if (index_file.is_some() || rebake_secs > 0) && store_dir.is_none() {
         eprintln!("--index-file and --rebake-secs need --store DIR (the journal to bake)");
-        usage();
-    }
-    if rebake_secs > 0 && !evented {
-        eprintln!("--rebake-secs requires the evented engine (in-process baseline swap)");
         usage();
     }
     if (index_file.is_some() || rebake_secs > 0)
@@ -364,10 +300,10 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         // Follower mode is a different wiring altogether: the store dir
         // belongs to the replication session, not to a local journal
         // writer, so none of the primary-side options make sense.
-        if !evented || classify_on_miss || !entries.is_empty() || replication_port.is_some() {
+        if classify_on_miss || !entries.is_empty() || replication_port.is_some() {
             eprintln!(
-                "--replicate-from is incompatible with --engine threaded, \
-                 --classify-on-miss, --blocklist and --replication-port"
+                "--replicate-from is incompatible with --classify-on-miss, --blocklist \
+                 and --replication-port"
             );
             usage();
         }
@@ -387,10 +323,6 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     let mut primary_publisher: Option<IndexPublisher> = None;
     let mut primary_store: Option<Arc<parking_lot::Mutex<Store>>> = None;
     let lookup: Arc<dyn UrlChecker> = if replication_port.is_some() {
-        if !evented {
-            eprintln!("--replication-port requires the evented engine");
-            usage();
-        }
         let Some(dir) = &store_dir else {
             eprintln!("--replication-port needs --store DIR (the WAL to own and ship)");
             usage();
@@ -430,17 +362,16 @@ fn serve(args: &[String]) -> std::io::Result<()> {
                     }
                     _ => None,
                 };
-                let b = StoreBacking::open_with(dir, evented, std::mem::take(&mut entries), base)?;
+                let b = StoreBacking::open_with(dir, std::mem::take(&mut entries), base)?;
                 let c = b.checker();
                 backing = Some(b);
                 c
             }
-            None if evented => {
+            None => {
                 let index = ShardedIndex::with_default_shards();
                 index.publish(entries);
                 Arc::new(index)
             }
-            None => Arc::new(KnownSetChecker::new(entries)),
         }
     };
 
@@ -484,24 +415,19 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     };
 
     shutdown::install();
-    let mut server = if evented {
-        Engine::Evented(EventedServer::start_with(
-            ServeConfig {
-                port,
-                rate_cap_urls_per_sec: rate_cap,
-                ..ServeConfig::default()
-            },
-            checker.clone(),
-        )?)
-    } else {
-        Engine::Threaded(VerdictServer::start_on(port, checker.clone())?)
-    };
+    let mut server = EventedServer::start_with(
+        ServeConfig {
+            port,
+            rate_cap_urls_per_sec: rate_cap,
+            ..ServeConfig::default()
+        },
+        checker.clone(),
+    )?;
     println!(
-        "freephish-extd listening on {} (engine: {}{})",
+        "freephish-extd listening on {}{}",
         server.addr(),
-        server.name(),
         if classify_on_miss {
-            ", classify-on-miss"
+            " (classify-on-miss)"
         } else {
             ""
         }
@@ -510,7 +436,7 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     // When --store is given, readiness additionally requires the journal
     // tail to be caught up: true after every successful reload/publish
     // poll, false the moment one fails. The flag starts true because
-    // `StoreBacking::open` already did one successful full read. With
+    // `StoreBacking::open_with` already did one successful full read. With
     // --classify-on-miss it further requires the classifier warm, and the
     // scrape snapshot merges the resolver's per-tier series.
     let caught_up = Arc::new(AtomicBool::new(true));
@@ -880,7 +806,7 @@ fn check(args: &[String]) -> std::io::Result<()> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{e}")))?;
     let client = VerdictClient::new(addr);
     let urls: Vec<String> = urls.to_vec();
-    // One connection, batched when the server speaks the binary protocol.
+    // One connection, batched over the binary protocol.
     // Failures are per URL: a shed shard prints errors for its URLs while
     // the rest of the batch still gets verdicts.
     let verdicts = client.check_batch(&urls)?;

@@ -1,26 +1,22 @@
 //! Store-backed verdict checking: the live-updatable replacement for a
 //! static [`crate::extension::KnownSetChecker`].
 //!
-//! A [`StoreChecker`] follows a pipeline run's journal directory
-//! *read-only* (the pipeline process is the WAL's single writer) and
-//! applies every journaled verdict to its in-memory known set, so the
-//! verdict service hot-reloads as the pipeline appends detections.
-//! Manual `ADD`s from the wire protocol are durably journaled in a
-//! *sidecar* store ([`SidecarAdds`], at `<dir>/extd-adds`) owned by the
-//! daemon — never in the main journal — preserving single-writer
-//! integrity on both logs.
-//!
-//! [`EventedStoreChecker`] is the same contract rebuilt for the evented
-//! engine: reads resolve against a `freephish-serve`
-//! [`ShardedIndex`] (RCU-style snapshots, no lock held during lookups)
-//! and the main journal is ingested by an [`IndexPublisher`] built from
-//! [`journal_payload_decoder`].
+//! An [`EventedStoreChecker`] follows a pipeline run's journal directory
+//! *read-only* (the pipeline process is the WAL's single writer): reads
+//! resolve against a `freephish-serve` [`ShardedIndex`] (RCU-style
+//! snapshots, no lock held during lookups) and the main journal is
+//! ingested by an [`IndexPublisher`] built from
+//! [`journal_payload_decoder`], so the verdict service hot-reloads as the
+//! pipeline appends detections. Manual `ADD`s from the wire protocol are
+//! durably journaled in a *sidecar* store ([`SidecarAdds`], at
+//! `<dir>/extd-adds`) owned by the daemon — never in the main journal —
+//! preserving single-writer integrity on both logs.
 //!
 //! Snapshot redelivery (the tail follower re-reads history after the
 //! pipeline compacts its WAL) is harmless here: applying a verdict twice
 //! is an idempotent map insert.
 //!
-//! At million-entry scale both checkers accept a *baked baseline*
+//! At million-entry scale the checker accepts a *baked baseline*
 //! (`freephish-mapidx`, see [`bake_index`]): an immutable mmap-loadable
 //! image of the main journal's net state, loaded in milliseconds. Live
 //! state shadows the baseline bit-identically — the journal is later in
@@ -34,11 +30,9 @@ use freephish_mapidx::{bake_journal, BakeSummary, SnapshotIndex};
 use freephish_serve::{IndexPublisher, OverlayIndex, PayloadDecoder, ShardedIndex};
 use freephish_store::segment::scan_buffer;
 use freephish_store::{Store, StoreOptions, TailCursor, TailFollower};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Name of the sidecar store directory holding manual additions.
@@ -152,133 +146,10 @@ fn open_snapshot_index(path: &Path) -> io::Result<SnapshotIndex> {
     })
 }
 
-/// A [`UrlChecker`] backed by a run-journal store directory, hot-reloading
-/// as the pipeline appends verdicts, plus a durable sidecar for manual
-/// additions.
-pub struct StoreChecker {
-    known: RwLock<HashMap<String, f64>>,
-    base: Option<Arc<SnapshotIndex>>,
-    generation: AtomicU64,
-    main: Mutex<TailFollower>,
-    adds: Mutex<SidecarAdds>,
-}
-
-impl StoreChecker {
-    /// Open against the run journal at `dir`. Recovers previously
-    /// journaled manual additions from the sidecar immediately; call
-    /// [`StoreChecker::reload`] to ingest the main journal (and again
-    /// periodically to hot-reload).
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<StoreChecker> {
-        StoreChecker::open_with_base(dir, None)
-    }
-
-    /// Like [`StoreChecker::open`], but with an optional baked-index
-    /// baseline: lookups missing the in-memory map fall through to the
-    /// mmap, and the main-journal follower resumes from the bake's
-    /// cursor instead of replaying the whole WAL.
-    pub fn open_with_base(
-        dir: impl AsRef<Path>,
-        index_file: Option<&Path>,
-    ) -> io::Result<StoreChecker> {
-        let dir = dir.as_ref().to_path_buf();
-        let (adds, recovered) = SidecarAdds::open(&dir)?;
-        let known: HashMap<String, f64> = recovered.into_iter().collect();
-        let mut base = None;
-        let mut main = TailFollower::new(&dir);
-        if let Some(path) = index_file {
-            let idx = open_snapshot_index(path)?;
-            if let Some(cursor) = idx.cursor() {
-                main = TailFollower::resume(&dir, cursor);
-            }
-            base = Some(Arc::new(idx));
-        }
-        // A loaded baseline counts as one generation so readiness flips
-        // even before the first journal record arrives.
-        let generation = known.len() as u64 + base.is_some() as u64;
-        Ok(StoreChecker {
-            known: RwLock::new(known),
-            base,
-            generation: AtomicU64::new(generation),
-            main: Mutex::new(main),
-            adds: Mutex::new(adds),
-        })
-    }
-
-    fn apply_payload(&self, payload: &[u8]) -> io::Result<usize> {
-        match decode_event(payload)? {
-            RunEvent::Verdict(v) => {
-                self.known.write().insert(v.url, v.score);
-                Ok(1)
-            }
-            RunEvent::Add(a) => {
-                self.known.write().insert(a.url, a.score);
-                Ok(1)
-            }
-            // The journal's bookkeeping records carry no verdicts.
-            RunEvent::Meta(_) | RunEvent::Report(_) | RunEvent::Checkpoint(_) => Ok(0),
-        }
-    }
-
-    /// Ingest everything the pipeline has journaled since the last call.
-    /// Returns the number of verdicts applied; bumps the generation once
-    /// when anything changed.
-    pub fn reload(&self) -> io::Result<usize> {
-        let batch = self.main.lock().poll()?;
-        let mut applied = 0;
-        if let Some(snapshot) = &batch.snapshot {
-            let (frames, torn) = scan_buffer(snapshot);
-            if torn.is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal snapshot framing is corrupt",
-                ));
-            }
-            for frame in frames {
-                applied += self.apply_payload(&frame)?;
-            }
-        }
-        for payload in &batch.records {
-            applied += self.apply_payload(payload)?;
-        }
-        if applied > 0 {
-            self.generation.fetch_add(1, Ordering::SeqCst);
-        }
-        Ok(applied)
-    }
-
-    /// Durably journal a manual addition in the sidecar and apply it.
-    pub fn add_durable(&self, url: &str, score: f64) -> io::Result<u64> {
-        self.adds.lock().append(url, score)?;
-        self.known.write().insert(url.to_string(), score);
-        Ok(self.generation.fetch_add(1, Ordering::SeqCst) + 1)
-    }
-
-    /// Flush + fsync the sidecar (shutdown path).
-    pub fn sync(&self) -> io::Result<()> {
-        self.adds.lock().sync()
-    }
-
-    /// Number of known-phishing URLs. With a baseline loaded this is an
-    /// upper bound: live entries that shadow baked ones count twice.
-    pub fn len(&self) -> usize {
-        self.known.read().len() + self.base.as_ref().map_or(0, |b| b.len() as usize)
-    }
-
-    /// True when nothing is known yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The sidecar store directory.
-    pub fn adds_dir(&self) -> PathBuf {
-        self.adds.lock().dir().to_path_buf()
-    }
-}
-
-/// The evented engine's store-backed checker: the [`StoreChecker`]
-/// contract rebuilt on a `freephish-serve` [`ShardedIndex`], so reads
-/// take RCU-style snapshots instead of a shared `RwLock`, and batches
-/// resolve against one consistent generation.
+/// A [`UrlChecker`] backed by a run-journal store directory plus a
+/// durable sidecar for manual additions. Reads take RCU-style snapshots
+/// of a `freephish-serve` [`ShardedIndex`], so batches resolve against
+/// one consistent generation.
 ///
 /// Main-journal ingestion happens through the [`IndexPublisher`] returned
 /// by [`EventedStoreChecker::publisher`]; poll it from the serve loop.
@@ -406,112 +277,52 @@ impl UrlChecker for EventedStoreChecker {
     }
 }
 
-impl UrlChecker for StoreChecker {
-    fn check(&self, url: &str) -> Verdict {
-        // The live map first — journal entries are later in time than any
-        // bake of the journal's prefix, so they shadow the baseline.
-        if let Some(&score) = self.known.read().get(url) {
-            return Verdict::Phishing(score);
-        }
-        match self.base.as_ref().and_then(|b| b.get(url)) {
-            Some(score) => Verdict::Phishing(score),
-            None => Verdict::Safe(0.0),
-        }
-    }
-
-    fn add(&self, url: &str, score: f64) -> Result<u64, String> {
-        self.add_durable(url, score)
-            .map_err(|e| format!("store write failed: {e}"))
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-}
-
-/// What a `--store DIR` resolves to for a chosen serving engine: the
-/// checker plus the periodic work a serve loop must do to hot-reload it.
-/// The daemon (and any embedder) drives it with one `open` → repeated
-/// [`StoreBacking::poll`] → final [`StoreBacking::sync`] — the engine
-/// split stays an implementation detail in this module.
-pub enum StoreBacking {
-    /// Map-backed checker for the threaded engine; poll = journal reload.
-    Threaded(Arc<StoreChecker>),
-    /// Index-backed checker for the evented engine; poll = publisher poll.
-    Evented(Arc<EventedStoreChecker>, IndexPublisher),
+/// What a `--store DIR` resolves to: the checker plus the periodic work
+/// a serve loop must do to hot-reload it. The daemon (and any embedder)
+/// drives it with one [`StoreBacking::open_with`] → repeated
+/// [`StoreBacking::poll`] → final [`StoreBacking::sync`].
+pub struct StoreBacking {
+    checker: Arc<EventedStoreChecker>,
+    publisher: IndexPublisher,
 }
 
 impl StoreBacking {
-    /// Open `dir` for the selected engine, perform one full catch-up read
-    /// (so the checker starts current), and durably journal any
-    /// `seed_entries` (a `--blocklist` file) through the sidecar.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        evented: bool,
-        seed_entries: Vec<(String, f64)>,
-    ) -> io::Result<StoreBacking> {
-        StoreBacking::open_with(dir, evented, seed_entries, None)
-    }
-
-    /// [`StoreBacking::open`] with an optional baked-index baseline
-    /// (`--index-file`): the checker mounts the mmap under its live
-    /// state and the catch-up read covers only the journal suffix past
-    /// the bake's cursor.
+    /// Open `dir` with an optional baked-index baseline (`--index-file`),
+    /// perform one catch-up read (so the checker starts current — with a
+    /// baseline mounted it covers only the journal suffix past the bake's
+    /// cursor), and durably journal any `seed_entries` (a `--blocklist`
+    /// file) through the sidecar.
     pub fn open_with(
         dir: impl AsRef<Path>,
-        evented: bool,
         seed_entries: Vec<(String, f64)>,
         index_file: Option<&Path>,
     ) -> io::Result<StoreBacking> {
-        if evented {
-            let c = Arc::new(EventedStoreChecker::open_with_base(dir, index_file)?);
-            let mut publisher = c.publisher();
-            publisher.poll()?;
-            for (url, score) in seed_entries {
-                c.add_durable(&url, score)?;
-            }
-            Ok(StoreBacking::Evented(c, publisher))
-        } else {
-            let c = Arc::new(StoreChecker::open_with_base(dir, index_file)?);
-            c.reload()?;
-            for (url, score) in seed_entries {
-                c.add_durable(&url, score)?;
-            }
-            Ok(StoreBacking::Threaded(c))
+        let checker = Arc::new(EventedStoreChecker::open_with_base(dir, index_file)?);
+        let mut publisher = checker.publisher();
+        publisher.poll()?;
+        for (url, score) in seed_entries {
+            checker.add_durable(&url, score)?;
         }
+        Ok(StoreBacking { checker, publisher })
     }
 
     /// Re-bake the main journal into `out_path` and swap the fresh
-    /// baseline into the serving overlay without a restart (evented
-    /// engine only). Returns the bake summary.
+    /// baseline into the serving overlay without a restart. Returns the
+    /// bake summary.
     pub fn rebake(&self, out_path: &Path) -> io::Result<BakeSummary> {
-        match self {
-            StoreBacking::Evented(c, _) => {
-                let summary = bake_index(c.dir(), out_path)?;
-                c.set_base(open_snapshot_index(out_path)?);
-                Ok(summary)
-            }
-            StoreBacking::Threaded(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "re-bake requires the evented engine",
-            )),
-        }
+        let summary = bake_index(self.checker.dir(), out_path)?;
+        self.checker.set_base(open_snapshot_index(out_path)?);
+        Ok(summary)
     }
 
     /// The checker to mount on the serving engine.
     pub fn checker(&self) -> Arc<dyn UrlChecker> {
-        match self {
-            StoreBacking::Threaded(c) => c.clone(),
-            StoreBacking::Evented(c, _) => c.clone(),
-        }
+        self.checker.clone()
     }
 
     /// Known phishing URLs currently loaded.
     pub fn len(&self) -> usize {
-        match self {
-            StoreBacking::Threaded(c) => c.len(),
-            StoreBacking::Evented(c, _) => c.len(),
-        }
+        self.checker.len()
     }
 
     /// True when no verdicts are loaded yet.
@@ -523,18 +334,12 @@ impl StoreBacking {
     /// The caller's readiness flag should track the result: `Ok` means
     /// the journal tail is caught up.
     pub fn poll(&mut self) -> io::Result<()> {
-        match self {
-            StoreBacking::Threaded(c) => c.reload().map(|_| ()),
-            StoreBacking::Evented(_, publisher) => publisher.poll().map(|_| ()),
-        }
+        self.publisher.poll().map(|_| ())
     }
 
     /// Flush the sidecar ADD journal.
     pub fn sync(&self) -> io::Result<()> {
-        match self {
-            StoreBacking::Threaded(c) => c.sync(),
-            StoreBacking::Evented(c, _) => c.sync(),
-        }
+        self.checker.sync()
     }
 }
 
@@ -568,39 +373,45 @@ mod tests {
         }
     }
 
+    fn tick(journal: &mut RunJournal, t: u64) {
+        journal.append_verdict(verdict(t)).unwrap();
+        journal
+            .checkpoint(CheckpointEvent {
+                tick_secs: t * 600,
+                scanned: t,
+                observed: t,
+                detections_total: t,
+            })
+            .unwrap();
+    }
+
     #[test]
     fn hot_reloads_verdicts_from_a_live_journal() {
         let dir = TempDir::new("storechecker-live");
         let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();
-        let checker = StoreChecker::open(dir.path()).unwrap();
-        assert_eq!(checker.reload().unwrap(), 0);
-        let g0 = checker.generation();
+        let checker = EventedStoreChecker::open(dir.path()).unwrap();
+        let mut publisher = checker.publisher();
+        // Only the Meta bookkeeping record exists: nothing to publish.
+        assert_eq!(publisher.poll().unwrap(), 0);
+        assert_eq!(checker.generation(), 0);
 
-        journal.append_verdict(verdict(1)).unwrap();
-        journal
-            .checkpoint(CheckpointEvent {
-                tick_secs: 600,
-                scanned: 1,
-                observed: 1,
-                detections_total: 1,
-            })
-            .unwrap();
-        assert_eq!(checker.reload().unwrap(), 1);
-        assert!(checker.generation() > g0);
+        tick(&mut journal, 1);
+        assert_eq!(publisher.poll().unwrap(), 1);
+        assert_eq!(checker.generation(), 1);
         assert!(checker.check("https://v1.weebly.com/").is_phishing());
         assert!(!checker.check("https://v2.weebly.com/").is_phishing());
 
+        // Batches resolve against the published index too.
+        let verdicts = checker.check_many(&[
+            "https://v1.weebly.com/".to_string(),
+            "https://v2.weebly.com/".to_string(),
+        ]);
+        assert!(verdicts[0].is_phishing());
+        assert!(!verdicts[1].is_phishing());
+
         // More ticks, picked up incrementally.
-        journal.append_verdict(verdict(2)).unwrap();
-        journal
-            .checkpoint(CheckpointEvent {
-                tick_secs: 1200,
-                scanned: 2,
-                observed: 2,
-                detections_total: 2,
-            })
-            .unwrap();
-        assert_eq!(checker.reload().unwrap(), 1);
+        tick(&mut journal, 2);
+        assert_eq!(publisher.poll().unwrap(), 1);
         assert!(checker.check("https://v2.weebly.com/").is_phishing());
     }
 
@@ -609,19 +420,12 @@ mod tests {
         let dir = TempDir::new("storechecker-compact");
         let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();
         journal.snapshot_every_ticks = 2;
-        let checker = StoreChecker::open(dir.path()).unwrap();
+        let checker = EventedStoreChecker::open(dir.path()).unwrap();
+        let mut publisher = checker.publisher();
         for t in 1..=6u64 {
-            journal.append_verdict(verdict(t)).unwrap();
-            journal
-                .checkpoint(CheckpointEvent {
-                    tick_secs: t * 600,
-                    scanned: t,
-                    observed: t,
-                    detections_total: t,
-                })
-                .unwrap();
+            tick(&mut journal, t);
             // Poll on every tick so the follower crosses compactions.
-            checker.reload().unwrap();
+            publisher.poll().unwrap();
         }
         for t in 1..=6u64 {
             assert!(
@@ -638,7 +442,7 @@ mod tests {
         let dir = TempDir::new("storechecker-adds");
         // No run journal at all: the checker still works, sidecar-only.
         {
-            let checker = StoreChecker::open(dir.path()).unwrap();
+            let checker = EventedStoreChecker::open(dir.path()).unwrap();
             checker
                 .add_durable("https://manual.wixsite.com/a", 0.88)
                 .unwrap();
@@ -646,8 +450,9 @@ mod tests {
                 .add_durable("https://manual.wixsite.com/b", 0.77)
                 .unwrap();
             assert_eq!(checker.len(), 2);
+            checker.sync().unwrap();
         }
-        let checker = StoreChecker::open(dir.path()).unwrap();
+        let checker = EventedStoreChecker::open(dir.path()).unwrap();
         assert_eq!(checker.len(), 2);
         assert!(checker.check("https://manual.wixsite.com/a").is_phishing());
         assert!(checker.check("https://manual.wixsite.com/b").is_phishing());
@@ -658,7 +463,7 @@ mod tests {
     fn sidecar_never_touches_the_main_journal() {
         let dir = TempDir::new("storechecker-singlewriter");
         let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();
-        let checker = StoreChecker::open(dir.path()).unwrap();
+        let checker = EventedStoreChecker::open(dir.path()).unwrap();
         checker
             .add_durable("https://manual.weebly.com/", 0.8)
             .unwrap();
@@ -676,58 +481,5 @@ mod tests {
         let (_, rec) = RunJournal::open(dir.path()).unwrap();
         assert_eq!(rec.dropped_events, 0);
         assert!(rec.events.iter().all(|e| !matches!(e, RunEvent::Add(_))));
-    }
-
-    #[test]
-    fn evented_checker_hot_reloads_via_publisher() {
-        let dir = TempDir::new("eventedchecker-live");
-        let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();
-        let checker = EventedStoreChecker::open(dir.path()).unwrap();
-        let mut publisher = checker.publisher();
-        // Only the Meta bookkeeping record exists: nothing to publish.
-        assert_eq!(publisher.poll().unwrap(), 0);
-        assert_eq!(checker.generation(), 0);
-
-        journal.append_verdict(verdict(1)).unwrap();
-        journal
-            .checkpoint(CheckpointEvent {
-                tick_secs: 600,
-                scanned: 1,
-                observed: 1,
-                detections_total: 1,
-            })
-            .unwrap();
-        assert_eq!(publisher.poll().unwrap(), 1);
-        assert!(checker.check("https://v1.weebly.com/").is_phishing());
-        assert!(!checker.check("https://v2.weebly.com/").is_phishing());
-        assert_eq!(checker.generation(), 1);
-
-        // Batches resolve against the published index too.
-        let verdicts = checker.check_many(&[
-            "https://v1.weebly.com/".to_string(),
-            "https://v2.weebly.com/".to_string(),
-        ]);
-        assert!(verdicts[0].is_phishing());
-        assert!(!verdicts[1].is_phishing());
-    }
-
-    #[test]
-    fn evented_manual_adds_are_durable_and_engine_compatible() {
-        let dir = TempDir::new("eventedchecker-adds");
-        {
-            let checker = EventedStoreChecker::open(dir.path()).unwrap();
-            checker
-                .add_durable("https://manual.wixsite.com/a", 0.88)
-                .unwrap();
-            assert_eq!(checker.len(), 1);
-            checker.sync().unwrap();
-        }
-        // The evented checker recovers its own sidecar...
-        let again = EventedStoreChecker::open(dir.path()).unwrap();
-        assert!(again.check("https://manual.wixsite.com/a").is_phishing());
-        // ...and the threaded engine's checker reads the same format, so
-        // `--engine` can be switched without losing manual additions.
-        let threaded = StoreChecker::open(dir.path()).unwrap();
-        assert!(threaded.check("https://manual.wixsite.com/a").is_phishing());
     }
 }

@@ -2,23 +2,25 @@
 //!
 //! Issues a known mix of CHECK requests through a `VerdictClient`, then
 //! scrapes `STATS` and asserts the served counters match what was issued —
-//! via the wire protocol, via `VerdictServer::metrics()`, and via the ops
+//! via the wire protocol, via `EventedServer::metrics()`, and via the ops
 //! plane's `/varz` endpoint. All three are views of one observable
 //! snapshot, so they must agree.
 
-use freephish_core::extension::{KnownSetChecker, VerdictClient, VerdictServer};
-use freephish_serve::{http_get, OpsServer};
+use freephish_core::extension::{KnownSetChecker, VerdictClient};
+use freephish_serve::{http_get, EventedServer, OpsServer, ShardedIndex};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 #[test]
 fn stats_over_tcp_matches_issued_requests() {
-    let checker = Arc::new(KnownSetChecker::new([
+    // A published index generation is what flips the engine ready.
+    let index = ShardedIndex::with_default_shards();
+    index.publish([
         ("https://evil.weebly.com/".to_string(), 0.97),
         ("https://bad.wixsite.com/login".to_string(), 0.91),
-    ]));
-    let mut server = VerdictServer::start(checker).unwrap();
+    ]);
+    let mut server = EventedServer::start(Arc::new(index)).unwrap();
     let client = VerdictClient::new(server.addr());
 
     // 2 phishing + 3 safe checks; one repeat answered from the cache (no
@@ -55,21 +57,21 @@ fn stats_over_tcp_matches_issued_requests() {
     // Scrape over the wire.
     let stats = client.stats().unwrap();
     let counters = &stats["counters"];
-    assert_eq!(counters["verdict_requests_total{kind=\"check\"}"], 5);
-    assert_eq!(counters["verdict_verdicts_total{kind=\"phishing\"}"], 2);
-    assert_eq!(counters["verdict_verdicts_total{kind=\"safe\"}"], 3);
-    assert_eq!(counters["verdict_connections_accepted_total"], 6);
+    assert_eq!(counters["serve_requests_total{kind=\"check\"}"], 5);
+    assert_eq!(counters["serve_verdicts_total{kind=\"phishing\"}"], 2);
+    assert_eq!(counters["serve_verdicts_total{kind=\"safe\"}"], 3);
+    assert_eq!(counters["serve_connections_accepted_total"], 6);
     // The scrape itself was counted before the reply was rendered.
-    assert_eq!(counters["verdict_requests_total{kind=\"stats\"}"], 1);
-    // Latency histogram saw every CHECK.
-    let latency = &stats["histograms"]["verdict_request_seconds"];
+    assert_eq!(counters["serve_requests_total{kind=\"stats\"}"], 1);
+    // Service-time histogram saw every CHECK (one microbatch each).
+    let latency = &stats["histograms"]["serve_service_seconds"];
     assert_eq!(latency["count"], 5);
     assert!(latency["p99"].as_f64().unwrap() >= 0.0);
     // The rolling windowed SLO quantiles ride the same STATS reply: five
     // CHECKs landed in the current window, so every quantile gauge is
     // present (integer microseconds, so >= 0).
     for q in ["p50", "p99", "p999"] {
-        let key = format!("verdict_window_latency_us{{cmd=\"check\",q=\"{q}\"}}");
+        let key = format!("serve_window_latency_us{{cmd=\"check\",q=\"{q}\"}}");
         let v = stats["gauges"]
             .get(&key)
             .unwrap_or_else(|| panic!("STATS missing windowed gauge {key}"));
@@ -77,45 +79,42 @@ fn stats_over_tcp_matches_issued_requests() {
     }
 
     // Second transport, same snapshot: mount the ops plane on the
-    // threaded engine and scrape /varz. Monotone counters and the
-    // windowed gauges agree with what STATS served.
+    // engine and scrape /varz. Monotone counters and the windowed gauges
+    // agree with what STATS served.
     let mut ops = OpsServer::start(0, server.ops_config()).unwrap();
     let (code, body) = http_get(ops.addr(), "/varz").unwrap();
     assert_eq!(code, 200, "{body}");
     let varz: serde_json::Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(varz["engine"], "threaded");
+    assert_eq!(varz["engine"], "evented");
+    assert_eq!(varz["counters"]["serve_requests_total{kind=\"check\"}"], 5);
     assert_eq!(
-        varz["counters"]["verdict_requests_total{kind=\"check\"}"],
-        5
-    );
-    assert_eq!(
-        varz["counters"]["verdict_verdicts_total{kind=\"phishing\"}"],
+        varz["counters"]["serve_verdicts_total{kind=\"phishing\"}"],
         2
     );
     assert!(
         varz["gauges"]
-            .get("verdict_window_latency_us{cmd=\"check\",q=\"p999\"}")
+            .get("serve_window_latency_us{cmd=\"check\",q=\"p999\"}")
             .is_some(),
         "/varz missing windowed gauges: {body}"
     );
-    // The threaded engine is unconditionally ready.
+    // The index has published a generation, so the engine is ready.
     let (code, _) = http_get(ops.addr(), "/readyz").unwrap();
     assert_eq!(code, 200);
     ops.shutdown();
 
-    // The in-process snapshot agrees with the wire. Connection threads
-    // decrement the active gauge asynchronously after the socket closes,
-    // so only the monotone counters are compared.
+    // The in-process snapshot agrees with the wire. Workers decrement
+    // the active gauge asynchronously after the socket closes, so only
+    // the monotone counters are compared.
     let local = server.metrics();
     assert_eq!(
-        local.counter("verdict_requests_total", &[("kind", "check")]),
+        local.counter("serve_requests_total", &[("kind", "check")]),
         5
     );
     assert_eq!(
-        local.counter("verdict_requests_total", &[("kind", "stats")]),
+        local.counter("serve_requests_total", &[("kind", "stats")]),
         1
     );
-    assert_eq!(local.counter("verdict_protocol_errors_total", &[]), 0);
+    assert_eq!(local.counter("serve_protocol_errors_total", &[]), 0);
 
     server.shutdown();
 }
@@ -126,7 +125,7 @@ fn stats_and_checks_interleave_on_one_connection() {
         "https://p.weebly.com/".to_string(),
         0.9,
     )]));
-    let server = VerdictServer::start(checker).unwrap();
+    let server = EventedServer::start(checker).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .write_all(b"CHECK https://p.weebly.com/\nSTATS\nCHECK https://s.weebly.com/\n")
@@ -146,7 +145,7 @@ fn stats_and_checks_interleave_on_one_connection() {
     // At the instant the STATS reply was rendered, exactly one CHECK had
     // been served on this connection.
     assert_eq!(
-        payload["counters"]["verdict_requests_total{kind=\"check\"}"],
+        payload["counters"]["serve_requests_total{kind=\"check\"}"],
         1
     );
 }
@@ -154,7 +153,7 @@ fn stats_and_checks_interleave_on_one_connection() {
 #[test]
 fn protocol_errors_are_counted_not_swallowed() {
     let checker = Arc::new(KnownSetChecker::new([]));
-    let server = VerdictServer::start(checker).unwrap();
+    let server = EventedServer::start(checker).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.write_all(b"FETCH x\nSTATS\n").unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -165,5 +164,5 @@ fn protocol_errors_are_counted_not_swallowed() {
     reader.read_line(&mut stats_line).unwrap();
     let payload: serde_json::Value =
         serde_json::from_str(stats_line.trim_end().strip_prefix("STATS ").unwrap()).unwrap();
-    assert_eq!(payload["counters"]["verdict_protocol_errors_total"], 1);
+    assert_eq!(payload["counters"]["serve_protocol_errors_total"], 1);
 }

@@ -1,7 +1,7 @@
 //! Overlay read-path equivalence: the two-level mmap-baseline + live
 //! delta stack must be observationally *bit-identical* to plain journal
-//! replay, on both serving engines, through overwrites, manual adds,
-//! restarts and in-process re-bakes.
+//! replay, through overwrites, manual adds, restarts and in-process
+//! re-bakes.
 //!
 //! The contract under test: a baked index is nothing but a cache of a
 //! journal prefix, so for every URL — baked-only, overwritten after the
@@ -11,7 +11,7 @@
 //! bits.
 
 use freephish_core::journal::{CheckpointEvent, RunJournal, RunMeta, VerdictEvent};
-use freephish_core::verdictstore::{bake_index, EventedStoreChecker, StoreBacking, StoreChecker};
+use freephish_core::verdictstore::{bake_index, EventedStoreChecker, StoreBacking};
 use freephish_fwbsim::history::Platform;
 use freephish_serve::UrlChecker;
 use freephish_store::testutil::TempDir;
@@ -108,33 +108,6 @@ fn append_suffix(journal: &mut RunJournal) {
 }
 
 #[test]
-fn threaded_overlay_matches_pure_replay() {
-    let dir = TempDir::new("overlay-eq-threaded");
-    let mut journal = seed_journal(dir.path());
-    let bake = dir.path().join("baked.mapidx");
-    bake_index(dir.path(), &bake).unwrap();
-    append_suffix(&mut journal);
-
-    let overlaid = StoreChecker::open_with_base(dir.path(), Some(&bake)).unwrap();
-    overlaid.reload().unwrap();
-    let replayed = StoreChecker::open(dir.path()).unwrap();
-    replayed.reload().unwrap();
-
-    // The overlaid checker replayed only the suffix…
-    assert!(
-        overlaid.len() >= replayed.len(),
-        "overlay len is an upper bound (baked entries + live map)"
-    );
-    // …but observationally it is the full history.
-    assert_equivalent(&overlaid, &replayed, "threaded, post-suffix");
-
-    // An overwritten URL serves the *suffix* score, not the baked one.
-    let (hit, bits) = observe(&overlaid, "https://v2.weebly.com/");
-    assert!(hit);
-    assert_eq!(bits, (0.75 + 2.0 * 1e-9f64).to_bits());
-}
-
-#[test]
 fn evented_overlay_matches_pure_replay() {
     let dir = TempDir::new("overlay-eq-evented");
     let mut journal = seed_journal(dir.path());
@@ -153,7 +126,12 @@ fn evented_overlay_matches_pure_replay() {
     // the delta; the baked prefix is served from the mmap.
     assert_eq!(overlaid.overlay().base_len(), 40);
     assert!((overlaid.overlay().delta().len() as u64) < 40 + 20);
-    assert_equivalent(&overlaid, &replayed, "evented, post-suffix");
+    assert_equivalent(&overlaid, &replayed, "post-suffix");
+
+    // An overwritten URL serves the *suffix* score, not the baked one.
+    let (hit, bits) = observe(&overlaid, "https://v2.weebly.com/");
+    assert!(hit);
+    assert_eq!(bits, (0.75 + 2.0 * 1e-9f64).to_bits());
 
     // Batch reads agree with batch reads, in order.
     let urls = probe_urls();
@@ -170,49 +148,37 @@ fn evented_overlay_matches_pure_replay() {
 }
 
 #[test]
-fn manual_adds_shadow_the_base_and_survive_reopen_on_both_engines() {
-    for evented in [false, true] {
-        let dir = TempDir::new("overlay-eq-adds");
-        let _journal = seed_journal(dir.path());
-        let bake = dir.path().join("baked.mapidx");
-        bake_index(dir.path(), &bake).unwrap();
+fn manual_adds_shadow_the_base_and_survive_reopen() {
+    let dir = TempDir::new("overlay-eq-adds");
+    let _journal = seed_journal(dir.path());
+    let bake = dir.path().join("baked.mapidx");
+    bake_index(dir.path(), &bake).unwrap();
 
-        let shadowed = "https://v3.weebly.com/";
-        let open = |dir: &Path| -> Box<dyn UrlChecker> {
-            if evented {
-                let c = EventedStoreChecker::open_with_base(dir, Some(&bake)).unwrap();
-                let mut publisher = c.publisher();
-                publisher.poll().unwrap();
-                Box::new(c)
-            } else {
-                let c = StoreChecker::open_with_base(dir, Some(&bake)).unwrap();
-                c.reload().unwrap();
-                Box::new(c)
-            }
-        };
+    let shadowed = "https://v3.weebly.com/";
+    let open = |dir: &Path| {
+        let c = EventedStoreChecker::open_with_base(dir, Some(&bake)).unwrap();
+        c.publisher().poll().unwrap();
+        c
+    };
 
-        {
-            let checker = open(dir.path());
-            let (hit, bits) = observe(checker.as_ref(), shadowed);
-            assert!(hit, "baked entry served (evented={evented})");
-            assert_eq!(bits, (0.5 + 3.0 * 1e-9f64).to_bits());
-            // A durable manual ADD shadows the baked score immediately.
-            checker.add(shadowed, 0.97).unwrap();
-            assert_eq!(
-                observe(checker.as_ref(), shadowed),
-                (true, 0.97f64.to_bits())
-            );
-        }
-
-        // …and again after a cold reopen: the sidecar replays into the
-        // delta, which wins over the mmap baseline.
+    {
         let checker = open(dir.path());
-        assert_eq!(
-            observe(checker.as_ref(), shadowed),
-            (true, 0.97f64.to_bits()),
-            "sidecar ADD must shadow the base across restart (evented={evented})"
-        );
+        let (hit, bits) = observe(&checker, shadowed);
+        assert!(hit, "baked entry served");
+        assert_eq!(bits, (0.5 + 3.0 * 1e-9f64).to_bits());
+        // A durable manual ADD shadows the baked score immediately.
+        checker.add(shadowed, 0.97).unwrap();
+        assert_eq!(observe(&checker, shadowed), (true, 0.97f64.to_bits()));
     }
+
+    // …and again after a cold reopen: the sidecar replays into the
+    // delta, which wins over the mmap baseline.
+    let checker = open(dir.path());
+    assert_eq!(
+        observe(&checker, shadowed),
+        (true, 0.97f64.to_bits()),
+        "sidecar ADD must shadow the base across restart"
+    );
 }
 
 #[test]
@@ -223,7 +189,7 @@ fn journaled_adds_keep_shadowing_across_an_in_process_rebake() {
     bake_index(dir.path(), &bake).unwrap();
     append_suffix(&mut journal);
 
-    let mut backing = StoreBacking::open_with(dir.path(), true, Vec::new(), Some(&bake)).unwrap();
+    let mut backing = StoreBacking::open_with(dir.path(), Vec::new(), Some(&bake)).unwrap();
     backing.poll().unwrap();
     let checker = backing.checker();
     let overwritten = "https://v4.weebly.com/";
@@ -240,9 +206,9 @@ fn journaled_adds_keep_shadowing_across_an_in_process_rebake() {
         checker.generation() > gen_before,
         "base swap must advance the generation for cache invalidation"
     );
-    let replayed = StoreChecker::open(dir.path()).unwrap();
-    replayed.reload().unwrap();
-    assert_equivalent(checker.as_ref(), &replayed, "evented, post-rebake");
+    let replayed = EventedStoreChecker::open(dir.path()).unwrap();
+    replayed.publisher().poll().unwrap();
+    assert_equivalent(checker.as_ref(), &replayed, "post-rebake");
     assert_eq!(observe(checker.as_ref(), overwritten), want);
 
     // Writes after the re-bake keep landing and keep shadowing.
@@ -254,11 +220,4 @@ fn journaled_adds_keep_shadowing_across_an_in_process_rebake() {
         (true, 0.999_999_25f64.to_bits()),
         "post-rebake journal writes must shadow the new base"
     );
-
-    // The threaded engine refuses in-process re-bakes loudly.
-    let threaded = StoreBacking::open(dir.path(), false, Vec::new()).unwrap();
-    let err = threaded
-        .rebake(&dir.path().join("nope.mapidx"))
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
 }

@@ -1,27 +1,23 @@
-//! Cross-engine equivalence: a verdict resolved through the tiered
+//! Offline/online equivalence: a verdict resolved through the tiered
 //! pipeline is the SAME number the offline model produces.
 //!
 //! The tiered resolver classifies residue as microbatches on the
-//! `freephish-par` pool, and both serving engines front it over different
-//! wire protocols. None of that is allowed to perturb a score:
+//! `freephish-par` pool, and the serving engine fronts it over two wire
+//! protocols. None of that is allowed to perturb a score:
 //!
 //! * the settled resolver verdict for every miss is bit-identical to a
 //!   direct [`AugmentedStackModel::score_snapshot`] call on the same
 //!   snapshot (`f64::to_bits` equality, not epsilon);
-//! * the evented engine's binary protocol carries those bits to a client
-//!   unchanged;
-//! * the threaded engine's line protocol agrees at its documented
-//!   4-decimal quantization.
+//! * the binary protocol carries those bits to a client unchanged;
+//! * the line protocol agrees at its documented 4-decimal quantization.
 //!
-//! `scripts/ci.sh` runs this suite twice — `FREEPHISH_THREADS=1` and the
-//! host default — so the bit-equality assertions also prove the
+//! `scripts/ci.sh` runs the workspace tests twice — `FREEPHISH_THREADS=1`
+//! and the host default — so the bit-equality assertions also prove the
 //! microbatch scoring is deterministic across pool widths.
 //!
 //! [`AugmentedStackModel::score_snapshot`]: freephish_core::models::augmented::AugmentedStackModel
 
-use freephish_core::extension::{
-    KnownSetChecker, UrlChecker, Verdict, VerdictClient, VerdictServer,
-};
+use freephish_core::extension::{KnownSetChecker, UrlChecker, Verdict, VerdictClient};
 use freephish_core::groundtruth::{build, GroundTruthConfig};
 use freephish_core::resolver::{
     ManualClock, MapFetcher, ResolverModels, TieredResolver, TieredResolverConfig,
@@ -129,16 +125,15 @@ fn evented_binary_protocol_carries_offline_bits_unchanged() {
 }
 
 #[test]
-fn threaded_line_protocol_agrees_at_its_quantization() {
+fn evented_line_protocol_agrees_at_its_quantization() {
     let (resolver, expected, threshold) = settled();
-    let mut server =
-        VerdictServer::start(resolver.clone() as Arc<dyn UrlChecker>).expect("start threaded");
-    let client = VerdictClient::new(server.addr());
-    let urls: Vec<String> = expected.iter().map(|(u, _)| u.clone()).collect();
-    // The threaded engine refuses the binary handshake; the client falls
-    // back to pipelined lines, whose scores are printed at 4 decimals.
-    let verdicts = client.check_batch_strict(&urls).expect("line CHECK batch");
-    for ((url, offline), verdict) in expected.iter().zip(&verdicts) {
+    let mut engine =
+        EventedServer::start(resolver.clone() as Arc<dyn UrlChecker>).expect("start evented");
+    let client = VerdictClient::new(engine.addr());
+    // Single checks travel as `CHECK` lines, whose scores are printed at
+    // 4 decimals.
+    for (url, offline) in &expected {
+        let verdict = client.check(url).expect("line CHECK");
         assert_eq!(verdict.is_phishing(), *offline >= threshold, "{url}");
         let quantized: f64 = format!("{offline:.4}").parse().unwrap();
         assert_eq!(
@@ -148,8 +143,8 @@ fn threaded_line_protocol_agrees_at_its_quantization() {
             verdict.score()
         );
     }
-    server.shutdown();
-    server.drain(Duration::from_secs(5));
+    engine.shutdown();
+    assert!(engine.drain(Duration::from_secs(5)));
     resolver.shutdown();
 }
 

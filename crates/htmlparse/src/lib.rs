@@ -19,13 +19,11 @@ pub mod dom;
 pub mod facts;
 pub mod legacy;
 pub mod query;
-pub mod sdom;
 pub mod span;
 pub mod token;
 
 pub use dom::{Document, Node, NodeId};
 pub use facts::PageFacts;
-pub use sdom::{SpanDocument, SpanNode};
 pub use span::{tokenize_spans, SpanAttr, SpanToken};
 pub use token::{decode_entities, tokenize, Attr, Token};
 

@@ -9,9 +9,8 @@
 //! cargo run --release --example extension_demo
 //! ```
 
-use freephish::core::extension::{
-    KnownSetChecker, Navigation, NavigationGuard, VerdictClient, VerdictServer,
-};
+use freephish::core::extension::{KnownSetChecker, Navigation, NavigationGuard, VerdictClient};
+use freephish::serve::EventedServer;
 use std::sync::Arc;
 
 fn main() -> std::io::Result<()> {
@@ -27,7 +26,7 @@ fn main() -> std::io::Result<()> {
         ),
         ("https://netflix4481.000webhostapp.com/".to_string(), 0.95),
     ]));
-    let mut server = VerdictServer::start(checker.clone())?;
+    let mut server = EventedServer::start(checker.clone())?;
     println!("[server] verdict service listening on {}\n", server.addr());
 
     // The browser side: a navigation guard wired to the service.
@@ -75,16 +74,16 @@ fn main() -> std::io::Result<()> {
     println!("\n[metrics] STATS scrape of the verdict service:");
     let counters = &stats["counters"];
     for key in [
-        "verdict_connections_accepted_total",
-        "verdict_requests_total{kind=\"check\"}",
-        "verdict_verdicts_total{kind=\"phishing\"}",
-        "verdict_verdicts_total{kind=\"safe\"}",
+        "serve_connections_accepted_total",
+        "serve_requests_total{kind=\"check\"}",
+        "serve_verdicts_total{kind=\"phishing\"}",
+        "serve_verdicts_total{kind=\"safe\"}",
     ] {
         println!("  {:<45} {}", key, counters[key]);
     }
     println!(
         "  {:<45} {}",
-        "verdict_request_seconds p99 (s)", stats["histograms"]["verdict_request_seconds"]["p99"]
+        "serve_service_seconds p99 (s)", stats["histograms"]["serve_service_seconds"]["p99"]
     );
 
     server.shutdown();

@@ -16,9 +16,9 @@
 #   * the persistence layer — buffered vs per-record-fsync append
 #     throughput and cold WAL recovery (clean and torn-tail), recorded
 #     under the store_append_throughput and store_recovery keys;
-#   * the serving layer — loadgen drives the threaded and evented verdict
-#     engines with concurrent connections (line CHECK and binary CHECKN),
-#     merged in under the serve_throughput and serve_latency keys; during
+#   * the serving layer — loadgen drives the verdict engine with
+#     concurrent connections (line CHECK and binary CHECKN), merged in
+#     under the serve_throughput and serve_latency keys; during
 #     the CHECKN phase the ops plane is mounted and scraped mid-run,
 #     adding the serve_p999, serve_worker_utilization and
 #     ops_scrape_latency keys; a miss phase (--miss-rate) then drives the

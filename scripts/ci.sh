@@ -14,71 +14,19 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q -p freephish-store (host-default threads) =="
-cargo test -q -p freephish-store
+# Every suite of every crate — unit, integration and property tests,
+# including the hot-path, tiered-resolver and overlay equivalence proofs —
+# once at the host-default worker count and once serially, so the
+# bit-identity assertions also hold across pool widths.
+echo "== cargo test -q --workspace (host-default threads) =="
+cargo test -q --workspace
 
-echo "== cargo test -q -p freephish-store (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q -p freephish-store
-
-echo "== cargo test -q -p freephish-serve (host-default threads) =="
-cargo test -q -p freephish-serve
-
-echo "== cargo test -q -p freephish-serve (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q -p freephish-serve
-
-echo "== cargo test -q -p freephish-cluster (host-default threads) =="
-cargo test -q -p freephish-cluster
-
-echo "== cargo test -q -p freephish-cluster (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q -p freephish-cluster
-
-echo "== cargo test -q (host-default threads) =="
-cargo test -q
-
-echo "== cargo test -q (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q
-
-# Hot-path equivalence: the wire-speed rewrites (span tokenizer, flat
-# forests, SWAR/Myers URL lexical) must stay bit-identical to the retained
-# legacy implementations, at the host-default worker count and serially.
-echo "== hot-path equivalence suites (host-default threads) =="
-cargo test -q -p freephish-urlparse --test proptests
-cargo test -q -p freephish-htmlparse --test proptests
-cargo test -q -p freephish-ml --test proptests
-cargo test -q -p freephish-core --lib -- bit_identical
-
-echo "== hot-path equivalence suites (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q -p freephish-urlparse --test proptests
-FREEPHISH_THREADS=1 cargo test -q -p freephish-htmlparse --test proptests
-FREEPHISH_THREADS=1 cargo test -q -p freephish-ml --test proptests
-FREEPHISH_THREADS=1 cargo test -q -p freephish-core --lib -- bit_identical
-
-# Tiered-resolver equivalence: verdicts settled through the classify-on-miss
-# pipeline (and served over either engine's wire protocol) must be
-# bit-identical to the offline model, serially and at the host-default
-# worker count.
-echo "== tiered equivalence (host-default threads) =="
-cargo test -q -p freephish-core --test tiered_equivalence
-
-echo "== tiered equivalence (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q -p freephish-core --test tiered_equivalence
+echo "== cargo test -q --workspace (FREEPHISH_THREADS=1) =="
+FREEPHISH_THREADS=1 cargo test -q --workspace
 
 echo "== ops plane smoke (ops_smoke) =="
 cargo build --release -p freephish-bench --bin ops_smoke
 ./target/release/ops_smoke
-
-# Snapshot-index corruption totality and the two-level read path: any
-# byte-level damage to a baked index must surface as a typed error (never
-# a panic), and a checker mounted on mmap-baseline + journal-suffix replay
-# must stay bit-identical to full replay on both engines, across re-bakes.
-echo "== mapidx corruption/round-trip proptests =="
-cargo test -q -p freephish-mapidx --test proptests
-
-echo "== overlay equivalence (host-default threads) =="
-cargo test -q -p freephish-core --test overlay_equivalence
-
-echo "== overlay equivalence (FREEPHISH_THREADS=1) =="
-FREEPHISH_THREADS=1 cargo test -q -p freephish-core --test overlay_equivalence
 
 # Downscaled soak smoke: the full million-site pipeline (streaming world
 # build -> bake -> mmap load -> mixed CHECK/CHECKN/ADD soak with RSS and

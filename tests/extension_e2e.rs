@@ -2,12 +2,13 @@
 //! over real TCP, and the navigation guard blocks exactly those URLs.
 
 use freephish::core::campaign::{self, CampaignConfig, RecordClass};
-use freephish::core::extension::{KnownSetChecker, Navigation, NavigationGuard, VerdictServer};
+use freephish::core::extension::{KnownSetChecker, Navigation, NavigationGuard};
 use freephish::core::groundtruth::{build, GroundTruthConfig};
 use freephish::core::models::augmented::AugmentedStackModel;
 use freephish::core::pipeline::Pipeline;
 use freephish::core::world::World;
 use freephish::ml::StackModelConfig;
+use freephish::serve::EventedServer;
 use freephish::simclock::{Rng64, SimTime};
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ fn detections_drive_navigation_blocking() {
     let checker = Arc::new(KnownSetChecker::new(
         detections.iter().map(|d| (d.url.clone(), d.score)),
     ));
-    let mut server = VerdictServer::start(checker).unwrap();
+    let mut server = EventedServer::start(checker).unwrap();
     let guard = NavigationGuard::new(server.addr());
 
     // Every detection is blocked.

@@ -3,13 +3,14 @@
 //! detections, and `ADD`s from the wire survive a daemon restart.
 
 use freephish::core::campaign::CampaignConfig;
-use freephish::core::extension::{UrlChecker, VerdictClient, VerdictServer};
+use freephish::core::extension::{UrlChecker, VerdictClient};
 use freephish::core::groundtruth::{build, GroundTruthConfig};
 use freephish::core::journal::JournaledRun;
 use freephish::core::models::augmented::AugmentedStackModel;
 use freephish::core::pipeline::Pipeline;
-use freephish::core::verdictstore::StoreChecker;
+use freephish::core::verdictstore::EventedStoreChecker;
 use freephish::ml::StackModelConfig;
+use freephish::serve::EventedServer;
 use freephish::simclock::{Rng64, SimTime};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,9 +54,10 @@ fn pipeline_appends_hot_reload_into_the_verdict_service() {
 
     // The daemon side: a store-backed checker serving over TCP, opened
     // before the pipeline has detected anything.
-    let checker = Arc::new(StoreChecker::open(dir.path()).unwrap());
-    checker.reload().unwrap();
-    let mut server = VerdictServer::start(Arc::clone(&checker) as Arc<dyn UrlChecker>).unwrap();
+    let checker = Arc::new(EventedStoreChecker::open(dir.path()).unwrap());
+    let mut publisher = checker.publisher();
+    publisher.poll().unwrap();
+    let mut server = EventedServer::start(Arc::clone(&checker) as Arc<dyn UrlChecker>).unwrap();
     let client = VerdictClient::new(server.addr());
 
     // Tick until the pipeline journals its first detections.
@@ -67,21 +69,21 @@ fn pipeline_appends_hot_reload_into_the_verdict_service() {
     }
     let first = run.detections[0].url.clone();
 
-    // A reload ingests the new journal records and bumps the generation;
-    // after it the wire answers PHISH.
+    // A publisher poll ingests the new journal records and bumps the
+    // generation; after it the wire answers PHISH.
     let g0 = checker.generation();
-    checker.reload().unwrap();
-    assert!(checker.generation() > g0, "reload did not bump generation");
+    publisher.poll().unwrap();
+    assert!(checker.generation() > g0, "poll did not bump generation");
     assert!(client.check(&first).unwrap().is_phishing());
 
-    // Keep ticking across a snapshot/compaction boundary and reload again:
+    // Keep ticking across a snapshot/compaction boundary and poll again:
     // nothing already served is lost.
     for _ in 0..70 {
         if !run.tick(&pipeline).unwrap() {
             break;
         }
     }
-    checker.reload().unwrap();
+    publisher.poll().unwrap();
     let fresh_client = VerdictClient::new(server.addr());
     assert!(fresh_client.check(&first).unwrap().is_phishing());
 
@@ -97,9 +99,9 @@ fn pipeline_appends_hot_reload_into_the_verdict_service() {
     drop(server);
     drop(checker);
 
-    let reopened = Arc::new(StoreChecker::open(dir.path()).unwrap());
-    reopened.reload().unwrap();
-    let mut server2 = VerdictServer::start(Arc::clone(&reopened) as Arc<dyn UrlChecker>).unwrap();
+    let reopened = Arc::new(EventedStoreChecker::open(dir.path()).unwrap());
+    reopened.publisher().poll().unwrap();
+    let mut server2 = EventedServer::start(Arc::clone(&reopened) as Arc<dyn UrlChecker>).unwrap();
     let client2 = VerdictClient::new(server2.addr());
     assert!(
         client2.check(added).unwrap().is_phishing(),
