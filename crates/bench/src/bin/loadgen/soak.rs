@@ -355,7 +355,7 @@ fn serve_soak_phase(
     }
     let elapsed = start.elapsed().as_secs_f64();
     let rss_peak = sampler.finish();
-    let (_, varz_body) = scraper.finish();
+    let varz_body = scraper.finish();
     ops.shutdown();
     evented.shutdown();
     evented.drain(Duration::from_secs(5));

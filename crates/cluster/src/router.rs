@@ -226,11 +226,19 @@ struct ShardPlan {
     chunks: Vec<Vec<usize>>,
 }
 
+/// One backend connection and the reply bytes read off it but not yet
+/// decoded: a shard may answer several pipelined frames in one segment,
+/// so the buffer lives and dies with the stream.
+struct Conn {
+    stream: TcpStream,
+    inbuf: BytesMut,
+}
+
 /// A router handle owning its own backend connections. Not `Sync`;
 /// give each thread its own via [`Router::client`].
 pub struct RouterClient {
     shared: Arc<Shared>,
-    conns: Vec<Option<TcpStream>>,
+    conns: Vec<Option<Conn>>,
 }
 
 impl RouterClient {
@@ -262,24 +270,26 @@ impl RouterClient {
                     format!("backend refused binary handshake: {}", reply.trim()),
                 ));
             }
-            self.conns[node] = Some(stream);
+            self.conns[node] = Some(Conn {
+                stream,
+                inbuf: BytesMut::new(),
+            });
         }
-        Ok(self.conns[node].as_mut().expect("just connected"))
+        Ok(&mut self.conns[node].as_mut().expect("just connected").stream)
     }
 
     fn read_reply(&mut self, node: usize) -> Result<BinReply, String> {
-        let stream = self.conns[node]
+        let Conn { stream, inbuf } = self.conns[node]
             .as_mut()
             .ok_or_else(|| "connection lost".to_string())?;
-        let mut buf = BytesMut::new();
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(reply) = decode_bin_reply(&mut buf)? {
+            if let Some(reply) = decode_bin_reply(inbuf)? {
                 return Ok(reply);
             }
             match stream.read(&mut chunk) {
                 Ok(0) => return Err("backend closed connection".to_string()),
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
                 Err(e) => return Err(format!("backend read failed: {e}")),
             }
         }

@@ -110,6 +110,45 @@ fn batches_scatter_by_ring_owner_and_gather_in_order() {
     assert_eq!(m.counter("cluster_router_urls_routed_total", &[]), 130);
 }
 
+/// More than `MAX_BATCH` URLs per shard means several pipelined
+/// `CHECKN` frames per connection, whose replies may share one TCP
+/// segment: every one must be gathered, none re-read from the wire.
+#[test]
+fn batches_spanning_several_frames_per_shard_gather_every_reply() {
+    let backends: Vec<EventedServer> = (0..2).map(|i| tagged_backend(i as f64)).collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.addr()).collect();
+    let io_timeout = Duration::from_secs(2);
+    let router = Router::new(
+        addrs,
+        RouterConfig {
+            io_timeout,
+            ..quick_health()
+        },
+    );
+    let mut client = router.client();
+
+    let batch = urls(2000);
+    let started = std::time::Instant::now();
+    let results = client.check_batch(&batch);
+    let took = started.elapsed();
+    assert_eq!(results.len(), batch.len());
+    for (url, res) in batch.iter().zip(&results) {
+        let v = res.as_ref().unwrap_or_else(|e| panic!("{url}: {e}"));
+        assert_eq!(
+            v.score(),
+            router.owner_of(url) as f64,
+            "{url} off its owner"
+        );
+    }
+    let m = router.metrics_snapshot();
+    assert_eq!(m.counter("cluster_router_failovers_total", &[]), 0);
+    assert_eq!(m.counter("cluster_router_shard_errors_total", &[]), 0);
+    assert!(
+        took < io_timeout / 2,
+        "gather waited on the wire for a reply it already had: {took:?}"
+    );
+}
+
 #[test]
 fn dead_backend_fails_over_to_ring_successors() {
     let mut backends: Vec<EventedServer> = (0..3).map(|i| tagged_backend(i as f64)).collect();

@@ -74,7 +74,7 @@ pub fn characterize(world: &World, sites: &[GeneratedSite], now_day: u64) -> Cha
             noindex: doc.has_noindex_meta(),
             indexed: world.search.contains(&s.url),
             bannered: d.has_banner,
-            obfuscated: d.has_banner && crate::features::has_obfuscated_banner(&doc),
+            obfuscated: d.has_banner && doc.has_obfuscated_banner(),
         }
     });
 

@@ -57,8 +57,8 @@ fn brand_score(brand: Option<(usize, BrandMatch)>) -> f64 {
     }
 }
 
-/// The eight URL-based features shared by both layouts (public so the perf
-/// bench can time the URL-lexical stage in isolation).
+/// The eight URL-based features shared by both layouts (public so the
+/// benchmark can time the URL-lexical stage in isolation).
 pub fn url_features(url: &Url) -> Vec<f64> {
     let s = url.as_string();
     let brand = best_brand_match_in(url, brand_catalog());
@@ -74,8 +74,8 @@ pub fn url_features(url: &Url) -> Vec<f64> {
     ]
 }
 
-/// The seed's URL feature stage, retained verbatim for benchmarking and
-/// equivalence testing: scalar char scans and per-brand re-tokenisation
+/// The seed's URL feature stage, retained verbatim for equivalence
+/// testing: scalar char scans and per-brand re-tokenisation
 /// with the Wagner–Fischer reference kernel. Produces the same vector as
 /// [`url_features`] bit for bit (the urlparse equivalence tests pin each
 /// pair of implementations together).
@@ -152,43 +152,11 @@ pub fn text_mentions_brand(text: &str) -> Option<&'static freephish_webgen::Bran
     best.map(|i| &BRANDS[i])
 }
 
-/// The ten HTML-based features shared by both layouts (the StackModel's
-/// twelve, minus the two the layouts disagree on).
-fn html_features(url: &Url, doc: &Document) -> Vec<f64> {
-    let own = url
-        .host()
+/// The registrable domain link partitioning counts as "internal".
+fn own_domain(url: &Url) -> String {
+    url.host()
         .registrable_domain()
-        .unwrap_or_else(|| url.host().to_string());
-    let (internal, external) = doc.link_partition(&own);
-    let links = doc.links().len();
-    let title_brand = doc
-        .title()
-        .map(|t| text_mentions_brand(&t).is_some())
-        .unwrap_or(false);
-    vec![
-        links as f64,
-        internal as f64,
-        external as f64,
-        doc.empty_links() as f64,
-        f64::from(doc.has_login_form()),
-        doc.credential_inputs().len() as f64,
-        // HTML length proxied by node count (stable across formatting).
-        doc.len() as f64,
-        doc.forms().len() as f64,
-        doc.iframes().len() as f64,
-        f64::from(title_brand),
-    ]
-}
-
-/// Does the page hide an element whose class names it as a service banner?
-/// (The paper's "Obfuscating FWB Footer" feature.)
-pub fn has_obfuscated_banner(doc: &Document) -> bool {
-    doc.elements().iter().any(|e| {
-        e.attr("class")
-            .map(|c| c.contains("banner"))
-            .unwrap_or(false)
-            && e.is_hidden_by_style()
-    })
+        .unwrap_or_else(|| url.host().to_string())
 }
 
 /// Multi-TLD count: how many known TLD tokens appear inside the host labels
@@ -212,18 +180,40 @@ impl FeatureVector {
     /// is property-tested equal to the DOM queries, so the resulting vector
     /// is bit-identical to the DOM path.
     pub fn extract_fast(set: FeatureSet, url: &Url, html: &str) -> FeatureVector {
-        let own = url
-            .host()
-            .registrable_domain()
-            .unwrap_or_else(|| url.host().to_string());
-        let facts = PageFacts::extract(html, &own);
+        let facts = PageFacts::extract(html, &own_domain(url));
         Self::from_facts(set, url, &facts)
     }
 
-    /// Assemble a vector from pre-extracted page facts (the fast-path twin
-    /// of [`FeatureVector::extract`]).
+    /// Assemble a vector from pre-extracted page facts.
     pub fn from_facts(set: FeatureSet, url: &Url, facts: &PageFacts) -> FeatureVector {
-        let mut values = url_features(url);
+        Self::assemble(set, url, url_features(url), facts)
+    }
+
+    /// Extract features for a snapshot (URL + parsed page): the DOM query
+    /// twin of [`FeatureVector::extract_fast`].
+    pub fn extract(set: FeatureSet, url: &Url, doc: &Document) -> FeatureVector {
+        let facts = PageFacts::from_document(doc, &own_domain(url));
+        Self::from_facts(set, url, &facts)
+    }
+
+    /// The retained seed extraction path: [`url_features_legacy`] (scalar
+    /// scans, per-brand re-tokenisation, Wagner–Fischer) plus the per-query
+    /// DOM walks. Bit-identical to [`FeatureVector::extract`]; the oracle
+    /// the equivalence tests run the pre-rewrite pipeline through.
+    pub fn extract_legacy(set: FeatureSet, url: &Url, doc: &Document) -> FeatureVector {
+        let facts = PageFacts::from_document(doc, &own_domain(url));
+        Self::assemble(set, url, url_features_legacy(url), &facts)
+    }
+
+    /// The one place the 20-column layout is written: the eight URL
+    /// columns (from either URL stage), ten shared HTML columns, then the
+    /// two the layouts disagree on.
+    fn assemble(
+        set: FeatureSet,
+        url: &Url,
+        mut values: Vec<f64>,
+        facts: &PageFacts,
+    ) -> FeatureVector {
         let title_brand = facts
             .title
             .as_deref()
@@ -236,6 +226,7 @@ impl FeatureVector {
             facts.n_empty_links as f64,
             f64::from(facts.has_login_form),
             facts.n_credential_inputs as f64,
+            // HTML length proxied by node count (stable across formatting).
             facts.dom_nodes as f64,
             facts.n_forms as f64,
             facts.n_iframes as f64,
@@ -249,35 +240,6 @@ impl FeatureVector {
             FeatureSet::Augmented => {
                 values.push(f64::from(facts.banner_obfuscated));
                 values.push(f64::from(facts.has_noindex));
-            }
-        }
-        FeatureVector { set, values }
-    }
-
-    /// Extract features for a snapshot (URL + parsed page).
-    pub fn extract(set: FeatureSet, url: &Url, doc: &Document) -> FeatureVector {
-        Self::assemble(set, url, doc, url_features(url))
-    }
-
-    /// The retained seed extraction path: [`url_features_legacy`] (scalar
-    /// scans, per-brand re-tokenisation, Wagner–Fischer) plus the per-query
-    /// DOM walks. Bit-identical to [`FeatureVector::extract`]; exists so
-    /// benchmarks and equivalence tests can run the pre-rewrite pipeline
-    /// end to end.
-    pub fn extract_legacy(set: FeatureSet, url: &Url, doc: &Document) -> FeatureVector {
-        Self::assemble(set, url, doc, url_features_legacy(url))
-    }
-
-    fn assemble(set: FeatureSet, url: &Url, doc: &Document, mut values: Vec<f64>) -> FeatureVector {
-        values.extend(html_features(url, doc));
-        match set {
-            FeatureSet::Base => {
-                values.push(f64::from(url.is_https()));
-                values.push(multi_tld_count(url) as f64);
-            }
-            FeatureSet::Augmented => {
-                values.push(f64::from(has_obfuscated_banner(doc)));
-                values.push(f64::from(doc.has_noindex_meta()));
             }
         }
         FeatureVector { set, values }
@@ -513,10 +475,10 @@ mod tests {
     #[test]
     fn obfuscated_banner_detector() {
         let hidden = parse(r#"<div class="wsite-banner" style="visibility:hidden">x</div>"#);
-        assert!(has_obfuscated_banner(&hidden));
+        assert!(hidden.has_obfuscated_banner());
         let visible = parse(r#"<div class="wsite-banner">x</div>"#);
-        assert!(!has_obfuscated_banner(&visible));
+        assert!(!visible.has_obfuscated_banner());
         let unrelated = parse(r#"<div class="content" style="display:none">x</div>"#);
-        assert!(!has_obfuscated_banner(&unrelated));
+        assert!(!unrelated.has_obfuscated_banner());
     }
 }

@@ -42,12 +42,6 @@ impl AugmentedStackModel {
         self.model.predict_proba_batch(rows)
     }
 
-    /// Score one row on the boxed (pre-flattening) tree walk — the
-    /// perf-bench baseline for the inference stage.
-    pub fn score_features_boxed(&self, row: &[f64]) -> f64 {
-        self.model.predict_proba_boxed(row)
-    }
-
     /// Extract-and-score convenience for one snapshot, on the wire-speed
     /// path: single-pass [`freephish_htmlparse::PageFacts`] feature
     /// extraction plus flattened-forest inference. Bit-identical to
@@ -60,8 +54,7 @@ impl AugmentedStackModel {
     /// The pre-optimisation scoring path, verbatim: owned-token tokenise,
     /// build the DOM, run each feature as its own query, scalar URL scans
     /// with per-brand re-tokenisation, walk the boxed trees. Kept callable
-    /// as the perf-bench baseline and the oracle for the hot-path
-    /// equivalence tests.
+    /// as the oracle for the hot-path equivalence tests.
     pub fn score_snapshot_legacy(&self, url: &Url, html: &str) -> f64 {
         let doc = freephish_htmlparse::legacy::parse(html);
         let v = FeatureVector::extract_legacy(FeatureSet::Augmented, url, &doc);

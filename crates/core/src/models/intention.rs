@@ -113,7 +113,7 @@ impl IntentionStyle {
 
         // Forensic tells: hidden banner, noindex, meta refresh, download
         // bait.
-        if crate::features::has_obfuscated_banner(doc) {
+        if doc.has_obfuscated_banner() {
             score += 0.15;
         }
         if doc.has_noindex_meta() {

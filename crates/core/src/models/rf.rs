@@ -7,7 +7,6 @@
 use super::{PageFetcher, PhishDetector};
 use crate::features::{FeatureSet, FeatureVector};
 use crate::groundtruth::{to_dataset, LabeledSite};
-use freephish_htmlparse::parse;
 use freephish_ml::{ForestConfig, RandomForest};
 use freephish_simclock::Rng64;
 use freephish_urlparse::Url;
@@ -41,8 +40,7 @@ impl PhishDetector for ForestDetector {
         let Ok(parsed) = Url::parse(url) else {
             return 0.5;
         };
-        let doc = parse(html);
-        let v = FeatureVector::extract(FeatureSet::Augmented, &parsed, &doc);
+        let v = FeatureVector::extract_fast(FeatureSet::Augmented, &parsed, html);
         self.model.predict_proba(&v.values)
     }
 }

@@ -5,7 +5,6 @@
 use super::{PageFetcher, PhishDetector};
 use crate::features::{FeatureSet, FeatureVector};
 use crate::groundtruth::{to_dataset, LabeledSite};
-use freephish_htmlparse::parse;
 use freephish_ml::{StackModel, StackModelConfig};
 use freephish_simclock::Rng64;
 use freephish_urlparse::Url;
@@ -39,8 +38,7 @@ impl PhishDetector for BaseStackModel {
         let Ok(parsed) = Url::parse(url) else {
             return 0.5;
         };
-        let doc = parse(html);
-        let v = FeatureVector::extract(FeatureSet::Base, &parsed, &doc);
+        let v = FeatureVector::extract_fast(FeatureSet::Base, &parsed, html);
         self.model.predict_proba(&v.values)
     }
 }

@@ -67,9 +67,8 @@ pub trait SnapshotFetcher: Send + Sync {
     fn fetch(&self, url: &str) -> Option<String>;
 }
 
-/// A fetcher serving exact bodies from an in-memory map — the test and
-/// loadgen backend, where miss URLs are generated together with their
-/// HTML.
+/// A fetcher serving exact bodies from an in-memory map — the test
+/// backend, where miss URLs are generated together with their HTML.
 #[derive(Default)]
 pub struct MapFetcher {
     map: RwLock<HashMap<String, String>>,

@@ -22,7 +22,9 @@ use freephish_core::groundtruth::{build, GroundTruthConfig};
 use freephish_core::resolver::{
     ManualClock, MapFetcher, ResolverModels, TieredResolver, TieredResolverConfig,
 };
+use freephish_core::verdictstore::EventedStoreChecker;
 use freephish_serve::EventedServer;
+use freephish_store::testutil::TempDir;
 use freephish_urlparse::Url;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,10 +41,17 @@ fn miss_corpus() -> Vec<(String, String)> {
     .collect()
 }
 
-/// A warm resolver with every miss settled through tier 2, plus the
-/// offline scores it must agree with. Cutoff 0 disables the confident-safe
-/// wave-through so every URL takes the full classify path.
-fn settled() -> (Arc<TieredResolver>, Vec<(String, f64)>, f64) {
+/// The miss corpus behind a fetcher, and trained models. Cutoff 0
+/// disables the confident-safe wave-through so every URL takes the full
+/// classify path.
+struct MissFixture {
+    cfg: TieredResolverConfig,
+    sites: Vec<(String, String)>,
+    fetcher: Arc<MapFetcher>,
+    models: Arc<ResolverModels>,
+}
+
+fn miss_fixture() -> MissFixture {
     let cfg = TieredResolverConfig::default();
     let sites = miss_corpus();
     let fetcher = Arc::new(MapFetcher::new());
@@ -50,6 +59,23 @@ fn settled() -> (Arc<TieredResolver>, Vec<(String, f64)>, f64) {
         fetcher.insert(url, html);
     }
     let models = Arc::new(ResolverModels::train(&build(&cfg.corpus), &cfg).with_cutoff(0.0));
+    MissFixture {
+        cfg,
+        sites,
+        fetcher,
+        models,
+    }
+}
+
+/// A warm resolver with every miss settled through tier 2, plus the
+/// offline scores it must agree with.
+fn settled() -> (Arc<TieredResolver>, Vec<(String, f64)>, f64) {
+    let MissFixture {
+        cfg,
+        sites,
+        fetcher,
+        models,
+    } = miss_fixture();
     let resolver = TieredResolver::with_models(
         Arc::new(KnownSetChecker::new(Vec::new())),
         fetcher,
@@ -145,6 +171,83 @@ fn evented_line_protocol_agrees_at_its_quantization() {
     }
     engine.shutdown();
     assert!(engine.drain(Duration::from_secs(5)));
+    resolver.shutdown();
+}
+
+/// The crash contract of tier 3: a phishing verdict is durable the moment
+/// it is journaled (the sidecar fsyncs per append), whether or not the
+/// resolver ever drains. Stop mid-queue, reopen the directory cold, and
+/// exactly the journaled verdicts come back — as tier-0 hits, with no
+/// classification work.
+#[test]
+fn journaled_inline_verdicts_survive_an_undrained_shutdown() {
+    let MissFixture {
+        cfg,
+        sites,
+        fetcher,
+        models,
+    } = miss_fixture();
+    let store_dir = TempDir::new("tiered-undrained");
+    let checker = Arc::new(EventedStoreChecker::open(store_dir.path()).expect("open store"));
+    let resolver = TieredResolver::with_models(
+        checker.clone(),
+        fetcher,
+        Arc::new(ManualClock::new()),
+        models.clone(),
+        cfg.clone(),
+    );
+    // Settle the first half so the journal is provably non-empty, then
+    // enqueue the rest and stop WITHOUT draining: whatever the workers
+    // journaled before the stop counts, the rest of the queue is lost.
+    let (settled, in_flight) = sites.split_at(sites.len() / 2);
+    for (url, _) in settled {
+        let _ = resolver.check(url);
+    }
+    assert!(resolver.drain(Duration::from_secs(60)), "first wave drains");
+    for (url, _) in in_flight {
+        let _ = resolver.check(url);
+    }
+    resolver.shutdown();
+    let journaled: Vec<&String> = sites
+        .iter()
+        .map(|(url, _)| url)
+        .filter(|url| checker.check(url).is_phishing())
+        .collect();
+    assert!(!journaled.is_empty(), "the corpus holds phishing sites");
+    drop(resolver);
+    drop(checker);
+
+    let reopened = Arc::new(EventedStoreChecker::open(store_dir.path()).expect("reopen store"));
+    assert_eq!(
+        reopened.len(),
+        journaled.len(),
+        "the sidecar recovers exactly the journaled inline verdicts"
+    );
+    let resolver = TieredResolver::with_models(
+        reopened,
+        Arc::new(MapFetcher::new()),
+        Arc::new(ManualClock::new()),
+        models,
+        cfg,
+    );
+    for url in &journaled {
+        assert!(
+            resolver.check(url).is_phishing(),
+            "{url} lost across restart"
+        );
+    }
+    let snap = resolver.metrics_snapshot();
+    assert_eq!(
+        snap.counter("resolver_tier_hits_total", &[("tier", "index")]),
+        journaled.len() as u64,
+        "every replayed check resolves in tier 0"
+    );
+    assert_eq!(
+        snap.counter("resolver_classified_total", &[])
+            + snap.counter("resolver_classify_enqueued_total", &[]),
+        0,
+        "a restart re-classifies nothing"
+    );
     resolver.shutdown();
 }
 

@@ -259,12 +259,7 @@ impl PageFacts {
             n_iframes: doc.iframes().len(),
             title: doc.title(),
             has_noindex: doc.has_noindex_meta(),
-            banner_obfuscated: doc.elements().iter().any(|e| {
-                e.attr("class")
-                    .map(|c| c.contains("banner"))
-                    .unwrap_or(false)
-                    && e.is_hidden_by_style()
-            }),
+            banner_obfuscated: doc.has_obfuscated_banner(),
         }
     }
 }

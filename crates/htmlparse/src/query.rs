@@ -171,6 +171,17 @@ impl Document {
         })
     }
 
+    /// Does the page hide an element whose class names it as a service
+    /// banner? (The paper's "Obfuscating FWB Footer" feature.)
+    pub fn has_obfuscated_banner(&self) -> bool {
+        self.elements().iter().any(|e| {
+            e.attr("class")
+                .map(|c| c.contains("banner"))
+                .unwrap_or(false)
+                && e.is_hidden_by_style()
+        })
+    }
+
     /// Inputs that collect sensitive data: passwords, emails, telephone
     /// numbers, plus text inputs whose name/placeholder mention credential
     /// vocabulary (SSN, card, account...).

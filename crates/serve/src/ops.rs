@@ -22,7 +22,7 @@
 //!
 //! The server does not know what engine it fronts. Everything it serves
 //! comes through [`OpsConfig`] closures, so the evented server, the
-//! threaded server, and tests can all mount the same plane. Scrape cost
+//! cluster router, and tests can all mount the same plane. Scrape cost
 //! is itself observable: the ops server keeps its own tiny registry
 //! (`ops_requests_total{path=...}`, `ops_scrape_seconds`) and merges it
 //! into every snapshot it serves.

@@ -619,8 +619,7 @@ fn parse_and_execute(conn: &mut Conn, s: &Shared) {
                     conn.push_bytes(format!("{HANDSHAKE_OK}\n").as_bytes());
                 }
                 Err(msg) => {
-                    // Line errors are recoverable: reply and keep going,
-                    // matching the threaded engine.
+                    // Line errors are recoverable: reply and keep going.
                     s.metrics.protocol_errors.inc();
                     exec_checks(conn, s, &mut pending, &mut clock);
                     conn.push_bytes(format!("ERROR {msg}\n").as_bytes());

@@ -5,9 +5,8 @@
 //! a `format!` path+query concatenation, and per-brand re-tokenisation in
 //! [`best_brand_match`]. They are retained verbatim (modulo the duplicate
 //! Wagner–Fischer kernel, which now lives solely in `freephish-textsim`) as
-//! the baseline that the perf bench and the hot-path equivalence tests in
-//! [`crate::lexical`] compare against. Production callers use
-//! [`crate::lexical`].
+//! the oracle the hot-path equivalence tests in [`crate::lexical`] compare
+//! against. Production callers use [`crate::lexical`].
 
 use crate::lexical::{BrandMatch, SENSITIVE_WORDS, SUSPICIOUS_SYMBOLS};
 use crate::Url;

@@ -14,6 +14,12 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
+# README §Performance, DESIGN.md and EXPERIMENTS.md may only name
+# workloads and metrics BENCHMARK.json declares and keys
+# BENCH_PIPELINE.json holds.
+echo "== performance docs cite the record (check_perf_docs.py) =="
+python3 scripts/check_perf_docs.py
+
 # Every suite of every crate — unit, integration and property tests,
 # including the hot-path, tiered-resolver and overlay equivalence proofs —
 # once at the host-default worker count and once serially, so the
@@ -32,8 +38,16 @@ cargo build --release -p freephish-bench --bin ops_smoke
 # build -> bake -> mmap load -> mixed CHECK/CHECKN/ADD soak with RSS and
 # p99.9 gates) at a size that finishes in seconds. The binary asserts the
 # SLOs internally; a failed gate is a nonzero exit here.
-echo "== soak smoke (host-default threads) =="
+echo "== loadgen without a mode is a usage error =="
 cargo build --release -p freephish-bench --bin loadgen
+status=0
+./target/release/loadgen 2>/dev/null || status=$?
+if [ "$status" -ne 64 ]; then
+  echo "ci.sh: ERROR: loadgen with no mode exited $status, expected 64" >&2
+  exit 1
+fi
+
+echo "== soak smoke (host-default threads) =="
 SOAK_SMOKE_OUT="$(mktemp)"
 FREEPHISH_SOAK_SITES=20000 FREEPHISH_SOAK_INDEX=40000 \
   FREEPHISH_SOAK_SECS=1 FREEPHISH_SOAK_CONNS=4 \
