@@ -19,10 +19,8 @@
 mod cluster;
 mod soak;
 
-use bytes::BytesMut;
 use freephish_serve::http_get;
-use std::io::Read;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,22 +30,6 @@ fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
-}
-
-/// Read one `\n`-terminated line through the shared accumulation buffer,
-/// leaving any bytes after the newline (the first binary frame may ride
-/// the same segment) in place for the frame decoder.
-fn read_line_buffered(stream: &mut TcpStream, buf: &mut BytesMut) -> String {
-    let mut tmp = [0u8; 4096];
-    loop {
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line = buf.split_to(pos + 1);
-            return String::from_utf8_lossy(&line[..pos]).trim_end().to_string();
-        }
-        let n = stream.read(&mut tmp).expect("handshake read");
-        assert!(n > 0, "server closed during handshake");
-        buf.extend_from_slice(&tmp[..n]);
-    }
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {

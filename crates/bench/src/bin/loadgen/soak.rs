@@ -27,6 +27,7 @@
 //!    reclaimable pages the kernel still counts) and a sane p99.9.
 
 use bytes::BytesMut;
+use freephish_core::extension::read_line_buffered;
 use freephish_core::verdictstore::EventedStoreChecker;
 use freephish_core::{ScaleWorld, ScaleWorldConfig};
 use freephish_mapidx::SnapshotIndex;
@@ -42,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::{env_usize, percentile, read_line_buffered, window_gauge, OpsScraper};
+use crate::{env_usize, percentile, window_gauge, OpsScraper};
 
 fn rss_mb() -> f64 {
     process_rss_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0)
@@ -224,7 +225,7 @@ fn soak_worker(
     stream.set_nodelay(true).ok();
     stream.write_all(b"BINARY\n").expect("handshake write");
     let mut inbuf = BytesMut::new();
-    let handshake = read_line_buffered(&mut stream, &mut inbuf);
+    let handshake = read_line_buffered(&mut stream, &mut inbuf).expect("handshake read");
     assert_eq!(handshake, HANDSHAKE_OK, "engine refused binary protocol");
     let mut outbuf = BytesMut::new();
     let mut tmp = [0u8; 16 * 1024];

@@ -15,9 +15,10 @@ use freephish_core::pipeline::reporting::Reporter;
 use freephish_core::pipeline::{Detection, Pipeline};
 use freephish_core::world::World;
 use freephish_ml::StackModelConfig;
+use freephish_obs::sync::lock;
 use freephish_obs::{Level, MetricsSnapshot, Registry, Stopwatch};
 use freephish_simclock::{Rng64, SimTime};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Everything a Section 5 experiment needs.
 pub struct Measurement {
@@ -118,7 +119,7 @@ pub fn full_measurement(scale: f64, seed: u64) -> Measurement {
 
     let mut metrics = registry.snapshot();
     metrics.merge(&pipeline.metrics());
-    *LAST_METRICS.lock() = Some(freephish_obs::to_json(&metrics));
+    *lock(&LAST_METRICS) = Some(freephish_obs::to_json(&metrics));
 
     Measurement {
         world,
@@ -141,7 +142,7 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
     let mut value = value.clone();
     if let Some(obj) = value.as_object_mut() {
         if !obj.contains_key("metrics") {
-            if let Some(metrics) = LAST_METRICS.lock().clone() {
+            if let Some(metrics) = lock(&LAST_METRICS).clone() {
                 obj.insert("metrics".to_string(), metrics);
             }
         }

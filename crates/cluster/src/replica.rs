@@ -23,6 +23,7 @@
 use crate::source::list_indexed;
 use crate::wire::{decode_repl, encode_repl, verify_record_frame, ReplCursor, ReplFrame};
 use bytes::BytesMut;
+use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use freephish_store::segment::{
     parse_segment_name, scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
@@ -34,7 +35,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,7 +118,7 @@ struct Shared {
 /// into a local directory.
 pub struct Replica {
     shared: Arc<Shared>,
-    handle: parking_lot::Mutex<Option<JoinHandle<()>>>,
+    handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Replica {
@@ -143,7 +144,7 @@ impl Replica {
             .spawn(move || follower_loop(&s))?;
         Ok(Replica {
             shared,
-            handle: parking_lot::Mutex::new(Some(handle)),
+            handle: Mutex::new(Some(handle)),
         })
     }
 
@@ -174,7 +175,7 @@ impl Replica {
     /// be stopped deterministically.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.lock().take() {
+        if let Some(h) = lock(&self.handle).take() {
             let _ = h.join();
         }
     }

@@ -19,18 +19,18 @@
 
 use crate::wire::{decode_repl, encode_repl, ReplCursor, ReplFrame};
 use bytes::BytesMut;
+use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, MetricsSnapshot, Registry};
 use freephish_store::segment::{
     encode_frame_into, parse_segment_name, scan_buffer, segment_file_name, Torn, FRAME_OVERHEAD,
     SEGMENT_HEADER_LEN,
 };
 use freephish_store::snapshot::{load_snapshot, parse_snapshot_name, snapshot_file_name};
-use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -170,7 +170,7 @@ impl ReplicationSource {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        for h in self.sessions.lock().drain(..) {
+        for h in lock(&self.sessions).drain(..) {
             let _ = h.join();
         }
     }
@@ -200,7 +200,7 @@ fn accept_loop(shared: Arc<Shared>, sessions: Arc<Mutex<Vec<JoinHandle<()>>>>, l
                         s.metrics.followers.dec();
                     });
                 match h {
-                    Ok(h) => sessions.lock().push(h),
+                    Ok(h) => lock(&sessions).push(h),
                     Err(e) => freephish_obs::warn("cluster", format!("spawn session: {e}")),
                 }
             }

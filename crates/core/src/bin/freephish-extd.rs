@@ -13,8 +13,12 @@
 //!     Serve verdicts on 127.0.0.1:N (default: an ephemeral port).
 //!     FILE holds one `<url> [score]` per line ('#' comments allowed);
 //!     malformed lines are skipped with a warning. With --store DIR the
-//!     daemon follows a pipeline run journal instead: verdicts hot-reload
-//!     as the pipeline appends them, and ADDs are durably journaled in
+//!     daemon serves that journal directory instead, as one store-backed
+//!     node: verdicts hot-reload as records land in DIR, and an ADD is
+//!     durably journaled (append + fsync) before its OK. Where it is
+//!     journaled depends only on who writes DIR's main WAL, which the
+//!     cluster flags below say: by default another process (the
+//!     pipeline) does, and ADDs go to the daemon's own store at
 //!     DIR/extd-adds. Serving is the freephish-serve poll-loop engine:
 //!     line and binary CHECKN protocols on one port, backpressure and
 //!     BUSY load shedding. With --classify-on-miss the daemon mounts the
@@ -45,16 +49,16 @@
 //!     with BUSY (a per-replica QoS quota). N must be positive — the
 //!     cap is off when the flag is absent.
 //!     --replication-port N makes this daemon the cluster primary
-//!     (DESIGN.md §14): it owns --store DIR as its WAL — wire ADDs (and
-//!     inline classify-on-miss verdicts) are journaled straight into it,
-//!     durable before OK — and ships that WAL to follower replicas on
-//!     127.0.0.1:N, so followers receive every verdict the primary
-//!     admits. Do not point it at a directory another process is
-//!     writing. --replicate-from ADDR turns this daemon into a
-//!     read-only follower: it mirrors the primary's WAL into --store
-//!     DIR (which the replication session owns — no local writers),
-//!     feeds the serving index from the replica, refuses ADDs, and
-//!     reports ready only once caught up to the primary's tip.
+//!     (DESIGN.md §14): it is the single writer of --store DIR — wire
+//!     ADDs (and inline classify-on-miss verdicts) are journaled
+//!     straight into the main WAL, durable before OK — and ships that
+//!     WAL to follower replicas on 127.0.0.1:N, so followers receive
+//!     every verdict the primary admits. Do not point it at a directory
+//!     another process is writing. --replicate-from ADDR turns this
+//!     daemon into a read-only follower: a replication session mirrors
+//!     the primary's WAL into --store DIR and is its only writer, so
+//!     the node serves DIR as it grows, refuses ADDs, and reports ready
+//!     only once caught up to the primary's tip.
 //!
 //! freephish-extd route [--port N] --backends ADDR,ADDR,...
 //!                      [--backend-ops ADDR|-,...] [--ops-port N]
@@ -74,13 +78,9 @@ use freephish_cluster::{
     Replica, ReplicaConfig, ReplicationSource, Router, RouterConfig, RouterServer, SourceConfig,
 };
 use freephish_core::extension::{UrlChecker, VerdictClient};
-use freephish_core::journal::{encode_event, obs_store_observer, AddEvent, RunEvent};
 use freephish_core::resolver::{SyntheticFetcher, TieredResolver, TieredResolverConfig};
-use freephish_core::verdictstore::{journal_payload_decoder, StoreBacking};
-use freephish_serve::{
-    EventedServer, IndexPublisher, OpsServer, ServeConfig, ShardedIndex, Verdict,
-};
-use freephish_store::{Store, StoreOptions};
+use freephish_core::verdictstore::{EventedStoreChecker, WriteRole};
+use freephish_serve::{EventedServer, IndexPublisher, OpsServer, ServeConfig, ShardedIndex};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -296,10 +296,10 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         }
         _ => None,
     };
-    if let Some(primary) = replicate_from {
-        // Follower mode is a different wiring altogether: the store dir
-        // belongs to the replication session, not to a local journal
-        // writer, so none of the primary-side options make sense.
+    if replicate_from.is_some() {
+        // The store dir belongs to the replication session, not to a
+        // local journal writer, so none of the write-side options make
+        // sense.
         if classify_on_miss || !entries.is_empty() || replication_port.is_some() {
             eprintln!(
                 "--replicate-from is incompatible with --classify-on-miss, --blocklist \
@@ -307,73 +307,76 @@ fn serve(args: &[String]) -> std::io::Result<()> {
             );
             usage();
         }
-        let Some(dir) = store_dir else {
+        if store_dir.is_none() {
             eprintln!("--replicate-from needs --store DIR for the replica directory");
             usage();
-        };
-        return serve_follower(primary, &dir, port, ops_port, rate_cap);
+        }
+    }
+    if replication_port.is_some() && store_dir.is_none() {
+        eprintln!("--replication-port needs --store DIR (the WAL to own and ship)");
+        usage();
     }
 
-    // A store-backed checker hot-reloads from the run journal; the static
-    // checker serves the blocklist as loaded. A cluster primary
-    // (--replication-port) instead owns the store directory as its WAL:
-    // ADDs journal straight into the shipped history.
-    let static_len = entries.len();
-    let mut backing: Option<StoreBacking> = None;
-    let mut primary_publisher: Option<IndexPublisher> = None;
-    let mut primary_store: Option<Arc<parking_lot::Mutex<Store>>> = None;
-    let lookup: Arc<dyn UrlChecker> = if replication_port.is_some() {
-        let Some(dir) = &store_dir else {
-            eprintln!("--replication-port needs --store DIR (the WAL to own and ship)");
-            usage();
-        };
-        let (store, _) =
-            Store::open_with(dir, StoreOptions::default(), Some(obs_store_observer()))?;
-        let store = Arc::new(parking_lot::Mutex::new(store));
-        let index = Arc::new(ShardedIndex::with_default_shards());
-        let mut publisher = IndexPublisher::new(dir, index.clone(), journal_payload_decoder());
-        publisher.poll()?;
-        let primary = Arc::new(PrimaryChecker {
-            index,
-            store: store.clone(),
-        });
-        for (url, score) in std::mem::take(&mut entries) {
-            primary
-                .add(&url, score)
-                .map_err(|e| std::io::Error::other(format!("journaling blocklist entry: {e}")))?;
-        }
-        primary_publisher = Some(publisher);
-        primary_store = Some(store);
-        primary
+    // With --store the lookup is the store-backed node, which hot-reloads
+    // from DIR's journal; the cluster flags only say who writes that
+    // journal, i.e. where the node's ADDs go. Without a store the static
+    // index serves the blocklist as loaded.
+    let role = if replicate_from.is_some() {
+        WriteRole::ReadOnly
+    } else if replication_port.is_some() {
+        WriteRole::Owner
     } else {
-        match &store_dir {
-            Some(dir) => {
-                // The baseline is optional at startup: before the first
-                // bake exists the daemon simply replays the journal, and
-                // the first --rebake-secs cycle creates the file.
-                let base = match bake_path.as_deref() {
-                    Some(p) if p.exists() => Some(p),
-                    Some(p) if index_file.is_some() => {
-                        freephish_obs::warn(
-                            "extd",
-                            format!("index file {} not found; serving from journal replay until the first bake", p.display()),
-                        );
-                        None
-                    }
-                    _ => None,
-                };
-                let b = StoreBacking::open_with(dir, std::mem::take(&mut entries), base)?;
-                let c = b.checker();
-                backing = Some(b);
-                c
+        WriteRole::Sidecar
+    };
+    let static_len = entries.len();
+    let mut store: Option<(Arc<EventedStoreChecker>, IndexPublisher)> = match &store_dir {
+        Some(dir) => {
+            // The baseline is optional at startup: before the first bake
+            // exists the daemon simply replays the journal, and the first
+            // --rebake-secs cycle creates the file.
+            let base = match bake_path.as_deref() {
+                Some(p) if p.exists() => Some(p),
+                Some(p) if index_file.is_some() => {
+                    freephish_obs::warn(
+                        "extd",
+                        format!("index file {} not found; serving from journal replay until the first bake", p.display()),
+                    );
+                    None
+                }
+                _ => None,
+            };
+            let node = Arc::new(EventedStoreChecker::open_as(dir, role, base)?);
+            // One catch-up read so the node starts current — with a
+            // baseline mounted it covers only the suffix past the bake's
+            // cursor — then the blocklist, journaled like any other ADD.
+            // A follower's directory is recovered by the replication
+            // session first, so its reads start in the serve loop.
+            let mut tail = node.publisher();
+            if role != WriteRole::ReadOnly {
+                tail.poll()?;
             }
-            None => {
-                let index = ShardedIndex::with_default_shards();
-                index.publish(entries);
-                Arc::new(index)
+            for (url, score) in std::mem::take(&mut entries) {
+                node.add_durable(&url, score)?;
             }
+            Some((node, tail))
+        }
+        None => None,
+    };
+    let lookup: Arc<dyn UrlChecker> = match &store {
+        Some((node, _)) => node.clone(),
+        None => {
+            let index = ShardedIndex::with_default_shards();
+            index.publish(entries);
+            Arc::new(index)
         }
     };
+    let dir = store_dir.as_deref().unwrap_or_default();
+
+    // --replicate-from mirrors the primary's WAL into DIR; the node's
+    // tail picks the replicated records up like any other append.
+    let replica = replicate_from
+        .map(|primary| Replica::start(primary, dir, ReplicaConfig::default()).map(Arc::new))
+        .transpose()?;
 
     // --classify-on-miss mounts the tiered resolver in front of the
     // lookup. Models train on a background thread (readiness gates on it
@@ -392,15 +395,11 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         None => lookup.clone(),
     };
 
-    // --replication-port serves the store directory's WAL to follower
-    // replicas. This daemon is the directory's only writer (the
-    // PrimaryChecker above), so the journal keeps its single writer.
+    // --replication-port serves DIR's WAL to follower replicas. The
+    // owner-role node above is the directory's only writer, so the
+    // journal keeps its single writer.
     let mut replication = match replication_port {
         Some(p) => {
-            let Some(dir) = &store_dir else {
-                eprintln!("--replication-port needs --store DIR (the WAL to ship)");
-                usage();
-            };
             let source = ReplicationSource::start_with(
                 dir,
                 SourceConfig {
@@ -423,30 +422,52 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         },
         checker.clone(),
     )?;
-    println!(
-        "freephish-extd listening on {}{}",
-        server.addr(),
-        if classify_on_miss {
-            " (classify-on-miss)"
-        } else {
-            ""
-        }
-    );
+    match replicate_from {
+        Some(primary) => println!(
+            "freephish-extd follower listening on {} (replicating {primary} into {dir})",
+            server.addr()
+        ),
+        None => println!(
+            "freephish-extd listening on {}{}",
+            server.addr(),
+            if classify_on_miss {
+                " (classify-on-miss)"
+            } else {
+                ""
+            }
+        ),
+    }
 
-    // When --store is given, readiness additionally requires the journal
-    // tail to be caught up: true after every successful reload/publish
-    // poll, false the moment one fails. The flag starts true because
-    // `StoreBacking::open_with` already did one successful full read. With
-    // --classify-on-miss it further requires the classifier warm, and the
-    // scrape snapshot merges the resolver's per-tier series.
-    let caught_up = Arc::new(AtomicBool::new(true));
+    // With --store, readiness additionally requires the journal tail to
+    // be caught up: true after every successful poll, false the moment
+    // one fails. The flag starts true because the open above already did
+    // one successful full read — except on a follower, which has not
+    // read yet and is further gated on the replica having reached the
+    // primary's tip. With --classify-on-miss readiness also requires the
+    // classifier warm, and the scrape snapshot merges the resolver's
+    // per-tier series.
+    let follower = role == WriteRole::ReadOnly;
+    let journal_ok = Arc::new(AtomicBool::new(!follower));
     let mut ops_server = match ops_port {
         Some(p) => {
             let mut cfg = server.ops_config();
-            if backing.is_some() || primary_publisher.is_some() {
-                let flag = caught_up.clone();
+            if let Some(r) = &replica {
+                let caught = r.clone();
                 cfg = cfg.with_ready_condition(
-                    "store_journal_caught_up",
+                    "replication_caught_up",
+                    Arc::new(move || caught.caught_up()),
+                );
+                let snap = r.clone();
+                cfg = cfg.with_snapshot_merge(Arc::new(move || snap.metrics_snapshot()));
+            }
+            if store.is_some() {
+                let flag = journal_ok.clone();
+                cfg = cfg.with_ready_condition(
+                    if follower {
+                        "replica_journal_ingested"
+                    } else {
+                        "store_journal_caught_up"
+                    },
                     Arc::new(move || flag.load(Ordering::SeqCst)),
                 );
             }
@@ -461,64 +482,59 @@ fn serve(args: &[String]) -> std::io::Result<()> {
             }
             let ops = OpsServer::start(p, cfg)?;
             println!(
-                "ops plane on http://{} (/metrics /varz /healthz /readyz /events /traces/slow)",
-                ops.addr()
+                "ops plane on http://{}{}",
+                ops.addr(),
+                if follower {
+                    ""
+                } else {
+                    " (/metrics /varz /healthz /readyz /events /traces/slow)"
+                }
             );
             Some(ops)
         }
         None => None,
     };
-    match &backing {
-        Some(b) => println!(
-            "following store {} ({} known URLs, generation {})",
-            store_dir.as_deref().unwrap_or_default(),
-            b.len(),
+    match (&store, role) {
+        (Some((node, _)), WriteRole::Sidecar) => println!(
+            "following store {dir} ({} known URLs, generation {})",
+            node.len(),
             checker.generation()
         ),
-        None if primary_store.is_some() => println!(
-            "primary WAL {} (generation {})",
-            store_dir.as_deref().unwrap_or_default(),
-            checker.generation()
-        ),
-        None => println!("known phishing URLs: {static_len}"),
+        (Some(_), WriteRole::Owner) => {
+            println!("primary WAL {dir} (generation {})", checker.generation())
+        }
+        (Some(_), WriteRole::ReadOnly) => {}
+        (None, _) => println!("known phishing URLs: {static_len}"),
     }
     println!("press Ctrl-C to stop");
 
     let mut last_rebake = std::time::Instant::now();
     while !shutdown::requested() {
         std::thread::sleep(SERVE_POLL);
-        if let Some(b) = &mut backing {
-            match b.poll() {
-                Ok(()) => caught_up.store(true, Ordering::SeqCst),
-                Err(e) => {
-                    caught_up.store(false, Ordering::SeqCst);
-                    freephish_obs::warn("extd", format!("store reload failed: {e}"));
-                }
-            }
-            if rebake_secs > 0 && last_rebake.elapsed().as_secs() >= rebake_secs {
-                last_rebake = std::time::Instant::now();
-                let out = bake_path.as_deref().expect("rebake implies a bake path");
-                match b.rebake(out) {
-                    Ok(summary) => freephish_obs::info(
-                        "extd",
-                        format!(
-                            "re-baked {} entries ({} bytes) into {}",
-                            summary.entries,
-                            summary.file_bytes,
-                            out.display()
-                        ),
-                    ),
-                    Err(e) => freephish_obs::warn("extd", format!("re-bake failed: {e}")),
-                }
+        let Some((node, tail)) = &mut store else {
+            continue;
+        };
+        match tail.poll() {
+            Ok(_) => journal_ok.store(true, Ordering::SeqCst),
+            Err(e) => {
+                journal_ok.store(false, Ordering::SeqCst);
+                freephish_obs::warn("extd", format!("store reload failed: {e}"));
             }
         }
-        if let Some(p) = &mut primary_publisher {
-            match p.poll() {
-                Ok(_) => caught_up.store(true, Ordering::SeqCst),
-                Err(e) => {
-                    caught_up.store(false, Ordering::SeqCst);
-                    freephish_obs::warn("extd", format!("primary WAL reload failed: {e}"));
-                }
+        if rebake_secs > 0 && last_rebake.elapsed().as_secs() >= rebake_secs {
+            last_rebake = std::time::Instant::now();
+            let out = bake_path.as_deref().expect("rebake implies a bake path");
+            match node.rebake(out) {
+                Ok(summary) => freephish_obs::info(
+                    "extd",
+                    format!(
+                        "re-baked {} entries ({} bytes) into {}",
+                        summary.entries,
+                        summary.file_bytes,
+                        out.display()
+                    ),
+                ),
+                Err(e) => freephish_obs::warn("extd", format!("re-bake failed: {e}")),
             }
         }
     }
@@ -529,6 +545,9 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     }
     if let Some(src) = replication.as_mut() {
         src.shutdown();
+    }
+    if let Some(r) = &replica {
+        r.shutdown();
     }
     server.shutdown();
     if !server.drain(DRAIN_TIMEOUT) {
@@ -543,160 +562,8 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         }
         r.shutdown();
     }
-    if let Some(b) = &backing {
-        b.sync()?;
-    }
-    if let Some(store) = &primary_store {
-        store.lock().sync()?;
-    }
-    println!("bye");
-    Ok(())
-}
-
-/// A cluster primary's serving checker: this daemon owns the store
-/// directory as its WAL — the history the replication source ships — so
-/// an ADD appends a `RunEvent::Add` record to it, durable (fsync) before
-/// the OK goes back, then publishes into the index for immediate
-/// read-your-writes visibility. Followers receive the same record
-/// through replication.
-struct PrimaryChecker {
-    index: Arc<ShardedIndex>,
-    store: Arc<parking_lot::Mutex<Store>>,
-}
-
-impl UrlChecker for PrimaryChecker {
-    fn check(&self, url: &str) -> Verdict {
-        self.index.check(url)
-    }
-
-    fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
-        self.index.check_many(urls)
-    }
-
-    fn add(&self, url: &str, score: f64) -> Result<u64, String> {
-        let ev = RunEvent::Add(AddEvent {
-            url: url.to_string(),
-            score,
-        });
-        let mut store = self.store.lock();
-        store
-            .append(&encode_event(&ev))
-            .map_err(|e| format!("store write failed: {e}"))?;
-        store
-            .sync()
-            .map_err(|e| format!("store sync failed: {e}"))?;
-        drop(store);
-        Ok(self.index.publish([(url.to_string(), score)]))
-    }
-
-    fn generation(&self) -> u64 {
-        self.index.generation()
-    }
-}
-
-/// A follower's serving checker: reads come from the locally replicated
-/// index, writes are refused — the primary's journal is the only place
-/// verdicts are born, and replication is how they arrive here.
-struct FollowerChecker {
-    index: Arc<ShardedIndex>,
-}
-
-impl UrlChecker for FollowerChecker {
-    fn check(&self, url: &str) -> Verdict {
-        self.index.check(url)
-    }
-
-    fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
-        self.index.check_many(urls)
-    }
-
-    fn add(&self, _url: &str, _score: f64) -> Result<u64, String> {
-        Err("read-only follower replica; send ADDs to the primary".to_string())
-    }
-
-    fn generation(&self) -> u64 {
-        self.index.generation()
-    }
-}
-
-/// Follower mode: mirror the primary's WAL into `dir`, feed the serving
-/// index from the replica, and serve read-only verdicts.
-fn serve_follower(
-    primary: SocketAddr,
-    dir: &str,
-    port: u16,
-    ops_port: Option<u16>,
-    rate_cap: u64,
-) -> std::io::Result<()> {
-    let replica = Arc::new(Replica::start(primary, dir, ReplicaConfig::default())?);
-    let index = Arc::new(ShardedIndex::with_default_shards());
-    let mut publisher = IndexPublisher::new(dir, index.clone(), journal_payload_decoder());
-    let checker: Arc<dyn UrlChecker> = Arc::new(FollowerChecker {
-        index: index.clone(),
-    });
-
-    shutdown::install();
-    let mut server = EventedServer::start_with(
-        ServeConfig {
-            port,
-            rate_cap_urls_per_sec: rate_cap,
-            ..ServeConfig::default()
-        },
-        checker,
-    )?;
-    println!(
-        "freephish-extd follower listening on {} (replicating {primary} into {dir})",
-        server.addr()
-    );
-
-    // Readiness needs both layers: the replica at the primary's tip AND
-    // the local publisher having ingested the replicated journal.
-    let journal_ok = Arc::new(AtomicBool::new(false));
-    let mut ops_server = match ops_port {
-        Some(p) => {
-            let caught = replica.clone();
-            let ingested = journal_ok.clone();
-            let cfg = server
-                .ops_config()
-                .with_ready_condition(
-                    "replication_caught_up",
-                    Arc::new(move || caught.caught_up()),
-                )
-                .with_ready_condition(
-                    "replica_journal_ingested",
-                    Arc::new(move || ingested.load(Ordering::SeqCst)),
-                )
-                .with_snapshot_merge({
-                    let r = replica.clone();
-                    Arc::new(move || r.metrics_snapshot())
-                });
-            let ops = OpsServer::start(p, cfg)?;
-            println!("ops plane on http://{}", ops.addr());
-            Some(ops)
-        }
-        None => None,
-    };
-    println!("press Ctrl-C to stop");
-
-    while !shutdown::requested() {
-        std::thread::sleep(SERVE_POLL);
-        match publisher.poll() {
-            Ok(_) => journal_ok.store(true, Ordering::SeqCst),
-            Err(e) => {
-                journal_ok.store(false, Ordering::SeqCst);
-                freephish_obs::warn("extd", format!("replica journal poll failed: {e}"));
-            }
-        }
-    }
-
-    println!("shutting down: draining connections");
-    if let Some(ops) = ops_server.as_mut() {
-        ops.shutdown();
-    }
-    replica.shutdown();
-    server.shutdown();
-    if !server.drain(DRAIN_TIMEOUT) {
-        freephish_obs::warn("extd", "drain timed out with connections still active");
+    if let Some((node, _)) = &store {
+        node.sync()?;
     }
     println!("bye");
     Ok(())

@@ -23,82 +23,19 @@
 //! line of compact JSON (`STATS <json>\n`).
 
 use bytes::BytesMut;
+use freephish_obs::sync::{lock, read, write};
 use freephish_obs::{Counter, MetricsSnapshot, Registry};
 use freephish_simclock::Rng64;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 pub use freephish_serve::proto::{
     decode_request, decode_verdict, encode_verdict, Request, HANDSHAKE_LINE, HANDSHAKE_OK,
 };
 pub use freephish_serve::{BinReply, BinRequest, UrlChecker, Verdict, MAX_BATCH};
-
-/// A checker backed by a set of known-phishing URLs (what the deployed
-/// extension consults between model refreshes).
-pub struct KnownSetChecker {
-    known: RwLock<HashMap<String, f64>>,
-    generation: std::sync::atomic::AtomicU64,
-}
-
-impl KnownSetChecker {
-    /// Build from (url, score) pairs.
-    pub fn new(entries: impl IntoIterator<Item = (String, f64)>) -> KnownSetChecker {
-        KnownSetChecker {
-            known: RwLock::new(entries.into_iter().collect()),
-            generation: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Add a newly detected URL.
-    pub fn insert(&self, url: &str, score: f64) {
-        self.known.write().insert(url.to_string(), score);
-        self.generation.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Number of known URLs.
-    pub fn len(&self) -> usize {
-        self.known.read().len()
-    }
-
-    /// True when no URLs are known.
-    pub fn is_empty(&self) -> bool {
-        self.known.read().is_empty()
-    }
-}
-
-impl UrlChecker for KnownSetChecker {
-    fn check(&self, url: &str) -> Verdict {
-        match self.known.read().get(url) {
-            Some(&score) => Verdict::Phishing(score),
-            None => Verdict::Safe(0.0),
-        }
-    }
-
-    fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
-        // One read-lock acquisition for the whole batch.
-        let known = self.known.read();
-        urls.iter()
-            .map(|u| match known.get(u) {
-                Some(&score) => Verdict::Phishing(score),
-                None => Verdict::Safe(0.0),
-            })
-            .collect()
-    }
-
-    fn add(&self, url: &str, score: f64) -> Result<u64, String> {
-        self.insert(url, score);
-        Ok(self.generation())
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Client + navigation guard
@@ -114,7 +51,7 @@ fn io_invalid(msg: impl Into<String>) -> std::io::Error {
 /// Read one `\n`-terminated line through a shared accumulation buffer, so
 /// bytes belonging to a following binary frame are never lost to
 /// read-ahead when a connection switches protocols.
-fn read_line_buffered(stream: &mut TcpStream, buf: &mut BytesMut) -> std::io::Result<String> {
+pub fn read_line_buffered(stream: &mut TcpStream, buf: &mut BytesMut) -> std::io::Result<String> {
     loop {
         if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
             let line = buf.split_to(pos + 1);
@@ -195,7 +132,7 @@ impl VerdictClient {
     /// Connect failures and BUSY sheds on either wire protocol all wait
     /// the same way before their single retry.
     fn backoff(&self) -> Duration {
-        Duration::from_millis(self.rng.lock().range_u64(5, 25))
+        Duration::from_millis(lock(&self.rng).range_u64(5, 25))
     }
 
     /// Connect with a bounded timeout; on failure, retry once after a
@@ -213,7 +150,7 @@ impl VerdictClient {
 
     /// Check a URL, consulting the local cache first.
     pub fn check(&self, url: &str) -> std::io::Result<Verdict> {
-        if let Some(v) = self.cache.read().get(url) {
+        if let Some(v) = read(&self.cache).get(url) {
             self.cache_hits.inc();
             return Ok(*v);
         }
@@ -234,7 +171,7 @@ impl VerdictClient {
             reader.read_line(&mut line)?;
         }
         let verdict = decode_verdict(&line).map_err(io_invalid)?;
-        self.cache.write().insert(url.to_string(), verdict);
+        write(&self.cache).insert(url.to_string(), verdict);
         Ok(verdict)
     }
 
@@ -254,7 +191,7 @@ impl VerdictClient {
         let mut out: Vec<Option<Result<Verdict, String>>> = vec![None; urls.len()];
         let mut miss_idx = Vec::new();
         {
-            let cache = self.cache.read();
+            let cache = read(&self.cache);
             for (i, url) in urls.iter().enumerate() {
                 match cache.get(url) {
                     Some(v) => {
@@ -271,7 +208,7 @@ impl VerdictClient {
         if !miss_idx.is_empty() {
             let misses: Vec<String> = miss_idx.iter().map(|&i| urls[i].clone()).collect();
             let verdicts = self.fetch_batch(&misses)?;
-            let mut cache = self.cache.write();
+            let mut cache = write(&self.cache);
             for (&i, v) in miss_idx.iter().zip(verdicts) {
                 if let Ok(v) = &v {
                     cache.insert(urls[i].clone(), *v);
@@ -366,7 +303,7 @@ impl VerdictClient {
                     format!("ADD refused: {}", line.trim_end()),
                 )
             })?;
-        self.cache.write().remove(url);
+        write(&self.cache).remove(url);
         Ok(generation)
     }
 
@@ -391,7 +328,7 @@ impl VerdictClient {
 
     /// Cached verdict count.
     pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
+        read(&self.cache).len()
     }
 
     /// Verdicts answered from the local cache.
@@ -476,8 +413,15 @@ pub fn block_page(url: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use freephish_serve::EventedServer;
+    use freephish_serve::{EventedServer, ShardedIndex};
     use std::net::TcpListener;
+
+    /// An index holding one known-phishing URL.
+    fn seeded(url: &str, score: f64) -> Arc<ShardedIndex> {
+        let index = ShardedIndex::with_default_shards();
+        index.publish([(url.to_string(), score)]);
+        Arc::new(index)
+    }
 
     #[test]
     fn codec_round_trip() {
@@ -527,7 +471,7 @@ mod tests {
 
     #[test]
     fn add_over_the_wire_updates_verdicts() {
-        let checker = Arc::new(KnownSetChecker::new([]));
+        let checker = Arc::new(ShardedIndex::with_default_shards());
         let server = EventedServer::start(checker.clone()).unwrap();
         let client = VerdictClient::new(server.addr());
 
@@ -548,7 +492,7 @@ mod tests {
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let port = probe.local_addr().unwrap().port();
         drop(probe);
-        let checker = Arc::new(KnownSetChecker::new([]));
+        let checker = Arc::new(ShardedIndex::with_default_shards());
         let server = match EventedServer::start_on(port, checker) {
             Ok(s) => s,
             Err(_) => return, // port raced away; nothing to assert
@@ -585,10 +529,7 @@ mod tests {
 
     #[test]
     fn server_client_end_to_end() {
-        let checker = Arc::new(KnownSetChecker::new([(
-            "https://evil.weebly.com/".to_string(),
-            0.98,
-        )]));
+        let checker = seeded("https://evil.weebly.com/", 0.98);
         let mut server = EventedServer::start(checker.clone()).unwrap();
         let client = VerdictClient::new(server.addr());
 
@@ -611,10 +552,7 @@ mod tests {
 
     #[test]
     fn guard_blocks_and_allows() {
-        let checker = Arc::new(KnownSetChecker::new([(
-            "https://bad.wixsite.com/login".to_string(),
-            0.95,
-        )]));
+        let checker = seeded("https://bad.wixsite.com/login", 0.95);
         let server = EventedServer::start(checker).unwrap();
         let guard = NavigationGuard::new(server.addr());
         match guard.navigate("https://bad.wixsite.com/login") {
@@ -632,7 +570,7 @@ mod tests {
 
     #[test]
     fn guard_fails_open_when_service_down() {
-        let checker = Arc::new(KnownSetChecker::new([]));
+        let checker = Arc::new(ShardedIndex::with_default_shards());
         let mut server = EventedServer::start(checker).unwrap();
         let addr = server.addr();
         server.shutdown();
@@ -643,34 +581,8 @@ mod tests {
     }
 
     #[test]
-    fn known_set_checker_updates() {
-        let c = KnownSetChecker::new([]);
-        assert!(c.is_empty());
-        assert!(!c.check("https://u.weebly.com/").is_phishing());
-        c.insert("https://u.weebly.com/", 0.9);
-        assert!(c.check("https://u.weebly.com/").is_phishing());
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn known_set_check_many_matches_check() {
-        let c = KnownSetChecker::new([("https://p.weebly.com/".to_string(), 0.9)]);
-        let urls = vec![
-            "https://p.weebly.com/".to_string(),
-            "https://s.weebly.com/".to_string(),
-        ];
-        let batch = c.check_many(&urls);
-        for (url, v) in urls.iter().zip(&batch) {
-            assert_eq!(c.check(url), *v);
-        }
-    }
-
-    #[test]
     fn multiple_requests_per_connection() {
-        let checker = Arc::new(KnownSetChecker::new([(
-            "https://p.weebly.com/".to_string(),
-            0.9,
-        )]));
+        let checker = seeded("https://p.weebly.com/", 0.9);
         let server = EventedServer::start(checker).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream

@@ -9,7 +9,6 @@
 //! Section 5.5 evasive variants; benign sites over mundane topics.
 
 use crate::features::{FeatureSet, FeatureVector};
-use freephish_htmlparse::parse;
 use freephish_ml::Dataset;
 use freephish_simclock::{Rng64, Zipf};
 use freephish_urlparse::Url;
@@ -169,8 +168,7 @@ pub fn to_dataset(sites: &[LabeledSite], set: FeatureSet) -> Dataset {
     let mut data = Dataset::new(FeatureVector::feature_names(set));
     for ls in sites {
         let url = Url::parse(&ls.site.url).expect("generated URLs parse");
-        let doc = parse(&ls.site.html);
-        let v = FeatureVector::extract(set, &url, &doc);
+        let v = FeatureVector::extract_fast(set, &url, &ls.site.html);
         data.push(v.values, ls.label);
     }
     data
@@ -179,6 +177,7 @@ pub fn to_dataset(sites: &[LabeledSite], set: FeatureSet) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use freephish_htmlparse::parse;
 
     #[test]
     fn corpus_sizes_and_balance() {
@@ -220,6 +219,26 @@ mod tests {
         assert_eq!(data.len(), 80);
         assert_eq!(data.n_features(), 20);
         assert!((data.positive_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dataset_rows_equal_the_dom_extraction_bit_for_bit() {
+        let corpus = build(&GroundTruthConfig::tiny());
+        for set in [FeatureSet::Base, FeatureSet::Augmented] {
+            let data = to_dataset(&corpus, set);
+            assert_eq!(data.len(), corpus.len());
+            for (i, ls) in corpus.iter().enumerate() {
+                let url = Url::parse(&ls.site.url).unwrap();
+                let dom = FeatureVector::extract(set, &url, &parse(&ls.site.html));
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(data.row(i)),
+                    bits(&dom.values),
+                    "{set:?} row {i}: {}",
+                    ls.site.url
+                );
+            }
+        }
     }
 
     #[test]

@@ -128,8 +128,9 @@ pub struct CheckpointEvent {
     pub detections_total: u64,
 }
 
-/// A manual verdict addition (the extension daemon's `ADD` command
-/// journals these in its own sidecar store).
+/// A verdict addition (the extension daemon's `ADD` command journals
+/// these in the store its write role names: its own sidecar, or — on a
+/// cluster primary — the main WAL).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AddEvent {
     /// The URL to treat as known phishing.

@@ -7,8 +7,8 @@
 //! [`TieredResolver`] wraps any inner checker and resolves misses through
 //! an admission pipeline:
 //!
-//! * **tier 0 — index.** The inner checker (a [`ShardedIndex`]-backed
-//!   store checker, a `KnownSetChecker`, anything). A hit answers
+//! * **tier 0 — index.** The inner checker (a bare [`ShardedIndex`], the
+//!   store-backed node over one, anything). A hit answers
 //!   immediately; batches resolve against one snapshot via `check_many`.
 //! * **tier 1 — URL-lexical pre-filter.** A flat-forest GBDT over the
 //!   eight SWAR-extracted [`url_features`] scores the URL alone in
@@ -25,9 +25,9 @@
 //!   block on a model; a full queue sheds the enqueue (counted) rather
 //!   than stalling.
 //! * **tier 3 — durability.** Freshly classified phishing verdicts are
-//!   journaled through the inner checker's `add` path (the
-//!   [`SidecarAdds`] fsync-per-append journal for store-backed checkers),
-//!   so they become durable, hot-reloadable tier-0 state: a restart
+//!   journaled through the inner checker's `add` path (append + fsync
+//!   to the WAL a store-backed [`EventedStoreChecker`] holds), so they
+//!   become durable, hot-reloadable tier-0 state: a restart
 //!   recovers every journaled inline verdict with zero re-classification.
 //!
 //! Safe classifications are not journaled — a lookup miss already means
@@ -37,7 +37,7 @@
 //! (`resolver_*` metrics) and surfaces on the ops plane.
 //!
 //! [`ShardedIndex`]: freephish_serve::ShardedIndex
-//! [`SidecarAdds`]: crate::verdictstore::SidecarAdds
+//! [`EventedStoreChecker`]: crate::verdictstore::EventedStoreChecker
 //! [`looks_like_html`]: freephish_htmlparse::looks_like_html
 //! [`url_features`]: crate::features::url_features
 
@@ -47,13 +47,13 @@ use crate::groundtruth::{build, GroundTruthConfig, LabeledSite};
 use crate::models::augmented::AugmentedStackModel;
 use freephish_htmlparse::looks_like_html;
 use freephish_ml::{threshold_at_fnr, Dataset, Gbdt, GbdtConfig, StackModelConfig};
+use freephish_obs::sync::{lock, read, write};
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use freephish_simclock::{Rng64, SimDuration, SimTime};
 use freephish_urlparse::{swar, Url};
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Where tier 2 gets page snapshots from. Production would put a crawler
@@ -82,23 +82,23 @@ impl MapFetcher {
 
     /// Register the body served for `url`.
     pub fn insert(&self, url: impl Into<String>, html: impl Into<String>) {
-        self.map.write().insert(url.into(), html.into());
+        write(&self.map).insert(url.into(), html.into());
     }
 
     /// Number of registered bodies.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        read(&self.map).len()
     }
 
     /// True when no bodies are registered.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        read(&self.map).is_empty()
     }
 }
 
 impl SnapshotFetcher for MapFetcher {
     fn fetch(&self, url: &str) -> Option<String> {
-        self.map.read().get(url).cloned()
+        read(&self.map).get(url).cloned()
     }
 }
 
@@ -515,10 +515,10 @@ impl ResolverMetrics {
     }
 }
 
-/// The tiered resolver. Implements [`UrlChecker`], so it slots directly
-/// into either serving engine in place of the bare index checker; see the
-/// module docs for the tier walk.
-pub struct TieredResolver {
+/// What the worker and trainer threads share with the handle. The
+/// threads hold this, never the [`TieredResolver`] itself, so dropping the
+/// last handle runs its `Drop` — which stops and joins them.
+struct Shared {
     inner: Arc<dyn UrlChecker>,
     fetcher: Arc<dyn SnapshotFetcher>,
     clock: Arc<dyn ResolverClock>,
@@ -530,8 +530,15 @@ pub struct TieredResolver {
     idle_cv: Condvar,
     warm: AtomicBool,
     stop: AtomicBool,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     metrics: ResolverMetrics,
+}
+
+/// The tiered resolver. Implements [`UrlChecker`], so it slots directly
+/// into the serving engine in place of the bare index checker; see the
+/// module docs for the tier walk.
+pub struct TieredResolver {
+    shared: Arc<Shared>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl TieredResolver {
@@ -545,9 +552,9 @@ impl TieredResolver {
         cfg: TieredResolverConfig,
     ) -> Arc<TieredResolver> {
         let r = Self::build(inner, fetcher, clock, cfg);
-        *r.models.write() = Some(models);
-        r.warm.store(true, Ordering::SeqCst);
-        Self::spawn_worker(&r);
+        *write(&r.shared.models) = Some(models);
+        r.shared.warm.store(true, Ordering::SeqCst);
+        r.spawn_worker();
         r
     }
 
@@ -562,26 +569,24 @@ impl TieredResolver {
         cfg: TieredResolverConfig,
     ) -> Arc<TieredResolver> {
         let r = Self::build(inner, fetcher, Arc::new(WallClock::new()), cfg);
-        let trainer = {
-            let r = r.clone();
-            std::thread::spawn(move || {
-                let corpus = build(&r.cfg.corpus);
-                let models = Arc::new(ResolverModels::train(&corpus, &r.cfg));
-                // Warm-up pass: fault in both models' hot paths before
-                // declaring readiness, so the first real request pays no
-                // first-touch cost.
-                if let Ok(u) = Url::parse(&corpus[0].site.url) {
-                    let _ = models.prefilter_score(&u);
-                    let _ = models.stack.score_snapshot(&u, &corpus[0].site.html);
-                }
-                *r.models.write() = Some(models);
-                r.warm.store(true, Ordering::SeqCst);
-                // Wake the worker: queued cold misses are now classifiable.
-                r.work_cv.notify_all();
-            })
-        };
-        r.workers.lock().unwrap().push(trainer);
-        Self::spawn_worker(&r);
+        let s = r.shared.clone();
+        let trainer = std::thread::spawn(move || {
+            let corpus = build(&s.cfg.corpus);
+            let models = Arc::new(ResolverModels::train(&corpus, &s.cfg));
+            // Warm-up pass: fault in both models' hot paths before
+            // declaring readiness, so the first real request pays no
+            // first-touch cost.
+            if let Ok(u) = Url::parse(&corpus[0].site.url) {
+                let _ = models.prefilter_score(&u);
+                let _ = models.stack.score_snapshot(&u, &corpus[0].site.html);
+            }
+            *write(&s.models) = Some(models);
+            s.warm.store(true, Ordering::SeqCst);
+            // Wake the worker: queued cold misses are now classifiable.
+            s.work_cv.notify_all();
+        });
+        lock(&r.workers).push(trainer);
+        r.spawn_worker();
         r
     }
 
@@ -592,34 +597,33 @@ impl TieredResolver {
         cfg: TieredResolverConfig,
     ) -> Arc<TieredResolver> {
         Arc::new(TieredResolver {
-            inner,
-            fetcher,
-            clock,
-            cfg,
-            models: RwLock::new(None),
-            negative: RwLock::new(HashMap::new()),
-            state: Mutex::new(QueueState::default()),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            warm: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
+            shared: Arc::new(Shared {
+                inner,
+                fetcher,
+                clock,
+                cfg,
+                models: RwLock::new(None),
+                negative: RwLock::new(HashMap::new()),
+                state: Mutex::new(QueueState::default()),
+                work_cv: Condvar::new(),
+                idle_cv: Condvar::new(),
+                warm: AtomicBool::new(false),
+                stop: AtomicBool::new(false),
+                metrics: ResolverMetrics::new(),
+            }),
             workers: Mutex::new(Vec::new()),
-            metrics: ResolverMetrics::new(),
         })
     }
 
-    fn spawn_worker(r: &Arc<TieredResolver>) {
-        let worker = {
-            let r = r.clone();
-            std::thread::spawn(move || r.worker_loop())
-        };
-        r.workers.lock().unwrap().push(worker);
+    fn spawn_worker(&self) {
+        let s = self.shared.clone();
+        lock(&self.workers).push(std::thread::spawn(move || s.worker_loop()));
     }
 
     /// True once models are trained and warmed — the `/readyz`
     /// `classifier_warm` condition.
     pub fn is_warm(&self) -> bool {
-        self.warm.load(Ordering::SeqCst)
+        self.shared.warm.load(Ordering::SeqCst)
     }
 
     /// Block until warm, up to `timeout`. Returns whether it happened.
@@ -638,13 +642,14 @@ impl TieredResolver {
     /// up to `timeout`. Returns whether it drained.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.shared.state.lock().unwrap();
         while !st.queue.is_empty() || st.inflight > 0 {
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
             let (guard, _) = self
+                .shared
                 .idle_cv
                 .wait_timeout(st, deadline - now)
                 .expect("resolver state poisoned");
@@ -653,13 +658,14 @@ impl TieredResolver {
         true
     }
 
-    /// Stop the background threads and join them. Idempotent; verdicts
-    /// already journaled are durable regardless (the sidecar fsyncs per
-    /// append), which is what the kill-mid-load recovery test relies on.
+    /// Stop the background threads and join them; dropping the last
+    /// handle does the same. Idempotent; verdicts already journaled are
+    /// durable regardless (the inner checker fsyncs per `add`), which is
+    /// what the kill-mid-load recovery test relies on.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.work_cv.notify_all();
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.work_cv.notify_all();
+        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -668,28 +674,37 @@ impl TieredResolver {
     /// Snapshot of the resolver's own metrics (`resolver_*`), with the
     /// queue-depth and negative-cache gauges refreshed.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let s = &self.shared;
         {
-            let st = self.state.lock().unwrap();
-            self.metrics.queue_depth.set(st.queue.len() as i64);
+            let st = s.state.lock().unwrap();
+            s.metrics.queue_depth.set(st.queue.len() as i64);
         }
-        self.metrics
+        s.metrics
             .negative_entries
-            .set(self.negative.read().len() as i64);
-        self.metrics.registry.snapshot()
+            .set(read(&s.negative).len() as i64);
+        s.metrics.registry.snapshot()
     }
 
     /// The inner checker (tier 0 / tier 3).
     pub fn inner(&self) -> Arc<dyn UrlChecker> {
-        self.inner.clone()
+        self.shared.inner.clone()
     }
+}
 
+impl Drop for TieredResolver {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl Shared {
     /// Resolve one miss (tier 0 already answered safe-unknown).
     fn resolve_miss(&self, url: &str) -> Verdict {
         let now = self.clock.now();
 
         // Negative cache: a fresh safe verdict answers without work; an
         // expired one is evicted and falls through to re-classification.
-        if let Some(entry) = self.negative.read().get(url) {
+        if let Some(entry) = read(&self.negative).get(url) {
             if now < entry.expires {
                 match entry.src {
                     NegativeSrc::Prefilter => self.metrics.hit_negative_prefilter.inc(),
@@ -703,7 +718,7 @@ impl TieredResolver {
         {
             // Evict under the write lock, re-checking freshness: a publish
             // may have raced a refresh in.
-            let mut neg = self.negative.write();
+            let mut neg = write(&self.negative);
             if let Some(entry) = neg.get(url) {
                 if now < entry.expires {
                     match entry.src {
@@ -728,7 +743,7 @@ impl TieredResolver {
         }
         let parsed = Url::parse(url).expect("checked above");
 
-        let Some(models) = self.models.read().clone() else {
+        let Some(models) = read(&self.models).clone() else {
             // Cold: models still training. Queue the miss so it resolves
             // once warm; answer the only thing known so far.
             self.metrics.cold.inc();
@@ -779,7 +794,7 @@ impl TieredResolver {
     }
 
     fn insert_negative(&self, url: &str, score: f64, src: NegativeSrc, now: SimTime) {
-        self.negative.write().insert(
+        write(&self.negative).insert(
             url.to_string(),
             NegativeEntry {
                 score,
@@ -789,7 +804,7 @@ impl TieredResolver {
         );
     }
 
-    fn worker_loop(self: Arc<Self>) {
+    fn worker_loop(&self) {
         loop {
             let batch: Vec<String> = {
                 let mut st = self.state.lock().unwrap();
@@ -797,7 +812,7 @@ impl TieredResolver {
                     if self.stop.load(Ordering::SeqCst) {
                         return;
                     }
-                    if !st.queue.is_empty() && self.models.read().is_some() {
+                    if !st.queue.is_empty() && read(&self.models).is_some() {
                         break;
                     }
                     st = self
@@ -811,9 +826,7 @@ impl TieredResolver {
                 st.inflight += batch.len();
                 batch
             };
-            let models = self
-                .models
-                .read()
+            let models = read(&self.models)
                 .clone()
                 .expect("worker only runs with models");
             self.classify_batch(&batch, &models);
@@ -886,38 +899,29 @@ impl TieredResolver {
     }
 }
 
-impl Drop for TieredResolver {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.work_cv.notify_all();
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
 impl UrlChecker for TieredResolver {
     fn check(&self, url: &str) -> Verdict {
-        self.metrics.requests.inc();
-        let v = self.inner.check(url);
+        let s = &self.shared;
+        s.metrics.requests.inc();
+        let v = s.inner.check(url);
         if v.is_phishing() {
-            self.metrics.hit_index.inc();
+            s.metrics.hit_index.inc();
             return v;
         }
-        self.resolve_miss(url)
+        s.resolve_miss(url)
     }
 
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // Tier 0 resolves the whole batch against one index snapshot;
         // only the misses walk the lower tiers.
-        self.metrics.requests.add(urls.len() as u64);
-        let mut out = self.inner.check_many(urls);
+        let s = &self.shared;
+        s.metrics.requests.add(urls.len() as u64);
+        let mut out = s.inner.check_many(urls);
         for (url, v) in urls.iter().zip(out.iter_mut()) {
             if v.is_phishing() {
-                self.metrics.hit_index.inc();
+                s.metrics.hit_index.inc();
             } else {
-                *v = self.resolve_miss(url);
+                *v = s.resolve_miss(url);
             }
         }
         out
@@ -926,20 +930,20 @@ impl UrlChecker for TieredResolver {
     fn add(&self, url: &str, score: f64) -> Result<u64, String> {
         // Wire ADDs pass straight to the durable tier; drop any cached
         // negative so the next check sees the new verdict.
-        let generation = self.inner.add(url, score)?;
-        self.negative.write().remove(url);
+        let generation = self.shared.inner.add(url, score)?;
+        write(&self.shared.negative).remove(url);
         Ok(generation)
     }
 
     fn generation(&self) -> u64 {
-        self.inner.generation()
+        self.shared.inner.generation()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extension::KnownSetChecker;
+    use freephish_serve::ShardedIndex;
 
     fn corpus() -> Vec<LabeledSite> {
         build(&GroundTruthConfig {
@@ -964,7 +968,7 @@ mod tests {
             m = m.with_cutoff(c);
         }
         TieredResolver::with_models(
-            Arc::new(KnownSetChecker::new(Vec::new())),
+            Arc::new(ShardedIndex::with_default_shards()),
             fetcher,
             clock,
             Arc::new(m),
@@ -1049,12 +1053,36 @@ mod tests {
         resolver.shutdown();
     }
 
+    /// A fetcher holding a sentinel: the sentinel's strong count tells
+    /// whether the resolver state (which owns the fetcher) is still alive.
+    struct SentinelFetcher(#[allow(dead_code)] Arc<()>);
+
+    impl SnapshotFetcher for SentinelFetcher {
+        fn fetch(&self, _url: &str) -> Option<String> {
+            None
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_handle_stops_the_worker_and_frees_the_resolver() {
+        let sentinel = Arc::new(());
+        let r = resolver_with(
+            None,
+            Arc::new(SentinelFetcher(sentinel.clone())),
+            Arc::new(ManualClock::new()),
+            TieredResolverConfig::default(),
+        );
+        assert_eq!(Arc::strong_count(&sentinel), 2);
+        // No shutdown(): Drop alone must stop and join the worker, which
+        // releases the last reference to the shared state.
+        drop(r);
+        assert_eq!(Arc::strong_count(&sentinel), 1);
+    }
+
     #[test]
     fn tier0_hits_bypass_the_lower_tiers() {
-        let inner = Arc::new(KnownSetChecker::new(vec![(
-            "https://evil.weebly.com/".to_string(),
-            0.93,
-        )]));
+        let inner = Arc::new(ShardedIndex::with_default_shards());
+        inner.publish([("https://evil.weebly.com/".to_string(), 0.93)]);
         let cfg = TieredResolverConfig::default();
         let r = TieredResolver::with_models(
             inner,
@@ -1197,7 +1225,7 @@ mod tests {
         // unfetchable, but that is irrelevant here — we only watch the
         // admission. Use a cold resolver (no models): the worker cannot
         // consume, so the queue genuinely fills.
-        let inner: Arc<dyn UrlChecker> = Arc::new(KnownSetChecker::new(Vec::new()));
+        let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
         let r = TieredResolver::build(
             inner,
             Arc::new(MapFetcher::new()),
@@ -1216,7 +1244,7 @@ mod tests {
     #[test]
     fn duplicate_misses_deduplicate_while_pending() {
         let cfg = TieredResolverConfig::default();
-        let inner: Arc<dyn UrlChecker> = Arc::new(KnownSetChecker::new(Vec::new()));
+        let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
         // Cold resolver: the queue holds whatever is admitted.
         let r = TieredResolver::build(
             inner,
@@ -1305,7 +1333,7 @@ mod tests {
             },
             ..TieredResolverConfig::default()
         };
-        let inner: Arc<dyn UrlChecker> = Arc::new(KnownSetChecker::new(Vec::new()));
+        let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
         let r = TieredResolver::bootstrap(inner, fetcher, cfg);
         // A miss arriving before warm-up is queued, not dropped.
         r.check(&phish.site.url);

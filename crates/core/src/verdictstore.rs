@@ -1,22 +1,33 @@
-//! Store-backed verdict checking: the live-updatable replacement for a
-//! static [`crate::extension::KnownSetChecker`].
+//! Store-backed verdict checking: one node type for every daemon mode
+//! that serves a run-journal directory (`--store DIR`).
 //!
-//! An [`EventedStoreChecker`] follows a pipeline run's journal directory
-//! *read-only* (the pipeline process is the WAL's single writer): reads
-//! resolve against a `freephish-serve` [`ShardedIndex`] (RCU-style
-//! snapshots, no lock held during lookups) and the main journal is
-//! ingested by an [`IndexPublisher`] built from
-//! [`journal_payload_decoder`], so the verdict service hot-reloads as the
-//! pipeline appends detections. Manual `ADD`s from the wire protocol are
-//! durably journaled in a *sidecar* store ([`SidecarAdds`], at
-//! `<dir>/extd-adds`) owned by the daemon — never in the main journal —
-//! preserving single-writer integrity on both logs.
+//! An [`EventedStoreChecker`] reads `DIR` the same way whoever writes it:
+//! lookups resolve against a `freephish-serve` [`ShardedIndex`] delta
+//! (RCU-style snapshots, no lock held during lookups), optionally over a
+//! baked mmap baseline, and the main journal is ingested by an
+//! [`IndexPublisher`] built from [`journal_payload_decoder`], so the
+//! verdict service hot-reloads as records land. What differs between
+//! modes is only *who writes `DIR`'s main WAL* — the node's
+//! [`WriteRole`] — and therefore where a wire `ADD` (or an inline
+//! classify-on-miss verdict) is journaled before it is acknowledged:
 //!
-//! Snapshot redelivery (the tail follower re-reads history after the
-//! pipeline compacts its WAL) is harmless here: applying a verdict twice
-//! is an idempotent map insert.
+//! * [`WriteRole::Sidecar`] — another process (the pipeline) is the WAL's
+//!   single writer; the node journals additions in its own store at
+//!   `DIR/extd-adds`, never in the main journal, and replays that sidecar
+//!   into the delta on open.
+//! * [`WriteRole::Owner`] — this process is the single writer (a cluster
+//!   primary, DESIGN.md §14): additions are appended to the main WAL,
+//!   which is the history a replication source ships to followers.
+//! * [`WriteRole::ReadOnly`] — a replication session owns `DIR` (a
+//!   follower): the node holds no store and refuses additions.
 //!
-//! At million-entry scale the checker accepts a *baked baseline*
+//! Either way an addition is append + fsync before `OK`, then a publish
+//! into the delta for read-your-writes. Redelivery — the tail follower
+//! re-reading history after a compaction, or an owner's tail re-reading
+//! its own appends — is harmless: applying a verdict twice is an
+//! idempotent map insert.
+//!
+//! At million-entry scale the node accepts a *baked baseline*
 //! (`freephish-mapidx`, see [`bake_index`]): an immutable mmap-loadable
 //! image of the main journal's net state, loaded in milliseconds. Live
 //! state shadows the baseline bit-identically — the journal is later in
@@ -27,83 +38,64 @@
 use crate::extension::{UrlChecker, Verdict};
 use crate::journal::{decode_event, encode_event, obs_store_observer, AddEvent, RunEvent};
 use freephish_mapidx::{bake_journal, BakeSummary, SnapshotIndex};
+use freephish_obs::sync::lock;
 use freephish_serve::{IndexPublisher, OverlayIndex, PayloadDecoder, ShardedIndex};
 use freephish_store::segment::scan_buffer;
-use freephish_store::{Store, StoreOptions, TailCursor, TailFollower};
-use parking_lot::Mutex;
+use freephish_store::{Recovered, Store, StoreOptions, TailCursor, TailFollower};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Name of the sidecar store directory holding manual additions.
+/// Name of the sidecar store directory holding a [`WriteRole::Sidecar`]
+/// node's additions.
 pub const ADDS_SUBDIR: &str = "extd-adds";
 
-/// The daemon-owned durable journal of manual `ADD`s, kept in a sidecar
-/// store (`<dir>/extd-adds`) so the pipeline's run journal keeps its
-/// single writer.
-pub struct SidecarAdds {
-    store: Store,
+/// What a [`WriteRole::ReadOnly`] node answers an `ADD` with.
+const READ_ONLY_REFUSAL: &str = "read-only follower replica; send ADDs to the primary";
+
+/// Who writes the main WAL of the directory a node serves, and so where
+/// the node's own additions go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteRole {
+    /// Another process writes `DIR`; additions go to `DIR/extd-adds`.
+    Sidecar,
+    /// This process is `DIR`'s single writer; additions go to `DIR`.
+    Owner,
+    /// A replication session writes `DIR`; additions are refused.
+    ReadOnly,
 }
 
-impl SidecarAdds {
-    /// Open (or create) the sidecar under `dir`. Returns the store plus
-    /// every previously journaled `(url, score)` addition, in order.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<(SidecarAdds, Vec<(String, f64)>)> {
-        let (store, recovered) = Store::open_with(
-            dir.as_ref().join(ADDS_SUBDIR),
-            StoreOptions::default(),
-            Some(obs_store_observer()),
-        )?;
-        let mut entries = Vec::new();
-        let mut apply = |payload: &[u8]| -> io::Result<()> {
-            match decode_event(payload)? {
-                RunEvent::Add(a) => {
-                    entries.push((a.url, a.score));
-                    Ok(())
-                }
-                _ => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "sidecar store holds a non-ADD record",
-                )),
+/// Every `(url, score)` a recovered sidecar store holds, in order.
+fn replay_adds(recovered: &Recovered) -> io::Result<Vec<(String, f64)>> {
+    let mut entries = Vec::new();
+    let mut apply = |payload: &[u8]| -> io::Result<()> {
+        match decode_event(payload)? {
+            RunEvent::Add(a) => {
+                entries.push((a.url, a.score));
+                Ok(())
             }
-        };
-        if let Some(snapshot) = &recovered.snapshot {
-            let (frames, torn) = scan_buffer(snapshot);
-            if torn.is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "sidecar snapshot framing is corrupt",
-                ));
-            }
-            for frame in frames {
-                apply(&frame)?;
-            }
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "sidecar store holds a non-ADD record",
+            )),
         }
-        for (_, payload) in &recovered.records {
-            apply(payload)?;
+    };
+    if let Some(snapshot) = &recovered.snapshot {
+        let (frames, torn) = scan_buffer(snapshot);
+        if torn.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "sidecar snapshot framing is corrupt",
+            ));
         }
-        Ok((SidecarAdds { store }, entries))
+        for frame in frames {
+            apply(&frame)?;
+        }
     }
-
-    /// Durably journal one manual addition (append + fsync).
-    pub fn append(&mut self, url: &str, score: f64) -> io::Result<()> {
-        let ev = RunEvent::Add(AddEvent {
-            url: url.to_string(),
-            score,
-        });
-        self.store.append(&encode_event(&ev))?;
-        self.store.sync()
+    for (_, payload) in &recovered.records {
+        apply(payload)?;
     }
-
-    /// Flush + fsync (shutdown path).
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.store.sync()
-    }
-
-    /// The sidecar store directory.
-    pub fn dir(&self) -> &Path {
-        self.store.dir()
-    }
+    Ok(entries)
 }
 
 /// Decode one run-journal payload into an optional `(url, score)` entry:
@@ -146,44 +138,71 @@ fn open_snapshot_index(path: &Path) -> io::Result<SnapshotIndex> {
     })
 }
 
-/// A [`UrlChecker`] backed by a run-journal store directory plus a
-/// durable sidecar for manual additions. Reads take RCU-style snapshots
-/// of a `freephish-serve` [`ShardedIndex`], so batches resolve against
-/// one consistent generation.
+/// The store-backed node: a [`UrlChecker`] over a run-journal directory,
+/// with durable additions wherever its [`WriteRole`] puts them. Reads
+/// take RCU-style snapshots of a `freephish-serve` [`ShardedIndex`], so
+/// batches resolve against one consistent generation.
 ///
-/// Main-journal ingestion happens through the [`IndexPublisher`] returned
-/// by [`EventedStoreChecker::publisher`]; poll it from the serve loop.
+/// A daemon (or any embedder) drives it with one
+/// [`EventedStoreChecker::open_as`], one [`EventedStoreChecker::publisher`]
+/// polled from its serve loop, an optional periodic
+/// [`EventedStoreChecker::rebake`], and a final
+/// [`EventedStoreChecker::sync`].
 pub struct EventedStoreChecker {
     dir: PathBuf,
     overlay: Arc<OverlayIndex>,
     base_cursor: Option<TailCursor>,
-    adds: Mutex<SidecarAdds>,
+    /// The store additions are journaled in; `None` when read-only.
+    wal: Option<Mutex<Store>>,
 }
 
 impl EventedStoreChecker {
-    /// Open against the run journal at `dir`. Recovers previously
-    /// journaled manual additions from the sidecar into the index
-    /// immediately; pair with [`EventedStoreChecker::publisher`] to ingest
-    /// (and hot-reload) the main journal.
+    /// Open the run journal at `dir` as a [`WriteRole::Sidecar`] node
+    /// with no baseline.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<EventedStoreChecker> {
         EventedStoreChecker::open_with_base(dir, None)
     }
 
-    /// Like [`EventedStoreChecker::open`], but with an optional baked
-    /// baseline: reads go through the two-level [`OverlayIndex`] (live
-    /// delta over the mmap), and [`EventedStoreChecker::publisher`]
-    /// resumes the journal tail from the bake's cursor, so a restart
-    /// replays only the suffix.
+    /// [`EventedStoreChecker::open_as`] in the [`WriteRole::Sidecar`]
+    /// role.
     pub fn open_with_base(
         dir: impl AsRef<Path>,
         index_file: Option<&Path>,
     ) -> io::Result<EventedStoreChecker> {
+        EventedStoreChecker::open_as(dir, WriteRole::Sidecar, index_file)
+    }
+
+    /// Open the run journal at `dir`, journaling additions where `role`
+    /// says. A sidecar's previously journaled additions are replayed
+    /// into the index immediately; pair with
+    /// [`EventedStoreChecker::publisher`] to ingest (and hot-reload) the
+    /// main journal. With a baked `index_file`, reads go through the
+    /// two-level [`OverlayIndex`] (live delta over the mmap) and the
+    /// publisher resumes the journal tail from the bake's cursor, so a
+    /// restart replays only the suffix.
+    pub fn open_as(
+        dir: impl AsRef<Path>,
+        role: WriteRole,
+        index_file: Option<&Path>,
+    ) -> io::Result<EventedStoreChecker> {
         let dir = dir.as_ref().to_path_buf();
-        let (adds, recovered) = SidecarAdds::open(&dir)?;
         let delta = Arc::new(ShardedIndex::with_default_shards());
-        if !recovered.is_empty() {
-            delta.publish(recovered);
-        }
+        let open_store =
+            |at: PathBuf| Store::open_with(at, StoreOptions::default(), Some(obs_store_observer()));
+        let wal = match role {
+            WriteRole::Sidecar => {
+                let (store, recovered) = open_store(dir.join(ADDS_SUBDIR))?;
+                let adds = replay_adds(&recovered)?;
+                if !adds.is_empty() {
+                    delta.publish(adds);
+                }
+                Some(store)
+            }
+            // The owner's history reaches the delta the way everyone
+            // else's does: through the publisher's tail.
+            WriteRole::Owner => Some(open_store(dir.clone())?.0),
+            WriteRole::ReadOnly => None,
+        };
         let mut base_cursor = None;
         let overlay = match index_file {
             Some(path) => {
@@ -197,12 +216,12 @@ impl EventedStoreChecker {
             dir,
             overlay,
             base_cursor,
-            adds: Mutex::new(adds),
+            wal: wal.map(Mutex::new),
         })
     }
 
     /// An [`IndexPublisher`] tailing the main run journal into this
-    /// checker's delta — resumed at the baseline's cursor when one was
+    /// node's delta — resumed at the baseline's cursor when one was
     /// loaded.
     pub fn publisher(&self) -> IndexPublisher {
         let follower = match self.base_cursor {
@@ -222,28 +241,44 @@ impl EventedStoreChecker {
         self.overlay.clone()
     }
 
-    /// The run-journal directory this checker follows.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Swap in a freshly baked baseline (re-bake completion). The delta
-    /// is deliberately left intact — its entries shadow the new baseline
+    /// Re-bake the main journal into `out_path` and swap the fresh
+    /// baseline into the serving overlay without a restart. The delta is
+    /// deliberately left intact — its entries shadow the new baseline
     /// bit-identically; it shrinks on the next restart, which resumes
     /// from the new bake's cursor.
-    pub fn set_base(&self, base: SnapshotIndex) {
-        self.overlay.set_base(base);
+    pub fn rebake(&self, out_path: &Path) -> io::Result<BakeSummary> {
+        let summary = bake_index(&self.dir, out_path)?;
+        self.overlay.set_base(open_snapshot_index(out_path)?);
+        Ok(summary)
     }
 
-    /// Durably journal a manual addition in the sidecar and publish it.
+    /// Durably journal an addition (append + fsync in the store the
+    /// node's role names) and publish it. A read-only node refuses.
     pub fn add_durable(&self, url: &str, score: f64) -> io::Result<u64> {
-        self.adds.lock().append(url, score)?;
+        let Some(wal) = &self.wal else {
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                READ_ONLY_REFUSAL,
+            ));
+        };
+        let ev = RunEvent::Add(AddEvent {
+            url: url.to_string(),
+            score,
+        });
+        {
+            let mut wal = lock(wal);
+            wal.append(&encode_event(&ev))?;
+            wal.sync()?;
+        }
         self.overlay.add(url, score).map_err(io::Error::other)
     }
 
-    /// Flush + fsync the sidecar (shutdown path).
+    /// Flush + fsync the node's store (shutdown path).
     pub fn sync(&self) -> io::Result<()> {
-        self.adds.lock().sync()
+        match &self.wal {
+            Some(wal) => lock(wal).sync(),
+            None => Ok(()),
+        }
     }
 
     /// Number of known-phishing URLs. With a baseline loaded this is an
@@ -268,78 +303,15 @@ impl UrlChecker for EventedStoreChecker {
     }
 
     fn add(&self, url: &str, score: f64) -> Result<u64, String> {
+        if self.wal.is_none() {
+            return Err(READ_ONLY_REFUSAL.to_string());
+        }
         self.add_durable(url, score)
             .map_err(|e| format!("store write failed: {e}"))
     }
 
     fn generation(&self) -> u64 {
         self.overlay.generation()
-    }
-}
-
-/// What a `--store DIR` resolves to: the checker plus the periodic work
-/// a serve loop must do to hot-reload it. The daemon (and any embedder)
-/// drives it with one [`StoreBacking::open_with`] → repeated
-/// [`StoreBacking::poll`] → final [`StoreBacking::sync`].
-pub struct StoreBacking {
-    checker: Arc<EventedStoreChecker>,
-    publisher: IndexPublisher,
-}
-
-impl StoreBacking {
-    /// Open `dir` with an optional baked-index baseline (`--index-file`),
-    /// perform one catch-up read (so the checker starts current — with a
-    /// baseline mounted it covers only the journal suffix past the bake's
-    /// cursor), and durably journal any `seed_entries` (a `--blocklist`
-    /// file) through the sidecar.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        seed_entries: Vec<(String, f64)>,
-        index_file: Option<&Path>,
-    ) -> io::Result<StoreBacking> {
-        let checker = Arc::new(EventedStoreChecker::open_with_base(dir, index_file)?);
-        let mut publisher = checker.publisher();
-        publisher.poll()?;
-        for (url, score) in seed_entries {
-            checker.add_durable(&url, score)?;
-        }
-        Ok(StoreBacking { checker, publisher })
-    }
-
-    /// Re-bake the main journal into `out_path` and swap the fresh
-    /// baseline into the serving overlay without a restart. Returns the
-    /// bake summary.
-    pub fn rebake(&self, out_path: &Path) -> io::Result<BakeSummary> {
-        let summary = bake_index(self.checker.dir(), out_path)?;
-        self.checker.set_base(open_snapshot_index(out_path)?);
-        Ok(summary)
-    }
-
-    /// The checker to mount on the serving engine.
-    pub fn checker(&self) -> Arc<dyn UrlChecker> {
-        self.checker.clone()
-    }
-
-    /// Known phishing URLs currently loaded.
-    pub fn len(&self) -> usize {
-        self.checker.len()
-    }
-
-    /// True when no verdicts are loaded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ingest whatever the pipeline has appended since the last poll.
-    /// The caller's readiness flag should track the result: `Ok` means
-    /// the journal tail is caught up.
-    pub fn poll(&mut self) -> io::Result<()> {
-        self.publisher.poll().map(|_| ())
-    }
-
-    /// Flush the sidecar ADD journal.
-    pub fn sync(&self) -> io::Result<()> {
-        self.checker.sync()
     }
 }
 

@@ -6,7 +6,7 @@
 //! plane's `/varz` endpoint. All three are views of one observable
 //! snapshot, so they must agree.
 
-use freephish_core::extension::{KnownSetChecker, VerdictClient};
+use freephish_core::extension::VerdictClient;
 use freephish_serve::{http_get, EventedServer, OpsServer, ShardedIndex};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -121,10 +121,8 @@ fn stats_over_tcp_matches_issued_requests() {
 
 #[test]
 fn stats_and_checks_interleave_on_one_connection() {
-    let checker = Arc::new(KnownSetChecker::new([(
-        "https://p.weebly.com/".to_string(),
-        0.9,
-    )]));
+    let checker = Arc::new(ShardedIndex::with_default_shards());
+    checker.publish([("https://p.weebly.com/".to_string(), 0.9)]);
     let server = EventedServer::start(checker).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
@@ -152,7 +150,7 @@ fn stats_and_checks_interleave_on_one_connection() {
 
 #[test]
 fn protocol_errors_are_counted_not_swallowed() {
-    let checker = Arc::new(KnownSetChecker::new([]));
+    let checker = Arc::new(ShardedIndex::with_default_shards());
     let server = EventedServer::start(checker).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.write_all(b"FETCH x\nSTATS\n").unwrap();

@@ -11,7 +11,7 @@
 //! bits.
 
 use freephish_core::journal::{CheckpointEvent, RunJournal, RunMeta, VerdictEvent};
-use freephish_core::verdictstore::{bake_index, EventedStoreChecker, StoreBacking};
+use freephish_core::verdictstore::{bake_index, EventedStoreChecker, WriteRole};
 use freephish_fwbsim::history::Platform;
 use freephish_serve::UrlChecker;
 use freephish_store::testutil::TempDir;
@@ -59,12 +59,16 @@ fn observe(c: &dyn UrlChecker, url: &str) -> (bool, u64) {
     }
 }
 
+/// A URL only ever added through a node's own `ADD` path.
+const NODE_ADDED: &str = "https://added-by-the-node.wixsite.com/login";
+
 /// Every URL class the overlay must agree on with pure replay.
 fn probe_urls() -> Vec<String> {
     let mut urls: Vec<String> = (0..60)
         .map(|n| format!("https://v{n}.weebly.com/"))
         .collect();
     urls.push("https://never-journaled.wixsite.com/home".to_string());
+    urls.push(NODE_ADDED.to_string());
     urls.push(String::new());
     urls
 }
@@ -107,43 +111,80 @@ fn append_suffix(journal: &mut RunJournal) {
     checkpoint(journal, 2);
 }
 
+/// Whoever writes `DIR` — the pipeline beside a sidecar node, or an
+/// owner node itself — bake + suffix + the node's own additions read
+/// back exactly as a replay of everything that was journaled.
 #[test]
 fn evented_overlay_matches_pure_replay() {
-    let dir = TempDir::new("overlay-eq-evented");
-    let mut journal = seed_journal(dir.path());
-    let bake = dir.path().join("baked.mapidx");
-    bake_index(dir.path(), &bake).unwrap();
-    append_suffix(&mut journal);
+    for role in [WriteRole::Sidecar, WriteRole::Owner] {
+        let ctx = format!("{role:?}");
+        let dir = TempDir::new("overlay-eq-evented");
+        let mut journal = seed_journal(dir.path());
+        let bake = dir.path().join("baked.mapidx");
+        bake_index(dir.path(), &bake).unwrap();
+        append_suffix(&mut journal);
+        // An owner is the directory's single writer: the pipeline's
+        // handle is gone before the node opens.
+        drop(journal);
 
-    let overlaid = EventedStoreChecker::open_with_base(dir.path(), Some(&bake)).unwrap();
-    let mut publisher = overlaid.publisher();
-    publisher.poll().unwrap();
-    let replayed = EventedStoreChecker::open(dir.path()).unwrap();
-    let mut replay_pub = replayed.publisher();
-    replay_pub.poll().unwrap();
+        let overlaid = EventedStoreChecker::open_as(dir.path(), role, Some(&bake)).unwrap();
+        let mut publisher = overlaid.publisher();
+        publisher.poll().unwrap();
 
-    // The resumed publisher ingested only the post-cursor suffix into
-    // the delta; the baked prefix is served from the mmap.
-    assert_eq!(overlaid.overlay().base_len(), 40);
-    assert!((overlaid.overlay().delta().len() as u64) < 40 + 20);
-    assert_equivalent(&overlaid, &replayed, "post-suffix");
+        // The resumed publisher ingested only the post-cursor suffix into
+        // the delta; the baked prefix is served from the mmap.
+        assert_eq!(overlaid.overlay().base_len(), 40, "{ctx}");
+        assert!((overlaid.overlay().delta().len() as u64) < 40 + 20, "{ctx}");
 
-    // An overwritten URL serves the *suffix* score, not the baked one.
-    let (hit, bits) = observe(&overlaid, "https://v2.weebly.com/");
-    assert!(hit);
-    assert_eq!(bits, (0.75 + 2.0 * 1e-9f64).to_bits());
-
-    // Batch reads agree with batch reads, in order.
-    let urls = probe_urls();
-    let a: Vec<_> = overlaid.check_many(&urls);
-    let b: Vec<_> = replayed.check_many(&urls);
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+        // The node's own additions land wherever the role journals
+        // them, the later one winning; an owner's tail then re-reads them
+        // from the main WAL. (The URL is one the journal never holds: a
+        // sidecar and the main journal are two logs with no order between
+        // them, so replay always applies the journal last. Shadowing a
+        // *baked* entry is defined, and is what
+        // `manual_adds_shadow_the_base_and_survive_reopen` pins.)
+        overlaid.add(NODE_ADDED, 0.875).unwrap();
+        overlaid.add(NODE_ADDED, 0.625).unwrap();
+        publisher.poll().unwrap();
         assert_eq!(
-            format!("{x:?}"),
-            format!("{y:?}"),
-            "check_many diverged at {}",
-            urls[i]
+            dir.path().join("extd-adds").exists(),
+            role == WriteRole::Sidecar,
+            "{ctx}: only a sidecar node keeps a sidecar"
         );
+
+        // Pure replay, no baseline. The owner's history is replayed the
+        // way a follower would read it: without a second writer on DIR.
+        let replay_role = match role {
+            WriteRole::Owner => WriteRole::ReadOnly,
+            other => other,
+        };
+        let replayed = EventedStoreChecker::open_as(dir.path(), replay_role, None).unwrap();
+        replayed.publisher().poll().unwrap();
+        assert_equivalent(&overlaid, &replayed, &ctx);
+
+        // An overwritten URL serves the *suffix* score, not the baked
+        // one, and an added one the last added score.
+        let (hit, bits) = observe(&overlaid, "https://v2.weebly.com/");
+        assert!(hit, "{ctx}");
+        assert_eq!(bits, (0.75 + 2.0 * 1e-9f64).to_bits(), "{ctx}");
+        assert_eq!(
+            observe(&replayed, NODE_ADDED),
+            (true, 0.625f64.to_bits()),
+            "{ctx}"
+        );
+
+        // Batch reads agree with batch reads, in order.
+        let urls = probe_urls();
+        let a: Vec<_> = overlaid.check_many(&urls);
+        let b: Vec<_> = replayed.check_many(&urls);
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(
+                format!("{x:?}"),
+                format!("{y:?}"),
+                "{ctx}: check_many diverged at {}",
+                urls[i]
+            );
+        }
     }
 }
 
@@ -189,18 +230,18 @@ fn journaled_adds_keep_shadowing_across_an_in_process_rebake() {
     bake_index(dir.path(), &bake).unwrap();
     append_suffix(&mut journal);
 
-    let mut backing = StoreBacking::open_with(dir.path(), Vec::new(), Some(&bake)).unwrap();
-    backing.poll().unwrap();
-    let checker = backing.checker();
+    let checker = EventedStoreChecker::open_with_base(dir.path(), Some(&bake)).unwrap();
+    let mut publisher = checker.publisher();
+    publisher.poll().unwrap();
     let overwritten = "https://v4.weebly.com/";
     let want = (true, (0.75 + 4.0 * 1e-9f64).to_bits());
-    assert_eq!(observe(checker.as_ref(), overwritten), want);
+    assert_eq!(observe(&checker, overwritten), want);
     let gen_before = checker.generation();
 
     // Re-bake in process: gen2 covers the whole journal including the
     // overwrites; the swap must not change a single observable verdict.
     let gen2 = dir.path().join("gen2.mapidx");
-    let summary = backing.rebake(&gen2).unwrap();
+    let summary = checker.rebake(&gen2).unwrap();
     assert_eq!(summary.entries, 50, "gen2 bakes the deduped full history");
     assert!(
         checker.generation() > gen_before,
@@ -208,15 +249,15 @@ fn journaled_adds_keep_shadowing_across_an_in_process_rebake() {
     );
     let replayed = EventedStoreChecker::open(dir.path()).unwrap();
     replayed.publisher().poll().unwrap();
-    assert_equivalent(checker.as_ref(), &replayed, "post-rebake");
-    assert_eq!(observe(checker.as_ref(), overwritten), want);
+    assert_equivalent(&checker, &replayed, "post-rebake");
+    assert_eq!(observe(&checker, overwritten), want);
 
     // Writes after the re-bake keep landing and keep shadowing.
     journal.append_verdict(verdict(4, 0.999_999_25)).unwrap();
     checkpoint(&mut journal, 3);
-    backing.poll().unwrap();
+    publisher.poll().unwrap();
     assert_eq!(
-        observe(backing.checker().as_ref(), overwritten),
+        observe(&checker, overwritten),
         (true, 0.999_999_25f64.to_bits()),
         "post-rebake journal writes must shadow the new base"
     );

@@ -17,13 +17,13 @@
 //!
 //! [`AugmentedStackModel::score_snapshot`]: freephish_core::models::augmented::AugmentedStackModel
 
-use freephish_core::extension::{KnownSetChecker, UrlChecker, Verdict, VerdictClient};
+use freephish_core::extension::{UrlChecker, Verdict, VerdictClient};
 use freephish_core::groundtruth::{build, GroundTruthConfig};
 use freephish_core::resolver::{
     ManualClock, MapFetcher, ResolverModels, TieredResolver, TieredResolverConfig,
 };
 use freephish_core::verdictstore::EventedStoreChecker;
-use freephish_serve::EventedServer;
+use freephish_serve::{EventedServer, ShardedIndex};
 use freephish_store::testutil::TempDir;
 use freephish_urlparse::Url;
 use std::sync::Arc;
@@ -77,7 +77,7 @@ fn settled() -> (Arc<TieredResolver>, Vec<(String, f64)>, f64) {
         models,
     } = miss_fixture();
     let resolver = TieredResolver::with_models(
-        Arc::new(KnownSetChecker::new(Vec::new())),
+        Arc::new(ShardedIndex::with_default_shards()),
         fetcher,
         Arc::new(ManualClock::new()),
         models.clone(),

@@ -8,10 +8,11 @@
 //! the test suite — stays silent unless something is actually wrong or
 //! the operator opts in with `FREEPHISH_LOG=info`.
 
+use crate::sync::lock;
 use freephish_simclock::SimTime;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::sync::OnceLock;
 
 /// Event severity, ordered `Trace < Debug < Info < Warn < Error`.
@@ -157,7 +158,7 @@ impl EventLog {
         if self.echo {
             eprintln!("{}", event.render());
         }
-        let mut ring = self.ring.lock();
+        let mut ring = lock(&self.ring);
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.evicted.fetch_add(1, Ordering::Relaxed);
@@ -167,7 +168,7 @@ impl EventLog {
 
     /// The retained events, oldest first.
     pub fn recent(&self) -> Vec<Event> {
-        self.ring.lock().iter().cloned().collect()
+        lock(&self.ring).iter().cloned().collect()
     }
 
     /// Events dropped by the severity filter.

@@ -3,7 +3,7 @@
 //!
 //! The paper is a *measurement* study, and the ROADMAP's north star is a
 //! production-scale pipeline; this crate is the instrument panel both
-//! demand, built from scratch on atomics + `parking_lot` (no tracing /
+//! demand, built from scratch on atomics + `std::sync` locks (no tracing /
 //! metrics / prometheus dependencies):
 //!
 //! * [`metric`] — [`Counter`] and [`Gauge`], plain atomics, lock-free on
@@ -40,6 +40,7 @@ pub mod histogram;
 pub mod metric;
 pub mod procfs;
 pub mod registry;
+pub mod sync;
 pub mod timer;
 pub mod trace;
 pub mod window;

@@ -9,9 +9,9 @@
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::metric::{Counter, Gauge};
-use parking_lot::RwLock;
+use crate::sync::{read, write};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A metric identity: name plus ordered label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -86,11 +86,10 @@ impl Registry {
     /// Get or create the counter `name{labels}`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let key = MetricKey::new(name, labels);
-        if let Some(c) = self.inner.read().counters.get(&key) {
+        if let Some(c) = read(&self.inner).counters.get(&key) {
             return c.clone();
         }
-        self.inner
-            .write()
+        write(&self.inner)
             .counters
             .entry(key)
             .or_insert_with(|| Arc::new(Counter::new()))
@@ -100,11 +99,10 @@ impl Registry {
     /// Get or create the gauge `name{labels}`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let key = MetricKey::new(name, labels);
-        if let Some(g) = self.inner.read().gauges.get(&key) {
+        if let Some(g) = read(&self.inner).gauges.get(&key) {
             return g.clone();
         }
-        self.inner
-            .write()
+        write(&self.inner)
             .gauges
             .entry(key)
             .or_insert_with(|| Arc::new(Gauge::new()))
@@ -114,11 +112,10 @@ impl Registry {
     /// Get or create the histogram `name{labels}`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let key = MetricKey::new(name, labels);
-        if let Some(h) = self.inner.read().histograms.get(&key) {
+        if let Some(h) = read(&self.inner).histograms.get(&key) {
             return h.clone();
         }
-        self.inner
-            .write()
+        write(&self.inner)
             .histograms
             .entry(key)
             .or_insert_with(|| Arc::new(Histogram::new()))
@@ -127,7 +124,7 @@ impl Registry {
 
     /// Freeze the registry into an inert snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         MetricsSnapshot {
             counters: inner
                 .counters

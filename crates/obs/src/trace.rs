@@ -24,12 +24,13 @@
 //! spans without any plumbing through intermediate signatures. When no
 //! trace is active every entry point is a cheap no-op.
 
+use crate::sync::lock;
 use crate::window::WindowedHistogram;
-use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Globally unique (per process) trace identifier.
@@ -226,11 +227,11 @@ impl TraceRing {
 
     fn push(&self, trace: Arc<Trace>) {
         let idx = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len() as u64;
-        *self.slots[idx as usize].lock() = Some(trace);
+        *lock(&self.slots[idx as usize]) = Some(trace);
     }
 
     fn collect(&self) -> Vec<Arc<Trace>> {
-        let mut out: Vec<Arc<Trace>> = self.slots.iter().filter_map(|s| s.lock().clone()).collect();
+        let mut out: Vec<Arc<Trace>> = self.slots.iter().filter_map(|s| lock(s).clone()).collect();
         // Newest first: ids are monotone.
         out.sort_by_key(|t| std::cmp::Reverse(t.id.0));
         out

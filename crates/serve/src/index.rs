@@ -2,7 +2,7 @@
 //! engine's read path.
 //!
 //! Reads are RCU-style: each shard holds an `Arc<HashMap>` behind a
-//! `parking_lot::RwLock` that is only ever held long enough to clone the
+//! `RwLock` that is only ever held long enough to clone the
 //! `Arc`. A reader takes an [`IndexSnapshot`] — one `Arc` per shard plus
 //! the generation — once per *batch* and resolves every URL against that
 //! immutable image, so a concurrent publish never blocks or tears a
@@ -18,16 +18,16 @@
 //! (which owns the journal record schema).
 
 use crate::verdict::{UrlChecker, Verdict};
+use freephish_obs::sync::{read, write};
 use freephish_store::segment::scan_buffer;
 use freephish_store::TailFollower;
-use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Default shard count; a power of two so the hash folds with a mask.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -82,7 +82,7 @@ impl ShardedIndex {
             // publishers to the same shard must serialize, or the later
             // swap silently discards the earlier one's entries. Readers
             // only ever hold the lock long enough to clone the Arc.
-            let mut slot = self.shards[shard].write();
+            let mut slot = write(&self.shards[shard]);
             let mut next: HashMap<String, f64> = (**slot).clone();
             next.extend(entries);
             *slot = Arc::new(next);
@@ -93,7 +93,7 @@ impl ShardedIndex {
     /// Take a consistent read snapshot: one `Arc` clone per shard.
     pub fn snapshot(&self) -> IndexSnapshot {
         IndexSnapshot {
-            shards: self.shards.iter().map(|s| s.read().clone()).collect(),
+            shards: self.shards.iter().map(|s| read(s).clone()).collect(),
             mask: self.mask,
             generation: self.generation.load(Ordering::SeqCst),
         }
@@ -104,13 +104,13 @@ impl ShardedIndex {
     /// overlay read path needs the distinction to fall through to its
     /// mmap baseline.
     pub fn score(&self, url: &str) -> Option<f64> {
-        let shard = self.shards[shard_of(url, self.mask)].read().clone();
+        let shard = read(&self.shards[shard_of(url, self.mask)]).clone();
         shard.get(url).copied()
     }
 
     /// Total entries across shards (point-in-time).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
     /// True when no URL is known.
@@ -121,7 +121,7 @@ impl ShardedIndex {
 
 impl UrlChecker for ShardedIndex {
     fn check(&self, url: &str) -> Verdict {
-        let shard = self.shards[shard_of(url, self.mask)].read().clone();
+        let shard = read(&self.shards[shard_of(url, self.mask)]).clone();
         match shard.get(url) {
             Some(&score) => Verdict::Phishing(score),
             None => Verdict::Safe(0.0),

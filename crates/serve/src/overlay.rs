@@ -27,9 +27,9 @@
 use crate::index::ShardedIndex;
 use crate::verdict::{UrlChecker, Verdict};
 use freephish_mapidx::SnapshotIndex;
-use parking_lot::RwLock;
+use freephish_obs::sync::{read, write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A [`UrlChecker`] that resolves URLs against a live delta first, then
 /// an optional mmap-backed baseline.
@@ -59,7 +59,7 @@ impl OverlayIndex {
     /// Swap in a freshly baked baseline (re-bake completion). In-flight
     /// batch reads keep the `Arc` they already cloned.
     pub fn set_base(&self, base: SnapshotIndex) {
-        *self.base.write() = Some(Arc::new(base));
+        *write(&self.base) = Some(Arc::new(base));
         self.base_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -70,7 +70,7 @@ impl OverlayIndex {
 
     /// Entries in the current baseline (0 when none is loaded).
     pub fn base_len(&self) -> u64 {
-        self.base.read().as_ref().map_or(0, |b| b.len())
+        read(&self.base).as_ref().map_or(0, |b| b.len())
     }
 
     /// How many times a baseline has been swapped in.
@@ -79,7 +79,7 @@ impl OverlayIndex {
     }
 
     fn base_arc(&self) -> Option<Arc<SnapshotIndex>> {
-        self.base.read().clone()
+        read(&self.base).clone()
     }
 }
 

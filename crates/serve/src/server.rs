@@ -41,18 +41,18 @@ use crate::proto::{
 use crate::sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::verdict::{UrlChecker, Verdict};
 use bytes::BytesMut;
+use freephish_obs::sync::lock;
 use freephish_obs::{
     trace, Counter, Gauge, Histogram, MetricKey, MetricsSnapshot, Registry, Stopwatch, TraceStore,
     WindowedHistogram,
 };
-use parking_lot::Mutex;
 use serde_json::json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -241,7 +241,7 @@ impl RateCap {
     }
 
     fn try_admit(&self, n: usize) -> bool {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let now = Instant::now();
         let dt = now.duration_since(st.1).as_secs_f64();
         st.0 = (st.0 + dt * self.rate).min(self.burst);
@@ -669,7 +669,7 @@ fn worker_loop(s: Arc<Shared>, wake: UnixStream, wid: usize) {
     loop {
         // Adopt handed-off connections before polling so they are part of
         // this round's fd set.
-        for stream in s.inboxes[wid].lock().drain(..) {
+        for stream in lock(&s.inboxes[wid]).drain(..) {
             if stream.set_nonblocking(true).is_err() {
                 s.metrics.io_errors.inc();
                 continue;
@@ -762,8 +762,8 @@ fn acceptor_loop(s: Arc<Shared>, listener: TcpListener) {
                     s.metrics.connections_accepted.inc();
                     let wid = next % s.inboxes.len();
                     next = next.wrapping_add(1);
-                    s.inboxes[wid].lock().push(stream);
-                    let _ = s.wakes[wid].lock().write(&[1u8]);
+                    lock(&s.inboxes[wid]).push(stream);
+                    let _ = lock(&s.wakes[wid]).write(&[1u8]);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -912,7 +912,7 @@ impl EventedServer {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for wake in &self.shared.wakes {
-            let _ = wake.lock().write(&[1u8]);
+            let _ = lock(wake).write(&[1u8]);
         }
         if let Some(t) = self.acceptor.take() {
             let _ = t.join();
@@ -926,7 +926,7 @@ impl EventedServer {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             {
-                let mut workers = self.workers.lock();
+                let mut workers = lock(&self.workers);
                 if workers.iter().all(|w| w.is_finished()) {
                     for w in workers.drain(..) {
                         let _ = w.join();

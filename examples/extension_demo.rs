@@ -9,8 +9,8 @@
 //! cargo run --release --example extension_demo
 //! ```
 
-use freephish::core::extension::{KnownSetChecker, Navigation, NavigationGuard, VerdictClient};
-use freephish::serve::EventedServer;
+use freephish::core::extension::{Navigation, NavigationGuard, VerdictClient};
+use freephish::serve::{EventedServer, ShardedIndex};
 use std::sync::Arc;
 
 fn main() -> std::io::Result<()> {
@@ -18,14 +18,15 @@ fn main() -> std::io::Result<()> {
 
     // The backend: a verdict service fed by the pipeline's detections.
     // (Here: three URLs the monitor flagged earlier today.)
-    let checker = Arc::new(KnownSetChecker::new([
+    let checker = Arc::new(ShardedIndex::with_default_shards());
+    checker.publish([
         ("https://secure-paypal-verify.weebly.com/".to_string(), 0.98),
         (
             "https://sites.google.com/view/xkljzhqpwrtn".to_string(),
             0.91,
         ),
         ("https://netflix4481.000webhostapp.com/".to_string(), 0.95),
-    ]));
+    ]);
     let mut server = EventedServer::start(checker.clone())?;
     println!("[server] verdict service listening on {}\n", server.addr());
 
@@ -54,7 +55,7 @@ fn main() -> std::io::Result<()> {
 
     // The feed updates as the pipeline finds new attacks.
     println!("\n[server] pipeline pushes a fresh detection ...");
-    checker.insert("https://the-garden-corner.weebly.com/", 0.88);
+    checker.publish([("https://the-garden-corner.weebly.com/".to_string(), 0.88)]);
     // The guard caches verdicts per URL, exactly like the real extension —
     // a fresh guard (new browsing session) sees the update.
     let fresh_guard = NavigationGuard::new(server.addr());

@@ -47,6 +47,17 @@ if [ "$status" -ne 64 ]; then
   exit 1
 fi
 
+# One store-backed node, one index checker, std locks: the forks and the
+# dependency this repo retired must not come back (crates/benchmark keeps
+# its own stand-ins).
+echo "== retired names stay retired =="
+if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot' \
+    --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
+    Cargo.toml src tests examples crates; then
+  echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
+  exit 1
+fi
+
 echo "== soak smoke (host-default threads) =="
 SOAK_SMOKE_OUT="$(mktemp)"
 FREEPHISH_SOAK_SITES=20000 FREEPHISH_SOAK_INDEX=40000 \

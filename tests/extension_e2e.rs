@@ -2,13 +2,13 @@
 //! over real TCP, and the navigation guard blocks exactly those URLs.
 
 use freephish::core::campaign::{self, CampaignConfig, RecordClass};
-use freephish::core::extension::{KnownSetChecker, Navigation, NavigationGuard};
+use freephish::core::extension::{Navigation, NavigationGuard};
 use freephish::core::groundtruth::{build, GroundTruthConfig};
 use freephish::core::models::augmented::AugmentedStackModel;
 use freephish::core::pipeline::Pipeline;
 use freephish::core::world::World;
 use freephish::ml::StackModelConfig;
-use freephish::serve::EventedServer;
+use freephish::serve::{EventedServer, ShardedIndex};
 use freephish::simclock::{Rng64, SimTime};
 use std::sync::Arc;
 
@@ -33,9 +33,8 @@ fn detections_drive_navigation_blocking() {
     assert!(!detections.is_empty());
 
     // Feed them into the verdict service.
-    let checker = Arc::new(KnownSetChecker::new(
-        detections.iter().map(|d| (d.url.clone(), d.score)),
-    ));
+    let checker = Arc::new(ShardedIndex::with_default_shards());
+    checker.publish(detections.iter().map(|d| (d.url.clone(), d.score)));
     let mut server = EventedServer::start(checker).unwrap();
     let guard = NavigationGuard::new(server.addr());
 
