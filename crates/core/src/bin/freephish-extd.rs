@@ -110,6 +110,10 @@ mod shutdown {
 
     /// Install handlers for Ctrl-C and SIGTERM.
     pub fn install() {
+        // SAFETY: `on_signal` has the C ABI and the `void (*)(int)` shape
+        // `signal` expects, and lives for the whole program. It only stores
+        // to a static atomic, which is async-signal-safe: it takes no lock,
+        // allocates nothing and does no I/O, so it may interrupt any code.
         unsafe {
             signal(SIGINT, on_signal as *const () as usize);
             signal(SIGTERM, on_signal as *const () as usize);

@@ -16,14 +16,14 @@
 //!   ([`freephish_ml::threshold_at_fnr`]) are served as safe without ever
 //!   touching the page — the cheap first stage that absorbs the bulk of
 //!   miss traffic.
-//! * **tier 2 — full classification.** The residue is enqueued on a
-//!   *bounded* classify queue and scored as microbatches on the
-//!   `freephish-par` pool by a background worker: snapshot fetch,
+//! * **tier 2 — full classification.** A frame's residue is enqueued in
+//!   one pass on a *bounded* classify queue and classified as microbatches
+//!   on the `freephish-par` pool by a background worker: snapshot fetch,
 //!   [`looks_like_html`] sniff, then [`AugmentedStackModel::score_snapshot`]
-//!   per URL. The caller is answered immediately with the tier-1 score as
-//!   a provisional verdict, so the evented engine's poll workers never
-//!   block on a model; a full queue sheds the enqueue (counted) rather
-//!   than stalling.
+//!   per URL, all inside the parallel section. The caller is answered
+//!   immediately with the tier-1 score as a provisional verdict, so the
+//!   evented engine's poll workers never block on a model; a full queue
+//!   sheds the enqueue (counted) rather than stalling.
 //! * **tier 3 — durability.** Freshly classified phishing verdicts are
 //!   journaled through the inner checker's `add` path (append + fsync
 //!   to the WAL a store-backed [`EventedStoreChecker`] holds), so they
@@ -698,8 +698,10 @@ impl Drop for TieredResolver {
 }
 
 impl Shared {
-    /// Resolve one miss (tier 0 already answered safe-unknown).
-    fn resolve_miss(&self, url: &str) -> Verdict {
+    /// Resolve one miss (tier 0 already answered safe-unknown). A URL
+    /// left for tier 2 is answered provisionally and pushed onto
+    /// `residue` for the caller to [`Shared::admit`].
+    fn resolve_miss<'a>(&self, url: &'a str, residue: &mut Vec<&'a str>) -> Verdict {
         let now = self.clock.now();
 
         // Negative cache: a fresh safe verdict answers without work; an
@@ -738,7 +740,7 @@ impl Shared {
         // input can never be classified — cache the rejection.
         if swar::has_space_or_control(url) || Url::parse(url).is_err() {
             self.metrics.rejected.inc();
-            self.insert_negative(url, 0.0, NegativeSrc::Rejected, now);
+            self.insert_negatives(&[(url, 0.0, NegativeSrc::Rejected)], now);
             return Verdict::Safe(0.0);
         }
         let parsed = Url::parse(url).expect("checked above");
@@ -747,7 +749,8 @@ impl Shared {
             // Cold: models still training. Queue the miss so it resolves
             // once warm; answer the only thing known so far.
             self.metrics.cold.inc();
-            return self.admit_residue(url, Verdict::Safe(0.0));
+            residue.push(url);
+            return Verdict::Safe(0.0);
         };
 
         // Tier 1: URL-lexical pre-filter.
@@ -758,50 +761,66 @@ impl Shared {
             .record(t0.elapsed().as_secs_f64() * 1e6);
         if p < models.cutoff {
             self.metrics.hit_prefilter.inc();
-            self.insert_negative(url, p, NegativeSrc::Prefilter, now);
+            self.insert_negatives(&[(url, p, NegativeSrc::Prefilter)], now);
             return Verdict::Safe(p);
         }
 
         // Tier 2 admission: provisional verdict from the tier-1 score,
         // classification deferred to the worker.
-        let provisional = if p >= self.cfg.threshold {
+        residue.push(url);
+        if p >= self.cfg.threshold {
             Verdict::Phishing(p)
         } else {
             Verdict::Safe(p)
-        };
-        self.admit_residue(url, provisional)
+        }
     }
 
-    /// Put `url` on the classify queue unless it is already pending or
-    /// the queue is full (shed). Always answers `provisional` now.
-    fn admit_residue(&self, url: &str, provisional: Verdict) -> Verdict {
-        self.metrics.hit_provisional.inc();
+    /// Put each residue URL on the classify queue unless it is already
+    /// pending or the queue is full (shed): one lock pass and at most one
+    /// wake-up for a whole frame. A URL repeated within `residue` is a
+    /// pending hit after its first admission, as it would be one by one.
+    fn admit(&self, residue: &[&str]) {
+        if residue.is_empty() {
+            return;
+        }
+        self.metrics.hit_provisional.add(residue.len() as u64);
+        let mut enqueued = 0;
         let mut st = self.state.lock().unwrap();
-        if st.pending.contains(url) {
-            self.metrics.pending_hits.inc();
-            return provisional;
+        for &url in residue {
+            if st.pending.contains(url) {
+                self.metrics.pending_hits.inc();
+            } else if st.queue.len() >= self.cfg.queue_cap {
+                self.metrics.shed.inc();
+            } else {
+                st.pending.insert(url.to_string());
+                st.queue.push_back(url.to_string());
+                enqueued += 1;
+            }
         }
-        if st.queue.len() >= self.cfg.queue_cap {
-            self.metrics.shed.inc();
-            return provisional;
-        }
-        st.pending.insert(url.to_string());
-        st.queue.push_back(url.to_string());
-        self.metrics.enqueued.inc();
         drop(st);
-        self.work_cv.notify_one();
-        provisional
+        if enqueued > 0 {
+            self.metrics.enqueued.add(enqueued);
+            self.work_cv.notify_one();
+        }
     }
 
-    fn insert_negative(&self, url: &str, score: f64, src: NegativeSrc, now: SimTime) {
-        write(&self.negative).insert(
-            url.to_string(),
-            NegativeEntry {
-                score,
-                expires: now + self.cfg.negative_ttl,
-                src,
-            },
-        );
+    /// Negative-cache `entries` under one write lock.
+    fn insert_negatives(&self, entries: &[(&str, f64, NegativeSrc)], now: SimTime) {
+        if entries.is_empty() {
+            return;
+        }
+        let expires = now + self.cfg.negative_ttl;
+        let mut negative = write(&self.negative);
+        for &(url, score, src) in entries {
+            negative.insert(
+                url.to_string(),
+                NegativeEntry {
+                    score,
+                    expires,
+                    src,
+                },
+            );
+        }
     }
 
     fn worker_loop(&self) {
@@ -840,45 +859,44 @@ impl Shared {
         }
     }
 
-    /// Tier 2 + tier 3 for one microbatch: fetch, sniff, score on the
-    /// `par` pool, then journal phishing / negative-cache safe.
+    /// Tier 2 + tier 3 for one microbatch: fetch, sniff and score on the
+    /// `par` pool, so a batch waits for its slowest fetch rather than the
+    /// sum of them, then journal phishing / negative-cache the rest.
     fn classify_batch(&self, batch: &[String], models: &ResolverModels) {
         let t0 = Instant::now();
         let now = self.clock.now();
-        let mut jobs: Vec<(usize, Url, String)> = Vec::with_capacity(batch.len());
-        for (i, url) in batch.iter().enumerate() {
-            let Some(html) = self.fetcher.fetch(url) else {
-                self.metrics.fetch_failed.inc();
-                self.insert_negative(url, 0.0, NegativeSrc::Unfetchable, now);
-                continue;
-            };
-            if !looks_like_html(&html) {
-                self.metrics.fetch_failed.inc();
-                self.insert_negative(url, 0.0, NegativeSrc::Unfetchable, now);
-                continue;
-            }
-            match Url::parse(url) {
-                Ok(parsed) => jobs.push((i, parsed, html)),
-                Err(_) => {
-                    // Admission filters unparsable URLs; a direct `add`
-                    // race could still surface one here.
-                    self.metrics.rejected.inc();
-                    self.insert_negative(url, 0.0, NegativeSrc::Rejected, now);
-                }
-            }
-        }
+        let fetcher = &*self.fetcher;
         // Each item is pure and independent, so the scores are
         // bit-identical to serial `score_snapshot` calls at any
         // FREEPHISH_THREADS — the cross-engine equivalence tests pin this.
-        let scores = freephish_par::par_map(&jobs, |(_, url, html)| {
-            models.stack.score_snapshot(url, html)
+        let outcomes = freephish_par::par_map(batch, |url| -> Result<f64, NegativeSrc> {
+            let html = fetcher
+                .fetch(url)
+                .filter(|html| looks_like_html(html))
+                .ok_or(NegativeSrc::Unfetchable)?;
+            // Admission filters unparsable URLs; a direct `add` race could
+            // still surface one here.
+            let parsed = Url::parse(url).map_err(|_| NegativeSrc::Rejected)?;
+            Ok(models.stack.score_snapshot(&parsed, &html))
         });
-        for ((i, _, _), score) in jobs.iter().zip(&scores) {
-            let url = &batch[*i];
+        let mut negatives = Vec::new();
+        for (url, outcome) in batch.iter().zip(outcomes) {
+            let score = match outcome {
+                Ok(score) => score,
+                Err(src) => {
+                    if src == NegativeSrc::Rejected {
+                        self.metrics.rejected.inc();
+                    } else {
+                        self.metrics.fetch_failed.inc();
+                    }
+                    negatives.push((url.as_str(), 0.0, src));
+                    continue;
+                }
+            };
             self.metrics.classified.inc();
-            if *score >= self.cfg.threshold {
+            if score >= self.cfg.threshold {
                 self.metrics.classified_phishing.inc();
-                match self.inner.add(url, *score) {
+                match self.inner.add(url, score) {
                     Ok(_) => self.metrics.journaled.inc(),
                     Err(e) => {
                         self.metrics.journal_errors.inc();
@@ -890,9 +908,10 @@ impl Shared {
                 }
             } else {
                 self.metrics.classified_safe.inc();
-                self.insert_negative(url, *score, NegativeSrc::Model, now);
+                negatives.push((url.as_str(), score, NegativeSrc::Model));
             }
         }
+        self.insert_negatives(&negatives, now);
         self.metrics
             .classify_batch_us
             .record(t0.elapsed().as_secs_f64() * 1e6);
@@ -908,22 +927,28 @@ impl UrlChecker for TieredResolver {
             s.metrics.hit_index.inc();
             return v;
         }
-        s.resolve_miss(url)
+        let mut residue = Vec::new();
+        let v = s.resolve_miss(url, &mut residue);
+        s.admit(&residue);
+        v
     }
 
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // Tier 0 resolves the whole batch against one index snapshot;
-        // only the misses walk the lower tiers.
+        // only the misses walk the lower tiers, and tier 2 admits the
+        // frame's residue in one pass.
         let s = &self.shared;
         s.metrics.requests.add(urls.len() as u64);
         let mut out = s.inner.check_many(urls);
+        let mut residue = Vec::new();
         for (url, v) in urls.iter().zip(out.iter_mut()) {
             if v.is_phishing() {
                 s.metrics.hit_index.inc();
             } else {
-                *v = s.resolve_miss(url);
+                *v = s.resolve_miss(url, &mut residue);
             }
         }
+        s.admit(&residue);
         out
     }
 
@@ -1215,49 +1240,127 @@ mod tests {
         r.shutdown();
     }
 
+    /// Misses checked one `check` at a time, or as one `check_many` frame
+    /// (whose residue is admitted in a single pass).
+    fn check_each_or_as_frame(r: &TieredResolver, urls: &[String], frame: bool) {
+        if frame {
+            r.check_many(urls);
+        } else {
+            for url in urls {
+                r.check(url);
+            }
+        }
+    }
+
     #[test]
     fn full_queue_sheds_instead_of_blocking() {
-        let cfg = TieredResolverConfig {
-            queue_cap: 2,
-            ..TieredResolverConfig::default()
-        };
-        // No fetcher entries: classification will negative-cache as
-        // unfetchable, but that is irrelevant here — we only watch the
-        // admission. Use a cold resolver (no models): the worker cannot
-        // consume, so the queue genuinely fills.
-        let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
-        let r = TieredResolver::build(
-            inner,
-            Arc::new(MapFetcher::new()),
-            Arc::new(ManualClock::new()),
-            cfg,
-        );
-        for i in 0..5 {
-            r.check(&format!("https://miss{i}.weebly.com/"));
+        let urls: Vec<String> = (0..5)
+            .map(|i| format!("https://miss{i}.weebly.com/"))
+            .collect();
+        for frame in [false, true] {
+            let cfg = TieredResolverConfig {
+                queue_cap: 2,
+                ..TieredResolverConfig::default()
+            };
+            // No fetcher entries: classification will negative-cache as
+            // unfetchable, but that is irrelevant here — we only watch the
+            // admission. Use a cold resolver (no models): the worker cannot
+            // consume, so the queue genuinely fills.
+            let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
+            let r = TieredResolver::build(
+                inner,
+                Arc::new(MapFetcher::new()),
+                Arc::new(ManualClock::new()),
+                cfg,
+            );
+            check_each_or_as_frame(&r, &urls, frame);
+            let snap = r.metrics_snapshot();
+            assert_eq!(
+                snap.counter("resolver_classify_enqueued_total", &[]),
+                2,
+                "frame={frame}"
+            );
+            assert_eq!(
+                snap.counter("resolver_classify_shed_total", &[]),
+                3,
+                "frame={frame}"
+            );
+            r.shutdown();
         }
-        let snap = r.metrics_snapshot();
-        assert_eq!(snap.counter("resolver_classify_enqueued_total", &[]), 2);
-        assert_eq!(snap.counter("resolver_classify_shed_total", &[]), 3);
-        r.shutdown();
     }
 
     #[test]
     fn duplicate_misses_deduplicate_while_pending() {
-        let cfg = TieredResolverConfig::default();
-        let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
-        // Cold resolver: the queue holds whatever is admitted.
-        let r = TieredResolver::build(
-            inner,
-            Arc::new(MapFetcher::new()),
-            Arc::new(ManualClock::new()),
-            cfg,
-        );
-        for _ in 0..4 {
-            r.check("https://same.weebly.com/");
+        let urls = vec!["https://same.weebly.com/".to_string(); 4];
+        for frame in [false, true] {
+            let cfg = TieredResolverConfig::default();
+            let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
+            // Cold resolver: the queue holds whatever is admitted.
+            let r = TieredResolver::build(
+                inner,
+                Arc::new(MapFetcher::new()),
+                Arc::new(ManualClock::new()),
+                cfg,
+            );
+            check_each_or_as_frame(&r, &urls, frame);
+            let snap = r.metrics_snapshot();
+            assert_eq!(
+                snap.counter("resolver_classify_enqueued_total", &[]),
+                1,
+                "frame={frame}"
+            );
+            assert_eq!(
+                snap.counter("resolver_classify_pending_hits_total", &[]),
+                3,
+                "frame={frame}"
+            );
+            r.shutdown();
         }
+    }
+
+    /// Serves one body for every URL after a fixed delay, as a fetcher
+    /// behind network latency would.
+    struct SlowFetcher {
+        delay: Duration,
+        html: String,
+    }
+
+    impl SnapshotFetcher for SlowFetcher {
+        fn fetch(&self, _url: &str) -> Option<String> {
+            std::thread::sleep(self.delay);
+            Some(self.html.clone())
+        }
+    }
+
+    #[test]
+    fn a_batch_waits_for_its_slowest_fetch_not_their_sum() {
+        let sites = corpus();
+        let delay = Duration::from_millis(40);
+        let r = resolver_with(
+            Some(0.0),
+            Arc::new(SlowFetcher {
+                delay,
+                html: sites[0].site.html.clone(),
+            }),
+            Arc::new(ManualClock::new()),
+            TieredResolverConfig::default(),
+        );
+        let batch: Vec<String> = (0..8)
+            .map(|i| format!("https://slow{i}.weebly.com/"))
+            .collect();
+        let models = read(&r.shared.models).clone().expect("built with models");
+        // Called directly: the thread override is thread-local and would
+        // not reach the resolver's worker thread.
+        let started = Instant::now();
+        freephish_par::with_thread_override(4, || r.shared.classify_batch(&batch, &models));
+        let wall = started.elapsed();
+        let sum = delay * batch.len() as u32;
+        assert!(
+            wall < sum / 2,
+            "batch took {wall:?}; serial fetches sum to {sum:?}"
+        );
         let snap = r.metrics_snapshot();
-        assert_eq!(snap.counter("resolver_classify_enqueued_total", &[]), 1);
-        assert_eq!(snap.counter("resolver_classify_pending_hits_total", &[]), 3);
+        assert_eq!(snap.counter("resolver_classified_total", &[]), 8);
         r.shutdown();
     }
 

@@ -33,10 +33,15 @@ pub struct Mmap {
     len: usize,
 }
 
-// The mapping is immutable for its whole lifetime (PROT_READ, and the
-// file format contract is write-once + atomic rename), so sharing the
-// slice across threads is sound.
+// SAFETY: `ptr` is the start of a PROT_READ mapping this value owns alone:
+// no other value holds it, nothing writes through it (the file format
+// contract is write-once + atomic rename), and only `Drop` unmaps it, once.
+// `len` is a plain integer fixed at construction. Moving the owner to
+// another thread moves nothing thread-bound, so `Send` holds.
 unsafe impl Send for Mmap {}
+// SAFETY: shared access is `as_slice`/`len`, which only read: the bytes
+// behind `ptr` never change while mapped and `len` never changes, so
+// concurrent readers cannot race.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {

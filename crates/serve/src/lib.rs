@@ -18,9 +18,10 @@
 //!   protocol and a length-prefixed binary protocol whose `CHECKN` frame
 //!   carries up to 256 URLs ([`proto::MAX_BATCH`]) per round trip.
 //! * [`index`] — [`ShardedIndex`]: the RCU-style generation-swapped read
-//!   path. Readers snapshot `Arc`s once per batch; [`IndexPublisher`]
-//!   tails a `freephish-store` journal and publishes new generations
-//!   without ever blocking a reader.
+//!   path. Readers snapshot one `Arc` per batch; a publish copies only the
+//!   touched shards' small heads and swaps that `Arc`, so readers wait for
+//!   no more than the swap; [`IndexPublisher`] tails a `freephish-store`
+//!   journal and publishes new generations.
 //! * [`overlay`] — [`OverlayIndex`]: the two-level read path for
 //!   million-entry nodes. An immutable mmap baseline (`freephish-mapidx`)
 //!   under the live delta; journaled entries shadow baked ones

@@ -52,6 +52,10 @@ extern "C" {
 /// Returns the number of ready fds; `EINTR` is reported as 0 so callers
 /// simply re-loop.
 pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `PollFd`,
+    // which is `#[repr(C)]` with the layout of `struct pollfd`, and `nfds`
+    // is its length, so the kernel reads the entries and writes their
+    // `revents` only within memory the slice owns, and only during the call.
     let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
     if rc < 0 {
         let err = io::Error::last_os_error();

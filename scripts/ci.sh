@@ -34,10 +34,6 @@ echo "== ops plane smoke (ops_smoke) =="
 cargo build --release -p freephish-bench --bin ops_smoke
 ./target/release/ops_smoke
 
-# Downscaled soak smoke: the full million-site pipeline (streaming world
-# build -> bake -> mmap load -> mixed CHECK/CHECKN/ADD soak with RSS and
-# p99.9 gates) at a size that finishes in seconds. The binary asserts the
-# SLOs internally; a failed gate is a nonzero exit here.
 echo "== loadgen without a mode is a usage error =="
 cargo build --release -p freephish-bench --bin loadgen
 status=0
@@ -58,6 +54,12 @@ if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|park
   exit 1
 fi
 
+# Downscaled soak smoke: the full million-site pipeline (streaming world
+# build -> bake -> mmap load -> mixed CHECK/CHECKN/ADD soak with RSS and
+# p99.9 gates) at a size that finishes in seconds. Its ADDs publish into
+# the live `serve::index` delta while CHECK/CHECKN read it, so this is
+# also the head/fold publish path under mixed load with the RSS gate. The
+# binary asserts the SLOs internally; a failed gate is a nonzero exit here.
 echo "== soak smoke (host-default threads) =="
 SOAK_SMOKE_OUT="$(mktemp)"
 FREEPHISH_SOAK_SITES=20000 FREEPHISH_SOAK_INDEX=40000 \
