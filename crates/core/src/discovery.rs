@@ -21,6 +21,7 @@
 
 use crate::campaign::{CampaignRecord, RecordClass};
 use crate::world::World;
+use freephish_fwbsim::SubjectSet;
 use freephish_simclock::SimTime;
 use std::collections::HashSet;
 
@@ -39,6 +40,13 @@ pub trait DiscoveryChannel {
     ) -> HashSet<String>;
 }
 
+/// The host of an `https://` record URL (empty for any other scheme).
+fn url_host(url: &str) -> &str {
+    url.strip_prefix("https://")
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or("")
+}
+
 /// Watch the CT log for new certificates and derive candidate URLs.
 pub struct CtLogWatcher;
 
@@ -54,29 +62,16 @@ impl DiscoveryChannel for CtLogWatcher {
         horizon: SimTime,
     ) -> HashSet<String> {
         // Domains certified within the horizon.
-        let certified: HashSet<String> = world
+        let certified: SubjectSet = world
             .ctlog
             .entries_between(SimTime::ZERO, horizon)
             .into_iter()
-            .map(|e| e.domain.clone())
+            .map(|e| e.domain.as_str())
             .collect();
         // A record is discovered when its host matches a certified domain.
         records
             .iter()
-            .filter(|r| {
-                let host = r
-                    .url
-                    .strip_prefix("https://")
-                    .and_then(|rest| rest.split('/').next())
-                    .unwrap_or("");
-                certified.iter().any(|d| {
-                    if let Some(suffix) = d.strip_prefix("*.") {
-                        host == suffix || host.ends_with(&format!(".{suffix}"))
-                    } else {
-                        host == d
-                    }
-                })
-            })
+            .filter(|r| certified.covers(url_host(&r.url)))
             .map(|r| r.url.clone())
             .collect()
     }
@@ -220,6 +215,72 @@ mod tests {
         assert_eq!(ct.fwb_recall, 0.0);
         // ...while every self-hosted site had to get a certificate.
         assert!(ct.self_hosted_recall > 0.95, "{}", ct.self_hosted_recall);
+    }
+
+    /// Reference for `SubjectSet::covers`: compare the host with every
+    /// subject in turn.
+    fn scan_covers<'a>(subjects: impl IntoIterator<Item = &'a str>, host: &str) -> bool {
+        subjects.into_iter().any(|d| {
+            if let Some(suffix) = d.strip_prefix("*.") {
+                host == suffix || host.ends_with(&format!(".{suffix}"))
+            } else {
+                host == d
+            }
+        })
+    }
+
+    #[test]
+    fn ct_coverage_matches_the_linear_scan() {
+        use freephish_fwbsim::SslCertificate;
+        use freephish_webgen::FwbKind;
+
+        let (mut world, records) = measured();
+        // The seeded log holds only self-hosted DV certificates; log some
+        // FWB wildcard certificates mid-window too.
+        for fwb in [FwbKind::Weebly, FwbKind::Wix, FwbKind::GoogleSites] {
+            let cert = SslCertificate::shared_for_fwb(fwb);
+            world.ctlog.log_issuance(&cert, SimTime::from_days(12));
+        }
+
+        let mut hosts: Vec<String> = records
+            .iter()
+            .map(|r| url_host(&r.url).to_string())
+            .collect();
+        for e in world.ctlog.entries() {
+            let bare = e.domain.trim_start_matches("*.");
+            hosts.push(bare.to_string()); // exact, or the wildcard's apex
+            hosts.push(format!("www.{bare}"));
+            hosts.push(format!("x{bare}"));
+            hosts.push(format!("{bare}.evil.net"));
+        }
+        hosts.extend(["", "com", "evil.net"].map(String::from));
+
+        let subjects = || world.ctlog.entries().iter().map(|e| e.domain.as_str());
+        let (mut covered, mut uncovered) = (0, 0);
+        for host in &hosts {
+            let want = scan_covers(subjects(), host);
+            assert_eq!(world.ctlog.covers_host(host), want, "{host}");
+            if want {
+                covered += 1;
+            } else {
+                uncovered += 1;
+            }
+        }
+        assert!(covered > 100 && uncovered > 100, "{covered} / {uncovered}");
+        assert!(world.ctlog.covers_host("weebly.com"));
+        assert!(world.ctlog.covers_host("phish.weebly.com"));
+
+        // The watcher, before and after the wildcards were logged.
+        for horizon in [SimTime::from_days(10), SimTime::from_days(30)] {
+            let window = world.ctlog.entries_between(SimTime::ZERO, horizon);
+            let want: HashSet<String> = records
+                .iter()
+                .filter(|r| scan_covers(window.iter().map(|e| e.domain.as_str()), url_host(&r.url)))
+                .map(|r| r.url.clone())
+                .collect();
+            assert!(!want.is_empty());
+            assert_eq!(CtLogWatcher.discovered(&world, &records, horizon), want);
+        }
     }
 
     #[test]

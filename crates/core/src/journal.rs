@@ -390,15 +390,23 @@ pub fn obs_store_observer() -> Arc<dyn StoreObserver> {
 // ---------------------------------------------------------------------------
 
 /// Append-side handle to a run's event log. Keeps the full framed event
-/// history in memory so periodic snapshots are one buffer write; at the
-/// simulation's scale that history is megabytes, and compaction keeps the
-/// on-disk WAL bounded regardless.
+/// history in memory so a snapshot is one buffer write; at the
+/// simulation's scale that history is megabytes.
+///
+/// A snapshot holds the whole history, so compaction does not bound the
+/// directory: snapshot plus WAL suffix stays about the size of the
+/// history. A checkpoint snapshots only once the history has at least
+/// doubled since the last snapshot (the WAL suffix is then at least as
+/// large as the snapshot), so a run of `n` history bytes writes O(log n)
+/// snapshots totalling at most `2n` bytes.
 pub struct RunJournal {
     store: Store,
     history: Vec<u8>,
-    ticks_since_snapshot: usize,
-    /// Snapshot + compact the WAL every this many checkpoints.
-    pub snapshot_every_ticks: usize,
+    /// History length at the last snapshot (0 before the first).
+    snapshot_len: usize,
+    /// Payload length of every snapshot this handle wrote, in order.
+    #[cfg(test)]
+    pub(crate) snapshots_written: Vec<usize>,
 }
 
 /// What [`RunJournal::open`] recovered.
@@ -417,10 +425,18 @@ pub struct RecoveredRun {
 }
 
 impl RunJournal {
-    const DEFAULT_SNAPSHOT_EVERY: usize = 64;
-
     fn store_options() -> StoreOptions {
         StoreOptions::default()
+    }
+
+    fn new(store: Store, history: Vec<u8>, snapshot_len: usize) -> RunJournal {
+        RunJournal {
+            store,
+            history,
+            snapshot_len,
+            #[cfg(test)]
+            snapshots_written: Vec::new(),
+        }
     }
 
     /// Start a fresh journal in `dir` (must be empty) and durably record
@@ -434,12 +450,7 @@ impl RunJournal {
                 "refusing to create a run journal over an existing one (use open)",
             ));
         }
-        let mut journal = RunJournal {
-            store,
-            history: Vec::new(),
-            ticks_since_snapshot: 0,
-            snapshot_every_ticks: Self::DEFAULT_SNAPSHOT_EVERY,
-        };
+        let mut journal = RunJournal::new(store, Vec::new(), 0);
         journal.append_event(&RunEvent::Meta(meta.clone()))?;
         journal.store.sync()?;
         Ok(journal)
@@ -509,12 +520,10 @@ impl RunJournal {
             encode_frame_into(&mut history, &encode_event(ev));
         }
 
-        let journal = RunJournal {
-            store,
-            history,
-            ticks_since_snapshot: 0,
-            snapshot_every_ticks: Self::DEFAULT_SNAPSHOT_EVERY,
-        };
+        // The doubling rule resumes from the snapshot recovery found, so a
+        // reopened run keeps the same bound.
+        let snapshot_len = recovered.snapshot.as_ref().map_or(0, Vec::len);
+        let journal = RunJournal::new(store, history, snapshot_len);
         let recovered_run = RecoveredRun {
             meta,
             events: events.into_iter().skip(1).map(|(_, ev)| ev).collect(),
@@ -543,15 +552,16 @@ impl RunJournal {
     }
 
     /// Journal the end of a tick and make it durable (this is the fsync
-    /// point — one per tick). Every `snapshot_every_ticks` checkpoints the
-    /// full history is snapshotted and the WAL compacted.
+    /// point — one per tick). Once the history has at least doubled since
+    /// the last snapshot, it is snapshotted and the WAL compacted.
     pub fn checkpoint(&mut self, ev: CheckpointEvent) -> io::Result<()> {
         self.append_event(&RunEvent::Checkpoint(ev))?;
         self.store.sync()?;
-        self.ticks_since_snapshot += 1;
-        if self.ticks_since_snapshot >= self.snapshot_every_ticks {
-            self.store.snapshot(&self.history.clone())?;
-            self.ticks_since_snapshot = 0;
+        if self.history.len() >= 2 * self.snapshot_len {
+            self.store.snapshot(&self.history)?;
+            self.snapshot_len = self.history.len();
+            #[cfg(test)]
+            self.snapshots_written.push(self.snapshot_len);
         }
         Ok(())
     }
@@ -888,7 +898,6 @@ mod tests {
         let ticks = 10u64;
         {
             let mut j = RunJournal::create(dir.path(), &meta).unwrap();
-            j.snapshot_every_ticks = 3;
             for t in 1..=ticks {
                 j.append_verdict(VerdictEvent {
                     url: format!("https://s{t}.weebly.com/"),
@@ -907,6 +916,7 @@ mod tests {
                 })
                 .unwrap();
             }
+            assert!(!j.snapshots_written.is_empty(), "no compaction happened");
         }
         let (_, rec) = RunJournal::open(dir.path()).unwrap();
         assert_eq!(rec.dropped_events, 0);
@@ -917,5 +927,63 @@ mod tests {
             .filter(|e| matches!(e, RunEvent::Verdict(_)))
             .count();
         assert_eq!(verdicts as u64, ticks);
+    }
+
+    #[test]
+    fn compaction_writes_logarithmically_many_snapshots() {
+        let dir = TempDir::new("journal-doubling");
+        let meta = RunMeta {
+            seed: 3,
+            days: 30,
+            scale: 0.01,
+            benign_fraction: 0.0,
+            threshold: 0.5,
+            end_secs: 30 * 86_400,
+        };
+        let tick = |j: &mut RunJournal, t: u64| {
+            j.append_verdict(VerdictEvent {
+                url: format!("https://d{t}.weebly.com/"),
+                fwb: FwbKind::Weebly,
+                platform: Platform::Facebook,
+                post: t,
+                observed_at_secs: t * 600,
+                score: 0.6,
+            })
+            .unwrap();
+            j.checkpoint(CheckpointEvent {
+                tick_secs: t * 600,
+                scanned: t,
+                observed: t,
+                detections_total: t,
+            })
+            .unwrap();
+        };
+        // 2,400 checkpoints, with a reopen part-way: the resumed handle
+        // must pick up the doubling rule from the snapshot on disk.
+        let mut sizes = {
+            let mut j = RunJournal::create(dir.path(), &meta).unwrap();
+            for t in 1..=1_500 {
+                tick(&mut j, t);
+            }
+            j.snapshots_written.clone()
+        };
+        let (mut j, _) = RunJournal::open(dir.path()).unwrap();
+        for t in 1_501..=2_400 {
+            tick(&mut j, t);
+        }
+        sizes.extend_from_slice(&j.snapshots_written);
+
+        let history = j.history.len();
+        assert!(!sizes.is_empty(), "no compaction happened");
+        let ceil_log2 = history.next_power_of_two().trailing_zeros() as usize;
+        assert!(
+            sizes.len() <= ceil_log2 + 1,
+            "{} snapshots for a {history}-byte history",
+            sizes.len()
+        );
+        assert!(sizes.iter().sum::<usize>() <= 2 * history, "{sizes:?}");
+        for pair in sizes.windows(2) {
+            assert!(pair[1] >= 2 * pair[0], "{sizes:?}");
+        }
     }
 }

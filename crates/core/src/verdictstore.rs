@@ -391,7 +391,6 @@ mod tests {
     fn survives_journal_compaction_via_snapshot_redelivery() {
         let dir = TempDir::new("storechecker-compact");
         let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();
-        journal.snapshot_every_ticks = 2;
         let checker = EventedStoreChecker::open(dir.path()).unwrap();
         let mut publisher = checker.publisher();
         for t in 1..=6u64 {
@@ -399,6 +398,10 @@ mod tests {
             // Poll on every tick so the follower crosses compactions.
             publisher.poll().unwrap();
         }
+        assert!(
+            !journal.snapshots_written.is_empty(),
+            "no compaction happened"
+        );
         for t in 1..=6u64 {
             assert!(
                 checker

@@ -8,6 +8,48 @@
 
 use crate::ssl::SslCertificate;
 use freephish_simclock::SimTime;
+use std::collections::HashSet;
+
+/// A set of certificate subjects, answering whether any of them covers a
+/// host. An exact subject covers only that host; a `*.suffix` subject
+/// covers `suffix` itself and every host ending in `.suffix`. A lookup
+/// walks the host's dot-separated suffixes, so it costs one hash probe per
+/// label, not one comparison per subject.
+#[derive(Debug, Clone, Default)]
+pub struct SubjectSet {
+    exact: HashSet<String>,
+    /// Wildcard subjects with the leading `*.` stripped.
+    wildcard: HashSet<String>,
+}
+
+impl SubjectSet {
+    /// Add one subject (`host` or `*.suffix`).
+    pub fn insert(&mut self, subject: &str) {
+        match subject.strip_prefix("*.") {
+            Some(suffix) => self.wildcard.insert(suffix.to_string()),
+            None => self.exact.insert(subject.to_string()),
+        };
+    }
+
+    /// Whether any subject covers `host`.
+    pub fn covers(&self, host: &str) -> bool {
+        if self.exact.contains(host) || self.wildcard.contains(host) {
+            return true;
+        }
+        host.match_indices('.')
+            .any(|(dot, _)| self.wildcard.contains(&host[dot + 1..]))
+    }
+}
+
+impl<'a> FromIterator<&'a str> for SubjectSet {
+    fn from_iter<I: IntoIterator<Item = &'a str>>(subjects: I) -> SubjectSet {
+        let mut set = SubjectSet::default();
+        for subject in subjects {
+            set.insert(subject);
+        }
+        set
+    }
+}
 
 /// One CT log entry: a certificate logged for a domain at a time.
 #[derive(Debug, Clone)]
@@ -24,6 +66,8 @@ pub struct CtEntry {
 #[derive(Debug, Clone, Default)]
 pub struct CtLog {
     entries: Vec<CtEntry>,
+    /// Every logged subject, for [`CtLog::covers_host`].
+    subjects: SubjectSet,
 }
 
 impl CtLog {
@@ -35,6 +79,7 @@ impl CtLog {
     /// Log a newly issued certificate. Called when a self-hosted site gets
     /// its DV certificate; never called for FWB site creation.
     pub fn log_issuance(&mut self, cert: &SslCertificate, at: SimTime) {
+        self.subjects.insert(&cert.common_name);
         self.entries.push(CtEntry {
             domain: cert.common_name.clone(),
             fingerprint: cert.fingerprint,
@@ -58,13 +103,7 @@ impl CtLog {
 
     /// Whether any entry's subject covers `host` (exact or wildcard match).
     pub fn covers_host(&self, host: &str) -> bool {
-        self.entries.iter().any(|e| {
-            if let Some(suffix) = e.domain.strip_prefix("*.") {
-                host == suffix || host.ends_with(&format!(".{suffix}"))
-            } else {
-                host == e.domain
-            }
-        })
+        self.subjects.covers(host)
     }
 
     /// Number of entries.
@@ -112,6 +151,19 @@ mod tests {
         log.log_issuance(&cert, SimTime::from_secs(1));
         assert!(log.covers_host("anything.weebly.com"));
         assert_eq!(log.len(), 1);
+    }
+
+    #[test]
+    fn wildcard_covers_its_apex_but_not_lookalikes() {
+        let set: SubjectSet = ["*.weebly.com", "paypal-verify.xyz"].into_iter().collect();
+        assert!(set.covers("weebly.com"));
+        assert!(set.covers("a.b.weebly.com"));
+        assert!(set.covers("paypal-verify.xyz"));
+        assert!(!set.covers("xweebly.com"));
+        assert!(!set.covers("weebly.com.evil.net"));
+        assert!(!set.covers("sub.paypal-verify.xyz"));
+        assert!(!set.covers("com"));
+        assert!(!set.covers(""));
     }
 
     #[test]

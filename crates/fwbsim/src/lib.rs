@@ -33,7 +33,7 @@ pub mod selfhosted;
 pub mod ssl;
 pub mod whois;
 
-pub use ctlog::CtLog;
+pub use ctlog::{CtLog, SubjectSet};
 pub use hosting::{FwbHost, HostedSite, ReportOutcome, SiteId, SiteState, TakedownProfile};
 pub use scale::{ScaleSampler, ScaleSite, ScaleStats};
 pub use selfhosted::{SelfHostedPopulation, SelfHostedSite};

@@ -80,15 +80,14 @@ impl PlatformFeed {
     /// Status probe by post id: `Some(true)` = visible, `Some(false)` =
     /// deleted, `None` = unknown id.
     pub fn is_visible(&self, id: PostId, now: SimTime) -> Option<bool> {
-        self.posts
-            .iter()
-            .find(|p| p.id == id)
-            .map(|p| p.is_visible(now))
+        self.post(id).map(|p| p.is_visible(now))
     }
 
-    /// Borrow a post by id.
+    /// Borrow a post by id. Ids are dense from 1 and posts are only ever
+    /// pushed, so post `n` sits at index `n - 1`.
     pub fn post(&self, id: PostId) -> Option<&Post> {
-        self.posts.iter().find(|p| p.id == id)
+        let index = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        self.posts.get(index).filter(|p| p.id == id)
     }
 
     /// All posts (test/analysis access).
@@ -209,6 +208,42 @@ mod tests {
             assert!(id.0 > prev);
             prev = id.0;
         }
+    }
+
+    #[test]
+    fn lookup_by_id_matches_a_linear_scan() {
+        let mut feed = PlatformFeed::new(Platform::Facebook, 7);
+        let profile = ModerationProfile::fwb(Platform::Facebook, FwbKind::Weebly);
+        for i in 0..3_000u64 {
+            feed.publish(
+                &format!("https://p{i}.weebly.com/"),
+                None,
+                SimTime::from_mins(i / 3),
+                &profile,
+            );
+        }
+        let scan = |id: PostId| feed.posts().iter().find(|p| p.id == id);
+        let probes = (0..=feed.len() as u64 + 5).chain([u64::MAX - 1, u64::MAX]);
+        for id in probes.map(PostId) {
+            assert_eq!(
+                feed.post(id).map(|p| p as *const Post),
+                scan(id).map(|p| p as *const Post),
+                "{id:?}"
+            );
+            for now in [
+                SimTime::ZERO,
+                SimTime::from_mins(500),
+                SimTime::from_days(30),
+            ] {
+                assert_eq!(
+                    feed.is_visible(id, now),
+                    scan(id).map(|p| p.is_visible(now)),
+                    "{id:?} at {now:?}"
+                );
+            }
+        }
+        assert!(feed.post(PostId(0)).is_none());
+        assert!(feed.post(PostId(feed.len() as u64 + 1)).is_none());
     }
 
     #[test]

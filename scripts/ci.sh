@@ -43,11 +43,12 @@ if [ "$status" -ne 64 ]; then
   exit 1
 fi
 
-# One store-backed node, one index checker, std locks: the forks and the
-# dependency this repo retired must not come back (crates/benchmark keeps
-# its own stand-ins).
+# One store-backed node, one index checker, std locks, a size-derived
+# compaction trigger: the forks, the dependency and the tick-count knob
+# this repo retired must not come back (crates/benchmark keeps its own
+# stand-ins).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
