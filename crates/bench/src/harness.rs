@@ -1,47 +1,33 @@
-//! The end-to-end measurement run shared by the Section 5 experiments.
+//! The end-to-end measurement run the Section 3 and Section 5 sections
+//! share.
 //!
 //! Progress is reported as structured events through `freephish-obs`
 //! (target `harness`), so runs are silent under the default `FREEPHISH_LOG`
-//! filter and chatty when it is set to `info`. Each [`full_measurement`]
-//! also times its phases and merges the pipeline's own metrics into a
-//! snapshot that [`write_json`] embeds in every experiment record under a
-//! `"metrics"` key.
+//! filter and chatty when it is set to `info`. [`full_measurement`] also
+//! times its phases and merges the pipeline's own metrics into
+//! [`Measurement::metrics`].
 
 use freephish_core::analysis::{self, UrlObservation};
 use freephish_core::campaign::{self, CampaignConfig, CampaignRecord};
-use freephish_core::groundtruth::{build, GroundTruthConfig};
+use freephish_core::groundtruth::{build, GroundTruthConfig, LabeledSite};
 use freephish_core::models::augmented::AugmentedStackModel;
-use freephish_core::pipeline::reporting::Reporter;
-use freephish_core::pipeline::{Detection, Pipeline};
+use freephish_core::pipeline::Pipeline;
 use freephish_core::world::World;
 use freephish_ml::StackModelConfig;
-use freephish_obs::sync::lock;
 use freephish_obs::{Level, MetricsSnapshot, Registry, Stopwatch};
 use freephish_simclock::{Rng64, SimTime};
-use std::sync::Mutex;
 
-/// Everything a Section 5 experiment needs.
+/// Everything a measurement section needs.
 pub struct Measurement {
     /// The simulated world after the campaign + pipeline ran.
     pub world: World,
     /// All injected URLs.
     pub records: Vec<CampaignRecord>,
-    /// The pipeline's detections.
-    pub detections: Vec<Detection>,
-    /// Reporting-module tallies (Section 5.3).
-    pub reporter: Reporter,
     /// Analysis-module per-URL observations.
     pub observations: Vec<UrlObservation>,
-    /// The scale the run used.
-    pub scale: f64,
-    /// Pipeline + harness metrics collected during the run.
+    /// Pipeline + harness metrics collected during the run (wall-clock).
     pub metrics: MetricsSnapshot,
 }
-
-/// The snapshot of the most recent [`full_measurement`] in this process,
-/// picked up by [`write_json`] so every experiment record carries the
-/// metrics of the run that produced it.
-static LAST_METRICS: Mutex<Option<serde_json::Value>> = Mutex::new(None);
 
 /// Read the workload scale from `FREEPHISH_SCALE` (default 1.0).
 pub fn scale_from_env() -> f64 {
@@ -51,22 +37,13 @@ pub fn scale_from_env() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Ground-truth size scaled: the paper's 4,656+4,656 at scale 1.0, floored
-/// so tiny scales still train something meaningful.
-fn ground_truth_config(scale: f64) -> GroundTruthConfig {
-    let n = ((4656.0 * scale) as usize).max(400);
-    GroundTruthConfig {
+/// A ground-truth corpus of `n` phishing and `n` benign sites.
+pub fn corpus(n: usize, seed: u64) -> Vec<LabeledSite> {
+    build(&GroundTruthConfig {
         n_phish: n,
         n_benign: n,
-        seed: 0xD1,
-    }
-}
-
-/// Stacking configuration: the paper's three-learner stack; trimmed tree
-/// counts keep the full-scale run tractable without changing the
-/// architecture.
-pub fn stack_config() -> StackModelConfig {
-    StackModelConfig::default()
+        seed,
+    })
 }
 
 /// Run the whole measurement: train the classifier on the ground-truth
@@ -82,8 +59,10 @@ pub fn full_measurement(scale: f64, seed: u64) -> Measurement {
         format!("training classifier (scale {scale}) ..."),
     );
     let watch = Stopwatch::start();
-    let corpus = build(&ground_truth_config(scale.min(0.25)));
-    let model = AugmentedStackModel::train(&corpus, &stack_config(), &mut rng);
+    // A quarter of the paper's 4,656 + 4,656 sites at most, floored so tiny
+    // scales still train something meaningful.
+    let corpus = corpus(((4656.0 * scale.min(0.25)) as usize).max(400), 0xD1);
+    let model = AugmentedStackModel::train(&corpus, &StackModelConfig::default(), &mut rng);
     watch.record(&phase("train"));
 
     freephish_obs::info("harness", "generating campaign ...");
@@ -104,7 +83,7 @@ pub fn full_measurement(scale: f64, seed: u64) -> Measurement {
 
     let watch = Stopwatch::start();
     let pipeline = Pipeline::new(model);
-    let (detections, reporter) = pipeline.run_batch(&mut world, SimTime::from_days(config.days));
+    let (detections, _) = pipeline.run_batch(&mut world, SimTime::from_days(config.days));
     watch.record(&phase("pipeline"));
     freephish_obs::event_at(
         Level::Info,
@@ -119,42 +98,20 @@ pub fn full_measurement(scale: f64, seed: u64) -> Measurement {
 
     let mut metrics = registry.snapshot();
     metrics.merge(&pipeline.metrics());
-    *lock(&LAST_METRICS) = Some(freephish_obs::to_json(&metrics));
-
     Measurement {
         world,
         records,
-        detections,
-        reporter,
         observations,
-        scale,
         metrics,
     }
 }
 
-/// Write an experiment's JSON record under `target/experiments/`.
-///
-/// When the record is a JSON object without a `"metrics"` key and a
-/// [`full_measurement`] ran in this process, the snapshot of that run is
-/// embedded under `"metrics"` so every experiment documents the
-/// pipeline/harness behavior that produced it.
+/// Write `value` as pretty JSON to `target/experiments/<name>.json`.
 pub fn write_json(name: &str, value: &serde_json::Value) {
-    let mut value = value.clone();
-    if let Some(obj) = value.as_object_mut() {
-        if !obj.contains_key("metrics") {
-            if let Some(metrics) = lock(&LAST_METRICS).clone() {
-                obj.insert("metrics".to_string(), metrics);
-            }
-        }
-    }
-    let dir = std::path::Path::new("target/experiments");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap()) {
-        Ok(()) => freephish_obs::info("harness", format!("wrote {}", path.display())),
-        Err(e) => freephish_obs::error(
-            "harness",
-            format!("could not write {}: {e}", path.display()),
-        ),
-    }
+    let path = std::path::Path::new("target/experiments").join(format!("{name}.json"));
+    let text = serde_json::to_string_pretty(value).unwrap() + "\n";
+    std::fs::create_dir_all(path.parent().unwrap())
+        .and_then(|()| std::fs::write(&path, text))
+        .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+    freephish_obs::info("harness", format!("wrote {}", path.display()));
 }

@@ -1,17 +1,12 @@
-//! Shared harness for the experiment binaries: one binary per table and
-//! figure of the paper (see DESIGN.md §4 for the index).
-//!
-//! Every binary follows the same pattern: build the simulated world, drive
-//! the campaign through the real FreePhish pipeline, *measure* with the
-//! analysis module, and print the paper-shaped table plus a JSON record
-//! (written to `target/experiments/`) for EXPERIMENTS.md tooling.
-//!
-//! The workload scale is controlled by `FREEPHISH_SCALE` (1.0 = the paper's
-//! full 31,405 + 31,405 URLs; default 1.0). Set e.g. `FREEPHISH_SCALE=0.1`
-//! for a quick pass.
+//! The experiment harness behind the `repro` binary, which regenerates
+//! every table and figure of the paper from one measurement (DESIGN.md §4
+//! indexes them). Each of the [`sections`] prints its paper-shaped table and
+//! checks the paper's shapes against the measured rows; `repro` writes the
+//! deterministic record to `target/experiments/repro.json`, and `REPRO.json`
+//! at the repository root is that record at `FREEPHISH_SCALE=0.1`.
+//! `FREEPHISH_SCALE` (default 1.0, the paper's full 31,405 + 31,405 URLs)
+//! sets the workload.
 
 pub mod harness;
 pub mod render;
-
-pub use harness::{full_measurement, scale_from_env, Measurement};
-pub use render::{fmt_duration_opt, fmt_pct, TableWriter};
+pub mod sections;

@@ -20,6 +20,19 @@ cargo build --release
 echo "== performance docs cite the record (check_perf_docs.py) =="
 python3 scripts/check_perf_docs.py
 
+# The paper's record: one `repro` run at scale 0.1 must pass every shape
+# check (a failed one exits 1) and rewrite REPRO.json byte for byte, serially
+# and at the host-default worker count (an empty FREEPHISH_THREADS).
+echo "== paper record (repro vs REPRO.json) =="
+cargo build --release -p freephish-bench --bin repro
+for threads in 1 ""; do
+  FREEPHISH_SCALE=0.1 FREEPHISH_THREADS="$threads" ./target/release/repro >/dev/null
+  if ! cmp target/experiments/repro.json REPRO.json; then
+    echo "ci.sh: ERROR: repro (FREEPHISH_THREADS='$threads') no longer regenerates REPRO.json" >&2
+    exit 1
+  fi
+done
+
 # Every suite of every crate — unit, integration and property tests,
 # including the hot-path, tiered-resolver and overlay equivalence proofs —
 # once at the host-default worker count and once serially, so the
@@ -44,14 +57,21 @@ if [ "$status" -ne 64 ]; then
 fi
 
 # One store-backed node, one index checker, std locks, a size-derived
-# compaction trigger: the forks, the dependency and the tick-count knob
-# this repo retired must not come back (crates/benchmark keeps its own
-# stand-ins).
+# compaction trigger, one `repro` run: the forks, the dependency, the
+# tick-count knob and the per-table knobs this repo retired must not come
+# back (crates/benchmark keeps its own stand-ins).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
+  exit 1
+fi
+# Every table and figure is a section of `repro`; the docs may not send a
+# reader to the per-table binaries it replaced.
+if grep -nE -- '--bin +(fig[1-9]|table[1-4]|evasive|characterize|discovery|ablation)\b' \
+    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
+  echo "ci.sh: ERROR: a doc cites a retired per-table binary (use --bin repro)" >&2
   exit 1
 fi
 

@@ -135,11 +135,13 @@ fn run_killed_at_arbitrary_ticks_resumes_bit_identical() {
     let pipeline = pipeline();
     let (base_detections, base_fingerprint) = baseline(&pipeline);
 
-    // Kill points spread across the window (1008 ticks at 7 days),
-    // including one before the first snapshot (default: every 64 ticks)
-    // and one after several compactions.
+    // Kill points spread across the window (1008 ticks at 7 days). The
+    // first checkpoint snapshots at once (the history has doubled from
+    // nothing), so only tick 0 — created, killed, reopened with no
+    // checkpoint at all — precedes every snapshot; 700 follows several
+    // compactions.
     let mut rng = Rng64::new(77);
-    let mut kill_ticks = vec![1, 40, 700];
+    let mut kill_ticks = vec![0, 1, 40, 700];
     kill_ticks.push(64 + (rng.next_u64() % 400) as usize);
     for kill_at in kill_ticks {
         let dir = TempDir::new("killed");
