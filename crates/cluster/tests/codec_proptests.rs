@@ -8,65 +8,61 @@ use bytes::BytesMut;
 use freephish_cluster::wire::{
     decode_repl, encode_repl, verify_record_frame, ReplCursor, ReplFrame,
 };
+use freephish_simclock::prop::{check, Gen};
 use freephish_store::segment::{
     encode_frame_into, scan_buffer, FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
 };
-use proptest::prelude::*;
 
-fn cursor_strategy() -> impl Strategy<Value = ReplCursor> {
-    (
-        prop::option::of(any::<u32>()),
-        prop::option::of((any::<u32>(), SEGMENT_HEADER_LEN..u64::MAX)),
-    )
-        .prop_map(|(snapshot_seq, seg)| ReplCursor {
-            snapshot_seq,
-            segment: seg.map(|(s, _)| s),
-            offset: seg.map(|(_, o)| o).unwrap_or(0),
-        })
+fn cursor(g: &mut Gen) -> ReplCursor {
+    let snapshot_seq = g.option(Gen::u32);
+    let seg = g.option(|g| (g.u32(), g.u64_in(SEGMENT_HEADER_LEN..u64::MAX)));
+    ReplCursor {
+        snapshot_seq,
+        segment: seg.map(|(s, _)| s),
+        offset: seg.map(|(_, o)| o).unwrap_or(0),
+    }
 }
 
-fn wal_frame_strategy() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 0..200).prop_map(|payload| {
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
-        encode_frame_into(&mut frame, &payload);
-        frame
-    })
+fn wal_frame(g: &mut Gen) -> Vec<u8> {
+    let payload = g.vec(0..200, Gen::u8);
+    let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
+    encode_frame_into(&mut frame, &payload);
+    frame
 }
 
-fn frame_strategy() -> impl Strategy<Value = ReplFrame> {
-    prop_oneof![
-        cursor_strategy().prop_map(ReplFrame::Hello),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            prop::collection::vec(any::<u8>(), 0..500)
-        )
-            .prop_map(|(seq, first_segment, body)| ReplFrame::Snapshot {
-                seq,
-                first_segment,
-                body,
-            }),
-        any::<u32>().prop_map(|first_segment| ReplFrame::Reset { first_segment }),
-        any::<u32>().prop_map(|index| ReplFrame::Segment { index }),
-        (any::<u32>(), wal_frame_strategy(), any::<u32>()).prop_map(|(segment, frame, slack)| {
+fn frame(g: &mut Gen) -> ReplFrame {
+    match g.usize_in(0..7) {
+        0 => ReplFrame::Hello(cursor(g)),
+        1 => ReplFrame::Snapshot {
+            seq: g.u32(),
+            first_segment: g.u32(),
+            body: g.vec(0..500, Gen::u8),
+        },
+        2 => ReplFrame::Reset {
+            first_segment: g.u32(),
+        },
+        3 => ReplFrame::Segment { index: g.u32() },
+        4 => {
+            let (segment, frame, slack) = (g.u32(), wal_frame(g), g.u32());
             let end_offset = SEGMENT_HEADER_LEN + frame.len() as u64 + u64::from(slack);
             ReplFrame::Record {
                 segment,
                 end_offset,
                 frame,
             }
-        }),
-        (any::<u32>(), any::<u64>())
-            .prop_map(|(segment, offset)| ReplFrame::Tip { segment, offset }),
-        "[ -~]{0,100}".prop_map(ReplFrame::Error),
-    ]
+        }
+        5 => ReplFrame::Tip {
+            segment: g.u32(),
+            offset: g.u64(),
+        },
+        _ => ReplFrame::Error(g.string(" -~", 0..101)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn any_valid_frame_stream_round_trips(frames in prop::collection::vec(frame_strategy(), 1..10)) {
+#[test]
+fn any_valid_frame_stream_round_trips() {
+    check(256, |g| {
+        let frames = g.vec(1..10, frame);
         let mut buf = BytesMut::new();
         for frame in &frames {
             encode_repl(&mut buf, frame).expect("valid frames encode");
@@ -75,15 +71,15 @@ proptest! {
         while let Some(frame) = decode_repl(&mut buf).expect("valid stream decodes") {
             decoded.push(frame);
         }
-        prop_assert!(buf.is_empty(), "decode must consume the whole stream");
-        prop_assert_eq!(decoded, frames);
-    }
+        assert!(buf.is_empty(), "decode must consume the whole stream");
+        assert_eq!(decoded, frames);
+    });
+}
 
-    #[test]
-    fn torn_streams_wait_at_every_cut_without_consuming(
-        frames in prop::collection::vec(frame_strategy(), 1..6),
-        cut_fraction in 0.0f64..1.0,
-    ) {
+#[test]
+fn torn_streams_wait_at_every_cut_without_consuming() {
+    check(256, |g| {
+        let (frames, cut_fraction) = (g.vec(1..6, frame), g.f64_in(0.0..1.0));
         let mut buf = BytesMut::new();
         for frame in &frames {
             encode_repl(&mut buf, frame).expect("encode");
@@ -97,62 +93,69 @@ proptest! {
         while let Some(_frame) = decode_repl(&mut partial).expect("prefix of valid stream") {
             complete += 1;
         }
-        prop_assert!(complete <= frames.len());
+        assert!(complete <= frames.len());
         let leftover = partial.len();
-        prop_assert_eq!(decode_repl(&mut partial).expect("still waiting"), None);
-        prop_assert_eq!(partial.len(), leftover, "torn decode must not consume");
+        assert_eq!(decode_repl(&mut partial).expect("still waiting"), None);
+        assert_eq!(partial.len(), leftover, "torn decode must not consume");
         // Feeding the missing suffix completes the stream exactly.
         partial.extend_from_slice(&full[cut..]);
         while let Some(_frame) = decode_repl(&mut partial).expect("completed stream") {
             complete += 1;
         }
-        prop_assert_eq!(complete, frames.len());
-        prop_assert!(partial.is_empty());
-    }
+        assert_eq!(complete, frames.len());
+        assert!(partial.is_empty());
+    });
+}
 
-    #[test]
-    fn any_single_bit_flip_in_a_record_is_rejected(
-        payload in prop::collection::vec(any::<u8>(), 0..200),
-        flip_pos in any::<u16>(),
-        flip_bit in 0u8..8,
-    ) {
+#[test]
+fn any_single_bit_flip_in_a_record_is_rejected() {
+    check(256, |g| {
+        let payload = g.vec(0..200, Gen::u8);
+        let (flip_pos, flip_bit) = (g.u16(), g.u64_in(0..8));
         let mut frame = Vec::new();
         encode_frame_into(&mut frame, &payload);
-        prop_assert_eq!(verify_record_frame(&frame).expect("pristine frame verifies"), &payload[..]);
+        assert_eq!(
+            verify_record_frame(&frame).expect("pristine frame verifies"),
+            &payload[..]
+        );
         let mut damaged = frame.clone();
         let at = flip_pos as usize % damaged.len();
         damaged[at] ^= 1 << flip_bit;
-        prop_assert!(
+        assert!(
             verify_record_frame(&damaged).is_err(),
             "bit {flip_bit} at byte {at} went undetected"
         );
-    }
+    });
+}
 
-    #[test]
-    fn forged_cursors_are_rejected_at_encode_and_decode(
-        snapshot_seq in prop::option::of(any::<u32>()),
-        segment in prop::option::of(any::<u32>()),
-        offset in any::<u64>(),
-    ) {
-        let cursor = ReplCursor { snapshot_seq, segment, offset };
+#[test]
+fn forged_cursors_are_rejected_at_encode_and_decode() {
+    check(256, |g| {
+        let (snapshot_seq, segment) = (g.option(Gen::u32), g.option(Gen::u32));
+        let offset = g.u64();
+        let cursor = ReplCursor {
+            snapshot_seq,
+            segment,
+            offset,
+        };
         let consistent = match segment {
             Some(_) => offset >= SEGMENT_HEADER_LEN,
             None => offset == 0,
         };
         let mut buf = BytesMut::new();
         let encoded = encode_repl(&mut buf, &ReplFrame::Hello(cursor));
-        prop_assert_eq!(encoded.is_ok(), consistent);
+        assert_eq!(encoded.is_ok(), consistent);
         if consistent {
             let decoded = decode_repl(&mut buf).expect("decode").expect("complete");
-            prop_assert_eq!(decoded, ReplFrame::Hello(cursor));
+            assert_eq!(decoded, ReplFrame::Hello(cursor));
         }
-    }
+    });
+}
 
-    #[test]
-    fn forged_record_end_offsets_are_rejected(
-        payload in prop::collection::vec(any::<u8>(), 0..100),
-        short_by in 1u64..64,
-    ) {
+#[test]
+fn forged_record_end_offsets_are_rejected() {
+    check(256, |g| {
+        let (payload, short_by) = (g.vec(0..100, Gen::u8), g.u64_in(1..64));
         let mut frame = Vec::new();
         encode_frame_into(&mut frame, &payload);
         // An end offset that can't hold the record itself is a forgery.
@@ -163,14 +166,15 @@ proptest! {
             frame,
         };
         let mut buf = BytesMut::new();
-        prop_assert!(encode_repl(&mut buf, &forged).is_err());
-    }
+        assert!(encode_repl(&mut buf, &forged).is_err());
+    });
+}
 
-    #[test]
-    fn resume_from_any_record_boundary_replays_exactly_the_suffix(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..50), 1..20),
-        resume_at in any::<u16>(),
-    ) {
+#[test]
+fn resume_from_any_record_boundary_replays_exactly_the_suffix() {
+    check(256, |g| {
+        let payloads = g.vec(1..20, |g| g.vec(0..50, Gen::u8));
+        let resume_at = g.u16();
         // Build a segment body the way the primary does and compute its
         // record boundaries, then check that resuming at any of them
         // yields exactly the records past that point — the invariant the
@@ -183,13 +187,13 @@ proptest! {
         }
         let k = resume_at as usize % bounds.len();
         let (records, torn) = scan_buffer(&body[bounds[k]..]);
-        prop_assert!(torn.is_none());
-        prop_assert_eq!(records, payloads[k..].to_vec());
+        assert!(torn.is_none());
+        assert_eq!(records, payloads[k..].to_vec());
         // A cut strictly inside a record is *not* a clean boundary: the
         // scan reports a defect rather than silently resyncing.
         if bounds[k] + 1 < body.len() && k < payloads.len() {
             let (_, mid_torn) = scan_buffer(&body[bounds[k] + 1..]);
-            prop_assert!(mid_torn.is_some() || body[bounds[k] + 1..].is_empty());
+            assert!(mid_torn.is_some() || body[bounds[k] + 1..].is_empty());
         }
-    }
+    });
 }

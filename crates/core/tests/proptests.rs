@@ -7,77 +7,92 @@ use freephish_core::evasion::classify_evasion;
 use freephish_core::extension::{decode_request, decode_verdict, encode_verdict, Verdict};
 use freephish_core::features::{FeatureSet, FeatureVector};
 use freephish_htmlparse::parse;
+use freephish_simclock::prop::check;
 use freephish_urlparse::Url;
-use proptest::prelude::*;
 
-proptest! {
-    /// The request decoder never panics on arbitrary bytes and always
-    /// consumes through the newline when it returns anything.
-    #[test]
-    fn request_decoder_total(data in proptest::collection::vec(any::<u8>(), 0..200)) {
+/// The request decoder never panics on arbitrary bytes and always
+/// consumes through the newline when it returns anything.
+#[test]
+fn request_decoder_total() {
+    check(256, |g| {
+        let data = g.vec(0..200, |g| g.u8());
         let mut buf = BytesMut::from(&data[..]);
         let before = buf.len();
         match decode_request(&mut buf) {
-            Ok(None) => prop_assert_eq!(buf.len(), before),
-            Ok(Some(_)) | Err(_) => prop_assert!(buf.len() < before || before == 0),
+            Ok(None) => assert_eq!(buf.len(), before),
+            Ok(Some(_)) | Err(_) => assert!(buf.len() < before || before == 0),
         }
-    }
+    });
+}
 
-    /// Verdict encode/decode round-trips for all scores.
-    #[test]
-    fn verdict_round_trip(phish in any::<bool>(), score in 0.0f64..1.0) {
-        let v = if phish { Verdict::Phishing(score) } else { Verdict::Safe(score) };
+/// Verdict encode/decode round-trips for all scores.
+#[test]
+fn verdict_round_trip() {
+    check(256, |g| {
+        let score = g.f64_in(0.0..1.0);
+        let v = if g.bool() {
+            Verdict::Phishing(score)
+        } else {
+            Verdict::Safe(score)
+        };
         let decoded = decode_verdict(&encode_verdict(&v)).unwrap();
         match (v, decoded) {
-            (Verdict::Phishing(a), Verdict::Phishing(b))
-            | (Verdict::Safe(a), Verdict::Safe(b)) => prop_assert!((a - b).abs() < 1e-3),
-            _ => prop_assert!(false, "verdict kind flipped"),
+            (Verdict::Phishing(a), Verdict::Phishing(b)) | (Verdict::Safe(a), Verdict::Safe(b)) => {
+                assert!((a - b).abs() < 1e-3)
+            }
+            _ => panic!("verdict kind flipped"),
         }
-    }
+    });
+}
 
-    /// The verdict decoder never panics on arbitrary lines.
-    #[test]
-    fn verdict_decoder_total(s in "\\PC{0,100}") {
-        let _ = decode_verdict(&s);
-    }
+/// The verdict decoder never panics on arbitrary lines.
+#[test]
+fn verdict_decoder_total() {
+    check(256, |g| {
+        let _ = decode_verdict(&g.text(0..101));
+    });
+}
 
-    /// Feature extraction is total on arbitrary HTML and produces finite
-    /// values of the declared width.
-    #[test]
-    fn feature_extraction_total(html in "\\PC{0,400}") {
+/// Feature extraction is total on arbitrary HTML and produces finite
+/// values of the declared width.
+#[test]
+fn feature_extraction_total() {
+    check(256, |g| {
         let url = Url::parse("https://fuzz.weebly.com/x").unwrap();
-        let doc = parse(&html);
+        let doc = parse(&g.text(0..401));
         for set in [FeatureSet::Base, FeatureSet::Augmented] {
             let v = FeatureVector::extract(set, &url, &doc);
-            prop_assert_eq!(v.values.len(), FeatureVector::width(set));
-            prop_assert!(v.values.iter().all(|x| x.is_finite()));
+            assert_eq!(v.values.len(), FeatureVector::width(set));
+            assert!(v.values.iter().all(|x| x.is_finite()));
         }
-    }
+    });
+}
 
-    /// The evasion heuristics are total on arbitrary HTML.
-    #[test]
-    fn evasion_total(html in "\\PC{0,400}") {
+/// The evasion heuristics are total on arbitrary HTML.
+#[test]
+fn evasion_total() {
+    check(256, |g| {
         let url = Url::parse("https://fuzz.blogspot.com/").unwrap();
-        let doc = parse(&html);
-        let _ = classify_evasion(&url, &doc);
-    }
+        let _ = classify_evasion(&url, &parse(&g.text(0..401)));
+    });
+}
 
-    /// Constructed malicious iframes are always classified; same-domain
-    /// iframes never are.
-    #[test]
-    fn iframe_heuristic_contract(token in "[a-z]{3,10}") {
+/// Constructed malicious iframes are always classified; same-domain
+/// iframes never are.
+#[test]
+fn iframe_heuristic_contract() {
+    check(256, |g| {
+        let token = g.string("a-z", 3..11);
         let url = Url::parse("https://victim.blogspot.com/").unwrap();
         let evil = parse(&format!(
             r#"<iframe src="https://{token}-attack.icu/f"></iframe><p>notice</p>"#
         ));
-        prop_assert!(
-            freephish_core::evasion::detect_iframe_embed(&url, &evil).is_some()
-        );
+        assert!(freephish_core::evasion::detect_iframe_embed(&url, &evil).is_some());
         let same = parse(&format!(
             r#"<iframe src="https://{token}.blogspot.com/w"></iframe>"#
         ));
-        prop_assert!(freephish_core::evasion::detect_iframe_embed(&url, &same).is_none());
-    }
+        assert!(freephish_core::evasion::detect_iframe_embed(&url, &same).is_none());
+    });
 }
 
 #[test]

@@ -2,45 +2,67 @@
 //! structurally sane on arbitrary input.
 
 use freephish_htmlparse::{legacy, parse, tokenize, Node, PageFacts};
-use proptest::prelude::*;
+use freephish_simclock::prop::{check, Gen};
 
 /// HTML-shaped soup: denser in tags, attributes, entities, comments and
-/// raw-text elements than plain `\PC` strings, so equivalence tests hit the
-/// interesting tokenizer paths, while still frequently malformed.
-fn htmlish() -> impl Strategy<Value = String> {
-    let piece = prop_oneof![
-        "\\PC{0,12}",
-        "<[a-zA-Z]{1,6}( [a-zA-Z-]{1,5}(=('[^']{0,6}'|\"[^\"]{0,6}\"|[a-z&;#]{0,6}))?){0,3}/?>?",
-        "</[a-zA-Z]{1,6} ?>?",
-        Just("<!-- c -->".to_string()),
-        Just("<!--unterminated".to_string()),
-        Just("<!DOCTYPE html>".to_string()),
-        Just("<script>if (a<b) &amp; x</script>".to_string()),
-        Just("<SCRIPT>y</SCRIPT>".to_string()),
-        Just("<style>p{color:red}".to_string()),
-        Just("&amp; &lt; &unknown; &#39;".to_string()),
-        Just("<a href=\"#\">".to_string()),
-        Just("<a href=https://x.weebly.com/p>".to_string()),
-        Just("<input type=PASSWORD name=user_pin>".to_string()),
-        Just("<title>T</title>".to_string()),
-        Just("<meta name=robots content=\"noindex\">".to_string()),
-        Just("<div class=banner style=\"display: none\">".to_string()),
+/// raw-text elements than plain printable text, so equivalence tests hit
+/// the interesting tokenizer paths, while still frequently malformed.
+fn htmlish(g: &mut Gen) -> String {
+    const FIXED: [&str; 13] = [
+        "<!-- c -->",
+        "<!--unterminated",
+        "<!DOCTYPE html>",
+        "<script>if (a<b) &amp; x</script>",
+        "<SCRIPT>y</SCRIPT>",
+        "<style>p{color:red}",
+        "&amp; &lt; &unknown; &#39;",
+        "<a href=\"#\">",
+        "<a href=https://x.weebly.com/p>",
+        "<input type=PASSWORD name=user_pin>",
+        "<title>T</title>",
+        "<meta name=robots content=\"noindex\">",
+        "<div class=banner style=\"display: none\">",
     ];
-    proptest::collection::vec(piece, 0..24).prop_map(|v| v.concat())
+    let pieces = g.vec(0..24, |g| match g.usize_in(0..3 + FIXED.len()) {
+        0 => g.text(0..13),
+        1 => open_tag(g),
+        // `</[a-zA-Z]{1,6} ?>?`
+        2 => format!("</{}", g.string("a-zA-Z", 1..7)) + *g.pick(&["", " "]) + *g.pick(&["", ">"]),
+        k => FIXED[k - 3].to_string(),
+    });
+    pieces.concat()
 }
 
-proptest! {
-    /// The tokenizer accepts any string without panicking.
-    #[test]
-    fn tokenizer_is_total(s in "\\PC{0,500}") {
-        let _ = tokenize(&s);
+/// `<[a-zA-Z]{1,6}( [a-zA-Z-]{1,5}(=('[^']{0,6}'|"[^"]{0,6}"|[a-z&;#]{0,6}))?){0,3}/?>?`
+fn open_tag(g: &mut Gen) -> String {
+    let mut tag = format!("<{}", g.string("a-zA-Z", 1..7));
+    for _ in 0..g.usize_in(0..4) {
+        tag += " ";
+        tag += &g.string("a-zA-Z-", 1..6);
+        match g.usize_in(0..4) {
+            0 => {}
+            1 => tag += &format!("='{}'", g.text(0..7).replace('\'', "")),
+            2 => tag += &format!("=\"{}\"", g.text(0..7).replace('"', "")),
+            _ => tag += &format!("={}", g.string("a-z&;#", 0..7)),
+        }
     }
+    tag + *g.pick(&["", "/"]) + *g.pick(&["", ">"])
+}
 
-    /// The DOM builder accepts any string without panicking, and every
-    /// child id referenced by an element is a valid arena index.
-    #[test]
-    fn dom_builder_is_total_and_consistent(s in "\\PC{0,500}") {
-        let doc = parse(&s);
+/// The tokenizer accepts any string without panicking.
+#[test]
+fn tokenizer_is_total() {
+    check(256, |g| {
+        let _ = tokenize(&g.text(0..501));
+    });
+}
+
+/// The DOM builder accepts any string without panicking, and every
+/// child id referenced by an element is a valid arena index.
+#[test]
+fn dom_builder_is_total_and_consistent() {
+    check(256, |g| {
+        let doc = parse(&g.text(0..501));
         let n = doc.len();
         doc.walk(|id, node| {
             assert!(id.0 < n);
@@ -50,12 +72,14 @@ proptest! {
                 }
             }
         });
-    }
+    });
+}
 
-    /// Queries are total on arbitrary input.
-    #[test]
-    fn queries_are_total(s in "\\PC{0,500}") {
-        let doc = parse(&s);
+/// Queries are total on arbitrary input.
+#[test]
+fn queries_are_total() {
+    check(256, |g| {
+        let doc = parse(&g.text(0..501));
         let _ = doc.title();
         let _ = doc.visible_text();
         let _ = doc.links();
@@ -64,59 +88,81 @@ proptest! {
         let _ = doc.tag_elements();
         let _ = doc.link_partition("weebly.com");
         let _ = doc.empty_links();
-    }
+    });
+}
 
-    /// Well-formed generated documents: element count seen by walk equals
-    /// the number of open tags we emitted.
-    #[test]
-    fn generated_doc_element_count(tags in proptest::collection::vec("[a-z]{1,6}", 0..20)) {
+/// Well-formed generated documents: element count seen by walk equals
+/// the number of open tags we emitted.
+#[test]
+fn generated_doc_element_count() {
+    check(256, |g| {
+        let tags = g.vec(0..20, |g| g.string("a-z", 1..7));
         let mut html = String::new();
         for t in &tags {
             html.push_str(&format!("<{t}>x</{t}>"));
         }
         let doc = parse(&html);
         let mut count = 0;
-        doc.walk(|_, n| if matches!(n, Node::Element { .. }) { count += 1 });
-        prop_assert_eq!(count, tags.len());
-    }
+        doc.walk(|_, n| count += usize::from(matches!(n, Node::Element { .. })));
+        assert_eq!(count, tags.len(), "{html:?}");
+    });
+}
 
-    /// Text content round-trips through a simple wrapper element (edge
-    /// whitespace is trimmed; interior whitespace is preserved).
-    #[test]
-    fn text_round_trip(text in "[a-zA-Z0-9 .,]{1,80}") {
-        prop_assume!(!text.trim().is_empty());
+/// Text content round-trips through a simple wrapper element (edge
+/// whitespace is trimmed; interior whitespace is preserved).
+#[test]
+fn text_round_trip() {
+    // An interior double space, the case this property once shrank to.
+    assert_eq!(parse("<p>A  ,</p>").visible_text(), "A  ,");
+    check(256, |g| {
+        let text = g.string("a-zA-Z0-9 .,", 1..81);
+        if text.trim().is_empty() {
+            return;
+        }
         let doc = parse(&format!("<p>{text}</p>"));
-        prop_assert_eq!(doc.visible_text(), text.trim());
-    }
+        assert_eq!(doc.visible_text(), text.trim());
+    });
+}
 
-    /// The zero-copy span tokenizer (through the owned adapter) produces
-    /// exactly the legacy token stream on arbitrary input.
-    #[test]
-    fn span_tokenizer_equals_legacy_on_soup(s in "\\PC{0,500}") {
-        prop_assert_eq!(tokenize(&s), legacy::tokenize(&s));
-    }
+/// The zero-copy span tokenizer (through the owned adapter) produces
+/// exactly the legacy token stream on arbitrary input.
+#[test]
+fn span_tokenizer_equals_legacy_on_soup() {
+    check(256, |g| {
+        let s = g.text(0..501);
+        assert_eq!(tokenize(&s), legacy::tokenize(&s), "{s:?}");
+    });
+}
 
-    /// Same equivalence on HTML-shaped (often malformed) input, which hits
-    /// the raw-text, entity and attribute paths far more often than soup.
-    #[test]
-    fn span_tokenizer_equals_legacy_on_htmlish(s in htmlish()) {
-        prop_assert_eq!(tokenize(&s), legacy::tokenize(&s));
-    }
+/// Same equivalence on HTML-shaped (often malformed) input, which hits
+/// the raw-text, entity and attribute paths far more often than soup.
+#[test]
+fn span_tokenizer_equals_legacy_on_htmlish() {
+    check(256, |g| {
+        let s = htmlish(g);
+        assert_eq!(tokenize(&s), legacy::tokenize(&s), "{s:?}");
+    });
+}
 
-    /// The single-pass fact extractor matches the build-a-DOM-and-query
-    /// reference bit for bit on arbitrary input.
-    #[test]
-    fn page_facts_equal_dom_queries_on_soup(s in "\\PC{0,500}") {
+/// The single-pass fact extractor matches the build-a-DOM-and-query
+/// reference bit for bit on arbitrary input.
+#[test]
+fn page_facts_equal_dom_queries_on_soup() {
+    check(256, |g| {
+        let s = g.text(0..501);
         let fast = PageFacts::extract(&s, "weebly.com");
         let slow = PageFacts::from_document(&parse(&s), "weebly.com");
-        prop_assert_eq!(fast, slow);
-    }
+        assert_eq!(fast, slow, "{s:?}");
+    });
+}
 
-    /// Same fact equivalence on HTML-shaped input.
-    #[test]
-    fn page_facts_equal_dom_queries_on_htmlish(s in htmlish()) {
+/// Same fact equivalence on HTML-shaped input.
+#[test]
+fn page_facts_equal_dom_queries_on_htmlish() {
+    check(256, |g| {
+        let s = htmlish(g);
         let fast = PageFacts::extract(&s, "weebly.com");
         let slow = PageFacts::from_document(&parse(&s), "weebly.com");
-        prop_assert_eq!(fast, slow);
-    }
+        assert_eq!(fast, slow, "{s:?}");
+    });
 }

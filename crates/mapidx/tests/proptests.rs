@@ -10,8 +10,8 @@
 //! `HashMap` replay produces, bit-for-bit.
 
 use freephish_mapidx::{IndexError, IndexWriter, SnapshotIndex};
+use freephish_simclock::prop::{check, Gen};
 use freephish_store::testutil::TempDir;
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -27,20 +27,13 @@ fn bake(dir: &Path, entries: &[(String, f64)], run_bytes: usize) -> std::path::P
     out
 }
 
-fn entries_strategy() -> impl Strategy<Value = Vec<(String, f64)>> {
+fn entries(g: &mut Gen) -> Vec<(String, f64)> {
     // Keys drawn from a small id space so duplicate keys (the
     // last-write-wins path) are common; scores are arbitrary f64 bit
     // patterns, NaN and infinities included — the format stores bits.
-    prop::collection::vec((0u16..60, any::<u64>()), 0..200).prop_map(|pairs| {
-        pairs
-            .into_iter()
-            .map(|(id, bits)| {
-                (
-                    format!("https://site-{id}.weebly.com/login"),
-                    f64::from_bits(bits),
-                )
-            })
-            .collect()
+    g.vec(0..200, |g| {
+        let id = g.u64_in(0..60);
+        (format!("https://site-{id}.weebly.com/login"), g.f64_bits())
     })
 }
 
@@ -57,14 +50,10 @@ fn probe(idx: &SnapshotIndex) {
     let _ = idx.iter().count();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bakes_replay_to_last_write_wins_bit_identically(
-        entries in entries_strategy(),
-        run_bytes in 64usize..4096,
-    ) {
+#[test]
+fn bakes_replay_to_last_write_wins_bit_identically() {
+    check(64, |g| {
+        let (entries, run_bytes) = (entries(g), g.usize_in(64..4096));
         let dir = TempDir::new("mapidx-prop-rt");
         let out = bake(dir.path(), &entries, run_bytes);
         let idx = SnapshotIndex::open_verified(&out).unwrap();
@@ -73,32 +62,35 @@ proptest! {
         for (url, score) in &entries {
             replay.insert(url, *score);
         }
-        prop_assert_eq!(idx.len() as usize, replay.len());
+        assert_eq!(idx.len() as usize, replay.len());
         for (url, score) in &replay {
             let got = idx.get(url);
-            prop_assert_eq!(
+            assert_eq!(
                 got.map(f64::to_bits),
                 Some(score.to_bits()),
-                "lookup of {} diverged from replay", url
+                "lookup of {} diverged from replay",
+                url
             );
         }
-        prop_assert_eq!(idx.get("https://absent.weebly.com/"), None);
+        assert_eq!(idx.get("https://absent.weebly.com/"), None);
         // An empty stream is a loadable, all-miss index, not an error.
         if entries.is_empty() {
-            prop_assert!(idx.is_empty());
+            assert!(idx.is_empty());
         }
-    }
+    });
+}
 
-    #[test]
-    fn truncation_at_any_point_is_a_typed_error(
-        entries in entries_strategy(),
-        cut_fraction in 0.0f64..1.0,
-    ) {
+#[test]
+fn truncation_at_any_point_is_a_typed_error() {
+    check(64, |g| {
+        let (entries, cut_fraction) = (entries(g), g.f64_in(0.0..1.0));
         let dir = TempDir::new("mapidx-prop-trunc");
         let out = bake(dir.path(), &entries, 1024);
         let bytes = std::fs::read(&out).unwrap();
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
-        prop_assume!(cut < bytes.len());
+        if cut >= bytes.len() {
+            return;
+        }
         std::fs::write(&out, &bytes[..cut]).unwrap();
 
         for verified in [false, true] {
@@ -114,22 +106,19 @@ proptest! {
                     | IndexError::HeaderCrc { .. }
                     | IndexError::Io(_),
                 ) => {}
-                Err(other) => prop_assert!(
-                    false,
-                    "truncation to {} bytes must map to a length-ish error, got {}",
-                    cut, other
-                ),
-                Ok(_) => prop_assert!(false, "truncated file must not load"),
+                Err(other) => {
+                    panic!("truncation to {cut} bytes must map to a length-ish error, got {other}")
+                }
+                Ok(_) => panic!("truncated file must not load"),
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn single_bit_flips_never_panic_and_never_pass_verification(
-        entries in entries_strategy(),
-        pos in any::<u32>(),
-        bit in 0u8..8,
-    ) {
+#[test]
+fn single_bit_flips_never_panic_and_never_pass_verification() {
+    check(64, |g| {
+        let (entries, pos, bit) = (entries(g), g.u32(), g.u64_in(0..8));
         let dir = TempDir::new("mapidx-prop-flip");
         let out = bake(dir.path(), &entries, 1024);
         let mut bytes = std::fs::read(&out).unwrap();
@@ -140,9 +129,11 @@ proptest! {
         // The distrustful open detects every flipped bit: the header is
         // CRC'd (padding pinned to zero), everything after it is under
         // the body checksum.
-        prop_assert!(
+        assert!(
             SnapshotIndex::open_verified(&out).is_err(),
-            "flip at byte {} bit {} survived verification", at, bit
+            "flip at byte {} bit {} survived verification",
+            at,
+            bit
         );
 
         // The fast open may or may not notice (body flips are invisible
@@ -151,12 +142,13 @@ proptest! {
         if let Ok(idx) = SnapshotIndex::open(&out) {
             probe(&idx);
         }
-    }
+    });
+}
 
-    #[test]
-    fn arbitrary_garbage_never_panics(
-        blob in prop::collection::vec(any::<u8>(), 0..4096),
-    ) {
+#[test]
+fn arbitrary_garbage_never_panics() {
+    check(64, |g| {
+        let blob = g.vec(0..4096, Gen::u8);
         let dir = TempDir::new("mapidx-prop-garbage");
         let out = dir.path().join("garbage.mapidx");
         std::fs::write(&out, &blob).unwrap();
@@ -164,5 +156,5 @@ proptest! {
             probe(&idx);
         }
         let _ = SnapshotIndex::open_verified(&out);
-    }
+    });
 }

@@ -6,8 +6,8 @@ use freephish_ml::gbdt::{Gbdt, GbdtConfig};
 use freephish_ml::metrics::{auc, BinaryMetrics, ConfusionMatrix};
 use freephish_ml::stacking::{StackModel, StackModelConfig};
 use freephish_ml::tree::BinnedMatrix;
+use freephish_simclock::prop::{check, Gen};
 use freephish_simclock::Rng64;
-use proptest::prelude::*;
 
 fn small_dataset(rows: Vec<(f64, f64, bool)>) -> Dataset {
     let mut d = Dataset::new(vec!["a".into(), "b".into()]);
@@ -17,135 +17,146 @@ fn small_dataset(rows: Vec<(f64, f64, bool)>) -> Dataset {
     d
 }
 
-proptest! {
-    /// Binning invariant: bin(x) <= b  ⇔  x <= threshold(b), for every row
-    /// and every edge.
-    #[test]
-    fn binning_invariant(
-        values in proptest::collection::vec(-100.0f64..100.0, 2..60),
-        max_bins in 2usize..32,
-    ) {
+/// Labelled rows in [-5, 5)², with both classes present so training is
+/// meaningful.
+fn labelled_rows(g: &mut Gen, n: std::ops::Range<usize>) -> Vec<(f64, f64, bool)> {
+    let mut rows = g.vec(n, |g| (g.f64_in(-5.0..5.0), g.f64_in(-5.0..5.0), g.bool()));
+    rows[0].2 = true;
+    rows[1].2 = false;
+    rows
+}
+
+/// Binning invariant: bin(x) <= b  ⇔  x <= threshold(b), for every row
+/// and every edge.
+#[test]
+fn binning_invariant() {
+    check(256, |g| {
+        let values = g.vec(2..60, |g| g.f64_in(-100.0..100.0));
+        let max_bins = g.usize_in(2..32);
         let rows: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
         let m = BinnedMatrix::build(&rows, max_bins);
         for b in 0..m.n_bins(0).saturating_sub(1) {
             let t = m.threshold(0, b);
             for (r, row) in rows.iter().enumerate() {
-                prop_assert_eq!((m.bin(0, r) as usize) <= b, row[0] <= t);
+                assert_eq!((m.bin(0, r) as usize) <= b, row[0] <= t);
             }
         }
-    }
+    });
+}
 
-    /// GBDT probabilities always lie in (0, 1).
-    #[test]
-    fn gbdt_proba_in_unit_interval(
-        rows in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0, any::<bool>()), 20..60),
-        seed in any::<u64>(),
-    ) {
-        // Ensure both classes are present so training is meaningful.
-        let mut rows = rows;
-        rows[0].2 = true;
-        rows[1].2 = false;
-        let d = small_dataset(rows);
-        let mut rng = Rng64::new(seed);
-        let cfg = GbdtConfig { n_trees: 5, ..GbdtConfig::tiny() };
+/// GBDT probabilities always lie in (0, 1).
+#[test]
+fn gbdt_proba_in_unit_interval() {
+    check(256, |g| {
+        let d = small_dataset(labelled_rows(g, 20..60));
+        let mut rng = Rng64::new(g.u64());
+        let cfg = GbdtConfig {
+            n_trees: 5,
+            ..GbdtConfig::tiny()
+        };
         let model = Gbdt::train(&cfg, &d, &mut rng);
         for i in 0..d.len() {
             let p = model.predict_proba(d.row(i));
-            prop_assert!(p > 0.0 && p < 1.0, "p={p}");
+            assert!(p > 0.0 && p < 1.0, "p={p}");
         }
-    }
+    });
+}
 
-    /// Confusion-matrix metrics all lie in [0, 1] and cells sum to n.
-    #[test]
-    fn metrics_in_range(
-        labels in proptest::collection::vec(0u8..=1, 1..50),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Rng64::new(seed);
+/// Confusion-matrix metrics all lie in [0, 1] and cells sum to n.
+#[test]
+fn metrics_in_range() {
+    check(256, |g| {
+        let labels = g.vec(1..50, |g| g.u64_in(0..2) as u8);
+        let mut rng = Rng64::new(g.u64());
         let scores: Vec<f64> = labels.iter().map(|_| rng.f64()).collect();
         let cm = ConfusionMatrix::from_scores(&labels, &scores, 0.5);
-        prop_assert_eq!(cm.total(), labels.len());
+        assert_eq!(cm.total(), labels.len());
         let m = BinaryMetrics::from_scores(&labels, &scores);
         for v in [m.accuracy, m.precision, m.recall, m.f1] {
-            prop_assert!((0.0..=1.0).contains(&v));
+            assert!((0.0..=1.0).contains(&v));
         }
         let a = auc(&labels, &scores);
-        prop_assert!((0.0..=1.0).contains(&a));
-    }
+        assert!((0.0..=1.0).contains(&a));
+    });
+}
 
-    /// AUC of scores equal to labels is exactly 1 (when both classes
-    /// present).
-    #[test]
-    fn auc_of_perfect_scores(labels in proptest::collection::vec(0u8..=1, 2..40)) {
-        prop_assume!(labels.contains(&1) && labels.contains(&0));
+/// AUC of scores equal to labels is exactly 1 (when both classes
+/// present).
+#[test]
+fn auc_of_perfect_scores() {
+    check(256, |g| {
+        let labels = g.vec(2..40, |g| g.u64_in(0..2) as u8);
+        if !(labels.contains(&1) && labels.contains(&0)) {
+            return;
+        }
         let scores: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-        prop_assert_eq!(auc(&labels, &scores), 1.0);
-    }
+        assert_eq!(auc(&labels, &scores), 1.0);
+    });
+}
 
-    /// Train/test split partitions the dataset exactly.
-    #[test]
-    fn split_partitions(n in 2usize..100, frac in 0.1f64..0.9, seed in any::<u64>()) {
-        let rows: Vec<(f64, f64, bool)> =
-            (0..n).map(|i| (i as f64, 0.0, i % 2 == 0)).collect();
+/// Train/test split partitions the dataset exactly.
+#[test]
+fn split_partitions() {
+    check(256, |g| {
+        let n = g.usize_in(2..100);
+        let rows: Vec<(f64, f64, bool)> = (0..n).map(|i| (i as f64, 0.0, i % 2 == 0)).collect();
         let d = small_dataset(rows);
-        let mut rng = Rng64::new(seed);
+        let frac = g.f64_in(0.1..0.9);
+        let mut rng = Rng64::new(g.u64());
         let (tr, te) = d.split(frac, &mut rng);
-        prop_assert_eq!(tr.len() + te.len(), n);
-    }
+        assert_eq!(tr.len() + te.len(), n);
+    });
+}
 
-    /// Flat GBDT inference (row and batch) is bit-identical to the boxed
-    /// `predict_row` walk on randomly trained forests and arbitrary rows.
-    #[test]
-    fn flat_gbdt_equals_boxed(
-        rows in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0, any::<bool>()), 20..60),
-        probes in proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..20),
-        seed in any::<u64>(),
-    ) {
-        let mut rows = rows;
-        rows[0].2 = true;
-        rows[1].2 = false;
-        let d = small_dataset(rows);
-        let mut rng = Rng64::new(seed);
-        let cfg = GbdtConfig { n_trees: 6, ..GbdtConfig::tiny() };
+/// Flat GBDT inference (row and batch) is bit-identical to the boxed
+/// `predict_row` walk on randomly trained forests and arbitrary rows.
+#[test]
+fn flat_gbdt_equals_boxed() {
+    check(256, |g| {
+        let d = small_dataset(labelled_rows(g, 20..60));
+        let probe_rows = g.vec(1..20, |g| {
+            vec![g.f64_in(-10.0..10.0), g.f64_in(-10.0..10.0)]
+        });
+        let mut rng = Rng64::new(g.u64());
+        let cfg = GbdtConfig {
+            n_trees: 6,
+            ..GbdtConfig::tiny()
+        };
         let model = Gbdt::train(&cfg, &d, &mut rng);
-        let probe_rows: Vec<Vec<f64>> = probes.iter().map(|&(a, b)| vec![a, b]).collect();
         let refs: Vec<&[f64]> = probe_rows.iter().map(|r| r.as_slice()).collect();
         let batch = model.predict_proba_batch(&refs);
         for (i, r) in refs.iter().enumerate() {
-            let flat = model.predict_proba(r);
             let boxed = model.predict_proba_boxed(r);
-            prop_assert_eq!(flat.to_bits(), boxed.to_bits(), "row {}", i);
-            prop_assert_eq!(batch[i].to_bits(), boxed.to_bits(), "batch row {}", i);
+            assert_eq!(model.predict_proba(r).to_bits(), boxed.to_bits(), "row {i}");
+            assert_eq!(batch[i].to_bits(), boxed.to_bits(), "batch row {i}");
         }
-    }
+    });
+}
 
-    /// Flat random-forest inference (column remap + folded vote transform)
-    /// is bit-identical to the boxed projection walk.
-    #[test]
-    fn flat_forest_equals_boxed(
-        rows in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0, any::<bool>()), 30..60),
-        seed in any::<u64>(),
-    ) {
-        let mut rows = rows;
-        rows[0].2 = true;
-        rows[1].2 = false;
-        let d = small_dataset(rows);
-        let mut rng = Rng64::new(seed);
-        let cfg = ForestConfig { n_trees: 8, ..ForestConfig::tiny() };
+/// Flat random-forest inference (column remap + folded vote transform)
+/// is bit-identical to the boxed projection walk.
+#[test]
+fn flat_forest_equals_boxed() {
+    check(256, |g| {
+        let d = small_dataset(labelled_rows(g, 30..60));
+        let mut rng = Rng64::new(g.u64());
+        let cfg = ForestConfig {
+            n_trees: 8,
+            ..ForestConfig::tiny()
+        };
         let model = RandomForest::train(&cfg, &d, &mut rng);
         let refs: Vec<&[f64]> = (0..d.len()).map(|i| d.row(i)).collect();
         let batch = model.predict_proba_batch(&refs);
         for (i, r) in refs.iter().enumerate() {
-            let flat = model.predict_proba(r);
             let boxed = model.predict_proba_boxed(r);
-            prop_assert_eq!(flat.to_bits(), boxed.to_bits(), "row {}", i);
-            prop_assert_eq!(batch[i].to_bits(), boxed.to_bits(), "batch row {}", i);
+            assert_eq!(model.predict_proba(r).to_bits(), boxed.to_bits(), "row {i}");
+            assert_eq!(batch[i].to_bits(), boxed.to_bits(), "batch row {i}");
         }
-    }
+    });
 }
 
 /// Stack training is expensive, so the stacked flat ≡ boxed equivalence
-/// runs as one deterministic case instead of inside the proptest loop.
+/// runs as one deterministic case instead of as a property.
 #[test]
 fn flat_stack_equals_boxed() {
     let rows: Vec<(f64, f64, bool)> = (0..80)

@@ -12,7 +12,7 @@
 //! * **wall** — windows are fixed wall-time spans (e.g. eight 1-second
 //!   windows ≈ "the last 8 seconds"). This is what the serve engines use.
 //! * **manual** — windows advance only via [`WindowedHistogram::advance`].
-//!   Deterministic; used by tests and proptests.
+//!   Deterministic; used by unit and property tests.
 //!
 //! Reading merges the in-horizon window snapshots with
 //! [`HistogramSnapshot::merge`], so the rolling view composes with every
@@ -118,7 +118,12 @@ impl WindowedHistogram {
                 .compare_exchange(cur, wid, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    slot.hist.clear();
+                    // A never-used slot's histogram is already empty;
+                    // clearing it would drop samples that recorders which
+                    // saw the new stamp have already added.
+                    if cur != EMPTY_WID {
+                        slot.hist.clear();
+                    }
                     break;
                 }
                 Err(actual) => cur = actual,

@@ -3,16 +3,15 @@
 //! monotone, and snapshot merging commutes with combined recording.
 
 use freephish_obs::{escape_label_value, Histogram, HistogramSnapshot, WindowedHistogram};
-use proptest::prelude::*;
+use freephish_simclock::prop::check;
 
-proptest! {
-    /// Any f64 — subnormals, zero, negatives, infinities, NaN — can be
-    /// recorded without panicking, and the sample count only grows for
-    /// non-NaN samples.
-    #[test]
-    fn recording_any_f64_never_panics(samples in proptest::collection::vec(
-        proptest::num::f64::ANY, 0..200
-    )) {
+/// Any f64 — subnormals, zero, negatives, infinities, NaN — can be
+/// recorded without panicking, and the sample count only grows for
+/// non-NaN samples.
+#[test]
+fn recording_any_f64_never_panics() {
+    check(256, |g| {
+        let samples = g.vec(0..200, |g| g.f64_bits());
         let h = Histogram::new();
         let mut expected = 0u64;
         for &v in &samples {
@@ -21,24 +20,24 @@ proptest! {
                 expected += 1;
             }
         }
-        prop_assert_eq!(h.count(), expected);
+        assert_eq!(h.count(), expected);
         let s = h.snapshot();
-        prop_assert_eq!(s.buckets.iter().sum::<u64>(), expected);
-    }
+        assert_eq!(s.buckets.iter().sum::<u64>(), expected);
+    });
+}
 
-    /// Quantiles of any non-empty recording stay within the observed
-    /// [min, max] and are monotone in q.
-    #[test]
-    fn quantiles_bounded_and_monotone(samples in proptest::collection::vec(
-        prop_oneof![
-            -1e12f64..1e12,
-            Just(0.0),
-            1e-12f64..1.0,
-            Just(f64::INFINITY),
-            Just(f64::NEG_INFINITY),
-        ],
-        1..300
-    )) {
+/// Quantiles of any non-empty recording stay within the observed
+/// [min, max] and are monotone in q.
+#[test]
+fn quantiles_bounded_and_monotone() {
+    check(256, |g| {
+        let samples = g.vec(1..300, |g| match g.usize_in(0..5) {
+            0 => g.f64_in(-1e12..1e12),
+            1 => 0.0,
+            2 => g.f64_in(1e-12..1.0),
+            3 => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        });
         let h = Histogram::new();
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
@@ -48,27 +47,28 @@ proptest! {
             max = max.max(v);
         }
         let s = h.snapshot();
-        prop_assert_eq!(s.min, min);
-        prop_assert_eq!(s.max, max);
+        assert_eq!(s.min, min);
+        assert_eq!(s.max, max);
         let mut last = f64::NEG_INFINITY;
         for i in 0..=20 {
             let q = i as f64 / 20.0;
             let est = s.quantile(q).expect("non-empty histogram");
-            prop_assert!(!est.is_nan());
-            prop_assert!(est >= min, "quantile({}) = {} below min {}", q, est, min);
-            prop_assert!(est <= max, "quantile({}) = {} above max {}", q, est, max);
-            prop_assert!(est >= last, "quantile({}) = {} < previous {}", q, est, last);
+            assert!(!est.is_nan());
+            assert!(est >= min, "quantile({}) = {} below min {}", q, est, min);
+            assert!(est <= max, "quantile({}) = {} above max {}", q, est, max);
+            assert!(est >= last, "quantile({}) = {} < previous {}", q, est, last);
             last = est;
         }
-    }
+    });
+}
 
-    /// Merging two snapshots is equivalent to recording both sample sets
-    /// into one histogram.
-    #[test]
-    fn merge_is_union(
-        a in proptest::collection::vec(-1e9f64..1e9, 0..100),
-        b in proptest::collection::vec(-1e9f64..1e9, 0..100),
-    ) {
+/// Merging two snapshots is equivalent to recording both sample sets
+/// into one histogram.
+#[test]
+fn merge_is_union() {
+    check(256, |g| {
+        let a = g.vec(0..100, |g| g.f64_in(-1e9..1e9));
+        let b = g.vec(0..100, |g| g.f64_in(-1e9..1e9));
         let ha = Histogram::new();
         let hb = Histogram::new();
         let hall = Histogram::new();
@@ -83,18 +83,19 @@ proptest! {
         let mut merged = ha.snapshot();
         merged.merge(&hb.snapshot());
         let reference = hall.snapshot();
-        prop_assert_eq!(&merged.buckets, &reference.buckets);
-        prop_assert_eq!(merged.count, reference.count);
+        assert_eq!(&merged.buckets, &reference.buckets);
+        assert_eq!(merged.count, reference.count);
         // min/max agree (== treats ±0.0 alike; both NaN only when empty).
-        prop_assert!(merged.min == reference.min
-            || (merged.min.is_nan() && reference.min.is_nan()));
-        prop_assert!(merged.max == reference.max
-            || (merged.max.is_nan() && reference.max.is_nan()));
-    }
+        assert!(merged.min == reference.min || (merged.min.is_nan() && reference.min.is_nan()));
+        assert!(merged.max == reference.max || (merged.max.is_nan() && reference.max.is_nan()));
+    });
+}
 
-    /// The empty snapshot is a merge identity.
-    #[test]
-    fn empty_merge_identity(samples in proptest::collection::vec(0.0f64..1e6, 1..50)) {
+/// The empty snapshot is a merge identity.
+#[test]
+fn empty_merge_identity() {
+    check(256, |g| {
+        let samples = g.vec(1..50, |g| g.f64_in(0.0..1e6));
         let h = Histogram::new();
         for &v in &samples {
             h.record(v);
@@ -104,20 +105,21 @@ proptest! {
         left.merge(&reference);
         let mut right = reference.clone();
         right.merge(&HistogramSnapshot::empty());
-        prop_assert_eq!(&left.buckets, &reference.buckets);
-        prop_assert_eq!(&right.buckets, &reference.buckets);
-        prop_assert_eq!(left.count, reference.count);
-        prop_assert_eq!(right.min, reference.min);
-    }
+        assert_eq!(&left.buckets, &reference.buckets);
+        assert_eq!(&right.buckets, &reference.buckets);
+        assert_eq!(left.count, reference.count);
+        assert_eq!(right.min, reference.min);
+    });
+}
 
-    /// A windowed histogram's `merged()` view equals merging its
-    /// per-window snapshots by hand, for any interleaving of recording
-    /// and manual window advances (including advances that wrap and
-    /// evict old windows).
-    #[test]
-    fn windowed_merged_equals_merge_of_windows(
-        ops in proptest::collection::vec((0.0f64..1e6, any::<bool>()), 0..200)
-    ) {
+/// A windowed histogram's `merged()` view equals merging its
+/// per-window snapshots by hand, for any interleaving of recording
+/// and manual window advances (including advances that wrap and
+/// evict old windows).
+#[test]
+fn windowed_merged_equals_merge_of_windows() {
+    check(256, |g| {
+        let ops = g.vec(0..200, |g| (g.f64_in(0.0..1e6), g.bool()));
         let w = WindowedHistogram::manual(4);
         for &(v, advance) in &ops {
             if advance {
@@ -130,29 +132,28 @@ proptest! {
             manual.merge(&s);
         }
         let merged = w.merged();
-        prop_assert_eq!(&manual.buckets, &merged.buckets);
-        prop_assert_eq!(manual.count, merged.count);
-        prop_assert_eq!(manual.sum, merged.sum);
-        prop_assert!(manual.min == merged.min
-            || (manual.min.is_nan() && merged.min.is_nan()));
-        prop_assert!(manual.max == merged.max
-            || (manual.max.is_nan() && merged.max.is_nan()));
-    }
+        assert_eq!(&manual.buckets, &merged.buckets);
+        assert_eq!(manual.count, merged.count);
+        assert_eq!(manual.sum, merged.sum);
+        assert!(manual.min == merged.min || (manual.min.is_nan() && merged.min.is_nan()));
+        assert!(manual.max == merged.max || (manual.max.is_nan() && merged.max.is_nan()));
+    });
+}
 
-    /// Prometheus label-value escaping round-trips: the escaped form
-    /// contains no unescaped `"`, `\` or newline, and unescaping
-    /// recovers the original string exactly — for inputs deliberately
-    /// dense in the three special characters.
-    #[test]
-    fn prometheus_escaping_round_trips(
-        parts in proptest::collection::vec(prop_oneof![
-            Just("\n".to_string()),
-            Just("\"".to_string()),
-            Just("\\".to_string()),
-            Just("\\n".to_string()),
-            "\\PC{0,6}",
-        ], 0..24)
-    ) {
+/// Prometheus label-value escaping round-trips: the escaped form
+/// contains no unescaped `"`, `\` or newline, and unescaping
+/// recovers the original string exactly — for inputs deliberately
+/// dense in the three special characters.
+#[test]
+fn prometheus_escaping_round_trips() {
+    check(256, |g| {
+        let parts = g.vec(0..24, |g| match g.usize_in(0..5) {
+            0 => "\n".to_string(),
+            1 => "\"".to_string(),
+            2 => "\\".to_string(),
+            3 => "\\n".to_string(),
+            _ => g.text(0..7),
+        });
         let original = parts.concat();
         let escaped = escape_label_value(&original);
 
@@ -160,12 +161,14 @@ proptest! {
         // backslash starts a valid escape sequence.
         let mut chars = escaped.chars();
         while let Some(c) = chars.next() {
-            prop_assert!(c != '"' && c != '\n', "unescaped {:?} in {:?}", c, escaped);
+            assert!(c != '"' && c != '\n', "unescaped {:?} in {:?}", c, escaped);
             if c == '\\' {
                 let next = chars.next();
-                prop_assert!(
+                assert!(
                     matches!(next, Some('\\') | Some('"') | Some('n')),
-                    "dangling or unknown escape {:?} in {:?}", next, escaped
+                    "dangling or unknown escape {:?} in {:?}",
+                    next,
+                    escaped
                 );
             }
         }
@@ -180,13 +183,13 @@ proptest! {
                     Some('"') => decoded.push('"'),
                     Some('n') => decoded.push('\n'),
                     other => {
-                        prop_assert!(false, "bad escape {:?} in {:?}", other, escaped);
+                        panic!("bad escape {other:?} in {escaped:?}");
                     }
                 }
             } else {
                 decoded.push(c);
             }
         }
-        prop_assert_eq!(decoded, original);
-    }
+        assert_eq!(decoded, original);
+    });
 }

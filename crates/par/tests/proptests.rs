@@ -3,41 +3,46 @@
 //! order is preserved regardless of chunk interleaving.
 
 use freephish_par::{par_map_with, pool::par_map_indexed_with};
-use proptest::prelude::*;
+use freephish_simclock::prop::check;
 
-proptest! {
-    /// par_map == serial map, bit-for-bit, at every thread count.
-    #[test]
-    fn par_map_matches_serial(
-        items in proptest::collection::vec(0u64..1_000_000, 0..300),
-    ) {
-        let serial: Vec<u64> = items.iter().map(|x| x.wrapping_mul(2654435761).rotate_left(7)).collect();
+/// par_map == serial map, bit-for-bit, at every thread count.
+#[test]
+fn par_map_matches_serial() {
+    check(256, |g| {
+        let items = g.vec(0..300, |g| g.u64_in(0..1_000_000));
+        let serial: Vec<u64> = items
+            .iter()
+            .map(|x| x.wrapping_mul(2654435761).rotate_left(7))
+            .collect();
         for threads in [1usize, 2, 8] {
-            let par = par_map_with(threads, &items, |x| x.wrapping_mul(2654435761).rotate_left(7));
-            prop_assert_eq!(&par, &serial, "threads={}", threads);
+            let par = par_map_with(threads, &items, |x| {
+                x.wrapping_mul(2654435761).rotate_left(7)
+            });
+            assert_eq!(&par, &serial, "threads={threads}");
         }
-    }
+    });
+}
 
-    /// Indexed mapping hands every closure its own input position.
-    #[test]
-    fn indexed_positions_are_exact(
-        n in 0usize..400,
-        threads in 1usize..9,
-    ) {
+/// Indexed mapping hands every closure its own input position.
+#[test]
+fn indexed_positions_are_exact() {
+    check(256, |g| {
+        let (n, threads) = (g.usize_in(0..400), g.usize_in(1..9));
         let items: Vec<usize> = (0..n).map(|i| i * 3).collect();
         let out = par_map_indexed_with(threads, &items, |i, v| (i, *v));
         let expected: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 3)).collect();
-        prop_assert_eq!(out, expected);
-    }
+        assert_eq!(out, expected);
+    });
+}
 
-    /// String outputs (heap-owned) survive the reassembly in order.
-    #[test]
-    fn owned_outputs_keep_order(
-        items in proptest::collection::vec("[a-z]{0,12}", 0..120),
-        threads in 1usize..9,
-    ) {
+/// String outputs (heap-owned) survive the reassembly in order.
+#[test]
+fn owned_outputs_keep_order() {
+    check(256, |g| {
+        let items = g.vec(0..120, |g| g.string("a-z", 0..13));
+        let threads = g.usize_in(1..9);
         let serial: Vec<String> = items.iter().map(|s| format!("{s}!")).collect();
         let par = par_map_with(threads, &items, |s| format!("{s}!"));
-        prop_assert_eq!(par, serial);
-    }
+        assert_eq!(par, serial);
+    });
 }

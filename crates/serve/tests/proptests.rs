@@ -8,123 +8,139 @@ use freephish_serve::{
     decode_bin_reply, decode_bin_request, encode_bin_reply, encode_bin_request, BinReply,
     BinRequest, Verdict, MAX_BATCH,
 };
-use proptest::prelude::*;
+use freephish_simclock::prop::{check, Gen};
 
-fn arb_url() -> impl Strategy<Value = String> {
-    "[a-z0-9./:?=-]{1,80}"
+fn arb_url(g: &mut Gen) -> String {
+    g.string("a-z0-9./:?=-", 1..81)
 }
 
-fn arb_verdict() -> impl Strategy<Value = Verdict> {
-    (any::<bool>(), 0.0f64..1.0).prop_map(|(phish, score)| {
-        if phish {
-            Verdict::Phishing(score)
-        } else {
-            Verdict::Safe(score)
-        }
-    })
+fn arb_verdict(g: &mut Gen) -> Verdict {
+    if g.bool() {
+        Verdict::Phishing(g.f64_in(0.0..1.0))
+    } else {
+        Verdict::Safe(g.f64_in(0.0..1.0))
+    }
 }
 
-fn arb_bin_request() -> impl Strategy<Value = BinRequest> {
-    prop_oneof![
-        arb_url().prop_map(BinRequest::Check),
-        proptest::collection::vec(arb_url(), 0..20).prop_map(BinRequest::CheckN),
-        (arb_url(), 0.0f64..1.0).prop_map(|(u, s)| BinRequest::Add(u, s)),
-        Just(BinRequest::Stats),
-    ]
+fn arb_bin_request(g: &mut Gen) -> BinRequest {
+    match g.usize_in(0..4) {
+        0 => BinRequest::Check(arb_url(g)),
+        1 => BinRequest::CheckN(g.vec(0..20, arb_url)),
+        2 => BinRequest::Add(arb_url(g), g.f64_in(0.0..1.0)),
+        _ => BinRequest::Stats,
+    }
 }
 
-fn arb_bin_reply() -> impl Strategy<Value = BinReply> {
-    prop_oneof![
-        arb_verdict().prop_map(BinReply::Verdict),
-        proptest::collection::vec(arb_verdict(), 0..20).prop_map(BinReply::VerdictN),
-        any::<u64>().prop_map(BinReply::Ok),
-        "[ -~]{0,60}".prop_map(BinReply::Stats),
-        "[ -~]{0,60}".prop_map(BinReply::Error),
-        Just(BinReply::Busy),
-    ]
+fn arb_bin_reply(g: &mut Gen) -> BinReply {
+    match g.usize_in(0..6) {
+        0 => BinReply::Verdict(arb_verdict(g)),
+        1 => BinReply::VerdictN(g.vec(0..20, arb_verdict)),
+        2 => BinReply::Ok(g.u64()),
+        3 => BinReply::Stats(g.string(" -~", 0..61)),
+        4 => BinReply::Error(g.string(" -~", 0..61)),
+        _ => BinReply::Busy,
+    }
 }
 
-proptest! {
-    /// Every encodable request decodes back to itself, even when several
-    /// frames are pipelined into one buffer.
-    #[test]
-    fn request_frames_round_trip(reqs in proptest::collection::vec(arb_bin_request(), 1..8)) {
+/// Every encodable request decodes back to itself, even when several
+/// frames are pipelined into one buffer.
+#[test]
+fn request_frames_round_trip() {
+    check(256, |g| {
+        let reqs = g.vec(1..8, arb_bin_request);
         let mut buf = BytesMut::new();
         for r in &reqs {
             encode_bin_request(&mut buf, r).unwrap();
         }
         for r in &reqs {
             let got = decode_bin_request(&mut buf).unwrap().unwrap();
-            prop_assert_eq!(&got, r);
+            assert_eq!(&got, r);
         }
-        prop_assert!(buf.is_empty());
-    }
+        assert!(buf.is_empty());
+    });
+}
 
-    /// Every reply decodes back to itself (scores travel as exact f64 bits).
-    #[test]
-    fn reply_frames_round_trip(replies in proptest::collection::vec(arb_bin_reply(), 1..8)) {
+/// Every reply decodes back to itself (scores travel as exact f64 bits).
+#[test]
+fn reply_frames_round_trip() {
+    check(256, |g| {
+        let replies = g.vec(1..8, arb_bin_reply);
         let mut buf = BytesMut::new();
         for r in &replies {
             encode_bin_reply(&mut buf, r);
         }
         for r in &replies {
             let got = decode_bin_reply(&mut buf).unwrap().unwrap();
-            prop_assert_eq!(&got, r);
+            assert_eq!(&got, r);
         }
-        prop_assert!(buf.is_empty());
-    }
+        assert!(buf.is_empty());
+    });
+}
 
-    /// A frame cut at any byte boundary is torn, not an error, and the
-    /// decoder consumes nothing while waiting.
-    #[test]
-    fn torn_request_frames_wait(req in arb_bin_request(), frac in 0.0f64..1.0) {
+/// A frame cut at any byte boundary is torn, not an error, and the
+/// decoder consumes nothing while waiting.
+#[test]
+fn torn_request_frames_wait() {
+    check(256, |g| {
+        let req = arb_bin_request(g);
         let mut full = BytesMut::new();
         encode_bin_request(&mut full, &req).unwrap();
-        let cut = ((full.len() as f64) * frac) as usize;
+        let cut = ((full.len() as f64) * g.f64_in(0.0..1.0)) as usize;
         if cut < full.len() {
             let mut partial = BytesMut::from(&full[..cut]);
-            prop_assert_eq!(decode_bin_request(&mut partial), Ok(None));
-            prop_assert_eq!(partial.len(), cut);
+            assert_eq!(decode_bin_request(&mut partial), Ok(None));
+            assert_eq!(partial.len(), cut);
         }
-    }
+    });
+}
 
-    /// The request decoder never panics on arbitrary bytes; on a buffer
-    /// that does not start with the magic byte it errors (line-protocol
-    /// bytes can never be misread as a frame).
-    #[test]
-    fn request_decoder_total(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+/// The request decoder never panics on arbitrary bytes; on a buffer
+/// that does not start with the magic byte it errors (line-protocol
+/// bytes can never be misread as a frame).
+#[test]
+fn request_decoder_total() {
+    check(256, |g| {
+        let data = g.vec(0..64, Gen::u8);
         let mut buf = BytesMut::from(&data[..]);
         let result = decode_bin_request(&mut buf);
         if let Some(&first) = data.first() {
             if first != proto::MAGIC {
-                prop_assert!(result.is_err());
+                assert!(result.is_err());
             }
         } else {
-            prop_assert_eq!(result, Ok(None));
+            assert_eq!(result, Ok(None));
         }
-    }
+    });
+}
 
-    /// The reply decoder never panics on arbitrary bytes.
-    #[test]
-    fn reply_decoder_total(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut buf = BytesMut::from(&data[..]);
-        let _ = decode_bin_reply(&mut buf);
-    }
+/// The reply decoder never panics on arbitrary bytes.
+#[test]
+fn reply_decoder_total() {
+    check(256, |g| {
+        let data = g.vec(0..64, Gen::u8);
+        let _ = decode_bin_reply(&mut BytesMut::from(&data[..]));
+    });
+}
 
-    /// Frames declaring an oversized payload are rejected regardless of
-    /// opcode, before any payload bytes arrive.
-    #[test]
-    fn oversized_declared_payload_rejected(opcode in any::<u8>(), extra in 1u32..1024) {
+/// Frames declaring an oversized payload are rejected regardless of
+/// opcode, before any payload bytes arrive.
+#[test]
+fn oversized_declared_payload_rejected() {
+    check(256, |g| {
         let mut buf = BytesMut::new();
-        buf.extend_from_slice(&[proto::MAGIC, opcode]);
+        buf.extend_from_slice(&[proto::MAGIC, g.u8()]);
+        let extra = g.u64_in(1..1024) as u32;
         buf.extend_from_slice(&((MAX_FRAME_PAYLOAD as u32) + extra).to_le_bytes());
-        prop_assert!(decode_bin_request(&mut buf).is_err());
-    }
+        assert!(decode_bin_request(&mut buf).is_err());
+    });
+}
 
-    /// Batches over MAX_BATCH are refused at encode time and, if forged
-    /// on the wire, at decode time.
-    #[test]
-    fn over_batch_rejected(count in (MAX_BATCH as u16 + 1)..=u16::MAX) {
+/// Batches over MAX_BATCH are refused at encode time and, if forged
+/// on the wire, at decode time.
+#[test]
+fn over_batch_rejected() {
+    check(256, |g| {
+        let count = g.u64_in(MAX_BATCH as u64 + 1..1 << 16) as u16;
         let urls: Vec<String> = (0..8).map(|i| format!("u{i}")).collect();
         let mut forged = BytesMut::new();
         // Re-encode a small legal batch, then forge the count field up.
@@ -132,6 +148,6 @@ proptest! {
         let count_bytes = count.to_le_bytes();
         forged[6] = count_bytes[0];
         forged[7] = count_bytes[1];
-        prop_assert!(decode_bin_request(&mut forged).is_err());
-    }
+        assert!(decode_bin_request(&mut forged).is_err());
+    });
 }

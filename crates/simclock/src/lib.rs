@@ -7,11 +7,13 @@
 //! ([`EventQueue`]), a small self-contained PRNG ([`Rng64`]) with the
 //! distributions the behaviour models need, and summary-statistics helpers
 //! ([`stats`]) used by the analysis module to compute coverage and response
-//! times.
+//! times. [`prop`] is the workspace's property-test runner, built on the
+//! same PRNG.
 //!
 //! Design goals follow the smoltcp school: no heap tricks, no macro magic,
 //! fully deterministic given a seed, and extensively documented.
 
+pub mod prop;
 pub mod queue;
 pub mod rng;
 pub mod stats;

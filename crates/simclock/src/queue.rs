@@ -159,6 +159,32 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Any interleaving of `schedule` (never in the past) and `pop` pops
+    /// what a stable-sorted `Vec` model pops: time first, FIFO among equal
+    /// times. Offsets of 0–3 s make ties common.
+    #[test]
+    fn interleavings_pop_like_a_stable_sorted_model() {
+        crate::prop::check(256, |g| {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, usize)> = Vec::new();
+            for id in 0..g.usize_in(0..64) {
+                if g.bool() {
+                    let at = q.now() + SimDuration::from_secs(g.u64_in(0..4));
+                    q.schedule(at, id);
+                    model.push((at, id));
+                } else {
+                    model.sort_by_key(|&(at, _)| at);
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    assert_eq!(q.pop(), want, "op {id}");
+                }
+                assert_eq!(q.len(), model.len());
+            }
+            model.sort_by_key(|&(at, _)| at);
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(rest, model);
+        });
+    }
+
     #[test]
     fn len_and_peek() {
         let mut q = EventQueue::new();

@@ -25,7 +25,10 @@
 //!
 //! The crate is deliberately std-only — no dependencies, not even on the
 //! rest of the workspace — so the durability layer stays small enough to
-//! audit and test exhaustively (the CRC32 lives in [`crc32`]).
+//! audit and test exhaustively (the CRC32 lives in [`crc32`]). Its
+//! truncation, bit-flip and snapshot-cycle properties are an integration
+//! suite on `freephish-simclock`'s property runner, the crate's only
+//! dev-dependency.
 //!
 //! Typed record encoding for pipeline events lives with the consumers
 //! (`freephish-core`); this crate moves opaque byte payloads and offers
@@ -45,190 +48,3 @@ pub use crc32::{crc32, crc32_update};
 pub use segment::Torn;
 pub use store::{RecordPos, Recovered, Store, StoreObserver, StoreOptions};
 pub use tail::{TailBatch, TailCursor, TailFollower};
-
-#[cfg(test)]
-mod randomized {
-    //! Deterministic randomized corruption tests (an xorshift generator,
-    //! not an external property-testing crate, so these run in-crate;
-    //! `tests/proptests.rs` carries the proptest versions).
-
-    use crate::store::{Store, StoreOptions};
-    use crate::testutil::TempDir;
-    use std::path::Path;
-
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n.max(1)
-        }
-    }
-
-    fn opts() -> StoreOptions {
-        StoreOptions {
-            segment_max_bytes: 256,
-            sync_every_append: false,
-        }
-    }
-
-    fn write_records(dir: &Path, rng: &mut Rng) -> Vec<Vec<u8>> {
-        let n = 1 + rng.below(50) as usize;
-        let mut records = Vec::with_capacity(n);
-        let (mut store, _) = Store::open_with(dir, opts(), None).unwrap();
-        for i in 0..n {
-            let len = rng.below(120) as usize;
-            let mut payload = vec![0u8; len];
-            for b in payload.iter_mut() {
-                *b = rng.next() as u8;
-            }
-            payload.extend_from_slice(format!("#{i}").as_bytes());
-            store.append(&payload).unwrap();
-            records.push(payload);
-        }
-        store.sync().unwrap();
-        records
-    }
-
-    fn recovered_payloads(dir: &Path) -> (Vec<Vec<u8>>, bool) {
-        let (_, rec) = Store::open(dir).unwrap();
-        (
-            rec.records.into_iter().map(|(_, p)| p).collect(),
-            rec.torn_tail,
-        )
-    }
-
-    fn assert_prefix(got: &[Vec<u8>], want: &[Vec<u8>], what: &str) {
-        assert!(
-            got.len() <= want.len(),
-            "{what}: recovered {} records, only {} written",
-            got.len(),
-            want.len()
-        );
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            assert_eq!(g, w, "{what}: record {i} differs");
-        }
-    }
-
-    fn last_segment(dir: &Path) -> std::path::PathBuf {
-        let mut names: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("wal-"))
-            .collect();
-        names.sort();
-        dir.join(names.last().expect("at least one segment"))
-    }
-
-    #[test]
-    fn random_tail_truncation_recovers_a_prefix() {
-        let mut rng = Rng(0x5EED_0001);
-        for trial in 0..60 {
-            let dir = TempDir::new("rand-trunc");
-            let want = write_records(dir.path(), &mut rng);
-            let seg = last_segment(dir.path());
-            let len = std::fs::metadata(&seg).unwrap().len();
-            let cut = rng.below(len + 1);
-            let bytes = std::fs::read(&seg).unwrap();
-            std::fs::write(&seg, &bytes[..cut as usize]).unwrap();
-
-            let (got, _) = recovered_payloads(dir.path());
-            assert_prefix(&got, &want, &format!("trial {trial} cut@{cut}"));
-
-            // The recovered store must accept new appends and survive a
-            // clean reopen.
-            let (mut store, rec) = Store::open(dir.path()).unwrap();
-            assert!(!rec.torn_tail, "second open after truncation is clean");
-            store.append(b"post-recovery").unwrap();
-            store.sync().unwrap();
-            drop(store);
-            let (got2, torn2) = recovered_payloads(dir.path());
-            assert!(!torn2);
-            assert_eq!(got2.last().unwrap(), b"post-recovery");
-        }
-    }
-
-    #[test]
-    fn random_bit_flips_recover_a_prefix() {
-        let mut rng = Rng(0x5EED_0002);
-        for trial in 0..60 {
-            let dir = TempDir::new("rand-flip");
-            let want = write_records(dir.path(), &mut rng);
-            // Flip 1–3 bits anywhere in the segment files.
-            let mut segs: Vec<_> = std::fs::read_dir(dir.path())
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("wal-"))
-                })
-                .collect();
-            segs.sort();
-            for _ in 0..=rng.below(3) {
-                let seg = &segs[rng.below(segs.len() as u64) as usize];
-                let mut bytes = std::fs::read(seg).unwrap();
-                if bytes.is_empty() {
-                    continue;
-                }
-                let pos = rng.below(bytes.len() as u64) as usize;
-                bytes[pos] ^= 1 << rng.below(8);
-                std::fs::write(seg, &bytes).unwrap();
-            }
-
-            let (got, _) = recovered_payloads(dir.path());
-            assert_prefix(&got, &want, &format!("trial {trial}"));
-        }
-    }
-
-    #[test]
-    fn snapshot_cycles_preserve_state_across_reopens() {
-        let mut rng = Rng(0x5EED_0003);
-        for _trial in 0..20 {
-            let dir = TempDir::new("rand-cycle");
-            let mut all: Vec<Vec<u8>> = Vec::new();
-            let mut since_snapshot = 0usize;
-            let mut have_snapshot = false;
-            for _cycle in 0..4 {
-                let (mut store, rec) = Store::open_with(dir.path(), opts(), None).unwrap();
-                assert!(!rec.torn_tail);
-                // Recovered view must equal the model.
-                if have_snapshot {
-                    let snap = rec.snapshot.expect("snapshot survives");
-                    let count = u64::from_le_bytes(snap[..8].try_into().unwrap()) as usize;
-                    assert_eq!(count, all.len() - since_snapshot);
-                }
-                assert_eq!(rec.records.len(), since_snapshot);
-                for (i, (_, p)) in rec.records.iter().enumerate() {
-                    assert_eq!(p, &all[all.len() - since_snapshot + i]);
-                }
-
-                for _ in 0..rng.below(30) {
-                    let mut payload = vec![0u8; rng.below(60) as usize];
-                    for b in payload.iter_mut() {
-                        *b = rng.next() as u8;
-                    }
-                    store.append(&payload).unwrap();
-                    all.push(payload);
-                    since_snapshot += 1;
-                    if rng.below(10) == 0 {
-                        store.snapshot(&(all.len() as u64).to_le_bytes()).unwrap();
-                        since_snapshot = 0;
-                        have_snapshot = true;
-                    }
-                }
-                store.sync().unwrap();
-            }
-        }
-    }
-}

@@ -19,8 +19,8 @@
 //!   allowed bound instead of filling a full Wagner–Fischer matrix.
 //!
 //! The original scalar implementations live on in [`crate::legacy`]; the
-//! equivalence tests below (and the urlparse proptests) pin this module to
-//! them output-for-output.
+//! equivalence tests below (and the urlparse property tests) pin this
+//! module to them output-for-output.
 
 use crate::Url;
 use freephish_textsim::levenshtein::distance_bounded;

@@ -1,165 +1,183 @@
 //! Property tests for the URL parser.
 
+use freephish_simclock::prop::{check, Gen};
 use freephish_urlparse::{extract_urls, legacy, lexical, Host, Url};
-use proptest::prelude::*;
 
-/// Strategy producing syntactically valid DNS labels.
-fn label() -> impl Strategy<Value = String> {
-    "[a-z0-9]{1,10}(-[a-z0-9]{1,10}){0,2}"
+/// A syntactically valid DNS label: `[a-z0-9]{1,10}(-[a-z0-9]{1,10}){0,2}`.
+fn label(g: &mut Gen) -> String {
+    let mut label = g.string("a-z0-9", 1..11);
+    for _ in 0..g.usize_in(0..3) {
+        label += "-";
+        label += &g.string("a-z0-9", 1..11);
+    }
+    label
 }
 
-fn hostname() -> impl Strategy<Value = String> {
-    (
-        label(),
-        label(),
-        prop_oneof!["com", "net", "io", "me", "app"],
-    )
-        .prop_map(|(a, b, tld)| format!("{a}.{b}.{tld}"))
+fn hostname(g: &mut Gen) -> String {
+    let (a, b) = (label(g), label(g));
+    let tld = g.pick(&["com", "net", "io", "me", "app"]);
+    format!("{a}.{b}.{tld}")
 }
 
-proptest! {
-    /// parse(serialise(parse(x))) is a fixed point: round-tripping the
-    /// canonical form must be lossless.
-    #[test]
-    fn round_trip_is_fixed_point(
-        host in hostname(),
-        https in any::<bool>(),
-        path in "(/[a-z0-9]{1,8}){0,3}",
-        query in proptest::option::of("[a-z]{1,5}=[a-z0-9]{1,5}"),
-    ) {
-        let scheme = if https { "https" } else { "http" };
-        let mut s = format!("{scheme}://{host}{path}");
+/// `(/[class]{lo,hi}){0,segments}`: up to `segments` path segments.
+fn path(g: &mut Gen, class: &str, len: std::ops::Range<usize>, segments: usize) -> String {
+    let parts = g.vec(0..segments + 1, |g| g.string(class, len.clone()));
+    parts.iter().map(|p| format!("/{p}")).collect()
+}
+
+/// parse(serialise(parse(x))) is a fixed point: round-tripping the
+/// canonical form must be lossless.
+#[test]
+fn round_trip_is_fixed_point() {
+    check(256, |g| {
+        let scheme = if g.bool() { "https" } else { "http" };
+        let mut s = format!("{scheme}://{}{}", hostname(g), path(g, "a-z0-9", 1..9, 3));
+        let query = g.option(|g| format!("{}={}", g.string("a-z", 1..6), g.string("a-z0-9", 1..6)));
         if let Some(q) = &query {
             s.push('?');
             s.push_str(q);
         }
         let u1 = Url::parse(&s).expect("constructed URL must parse");
         let u2 = Url::parse(&u1.as_string()).expect("canonical form must parse");
-        prop_assert_eq!(u1.as_string(), u2.as_string());
-        prop_assert_eq!(u1, u2);
-    }
+        assert_eq!(u1.as_string(), u2.as_string());
+        assert_eq!(u1, u2);
+    });
+}
 
-    /// The parser never panics on arbitrary input (it may error).
-    #[test]
-    fn parser_never_panics(s in "\\PC{0,200}") {
-        let _ = Url::parse(&s);
-    }
+/// The parser never panics on arbitrary input (it may error).
+#[test]
+fn parser_never_panics() {
+    check(256, |g| {
+        let _ = Url::parse(&g.text(0..201));
+    });
+}
 
-    /// Host parsing never panics and any accepted domain host satisfies the
-    /// label grammar.
-    #[test]
-    fn host_never_panics(s in "\\PC{0,100}") {
-        if let Ok(Host::Domain(d)) = Host::parse(&s) {
+/// Host parsing never panics and any accepted domain host satisfies the
+/// label grammar.
+#[test]
+fn host_never_panics() {
+    check(256, |g| {
+        if let Ok(Host::Domain(d)) = Host::parse(&g.text(0..101)) {
             for l in d.split('.') {
-                prop_assert!(!l.is_empty() && l.len() <= 63);
-                prop_assert!(l.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'));
+                assert!(!l.is_empty() && l.len() <= 63);
+                assert!(l.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'));
             }
         }
-    }
+    });
+}
 
-    /// registrable_domain is always a suffix of the host and contains the
-    /// public suffix.
-    #[test]
-    fn registrable_domain_is_suffix(host in hostname()) {
+/// registrable_domain is always a suffix of the host and contains the
+/// public suffix.
+#[test]
+fn registrable_domain_is_suffix() {
+    check(256, |g| {
+        let host = hostname(g);
         let h = Host::parse(&host).unwrap();
-        let reg = h.registrable_domain().expect("3-label host has registrable domain");
-        prop_assert!(host.ends_with(&reg));
+        let reg = h
+            .registrable_domain()
+            .expect("3-label host has registrable domain");
+        assert!(host.ends_with(&reg));
         let ps = h.public_suffix().unwrap();
-        prop_assert!(reg.ends_with(&ps));
-    }
+        assert!(reg.ends_with(&ps));
+    });
+}
 
-    /// Every URL found by extract_urls parses.
-    #[test]
-    fn extracted_urls_parse(
-        pre in "[a-zA-Z ]{0,20}",
-        host in hostname(),
-        post in "[a-zA-Z ]{0,20}",
-    ) {
-        let text = format!("{pre} https://{host}/page {post}");
-        let found = extract_urls(&text);
-        prop_assert!(!found.is_empty());
+/// Every URL found by extract_urls parses.
+#[test]
+fn extracted_urls_parse() {
+    check(256, |g| {
+        let (pre, host) = (g.string("a-zA-Z ", 0..21), hostname(g));
+        let post = g.string("a-zA-Z ", 0..21);
+        let found = extract_urls(&format!("{pre} https://{host}/page {post}"));
+        assert!(!found.is_empty());
         for f in found {
-            prop_assert!(Url::parse(&f).is_ok(), "failed to parse extracted {f}");
+            assert!(Url::parse(&f).is_ok(), "failed to parse extracted {f}");
         }
-    }
+    });
+}
 
-    /// extract_urls never panics on arbitrary unicode text.
-    #[test]
-    fn extract_never_panics(s in "\\PC{0,300}") {
-        let _ = extract_urls(&s);
-    }
+/// extract_urls never panics on arbitrary unicode text.
+#[test]
+fn extract_never_panics() {
+    check(256, |g| {
+        let _ = extract_urls(&g.text(0..301));
+    });
+}
 
-    /// The SWAR byte-classification kernels agree with scalar char walks on
-    /// arbitrary unicode strings.
-    #[test]
-    fn swar_counts_equal_scalar(s in "\\PC{0,200}") {
-        use freephish_urlparse::swar;
-        prop_assert_eq!(
+/// The SWAR byte-classification kernels agree with scalar char walks on
+/// arbitrary unicode strings.
+#[test]
+fn swar_counts_equal_scalar() {
+    use freephish_urlparse::swar;
+    check(256, |g| {
+        let s = g.text(0..201);
+        assert_eq!(
             swar::digit_count(&s),
             s.chars().filter(|c| c.is_ascii_digit()).count()
         );
-        prop_assert_eq!(swar::char_count(&s), s.chars().count());
+        assert_eq!(swar::char_count(&s), s.chars().count());
         for t in [b'.', b'-', b'@', b'=', b'a'] {
-            prop_assert_eq!(
+            assert_eq!(
                 swar::count_byte(&s, t),
                 s.bytes().filter(|&b| b == t).count()
             );
         }
-        prop_assert_eq!(
+        assert_eq!(
             lexical::suspicious_symbol_count(&s),
             legacy::suspicious_symbol_count(&s)
         );
-        prop_assert_eq!(
+        assert_eq!(
             lexical::digit_ratio(&s).to_bits(),
             legacy::digit_ratio(&s).to_bits()
         );
-        prop_assert_eq!(
+        assert_eq!(
             lexical::sensitive_word_count(&s),
             legacy::sensitive_word_count(&s)
         );
-    }
+    });
+}
 
-    /// The allocation-free token iterator yields exactly the legacy
-    /// `Vec<String>` tokens — including the path/query boundary merge and
-    /// lower-casing — and the SWAR host counts match the legacy scans.
-    #[test]
-    fn lexical_scans_equal_legacy_on_urls(
-        host in hostname(),
-        path in "(/[a-zA-Z0-9._~%-]{0,8}){0,3}",
-        query in proptest::option::of("[a-zA-Z0-9=&_.-]{0,20}"),
-    ) {
+/// The allocation-free token iterator yields exactly the legacy
+/// `Vec<String>` tokens — including the path/query boundary merge and
+/// lower-casing — and the SWAR host counts match the legacy scans.
+#[test]
+fn lexical_scans_equal_legacy_on_urls() {
+    check(256, |g| {
+        let (host, path) = (hostname(g), path(g, "a-zA-Z0-9._~%-", 0..9, 3));
         let mut s = format!("https://{host}{path}");
-        if let Some(q) = &query {
+        if let Some(q) = g.option(|g| g.string("a-zA-Z0-9=&_.-", 0..21)) {
             s.push('?');
-            s.push_str(q);
+            s.push_str(&q);
         }
         let u = Url::parse(&s).expect("constructed URL must parse");
-        prop_assert_eq!(lexical::tokens(&u), legacy::tokens(&u), "url={}", s);
-        prop_assert_eq!(lexical::host_dot_count(&u), legacy::host_dot_count(&u));
-        prop_assert_eq!(
+        assert_eq!(lexical::tokens(&u), legacy::tokens(&u), "url={s}");
+        assert_eq!(lexical::host_dot_count(&u), legacy::host_dot_count(&u));
+        assert_eq!(
             lexical::host_hyphen_count(&u),
             legacy::host_hyphen_count(&u)
         );
-    }
+    });
+}
 
-    /// Myers-routed brand matching (single tokenisation) returns exactly
-    /// what the legacy per-brand Wagner–Fischer walk returns.
-    #[test]
-    fn brand_matching_equals_legacy(
-        host in hostname(),
-        path in "(/[a-z0-9-]{0,10}){0,2}",
-        brand in "[a-z]{2,12}",
-    ) {
+/// Myers-routed brand matching (single tokenisation) returns exactly
+/// what the legacy per-brand Wagner–Fischer walk returns.
+#[test]
+fn brand_matching_equals_legacy() {
+    check(256, |g| {
+        let (host, path) = (hostname(g), path(g, "a-z0-9-", 0..11, 2));
+        let brand = g.string("a-z", 2..13);
         let u = Url::parse(&format!("https://{host}{path}")).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             lexical::brand_match(&u, &brand),
             legacy::brand_match(&u, &brand),
-            "url={} brand={}", u.as_string(), brand
+            "url={} brand={}",
+            u.as_string(),
+            brand
         );
         let brands = [brand.as_str(), "paypal", "microsoft", "att"];
-        prop_assert_eq!(
+        assert_eq!(
             lexical::best_brand_match(&u, &brands),
             legacy::best_brand_match(&u, &brands)
         );
-    }
+    });
 }

@@ -3,11 +3,11 @@
 //! must parse with freephish-urlparse.
 
 use freephish_htmlparse::parse;
+use freephish_simclock::prop::check;
 use freephish_simclock::Rng64;
 use freephish_urlparse::Url;
 use freephish_webgen::page::{benign_site_name, phishy_site_name};
 use freephish_webgen::{FwbKind, GeneratedSite, PageKind, PageSpec, BRANDS};
-use proptest::prelude::*;
 
 fn gen(fwb: FwbKind, kind: PageKind, seed: u64) -> GeneratedSite {
     PageSpec {
@@ -144,38 +144,49 @@ fn twostep_page_external_link_detectable() {
     assert!(doc.credential_inputs().is_empty());
 }
 
-proptest! {
-    /// Any spec generates HTML that the parser accepts and that contains a
-    /// parseable URL, for all page kinds and services.
-    #[test]
-    fn any_spec_generates_parseable_site(
-        fwb_idx in 0usize..17,
-        kind_sel in 0u8..5,
-        brand in 0usize..109,
-        topic in 0usize..12,
-        seed in any::<u64>(),
-        noindex in any::<bool>(),
-        obf in any::<bool>(),
-    ) {
-        let fwb = FwbKind::all().nth(fwb_idx).unwrap();
-        let kind = match kind_sel {
+/// Any spec generates HTML that the parser accepts and that contains a
+/// parseable URL, for all page kinds and services.
+#[test]
+fn any_spec_generates_parseable_site() {
+    check(256, |g| {
+        let fwb = FwbKind::all().nth(g.usize_in(0..17)).unwrap();
+        let (brand, topic) = (g.usize_in(0..109), g.usize_in(0..12));
+        let kind = match g.usize_in(0..5) {
             0 => PageKind::Benign { topic },
             1 => PageKind::CredentialPhish { brand },
-            2 => PageKind::TwoStep { brand, target_url: "https://e.example.net/x".into() },
-            3 => PageKind::IframeEmbed { brand, iframe_url: "https://e.example.net/f".into() },
-            _ => PageKind::DriveBy { brand, payload_url: "https://e.example.net/p.iso".into() },
+            2 => PageKind::TwoStep {
+                brand,
+                target_url: "https://e.example.net/x".into(),
+            },
+            3 => PageKind::IframeEmbed {
+                brand,
+                iframe_url: "https://e.example.net/f".into(),
+            },
+            _ => PageKind::DriveBy {
+                brand,
+                payload_url: "https://e.example.net/p.iso".into(),
+            },
         };
+        let (seed, noindex, obfuscate_banner) = (g.u64(), g.bool(), g.bool());
         let mut rng = Rng64::new(seed);
         let site_name = match &kind {
             PageKind::Benign { topic } => benign_site_name(*topic, &mut rng),
             other => phishy_site_name(other.brand().unwrap(), &mut rng),
         };
-        let site = PageSpec { fwb, kind, site_name, noindex, obfuscate_banner: obf, seed }.generate();
-        prop_assert!(Url::parse(&site.url).is_ok(), "bad url {}", site.url);
+        let site = PageSpec {
+            fwb,
+            kind,
+            site_name,
+            noindex,
+            obfuscate_banner,
+            seed,
+        }
+        .generate();
+        assert!(Url::parse(&site.url).is_ok(), "bad url {}", site.url);
         let doc = parse(&site.html);
-        prop_assert!(!doc.is_empty());
-        prop_assert!(doc.title().is_some());
+        assert!(!doc.is_empty());
+        assert!(doc.title().is_some());
         // noindex flows through for every page kind.
-        prop_assert_eq!(doc.has_noindex_meta(), noindex);
-    }
+        assert_eq!(doc.has_noindex_meta(), noindex);
+    });
 }

@@ -57,11 +57,12 @@ if [ "$status" -ne 64 ]; then
 fi
 
 # One store-backed node, one index checker, std locks, a size-derived
-# compaction trigger, one `repro` run: the forks, the dependency, the
-# tick-count knob and the per-table knobs this repo retired must not come
-# back (crates/benchmark keeps its own stand-ins).
+# compaction trigger, one `repro` run, one property runner
+# (`freephish_simclock::prop`): the forks, the dependencies, the tick-count
+# knob and the per-table knobs this repo retired must not come back
+# (crates/benchmark keeps its own stand-ins, `proptest` among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
