@@ -12,11 +12,12 @@
 
 use freephish_htmlparse::{Document, PageFacts};
 use freephish_urlparse::lexical::{
-    best_brand_match_in, digit_ratio, host_dot_count, host_hyphen_count, prepare_brands,
-    sensitive_word_count, suspicious_symbol_count, BrandCatalog, BrandMatch,
+    best_brand_match_in, host_dot_count, host_hyphen_count, prepare_brands, scan_url_string,
+    BrandCatalog, BrandMatch,
 };
 use freephish_urlparse::{legacy, swar, Url};
 use freephish_webgen::brands::{brand_tokens, BRANDS};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -40,8 +41,9 @@ pub struct FeatureVector {
     pub values: Vec<f64>,
 }
 
-/// The full brand catalog, compiled once per process (lower-casing and
-/// byte-bag fingerprints hoisted out of the per-URL hot path).
+/// The full brand catalog, compiled once per process (lower-casing,
+/// byte-bag fingerprints and the token index hoisted out of the per-URL
+/// hot path).
 fn brand_catalog() -> &'static BrandCatalog {
     static CATALOG: OnceLock<BrandCatalog> = OnceLock::new();
     CATALOG.get_or_init(|| prepare_brands(&brand_tokens()))
@@ -58,16 +60,18 @@ fn brand_score(brand: Option<(usize, BrandMatch)>) -> f64 {
 }
 
 /// The eight URL-based features shared by both layouts (public so the
-/// benchmark can time the URL-lexical stage in isolation).
-pub fn url_features(url: &Url) -> Vec<f64> {
-    let s = url.as_string();
+/// benchmark can time the URL-lexical stage in isolation). Allocates
+/// nothing: the string scans run over the URL's pieces, and its tokens
+/// meet the brand catalog once each.
+pub fn url_features(url: &Url) -> [f64; 8] {
+    let text = scan_url_string(url);
     let brand = best_brand_match_in(url, brand_catalog());
-    vec![
-        s.len() as f64,
-        suspicious_symbol_count(&s) as f64,
-        sensitive_word_count(&s) as f64,
+    [
+        text.len as f64,
+        text.suspicious_symbols as f64,
+        text.sensitive_words as f64,
         brand_score(brand),
-        digit_ratio(&s),
+        text.digit_ratio,
         host_dot_count(url) as f64,
         host_hyphen_count(url) as f64,
         f64::from(url.host().is_ip()),
@@ -79,10 +83,10 @@ pub fn url_features(url: &Url) -> Vec<f64> {
 /// with the Wagner–Fischer reference kernel. Produces the same vector as
 /// [`url_features`] bit for bit (the urlparse equivalence tests pin each
 /// pair of implementations together).
-pub fn url_features_legacy(url: &Url) -> Vec<f64> {
+pub fn url_features_legacy(url: &Url) -> [f64; 8] {
     let s = url.as_string();
     let brand = legacy::best_brand_match(url, &brand_tokens());
-    vec![
+    [
         s.len() as f64,
         legacy::suspicious_symbol_count(&s) as f64,
         legacy::sensitive_word_count(&s) as f64,
@@ -153,10 +157,11 @@ pub fn text_mentions_brand(text: &str) -> Option<&'static freephish_webgen::Bran
 }
 
 /// The registrable domain link partitioning counts as "internal".
-fn own_domain(url: &Url) -> String {
-    url.host()
-        .registrable_domain()
-        .unwrap_or_else(|| url.host().to_string())
+fn own_domain(url: &Url) -> Cow<'_, str> {
+    match url.host().registrable_domain_str() {
+        Some(domain) => Cow::Borrowed(domain),
+        None => Cow::Owned(url.host().to_string()),
+    }
 }
 
 /// Multi-TLD count: how many known TLD tokens appear inside the host labels
@@ -211,9 +216,11 @@ impl FeatureVector {
     fn assemble(
         set: FeatureSet,
         url: &Url,
-        mut values: Vec<f64>,
+        url_values: [f64; 8],
         facts: &PageFacts,
     ) -> FeatureVector {
+        let mut values = Vec::with_capacity(20);
+        values.extend(url_values);
         let title_brand = facts
             .title
             .as_deref()

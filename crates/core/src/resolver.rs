@@ -385,7 +385,7 @@ impl ResolverModels {
         );
         for site in corpus {
             if let Ok(url) = Url::parse(&site.site.url) {
-                data.push(url_features(&url), site.label);
+                data.push(url_features(&url).to_vec(), site.label);
             }
         }
         let prefilter = Gbdt::train(&GbdtConfig::classic(), &data, &mut rng);
@@ -706,44 +706,34 @@ impl Shared {
 
         // Negative cache: a fresh safe verdict answers without work; an
         // expired one is evicted and falls through to re-classification.
-        if let Some(entry) = read(&self.negative).get(url) {
-            if now < entry.expires {
-                match entry.src {
-                    NegativeSrc::Prefilter => self.metrics.hit_negative_prefilter.inc(),
-                    NegativeSrc::Model => self.metrics.hit_negative_model.inc(),
-                    NegativeSrc::Unfetchable => self.metrics.hit_negative_unfetchable.inc(),
-                    NegativeSrc::Rejected => self.metrics.hit_negative_rejected.inc(),
-                }
-                return Verdict::Safe(entry.score);
-            }
-        }
-        {
-            // Evict under the write lock, re-checking freshness: a publish
-            // may have raced a refresh in.
+        // The write lock is taken only to evict, re-checking freshness: a
+        // publish may have raced a refresh in.
+        let expired = match read(&self.negative).get(url) {
+            Some(entry) if now < entry.expires => return self.negative_hit(entry),
+            found => found.is_some(),
+        };
+        if expired {
             let mut neg = write(&self.negative);
             if let Some(entry) = neg.get(url) {
                 if now < entry.expires {
-                    match entry.src {
-                        NegativeSrc::Prefilter => self.metrics.hit_negative_prefilter.inc(),
-                        NegativeSrc::Model => self.metrics.hit_negative_model.inc(),
-                        NegativeSrc::Unfetchable => self.metrics.hit_negative_unfetchable.inc(),
-                        NegativeSrc::Rejected => self.metrics.hit_negative_rejected.inc(),
-                    }
-                    return Verdict::Safe(entry.score);
+                    return self.negative_hit(entry);
                 }
                 neg.remove(url);
                 self.metrics.negative_expired.inc();
             }
         }
 
-        // Garbage guard: one SWAR pass, then the full parse. Unparsable
+        // Garbage guard: one SWAR pass, then the one full parse. Unparsable
         // input can never be classified — cache the rejection.
-        if swar::has_space_or_control(url) || Url::parse(url).is_err() {
+        let parsed = match swar::has_space_or_control(url) {
+            false => Url::parse(url).ok(),
+            true => None,
+        };
+        let Some(parsed) = parsed else {
             self.metrics.rejected.inc();
             self.insert_negatives(&[(url, 0.0, NegativeSrc::Rejected)], now);
             return Verdict::Safe(0.0);
-        }
-        let parsed = Url::parse(url).expect("checked above");
+        };
 
         let Some(models) = read(&self.models).clone() else {
             // Cold: models still training. Queue the miss so it resolves
@@ -773,6 +763,17 @@ impl Shared {
         } else {
             Verdict::Safe(p)
         }
+    }
+
+    /// Answer from a fresh negative-cache entry, counted by provenance.
+    fn negative_hit(&self, entry: &NegativeEntry) -> Verdict {
+        match entry.src {
+            NegativeSrc::Prefilter => self.metrics.hit_negative_prefilter.inc(),
+            NegativeSrc::Model => self.metrics.hit_negative_model.inc(),
+            NegativeSrc::Unfetchable => self.metrics.hit_negative_unfetchable.inc(),
+            NegativeSrc::Rejected => self.metrics.hit_negative_rejected.inc(),
+        }
+        Verdict::Safe(entry.score)
     }
 
     /// Put each residue URL on the classify queue unless it is already

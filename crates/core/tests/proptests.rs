@@ -5,10 +5,11 @@
 use bytes::BytesMut;
 use freephish_core::evasion::classify_evasion;
 use freephish_core::extension::{decode_request, decode_verdict, encode_verdict, Verdict};
-use freephish_core::features::{FeatureSet, FeatureVector};
+use freephish_core::features::{url_features, url_features_legacy, FeatureSet, FeatureVector};
 use freephish_htmlparse::parse;
-use freephish_simclock::prop::check;
+use freephish_simclock::prop::{check, Gen};
 use freephish_urlparse::Url;
+use freephish_webgen::BRANDS;
 
 /// The request decoder never panics on arbitrary bytes and always
 /// consumes through the newline when it returns anything.
@@ -65,6 +66,90 @@ fn feature_extraction_total() {
             assert_eq!(v.values.len(), FeatureVector::width(set));
             assert!(v.values.iter().all(|x| x.is_finite()));
         }
+    });
+}
+
+/// `s` after `edits` random substitutions, insertions or deletions over
+/// `[a-z0-9]`, never left empty.
+fn edited(g: &mut Gen, s: &str, edits: usize) -> String {
+    let mut out: Vec<char> = s.chars().collect();
+    for _ in 0..edits {
+        let c = g.string("a-z0-9", 1..2).chars().next().unwrap();
+        let at = g.usize_in(0..out.len() + 1);
+        match g.usize_in(0..3) {
+            0 if at < out.len() => out[at] = c,
+            1 if out.len() > 1 && at < out.len() => {
+                out.remove(at);
+            }
+            _ => out.insert(at, c),
+        }
+    }
+    out.into_iter().collect()
+}
+
+/// A URL token aimed at the brand feature: a catalog brand verbatim, with
+/// one or two edits, embedded in a longer token, or unrelated.
+fn brandish_token(g: &mut Gen) -> String {
+    let brand = g.pick(BRANDS).token;
+    match g.usize_in(0..4) {
+        0 => brand.to_string(),
+        1 => {
+            let edits = g.usize_in(1..3);
+            edited(g, brand, edits)
+        }
+        2 => format!(
+            "{}{brand}{}",
+            g.string("a-z0-9", 0..4),
+            g.string("a-z0-9", 1..4)
+        ),
+        _ => g.string("a-z0-9", 1..12),
+    }
+}
+
+/// The allocation-free URL stage (piecewise string scans, token-major
+/// brand index) equals the seed's per-brand Wagner–Fischer stage bit for
+/// bit, on URLs made of the real 109-brand catalog's names: exact, one or
+/// two edits off, embedded, or absent, in any host, path, query and case,
+/// with ports, fragments and IPv4 hosts.
+#[test]
+fn url_features_equal_legacy_on_brand_urls() {
+    check(256, |g| {
+        let host = match g.usize_in(0..4) {
+            0 => format!("{}.{}", g.u8(), g.u8()) + &format!(".{}.{}", g.u8(), g.u8()),
+            1 => format!("{}-{}.weebly.com", brandish_token(g), brandish_token(g)),
+            _ => format!("{}.{}.com", brandish_token(g), brandish_token(g)),
+        };
+        let mut s = format!("{}://{host}", g.pick(&["http", "https"]));
+        if g.usize_in(0..4) == 0 {
+            s += &format!(":{}", g.u16());
+        }
+        for _ in 0..g.usize_in(0..3) {
+            let token = brandish_token(g);
+            s += "/";
+            s += &if g.bool() {
+                token.to_ascii_uppercase()
+            } else {
+                token
+            };
+        }
+        if g.bool() {
+            s += &format!(
+                "?{}={}&{}",
+                g.pick(&["id", "login", "x"]),
+                brandish_token(g),
+                g.u8()
+            );
+        }
+        if g.usize_in(0..4) == 0 {
+            s += &format!("#{}", g.pick(&["top", "Verify", "a@b"]));
+        }
+        let url = Url::parse(&s).expect("constructed URL must parse");
+        let bits = |v: [f64; 8]| v.map(f64::to_bits);
+        assert_eq!(
+            bits(url_features(&url)),
+            bits(url_features_legacy(&url)),
+            "url={s}"
+        );
     });
 }
 

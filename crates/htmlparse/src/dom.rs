@@ -31,10 +31,25 @@ pub enum Node {
 }
 
 /// Elements that never have children.
-pub(crate) const VOID: &[&str] = &[
-    "area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta", "param", "source",
-    "track", "wbr",
-];
+pub(crate) fn is_void(tag: &str) -> bool {
+    matches!(
+        tag,
+        "area"
+            | "base"
+            | "br"
+            | "col"
+            | "embed"
+            | "hr"
+            | "img"
+            | "input"
+            | "link"
+            | "meta"
+            | "param"
+            | "source"
+            | "track"
+            | "wbr"
+    )
+}
 
 /// A parsed HTML document: an arena of nodes plus the root list.
 #[derive(Debug, Clone)]
@@ -83,7 +98,7 @@ impl Document {
                         children: Vec::new(),
                     });
                     attach(&mut nodes, &mut roots, &stack, id);
-                    if !self_closing && !VOID.contains(&tag.as_str()) {
+                    if !self_closing && !is_void(&tag) {
                         stack.push(id);
                     }
                 }

@@ -13,9 +13,9 @@
 //! [`crate::dom::Document`] query bit for bit (property-tested against the
 //! DOM path on arbitrary, including malformed, HTML).
 
-use crate::dom::VOID;
-use crate::query::{freephish_urlparse_lite_host, SENSITIVE_NAMES};
-use crate::span::{tokenize_spans, SpanAttr, SpanToken};
+use crate::dom::is_void;
+use crate::query::SENSITIVE_NAMES;
+use crate::span::{find_byte, find_ci, tokenize_spans, SpanAttrs, SpanToken};
 use std::borrow::Cow;
 
 /// Everything the FreePhish feature extractor needs from a page, computed
@@ -50,30 +50,58 @@ pub struct PageFacts {
     pub banner_obfuscated: bool,
 }
 
-/// First attribute value by (lower-case) name, like `ElementRef::attr`.
-fn attr<'b, 'a>(attrs: &'b [SpanAttr<'a>], name: &str) -> Option<&'b str> {
-    attrs
-        .iter()
-        .find(|a| a.name == name)
-        .map(|a| a.value.as_ref())
-}
-
-/// Mirror of `ElementRef::is_hidden_by_style`: lower-case the style, strip
-/// all whitespace, look for the two hiding declarations.
+/// Mirror of `ElementRef::is_hidden_by_style`: with every whitespace char
+/// removed and ASCII lower-cased, does the style contain one of the two
+/// hiding declarations? Compared in place, without the stripped copy.
 fn hidden_by_style(style: &str) -> bool {
-    let s: String = style
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .map(|c| c.to_ascii_lowercase())
-        .collect();
-    s.contains("display:none") || s.contains("visibility:hidden")
+    let folded = |from: usize| {
+        style[from..]
+            .chars()
+            .filter(|c| !c.is_whitespace())
+            .map(|c| c.to_ascii_lowercase())
+    };
+    style.char_indices().any(|(at, c)| {
+        !c.is_whitespace()
+            && ["display:none", "visibility:hidden"]
+                .iter()
+                .any(|decl| folded(at).take(decl.len()).eq(decl.chars()))
+    })
 }
 
-/// Lower-case `s` into the reusable buffer `buf` and return it as a slice.
-fn lower_into<'b>(buf: &'b mut String, s: &str) -> &'b str {
-    buf.clear();
-    buf.extend(s.chars().map(|c| c.to_ascii_lowercase()));
-    buf.as_str()
+/// Whether `needle` (non-empty) occurs in `hay`, trying only the
+/// positions of its first byte ([`find_byte`]): cheaper than `str::contains`
+/// on the short attribute sources of one tag.
+fn contains(hay: &[u8], needle: &[u8]) -> bool {
+    let mut from = 0;
+    while let Some(k) = find_byte(hay, from, needle[0]) {
+        if hay[k..].starts_with(needle) {
+            return true;
+        }
+        from = k + 1;
+    }
+    false
+}
+
+/// Mirror of the query API's absolute-link test: the host of an
+/// `http(s)://` href, ASCII lower-cased, equals `own` or ends in `.{own}`.
+/// An empty host is never internal.
+fn host_is_internal(href: &str, own: &str) -> bool {
+    let Some(rest) = href
+        .strip_prefix("https://")
+        .or_else(|| href.strip_prefix("http://"))
+    else {
+        return false;
+    };
+    let host = &rest.as_bytes()[..rest.find(['/', '?', '#', ':']).unwrap_or(rest.len())];
+    let own = own.as_bytes();
+    let lowered_eq = |h: &[u8]| {
+        h.len() == own.len() && h.iter().zip(own).all(|(a, b)| a.to_ascii_lowercase() == *b)
+    };
+    !host.is_empty()
+        && (lowered_eq(host)
+            || host.len() > own.len()
+                && host[host.len() - own.len() - 1] == b'.'
+                && lowered_eq(&host[host.len() - own.len()..]))
 }
 
 impl PageFacts {
@@ -91,7 +119,6 @@ impl PageFacts {
         let mut title_depth: Option<usize> = None;
         let mut title_done = false;
         let mut title_buf = String::new();
-        let mut scratch = String::new();
 
         for tok in tokenize_spans(html) {
             match tok {
@@ -103,39 +130,38 @@ impl PageFacts {
                     facts.dom_nodes += 1;
                     match tag.as_ref() {
                         "a" => {
-                            if let Some(href) = attr(&attrs, "href") {
+                            if let Some(href) = attrs.get("href") {
                                 facts.n_links += 1;
-                                Self::partition_link(&mut facts, href, own_registrable_domain);
+                                Self::partition_link(&mut facts, &href, own_registrable_domain);
                             }
                         }
                         "form" => facts.n_forms += 1,
                         "iframe" => facts.n_iframes += 1,
-                        "input" => Self::inspect_input(&mut facts, &attrs, &mut scratch),
+                        "input" => Self::inspect_input(&mut facts, &attrs),
                         "meta" if !facts.has_noindex => {
-                            let name_ok = attr(&attrs, "name")
-                                .map(|n| {
-                                    let n = lower_into(&mut scratch, n);
-                                    n == "robots" || n == "googlebot"
-                                })
-                                .unwrap_or(false);
-                            let content_noindex = name_ok
-                                && attr(&attrs, "content")
-                                    .map(|c| lower_into(&mut scratch, c).contains("noindex"))
-                                    .unwrap_or(false);
-                            facts.has_noindex = name_ok && content_noindex;
+                            let name_ok = attrs.get("name").is_some_and(|n| {
+                                n.eq_ignore_ascii_case("robots")
+                                    || n.eq_ignore_ascii_case("googlebot")
+                            });
+                            facts.has_noindex = name_ok
+                                && attrs
+                                    .get("content")
+                                    .is_some_and(|c| find_ci(&c, "noindex").is_some());
                         }
                         _ => {}
                     }
+                    // A decoded value holding "banner" holds it in its raw
+                    // source too (every entity decodes to one non-letter),
+                    // so most tags are ruled out without a walk.
                     if !facts.banner_obfuscated
-                        && attr(&attrs, "class")
-                            .map(|c| c.contains("banner"))
-                            .unwrap_or(false)
-                        && attr(&attrs, "style").map(hidden_by_style).unwrap_or(false)
+                        && contains(attrs.source().as_bytes(), b"banner")
+                        && attrs.get("class").is_some_and(|c| c.contains("banner"))
+                        && attrs.get("style").is_some_and(|s| hidden_by_style(&s))
                     {
                         facts.banner_obfuscated = true;
                     }
 
-                    let pushes = !self_closing && !VOID.contains(&tag.as_ref());
+                    let pushes = !self_closing && !is_void(&tag);
                     if tag.as_ref() == "title" && !title_done && title_depth.is_none() {
                         if pushes {
                             stack.push(tag);
@@ -196,11 +222,10 @@ impl PageFacts {
             facts.n_empty_links += 1;
         }
         if href.starts_with("http://") || href.starts_with("https://") {
-            match freephish_urlparse_lite_host(href) {
-                Some(h) if h == own || h.ends_with(&format!(".{own}")) => {
-                    facts.n_internal_links += 1
-                }
-                _ => facts.n_external_links += 1,
+            if host_is_internal(href, own) {
+                facts.n_internal_links += 1;
+            } else {
+                facts.n_external_links += 1;
             }
         } else if href.starts_with('#') || href.is_empty() || href == "javascript:void(0)" {
             // Fragment/empty links: neither internal nor external.
@@ -211,31 +236,28 @@ impl PageFacts {
 
     /// Mirror of `Document::credential_inputs` (membership test) and
     /// `Document::has_login_form`, applied to one `<input>`.
-    fn inspect_input(facts: &mut PageFacts, attrs: &[SpanAttr<'_>], scratch: &mut String) {
-        let ty_raw = attr(attrs, "type");
-        if ty_raw
-            .map(|t| t.eq_ignore_ascii_case("password"))
-            .unwrap_or(false)
-        {
+    fn inspect_input(facts: &mut PageFacts, attrs: &SpanAttrs<'_>) {
+        let ty = attrs.get("type");
+        let ty = ty.as_deref().unwrap_or("text");
+        if ty.eq_ignore_ascii_case("password") {
             facts.has_login_form = true;
         }
-        let ty = lower_into(scratch, ty_raw.unwrap_or("text")).to_string();
-        if matches!(ty.as_str(), "password" | "email" | "tel") {
+        if ["password", "email", "tel"]
+            .iter()
+            .any(|t| ty.eq_ignore_ascii_case(t))
+        {
             facts.n_credential_inputs += 1;
             return;
         }
-        if ty != "text" && !ty.is_empty() {
+        if !ty.eq_ignore_ascii_case("text") && !ty.is_empty() {
             return;
         }
         // A sensitive word never contains a space, so checking each
         // attribute separately equals checking the space-joined haystack.
         let sensitive = ["name", "placeholder", "id"].iter().any(|a| {
-            attr(attrs, a)
-                .map(|v| {
-                    let v = lower_into(scratch, v);
-                    SENSITIVE_NAMES.iter().any(|s| v.contains(s))
-                })
-                .unwrap_or(false)
+            attrs
+                .get(a)
+                .is_some_and(|v| SENSITIVE_NAMES.iter().any(|s| find_ci(&v, s).is_some()))
         });
         if sensitive {
             facts.n_credential_inputs += 1;

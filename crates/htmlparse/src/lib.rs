@@ -24,7 +24,7 @@ pub mod token;
 
 pub use dom::{Document, Node, NodeId};
 pub use facts::PageFacts;
-pub use span::{tokenize_spans, SpanAttr, SpanToken};
+pub use span::{tokenize_spans, SpanAttr, SpanAttrs, SpanToken};
 pub use token::{decode_entities, tokenize, Attr, Token};
 
 /// Parse an HTML document. Infallible: any byte soup yields *some* tree.

@@ -90,7 +90,7 @@ impl From<crate::span::SpanToken<'_>> for Token {
             } => Token::Open {
                 tag: tag.into_owned(),
                 attrs: attrs
-                    .into_iter()
+                    .iter()
                     .map(|a| Attr {
                         name: a.name.into_owned(),
                         value: a.value.into_owned(),
@@ -113,7 +113,7 @@ impl From<crate::span::SpanToken<'_>> for Token {
 /// common case for markup text runs), and only allocates when a recognised
 /// entity actually changes bytes.
 pub fn decode_entities(s: &str) -> Cow<'_, str> {
-    if !s.contains('&') {
+    if crate::span::find_byte(s.as_bytes(), 0, b'&').is_none() {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());

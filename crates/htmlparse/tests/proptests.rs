@@ -1,7 +1,7 @@
 //! Property tests: the HTML pipeline must be total (never panic) and
 //! structurally sane on arbitrary input.
 
-use freephish_htmlparse::{legacy, parse, tokenize, Node, PageFacts};
+use freephish_htmlparse::{legacy, parse, tokenize, tokenize_spans, Node, PageFacts, SpanToken};
 use freephish_simclock::prop::{check, Gen};
 
 /// HTML-shaped soup: denser in tags, attributes, entities, comments and
@@ -164,5 +164,76 @@ fn page_facts_equal_dom_queries_on_htmlish() {
         let fast = PageFacts::extract(&s, "weebly.com");
         let slow = PageFacts::from_document(&parse(&s), "weebly.com");
         assert_eq!(fast, slow, "{s:?}");
+    });
+}
+
+/// Attribute names the tags below are built from, and queried by.
+const ATTR_NAMES: [&str; 7] = ["href", "type", "class", "style", "data-x", "name", "id"];
+
+/// Tags built to stress the attribute walker: names from a small pool in
+/// mixed case (so duplicates are common), double-, single- and unquoted
+/// values holding `>`, `<`, `/`, `=` and entities, valueless attributes,
+/// stray `=` and `/`, and documents cut off anywhere, inside a quoted
+/// value included.
+fn attribute_soup(g: &mut Gen) -> String {
+    const VALUES: [&str; 11] = [
+        "",
+        "a&amp;b",
+        "x > y",
+        "<b>",
+        "/p",
+        "&lt;&quot;&#39;",
+        "a b",
+        "PassWord",
+        "=",
+        "x-banner",
+        "display:none",
+    ];
+    let mut html = String::new();
+    for _ in 0..g.usize_in(1..4) {
+        html += &format!("<{}", g.pick(&["a", "INPUT", "meta", "Div"]));
+        for _ in 0..g.usize_in(0..6) {
+            html += *g.pick(&[" ", "\n ", "/", " / "]);
+            let mut name = g.pick(&ATTR_NAMES).to_string();
+            if g.bool() {
+                name = name.to_ascii_uppercase();
+            }
+            let value = *g.pick(&VALUES);
+            html += &match g.usize_in(0..5) {
+                0 => name,
+                1 => format!("{name}=\"{value}\""),
+                2 => format!("{name} = '{}'", value.replace('\'', "")),
+                3 => format!("{name}={}", value.replace([' ', '>'], "")),
+                _ => format!("={}", value.replace([' ', '>'], "")),
+            };
+        }
+        html += *g.pick(&[">", "/>", " >text", "<p>", ""]);
+    }
+    let cut = g.usize_in(0..html.len() + 1);
+    html[..cut].to_string()
+}
+
+/// Every open tag's lazily parsed attributes equal the legacy tokenizer's
+/// eagerly parsed ones, `get(name)` is the first `iter()` match, and the
+/// facts read through `get` equal the DOM queries.
+#[test]
+fn lazy_attributes_equal_legacy_and_get_is_the_first_match() {
+    check(256, |g| {
+        let html = attribute_soup(g);
+        assert_eq!(tokenize(&html), legacy::tokenize(&html), "{html:?}");
+        let facts = PageFacts::extract(&html, "weebly.com");
+        assert_eq!(
+            facts,
+            PageFacts::from_document(&parse(&html), "weebly.com"),
+            "{html:?}"
+        );
+        for tok in tokenize_spans(&html) {
+            if let SpanToken::Open { attrs, .. } = tok {
+                for name in ATTR_NAMES {
+                    let first = attrs.iter().find(|a| a.name == name).map(|a| a.value);
+                    assert_eq!(attrs.get(name), first, "{html:?} name={name}");
+                }
+            }
+        }
     });
 }

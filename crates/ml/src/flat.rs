@@ -152,13 +152,45 @@ impl FlatForest {
     }
 
     /// Raw prediction for one row: `bias + Σ leaf`, trees in push order —
-    /// the exact accumulation order of the boxed ensembles.
+    /// the exact accumulation order of the boxed ensembles. Trees are
+    /// descended four at a time in lockstep, so their dependent node loads
+    /// overlap instead of queueing; the four leaves are still added one by
+    /// one in tree order.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         let mut s = self.bias;
-        for &root in &self.roots {
+        let mut quads = self.roots.chunks_exact(4);
+        for quad in quads.by_ref() {
+            for leaf in self.eval_trees([quad[0], quad[1], quad[2], quad[3]], row) {
+                s += leaf;
+            }
+        }
+        for &root in quads.remainder() {
             s += self.eval_tree(root, row);
         }
         s
+    }
+
+    /// [`FlatForest::eval_tree`] of several trees at once: every step moves
+    /// each descent that has not reached a leaf one node down.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[inline]
+    fn eval_trees<const N: usize>(&self, roots: [u32; N], row: &[f64]) -> [f64; N] {
+        let mut at = roots.map(|root| root as usize);
+        loop {
+            let mut descending = false;
+            for i in &mut at {
+                let n = self.nodes[*i];
+                if n.feature != LEAF {
+                    // `!(x <= t)`: NaN steps right, as in `eval_tree`.
+                    let go_right = !(row[n.feature as usize] <= n.threshold);
+                    *i = (n.left + u32::from(go_right)) as usize;
+                    descending = true;
+                }
+            }
+            if !descending {
+                return at.map(|i| self.nodes[i].threshold);
+            }
+        }
     }
 
     // The negated comparison is load-bearing: `!(x <= t)` sends NaN right,

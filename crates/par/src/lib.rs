@@ -27,8 +27,14 @@
 //!   [`metrics_snapshot`].
 //!
 //! Thread-count resolution order: [`with_thread_override`] (scoped,
-//! test-friendly) → the `FREEPHISH_THREADS` environment variable →
-//! `std::thread::available_parallelism()`.
+//! test-friendly) → the `FREEPHISH_THREADS` environment variable → the
+//! host's parallelism. The first two are read on every map. The host's
+//! parallelism is resolved once per process, at the first map that could
+//! fan out, the way rayon sizes its global pool: on Linux each
+//! `available_parallelism()` call re-reads the cgroup quota files, which
+//! costs more than a small map's work. A map of 0 or 1 items runs serially
+//! without resolving anything. A process that confines itself to a CPU
+//! set must do so before its first fan-out for the pool to see it.
 //!
 //! [`Rng64`]: https://docs.rs/ (freephish-simclock)
 
@@ -104,7 +110,8 @@ pub fn with_thread_override<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// The thread count maps resolve on this thread: the
 /// [`with_thread_override`] scope if active, else `FREEPHISH_THREADS`,
-/// else `available_parallelism()`; always at least 1.
+/// else the host's parallelism (resolved once per process); always at
+/// least 1.
 pub fn configured_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n;
@@ -115,7 +122,15 @@ pub fn configured_threads() -> usize {
     {
         return n.max(1);
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    host_threads()
+}
+
+/// `available_parallelism()` of the first call, for the life of the process.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }

@@ -45,7 +45,13 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    par_map_indexed_with(crate::configured_threads(), items, f)
+    // A map of 0 or 1 items never fans out, so it never sizes the pool.
+    let threads = if items.len() <= 1 {
+        1
+    } else {
+        crate::configured_threads()
+    };
+    par_map_indexed_with(threads, items, f)
 }
 
 /// Map `f(index)` over `0..n` in order on the configured pool — the
@@ -69,7 +75,9 @@ where
 {
     let n = items.len();
     let m = metrics();
-    m.threads_configured.set(threads.max(1) as i64);
+    if n > 1 {
+        m.threads_configured.set(threads.max(1) as i64);
+    }
     m.tasks.add(n as u64);
 
     // The determinism contract's serial leg: one thread (or nothing to

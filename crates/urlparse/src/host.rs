@@ -100,19 +100,18 @@ impl Host {
     /// The public suffix ("com", "co.uk", ...). `None` for IPs or
     /// single-label hosts.
     pub fn public_suffix(&self) -> Option<String> {
-        let d = match self {
-            Host::Domain(d) => d,
-            Host::Ipv4(_) => return None,
-        };
-        let labels: Vec<&str> = d.split('.').collect();
-        if labels.len() < 2 {
-            return None;
-        }
-        let last2 = labels[labels.len() - 2..].join(".");
-        if MULTI_SUFFIXES.contains(&last2.as_str()) {
+        self.public_suffix_str().map(str::to_string)
+    }
+
+    /// [`Host::public_suffix`] as a slice of the stored name.
+    pub fn public_suffix_str(&self) -> Option<&str> {
+        let d = self.domain_str()?;
+        let last_dot = d.rfind('.')?;
+        let last2 = &d[d[..last_dot].rfind('.').map_or(0, |dot| dot + 1)..];
+        if MULTI_SUFFIXES.contains(&last2) {
             Some(last2)
         } else {
-            Some(labels[labels.len() - 1].to_string())
+            Some(&d[last_dot + 1..])
         }
     }
 
@@ -120,17 +119,16 @@ impl Host {
     /// (`weebly.com`, `example.co.uk`). `None` when the host *is* a bare
     /// suffix or an IP.
     pub fn registrable_domain(&self) -> Option<String> {
-        let d = match self {
-            Host::Domain(d) => d,
-            Host::Ipv4(_) => return None,
-        };
-        let suffix = self.public_suffix()?;
-        let suffix_labels = suffix.split('.').count();
-        let labels: Vec<&str> = d.split('.').collect();
-        if labels.len() <= suffix_labels {
-            return None;
-        }
-        Some(labels[labels.len() - suffix_labels - 1..].join("."))
+        self.registrable_domain_str().map(str::to_string)
+    }
+
+    /// [`Host::registrable_domain`] as a slice of the stored name. Labels
+    /// are never empty, so the suffix is preceded by a dot whenever the
+    /// name is longer than it.
+    pub fn registrable_domain_str(&self) -> Option<&str> {
+        let d = self.domain_str()?;
+        let dot = d.len().checked_sub(self.public_suffix_str()?.len() + 1)?;
+        Some(&d[d[..dot].rfind('.').map_or(0, |prev| prev + 1)..])
     }
 
     /// The subdomain part left of the registrable domain
@@ -141,7 +139,7 @@ impl Host {
             Host::Domain(d) => d,
             Host::Ipv4(_) => return None,
         };
-        let reg = self.registrable_domain()?;
+        let reg = self.registrable_domain_str()?;
         if d.len() > reg.len() {
             Some(d[..d.len() - reg.len() - 1].to_string())
         } else {
@@ -162,7 +160,7 @@ impl Host {
 
     /// Classify the public suffix for the premium-TLD analysis.
     pub fn suffix_class(&self) -> SuffixClass {
-        match self.public_suffix().as_deref() {
+        match self.public_suffix_str() {
             Some("com") => SuffixClass::Com,
             Some("org") | Some("net") | Some("edu") | Some("gov") => SuffixClass::OtherPremium,
             Some("xyz") | Some("top") | Some("live") | Some("icu") | Some("click")

@@ -69,14 +69,99 @@ pub fn suspicious_symbol_count(url: &str) -> usize {
 }
 
 /// Number of sensitive vocabulary words appearing anywhere in the URL
-/// (host + path + query), case-insensitive. The lower-cased copy is only
-/// allocated when the URL actually contains upper-case bytes.
+/// (host + path + query), case-insensitive. Scanned in place: no
+/// lower-cased copy.
 pub fn sensitive_word_count(url: &str) -> usize {
-    let lower = lower_cow(url);
-    SENSITIVE_WORDS
-        .iter()
-        .filter(|w| lower.contains(*w))
-        .count()
+    sensitive_word_mask(url).count_ones() as usize
+}
+
+/// `WORDS_BY_PAIR[x][y]`: the [`SENSITIVE_WORDS`] bits of the words whose
+/// first two bytes are the letters `b'a' + x`, `b'a' + y`. Checked at
+/// compile time: every word is lower-case letters and `-` and starts with
+/// two letters, which the pair index and [`scan_url_string`] rely on.
+const WORDS_BY_PAIR: [[u32; 26]; 26] = {
+    let mut table = [[0u32; 26]; 26];
+    let mut k = 0;
+    while k < SENSITIVE_WORDS.len() {
+        let w = SENSITIVE_WORDS[k].as_bytes();
+        let mut j = 0;
+        while j < w.len() {
+            assert!(w[j].is_ascii_lowercase() || (j >= 2 && w[j] == b'-'));
+            j += 1;
+        }
+        table[(w[0] - b'a') as usize][(w[1] - b'a') as usize] |= 1 << k;
+        k += 1;
+    }
+    table
+};
+
+/// Bit `k` set when `SENSITIVE_WORDS[k]` occurs in `s`, ignoring ASCII
+/// case: each position is tried only against the words starting with the
+/// two letters there.
+fn sensitive_word_mask(s: &str) -> u32 {
+    let b = s.as_bytes();
+    let letter = |c: u8| usize::from(c.to_ascii_lowercase().wrapping_sub(b'a'));
+    let mut mask = 0u32;
+    for (start, pair) in b.windows(2).enumerate() {
+        let (x, y) = (letter(pair[0]), letter(pair[1]));
+        if x >= 26 || y >= 26 {
+            continue;
+        }
+        let mut candidates = WORDS_BY_PAIR[x][y] & !mask;
+        while candidates != 0 {
+            let k = candidates.trailing_zeros();
+            candidates &= candidates - 1;
+            let word = SENSITIVE_WORDS[k as usize].as_bytes();
+            if b[start..]
+                .get(..word.len())
+                .is_some_and(|run| run.eq_ignore_ascii_case(word))
+            {
+                mask |= 1 << k;
+            }
+        }
+    }
+    mask
+}
+
+/// The whole-string scans of a URL's canonical serialisation
+/// ([`Url::as_string`]), taken piece by piece without building it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UrlStringScan {
+    /// Byte length of the serialisation.
+    pub len: usize,
+    /// [`suspicious_symbol_count`] of the serialisation.
+    pub suspicious_symbols: usize,
+    /// [`sensitive_word_count`] of the serialisation.
+    pub sensitive_words: usize,
+    /// [`digit_ratio`] of the serialisation.
+    pub digit_ratio: f64,
+}
+
+/// Scan `url.as_string()` without allocating it. Counts add up over
+/// [`Url::for_each_piece`]'s pieces. A sensitive word is letters and `-`,
+/// and every piece boundary touches one of `:/?#`, so no word straddles
+/// two pieces: the words found are the union of each piece's.
+pub fn scan_url_string(url: &Url) -> UrlStringScan {
+    let (mut len, mut symbols, mut words) = (0, 0, 0u32);
+    let (mut digits, mut chars) = (0, 0);
+    url.for_each_piece(|piece| {
+        len += piece.len();
+        symbols += suspicious_symbol_count(piece);
+        words |= sensitive_word_mask(piece);
+        digits += crate::swar::digit_count(piece);
+        chars += crate::swar::char_count(piece);
+    });
+    UrlStringScan {
+        len,
+        suspicious_symbols: symbols,
+        sensitive_words: words.count_ones() as usize,
+        // `swar::digit_ratio` of the whole string, from the same counts.
+        digit_ratio: if len == 0 {
+            0.0
+        } else {
+            digits as f64 / chars as f64
+        },
+    }
 }
 
 /// Fraction of characters that are ASCII digits.
@@ -248,20 +333,43 @@ struct BrandEntry {
     index: usize,
     /// The brand, lower-cased.
     lower: String,
-    /// [`crate::swar::byte_bag`] of the lowered brand.
-    bag: u64,
-    /// Edit budget for a Misspelled verdict (2 for names of 8+ bytes).
-    allowed: usize,
-    /// Whether the brand is long enough for fuzzy matching at all.
-    fuzzy: bool,
 }
 
-/// A brand list compiled once and reused across every URL: lower-casing,
-/// byte-bag fingerprints and edit budgets are hoisted out of the per-URL
-/// loop. Build with [`prepare_brands`], match with [`best_brand_match_in`].
+/// Edit budget for a Misspelled verdict against a brand of `len` bytes:
+/// none below 4 bytes (fuzzy matching would call "art" the brand "att"),
+/// 2 from 8 bytes, else 1.
+fn edit_budget(len: usize) -> usize {
+    match len {
+        0..=3 => 0,
+        4..=7 => 1,
+        _ => 2,
+    }
+}
+
+/// The widest edit budget any brand gets, and so the byte-length band a
+/// token searches for Misspelled candidates.
+const MAX_ALLOWED: usize = 2;
+
+/// A brand list compiled once and reused across every URL, indexed by
+/// token: each URL token is matched against the catalog in one step
+/// instead of against each brand in turn. Build with [`prepare_brands`],
+/// match with [`best_brand_match_in`].
+///
+/// The index is one list of brands per byte length, each brand with its
+/// byte bag (see [`crate::swar::byte_bag`]):
+/// * Exact: the token's own length list, bag first, then the bytes.
+/// * Misspelled: the lists within `MAX_ALLOWED` bytes of the token's
+///   length.
+/// * Embedded: the lists below the token's length.
+///
+/// Entries are kept in brand-index order, so the first hit in a length
+/// list is that list's lowest index, and duplicates resolve to the first.
 #[derive(Debug, Clone, Default)]
 pub struct BrandCatalog {
     entries: Vec<BrandEntry>,
+    /// `by_len[n]`: the position in `entries` and the byte bag of each
+    /// brand of `n` bytes, positions ascending.
+    by_len: Vec<Vec<(usize, u64)>>,
 }
 
 impl BrandCatalog {
@@ -274,133 +382,138 @@ impl BrandCatalog {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Lowest entry below `limit`, over the brands of byte lengths `lens`,
+    /// that `hit(bag, position)` accepts. The bags sit in the length lists,
+    /// so `hit` reads an entry only for a brand its bag test let through.
+    fn first_in(
+        &self,
+        lens: std::ops::Range<usize>,
+        limit: usize,
+        hit: impl Fn(u64, usize) -> bool,
+    ) -> Option<usize> {
+        let lens = lens.start.min(self.by_len.len())..lens.end.min(self.by_len.len());
+        let mut found = limit;
+        for group in &self.by_len[lens] {
+            if let Some(&(pos, _)) = group
+                .iter()
+                .take_while(|&&(pos, _)| pos < found)
+                .find(|&&(pos, bag)| hit(bag, pos))
+            {
+                found = pos;
+            }
+        }
+        (found < limit).then_some(found)
+    }
+
+    /// Lowest entry below `limit` within its edit budget of `token`, which
+    /// equals no brand. The byte-bag filter (see [`crate::swar::byte_bag`])
+    /// rules out a candidate before the Myers kernel runs: every byte
+    /// bucket one side has and the other provably lacks costs at least one
+    /// edit, so the distance is at least the larger of the two counts. The
+    /// kernel ([`distance_bounded`]) remains the arbiter, and since the
+    /// token equals no brand, a distance within budget is never 0.
+    fn misspelled(&self, token: &str, bag: u64, mut limit: usize) -> Option<usize> {
+        let mut found = None;
+        for len in token.len().saturating_sub(MAX_ALLOWED)..=token.len() + MAX_ALLOWED {
+            let allowed = edit_budget(len);
+            if len.abs_diff(token.len()) > allowed {
+                continue;
+            }
+            let hit = self.first_in(len..len + 1, limit, |brand_bag, pos| {
+                at_most_ones(brand_bag & !bag, allowed)
+                    && at_most_ones(bag & !brand_bag, allowed)
+                    && distance_bounded(token, &self.entries[pos].lower, allowed).is_some()
+            });
+            if let Some(pos) = hit {
+                (found, limit) = (Some(pos), pos);
+            }
+        }
+        found
+    }
+
+    /// Lowest entry below `limit` strictly shorter than `token` and inside
+    /// it. A brand with a byte bucket the token lacks cannot be inside it.
+    fn embedded(&self, token: &str, bag: u64, limit: usize) -> Option<usize> {
+        self.first_in(1..token.len(), limit, |brand_bag, pos| {
+            brand_bag & !bag == 0 && token.contains(self.entries[pos].lower.as_str())
+        })
+    }
+}
+
+/// Whether `x` has at most `n` set bits: `n` lowest-bit clears empty it.
+/// (`count_ones` is a software popcount on baseline x86-64.)
+fn at_most_ones(mut x: u64, n: usize) -> bool {
+    for _ in 0..n {
+        x &= x.wrapping_sub(1);
+    }
+    x == 0
 }
 
 /// Compile a brand list into a reusable [`BrandCatalog`]. Empty brands are
 /// dropped (they can never match); surviving entries remember their
 /// original index so results are reported against the input slice.
 pub fn prepare_brands(brands: &[&str]) -> BrandCatalog {
-    BrandCatalog {
-        entries: brands
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(index, b)| {
-                let lower = b.to_ascii_lowercase();
-                BrandEntry {
-                    index,
-                    bag: crate::swar::byte_bag(&lower),
-                    allowed: if lower.len() >= 8 { 2 } else { 1 },
-                    fuzzy: lower.len() >= 4,
-                    lower,
-                }
-            })
-            .collect(),
+    let mut catalog = BrandCatalog::default();
+    for (index, b) in brands.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+        let lower = b.to_ascii_lowercase();
+        let pos = catalog.entries.len();
+        if catalog.by_len.len() <= lower.len() {
+            catalog.by_len.resize(lower.len() + 1, Vec::new());
+        }
+        let bag = crate::swar::byte_bag(&lower);
+        catalog.by_len[lower.len()].push((pos, bag));
+        catalog.entries.push(BrandEntry { index, lower });
     }
-}
-
-/// Strongest match of a (lower-case, non-empty) brand against pre-extracted
-/// tokens, each paired with its byte-bag fingerprint. Exact beats
-/// misspelled beats embedded — same precedence walk as the legacy per-call
-/// tokeniser.
-///
-/// The byte bag gates every expensive check with an exact one-sided test
-/// (see [`crate::swar::byte_bag`]): `missing = bag & !token_bag` collects
-/// byte buckets the brand needs but the token provably lacks. A non-zero
-/// `missing` rules out equality and containment outright, and each missing
-/// bucket costs at least one edit, so `missing.count_ones() > allowed`
-/// rules out a Misspelled verdict before the Myers kernel runs. The kernel
-/// ([`distance_bounded`]) remains the arbiter for everything the filter
-/// cannot reject.
-///
-/// `fuzzy`/`embed` tell the walk which verdicts the caller can still use
-/// (rank-floor pruning): disabling them may understate the true match but
-/// never overstates it, so a strict `rank > floor` comparison at the call
-/// site is unaffected.
-fn classify_tokens(
-    toks: &[(Cow<'_, str>, u64)],
-    brand: &BrandEntry,
-    fuzzy: bool,
-    embed: bool,
-) -> BrandMatch {
-    let mut best = BrandMatch::None;
-    for (t, tbag) in toks {
-        let t = t.as_ref();
-        let missing = brand.bag & !tbag;
-        if missing == 0 && t == brand.lower {
-            return BrandMatch::Exact;
-        }
-        // `distance_bounded` early-outs once the Myers distance exceeds
-        // `allowed`; Some(d) here implies 0 < d <= allowed because the
-        // d == 0 case is the exact match already returned above. The
-        // byte-length band is exact for the same reason the bag filter is:
-        // Myers distance is a byte distance.
-        if fuzzy
-            && missing.count_ones() as usize <= brand.allowed
-            && t.len().abs_diff(brand.lower.len()) <= brand.allowed
-            && distance_bounded(t, &brand.lower, brand.allowed).is_some()
-        {
-            best = BrandMatch::Misspelled;
-            continue;
-        }
-        if embed
-            && best == BrandMatch::None
-            && missing == 0
-            && t.len() > brand.lower.len()
-            && t.contains(brand.lower.as_str())
-        {
-            best = BrandMatch::Embedded;
-        }
-    }
-    best
-}
-
-/// Tokenise the URL once, pairing each token with its byte bag.
-fn fingerprinted_tokens(url: &Url) -> Vec<(Cow<'_, str>, u64)> {
-    token_iter(url)
-        .map(|t| {
-            let bag = crate::swar::byte_bag(&t);
-            (t, bag)
-        })
-        .collect()
+    catalog
 }
 
 /// Detect the strongest match of `brand` (lower-case) within the URL's
 /// tokens. Exact beats misspelled beats embedded.
 pub fn brand_match(url: &Url, brand: &str) -> BrandMatch {
-    let catalog = prepare_brands(&[brand]);
-    match catalog.entries.first() {
-        Some(b) => classify_tokens(&fingerprinted_tokens(url), b, b.fuzzy, true),
-        None => BrandMatch::None,
-    }
+    best_brand_match_in(url, &prepare_brands(&[brand])).map_or(BrandMatch::None, |(_, m)| m)
 }
 
 /// Strongest match of *any* catalog brand within the URL; returns the
 /// original brand index and the match kind, preferring Exact > Misspelled
-/// > Embedded.
+/// > Embedded, and the lowest brand index at the strongest kind.
 ///
-/// The URL is tokenised and fingerprinted exactly once and shared across
-/// all brands (the legacy path re-tokenised per brand). Ties keep the
-/// lowest brand index; the running best rank is fed back as the
-/// classification floor so later brands skip edit-distance (and then
-/// substring) work that could not win, and an Exact match ends the scan
-/// since nothing outranks it.
+/// One pass over the URL's tokens, each meeting the catalog once through
+/// its index. The running best is the floor: once a kind is found, weaker
+/// kinds are no longer searched, and a search for the same kind only looks
+/// below the best index so far.
 pub fn best_brand_match_in(url: &Url, catalog: &BrandCatalog) -> Option<(usize, BrandMatch)> {
-    let toks = fingerprinted_tokens(url);
-    let mut best: Option<(usize, BrandMatch)> = None;
-    for b in &catalog.entries {
-        let floor = best.map(|(_, bm)| rank(bm)).unwrap_or(0);
-        let fuzzy = b.fuzzy && floor < rank(BrandMatch::Misspelled);
-        let embed = floor < rank(BrandMatch::Embedded);
-        let m = classify_tokens(&toks, b, fuzzy, embed);
-        if rank(m) > floor {
-            best = Some((b.index, m));
-            if m == BrandMatch::Exact {
-                break;
+    let mut best: Option<(BrandMatch, usize)> = None;
+    for token in token_iter(url) {
+        let token = token.as_ref();
+        let floor = best.map_or(0, |(m, _)| rank(m));
+        let below = |m: BrandMatch| match best {
+            Some((kind, pos)) if kind == m => pos,
+            _ => catalog.entries.len(),
+        };
+        let bag = crate::swar::byte_bag(token);
+        let len = token.len();
+        let exact = catalog.first_in(len..len + 1, catalog.entries.len(), |b, pos| {
+            b == bag && catalog.entries[pos].lower == token
+        });
+        if let Some(pos) = exact {
+            if pos < below(BrandMatch::Exact) {
+                best = Some((BrandMatch::Exact, pos));
+            }
+            continue;
+        }
+        if floor > rank(BrandMatch::Misspelled) {
+            continue;
+        }
+        if let Some(pos) = catalog.misspelled(token, bag, below(BrandMatch::Misspelled)) {
+            best = Some((BrandMatch::Misspelled, pos));
+        } else if floor <= rank(BrandMatch::Embedded) {
+            if let Some(pos) = catalog.embedded(token, bag, below(BrandMatch::Embedded)) {
+                best = Some((BrandMatch::Embedded, pos));
             }
         }
     }
-    best
+    best.map(|(m, pos)| (catalog.entries[pos].index, m))
 }
 
 /// One-shot adapter over [`best_brand_match_in`] for callers without a
@@ -578,6 +691,30 @@ mod tests {
                 best_brand_match(&u, &brands),
                 legacy::best_brand_match(&u, &brands),
                 "url={s}"
+            );
+        }
+    }
+
+    #[test]
+    fn url_string_scan_equals_scans_of_the_string() {
+        for s in [
+            "https://secure-login.weebly.com/Verify?acct=1&x=~#SignIn",
+            "http://10.0.0.1:8080/LOGIN?update=1",
+            "https://a.com",
+            "https://pay-pal.weebly.com/a%20b/c?d=e&f=g#h!",
+        ] {
+            let u = url(s);
+            let text = u.as_string();
+            let scan = scan_url_string(&u);
+            assert_eq!(scan.len, text.len(), "url={s}");
+            assert_eq!(
+                scan.suspicious_symbols,
+                legacy::suspicious_symbol_count(&text)
+            );
+            assert_eq!(scan.sensitive_words, legacy::sensitive_word_count(&text));
+            assert_eq!(
+                scan.digit_ratio.to_bits(),
+                legacy::digit_ratio(&text).to_bits()
             );
         }
     }

@@ -168,21 +168,68 @@ impl Url {
 
     /// Serialise back to a canonical string.
     pub fn as_string(&self) -> String {
-        let mut s = format!("{}://{}", self.scheme, self.host);
-        if let Some(p) = self.port {
-            s.push(':');
-            s.push_str(&p.to_string());
+        let mut s = String::new();
+        self.for_each_piece(|piece| s.push_str(piece));
+        s
+    }
+
+    /// Calls `f` on each piece of the canonical serialisation, in order:
+    /// their concatenation is [`Url::as_string`]. Nothing is allocated; an
+    /// IPv4 host and a port are rendered on the stack. Every piece after
+    /// the scheme starts or ends at a `://`, `:`, `/`, `?` or `#`.
+    pub fn for_each_piece(&self, mut f: impl FnMut(&str)) {
+        f(&self.scheme);
+        f("://");
+        match &self.host {
+            Host::Domain(d) => f(d),
+            ip @ Host::Ipv4(_) => f(Numerals::render(format_args!("{ip}")).as_str()),
         }
-        s.push_str(&self.path);
+        if let Some(p) = self.port {
+            f(Numerals::render(format_args!(":{p}")).as_str());
+        }
+        f(&self.path);
         if let Some(q) = &self.query {
-            s.push('?');
-            s.push_str(q);
+            f("?");
+            f(q);
         }
         if let Some(fr) = &self.fragment {
-            s.push('#');
-            s.push_str(fr);
+            f("#");
+            f(fr);
         }
-        s
+    }
+}
+
+/// A stack buffer for the short numerals of a URL: an IPv4 host is at most
+/// 15 bytes and `:port` at most 6.
+struct Numerals {
+    buf: [u8; 16],
+    len: usize,
+}
+
+impl Numerals {
+    fn render(args: fmt::Arguments<'_>) -> Numerals {
+        let mut out = Numerals {
+            buf: [0; 16],
+            len: 0,
+        };
+        fmt::Write::write_fmt(&mut out, args).expect("a URL numeral fits 16 bytes");
+        out
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("numerals are ASCII")
+    }
+}
+
+impl fmt::Write for Numerals {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -291,6 +338,23 @@ mod tests {
     fn ipv4_host() {
         let u = Url::parse("http://192.168.10.5/login").unwrap();
         assert!(u.host().is_ip());
+    }
+
+    #[test]
+    fn pieces_concatenate_to_the_canonical_string() {
+        for s in [
+            "https://login.weebly.com:8443/p/a?x=1&y=2#frag",
+            "http://255.255.255.255:65535/?#",
+            "http://10.0.0.1",
+            "example.com/A?b",
+        ] {
+            let u = Url::parse(s).unwrap();
+            let mut joined = String::new();
+            u.for_each_piece(|p| joined.push_str(p));
+            assert_eq!(joined, u.as_string(), "url={s}");
+        }
+        let ip = Url::parse("http://255.255.255.255:65535/").unwrap();
+        assert_eq!(ip.as_string(), "http://255.255.255.255:65535/");
     }
 
     #[test]

@@ -70,13 +70,11 @@ pub fn count_byte(s: &str, target: u8) -> usize {
 /// Count bytes belonging to any byte in `set` (each input byte can match at
 /// most one set member, so the OR of the equality masks popcounts exactly).
 pub fn count_any(s: &str, set: &[u8]) -> usize {
-    let splats: Vec<u64> = set.iter().map(|&b| u64::from(b) * LO).collect();
     let (ws, rem) = words(s.as_bytes());
     let mut n: u32 = ws
         .map(|w| {
-            splats
-                .iter()
-                .fold(0u64, |m, &sp| m | eq_mask(w, sp))
+            set.iter()
+                .fold(0u64, |m, &b| m | eq_mask(w, u64::from(b) * LO))
                 .count_ones()
         })
         .sum();

@@ -181,3 +181,153 @@ fn brand_matching_equals_legacy() {
         );
     });
 }
+
+/// `s` after `edits` random substitutions, insertions or deletions over
+/// `class`, never left empty.
+fn edited(g: &mut Gen, s: &str, class: &str, edits: usize) -> String {
+    let mut out: Vec<char> = s.chars().collect();
+    for _ in 0..edits {
+        let c = g.string(class, 1..2).chars().next().unwrap();
+        let at = g.usize_in(0..out.len() + 1);
+        match g.usize_in(0..3) {
+            0 if at < out.len() => out[at] = c,
+            1 if out.len() > 1 && at < out.len() => {
+                out.remove(at);
+            }
+            _ => out.insert(at, c),
+        }
+    }
+    out.into_iter().collect()
+}
+
+/// A catalog built to collide: names over a four-letter alphabet, so equal
+/// lengths and shared bytes are the rule; exact duplicates, some
+/// upper-cased; one- and two-edit variants of earlier names; the odd empty
+/// name.
+fn colliding_catalog(g: &mut Gen) -> Vec<String> {
+    let mut brands: Vec<String> = Vec::new();
+    for _ in 0..g.usize_in(1..16) {
+        let brand = match (brands.is_empty(), g.usize_in(0..6)) {
+            (false, 0) => g.pick(&brands).clone(),
+            (false, 1) => g.pick(&brands).to_ascii_uppercase(),
+            (false, 2 | 3) => {
+                let (base, edits) = (g.pick(&brands).clone(), g.usize_in(1..3));
+                edited(g, &base, "abcd", edits)
+            }
+            (_, 4) if g.usize_in(0..4) == 0 => String::new(),
+            _ => g.string("abcd", 1..11),
+        };
+        brands.push(brand);
+    }
+    brands
+}
+
+/// A URL token near the catalog: a name as is, edited, embedded in a
+/// longer token, or unrelated, over the catalog's alphabet.
+fn token_near(g: &mut Gen, brands: &[String]) -> String {
+    let brand = g.pick(brands).to_ascii_lowercase();
+    match g.usize_in(0..4) {
+        0 if !brand.is_empty() => brand,
+        1 if !brand.is_empty() => {
+            let edits = g.usize_in(1..3);
+            edited(g, &brand, "abcde", edits)
+        }
+        2 => format!(
+            "{}{brand}{}",
+            g.string("abcd", 0..3),
+            g.string("abcd", 1..3)
+        ),
+        _ => g.string("abcde", 1..12),
+    }
+}
+
+/// The token-major catalog index returns exactly the legacy per-brand walk
+/// (lowest index at the strongest match) on catalogs full of duplicates,
+/// near-duplicates and equal lengths, and a one-brand catalog agrees with
+/// the legacy single-brand match.
+#[test]
+fn brand_index_equals_legacy_on_colliding_catalogs() {
+    check(256, |g| {
+        let brands = colliding_catalog(g);
+        let tokens = g.vec(1..6, |g| token_near(g, &brands));
+        let mut s = format!("https://{}.{}.com/", tokens[0], g.string("abcd", 1..5));
+        for t in &tokens[1..] {
+            s += &if g.bool() {
+                t.to_ascii_uppercase()
+            } else {
+                t.clone()
+            };
+            s += *g.pick(&["/", "-", "?q=", "."]);
+        }
+        let u = Url::parse(&s).expect("constructed URL must parse");
+        let refs: Vec<&str> = brands.iter().map(String::as_str).collect();
+        assert_eq!(
+            lexical::best_brand_match(&u, &refs),
+            legacy::best_brand_match(&u, &refs),
+            "url={s} brands={brands:?}"
+        );
+        for b in &refs {
+            assert_eq!(
+                lexical::brand_match(&u, b),
+                legacy::brand_match(&u, b),
+                "url={s} brand={b}"
+            );
+        }
+    });
+}
+
+/// The piecewise scans of a URL equal the scans of its serialisation, and
+/// the borrowed suffix and registrable domain equal a split-and-join of
+/// the labels, on URLs with ports, IPv4 hosts, queries, fragments and
+/// upper-case paths.
+#[test]
+fn url_pieces_scan_like_the_serialised_string() {
+    check(256, |g| {
+        let host = if g.usize_in(0..4) == 0 {
+            format!("{}.{}.{}.{}", g.u8(), g.u8(), g.u8(), g.u8())
+        } else {
+            let suffix = g.pick(&["com", "co.uk", "web.app", "io"]);
+            let labels = g.vec(0..3, label);
+            labels.iter().map(|l| format!("{l}.")).collect::<String>() + suffix
+        };
+        let mut s = format!("https://{host}");
+        if g.bool() {
+            s += &format!(":{}", g.u16());
+        }
+        s += &path(g, "a-zA-Z0-9._~%@!$*&=-", 0..9, 3);
+        if let Some(q) = g.option(|g| g.string("a-zA-Z0-9=&_.@~%!-", 0..21)) {
+            s += &format!("?{q}");
+        }
+        if let Some(f) = g.option(|g| g.string("a-zA-Z0-9=&@-", 0..9)) {
+            s += &format!("#{f}");
+        }
+        let u = Url::parse(&s).expect("constructed URL must parse");
+        let text = u.as_string();
+        let scan = lexical::scan_url_string(&u);
+        assert_eq!(scan.len, text.len(), "url={s}");
+        assert_eq!(
+            scan.suspicious_symbols,
+            legacy::suspicious_symbol_count(&text)
+        );
+        assert_eq!(scan.sensitive_words, legacy::sensitive_word_count(&text));
+        assert_eq!(
+            scan.digit_ratio.to_bits(),
+            legacy::digit_ratio(&text).to_bits()
+        );
+
+        let labels = u.host().labels();
+        let split_suffix = match labels.len() {
+            0 | 1 => None,
+            n if ["co.uk", "web.app"].contains(&labels[n - 2..].join(".").as_str()) => {
+                Some(labels[n - 2..].join("."))
+            }
+            n => Some(labels[n - 1].to_string()),
+        };
+        assert_eq!(u.host().public_suffix(), split_suffix, "url={s}");
+        let split_registrable = split_suffix.and_then(|suffix| {
+            let k = suffix.split('.').count() + 1;
+            (labels.len() >= k).then(|| labels[labels.len() - k..].join("."))
+        });
+        assert_eq!(u.host().registrable_domain(), split_registrable, "url={s}");
+    });
+}

@@ -68,6 +68,15 @@ if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|park
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
   exit 1
 fi
+# `par` resolves the host's parallelism once per process, and the serving
+# engine once per server; on Linux every other call re-reads the cgroup
+# quota files, so no other code may probe the host again.
+echo "== available_parallelism only where the host is sized once =="
+if grep -rn --include='*.rs' --exclude-dir=target 'available_parallelism' src tests examples crates |
+    grep -vE '^(crates/par/src/lib\.rs:|crates/serve/src/server\.rs:|crates/benchmark/)'; then
+  echo "ci.sh: ERROR: available_parallelism outside par, serve::server and the benchmark (see above)" >&2
+  exit 1
+fi
 # Every table and figure is a section of `repro`; the docs may not send a
 # reader to the per-table binaries it replaced.
 if grep -nE -- '--bin +(fig[1-9]|table[1-4]|evasive|characterize|discovery|ablation)\b' \
