@@ -24,7 +24,7 @@ use freephish_core::models::rf::ForestDetector;
 use freephish_core::models::stack::BaseStackModel;
 use freephish_core::models::urlnet::UrlNetStyle;
 use freephish_core::models::visual::VisualStyle;
-use freephish_core::models::{PageFetcher, PhishDetector};
+use freephish_core::models::{PhishDetector, SnapshotFetcher};
 use freephish_ecosim::BlocklistKind;
 use freephish_fwbsim::history::{self, HistoryConfig, Platform};
 use freephish_fwbsim::{FwbHost, TakedownProfile};
@@ -37,9 +37,9 @@ use freephish_textsim::site_similarity;
 use freephish_urlparse::Url;
 use freephish_webgen::{FwbKind, PageKind, PageSpec, BRANDS};
 use serde_json::{json, Value};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::iter::zip;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A printed section.
@@ -260,12 +260,12 @@ pub fn table1_shapes(rows: &[(FwbKind, f64)]) -> [bool; 2] {
 /// dynamic-analysis cost is visible.
 struct CountingFetcher {
     pages: HashMap<String, String>,
-    fetches: Cell<usize>,
+    fetches: AtomicUsize,
 }
 
-impl PageFetcher for CountingFetcher {
+impl SnapshotFetcher for CountingFetcher {
     fn fetch(&self, url: &str) -> Option<String> {
-        self.fetches.set(self.fetches.get() + 1);
+        self.fetches.fetch_add(1, Ordering::Relaxed);
         self.pages.get(url).cloned()
     }
 }
@@ -285,7 +285,7 @@ pub struct ModelRow {
 fn evaluate(model: &dyn PhishDetector, test: &[LabeledSite], web: &CountingFetcher) -> ModelRow {
     let mut scores = Vec::with_capacity(test.len());
     let mut per_url_ms = Vec::with_capacity(test.len());
-    web.fetches.set(0);
+    web.fetches.store(0, Ordering::Relaxed);
     let start = Instant::now();
     for ls in test {
         let t0 = Instant::now();
@@ -297,7 +297,7 @@ fn evaluate(model: &dyn PhishDetector, test: &[LabeledSite], web: &CountingFetch
     ModelRow {
         name: model.name(),
         metrics: BinaryMetrics::from_scores(&labels, &scores),
-        fetches_per_url: web.fetches.get() as f64 / test.len() as f64,
+        fetches_per_url: web.fetches.load(Ordering::Relaxed) as f64 / test.len() as f64,
         total_secs,
         median_ms: median_f64(&per_url_ms).unwrap_or(0.0),
     }
@@ -318,7 +318,7 @@ pub fn table2(scale: f64) -> Section {
     let pages = corpus.iter().map(page).collect();
     let fetcher = CountingFetcher {
         pages,
-        fetches: Cell::new(0),
+        fetches: AtomicUsize::new(0),
     };
 
     info("training models".into());

@@ -356,11 +356,13 @@ impl RouterClient {
             let mut carry: Vec<(usize, usize)> = Vec::new();
             for &(orig, mut next) in &pending {
                 let succ = shared.ring.successors(&urls[orig]);
-                if next > 0 {
-                    m.failovers.inc();
-                }
                 while next < succ.len() && !shared.is_healthy(succ[next]) {
                     next += 1;
+                }
+                // Counted after the health skip, so a URL whose owner the
+                // prober already marked down has failed over, as in `check`.
+                if next > 0 {
+                    m.failovers.inc();
                 }
                 let Some(&node) = succ.get(next) else {
                     m.unroutable.inc();

@@ -26,15 +26,15 @@
 //!     serves confident-safe misses inline, the residue is classified
 //!     off the serve path as microbatches, and inline phishing verdicts
 //!     are journaled through the store (with --store, durably — a
-//!     restart recovers them with zero re-classification). Models train
-//!     on a background thread at startup. With --ops-port N the daemon also mounts the ops plane on
-//!     127.0.0.1:N: GET /metrics (Prometheus text, including the
-//!     resolver_* tier series), /varz (JSON), /healthz, /readyz, /events
-//!     and /traces/slow. /readyz reports 503 until the serving index has
-//!     published its first generation, the journal tail is caught up
-//!     (with --store), and the classifier is warm (with
-//!     --classify-on-miss). Ctrl-C / SIGTERM drains connections, flushes
-//!     the store, and exits 0.
+//!     restart recovers them with zero re-classification). The models
+//!     are trained before the server listens, so the first miss is
+//!     already classifiable. With --ops-port N the daemon also mounts the
+//!     ops plane on 127.0.0.1:N: GET /metrics (Prometheus text, including
+//!     the resolver_* tier series), /varz (JSON), /healthz, /readyz,
+//!     /events and /traces/slow. /readyz reports 503 until the serving
+//!     index has published its first generation and, with --store, the
+//!     journal tail is caught up. Ctrl-C / SIGTERM drains connections,
+//!     flushes the store, and exits 0.
 //!
 //!     Scale flags (both need --store): --index-file FILE mmaps a baked
 //!     verdict index (DESIGN.md §15) as the serving baseline — a node
@@ -78,7 +78,10 @@ use freephish_cluster::{
     Replica, ReplicaConfig, ReplicationSource, Router, RouterConfig, RouterServer, SourceConfig,
 };
 use freephish_core::extension::{UrlChecker, VerdictClient};
-use freephish_core::resolver::{SyntheticFetcher, TieredResolver, TieredResolverConfig};
+use freephish_core::groundtruth::{build, GroundTruthConfig};
+use freephish_core::resolver::{
+    ResolverModels, SyntheticFetcher, TieredResolver, TieredResolverConfig, WallClock,
+};
 use freephish_core::verdictstore::{EventedStoreChecker, WriteRole};
 use freephish_serve::{EventedServer, IndexPublisher, OpsServer, ServeConfig, ShardedIndex};
 use std::net::SocketAddr;
@@ -383,15 +386,20 @@ fn serve(args: &[String]) -> std::io::Result<()> {
         .transpose()?;
 
     // --classify-on-miss mounts the tiered resolver in front of the
-    // lookup. Models train on a background thread (readiness gates on it
-    // below); snapshots come from the deterministic synthetic fetcher
-    // until a real crawler is wired in. Inline phishing verdicts journal
-    // through the lookup's `add` path — durable when it is store-backed.
+    // lookup. Its models are trained here, before the server listens, on
+    // the tiny ground-truth corpus; snapshots come from the deterministic
+    // synthetic fetcher until a real crawler is wired in. Inline phishing
+    // verdicts journal through the lookup's `add` path — durable when it
+    // is store-backed.
     let resolver: Option<Arc<TieredResolver>> = classify_on_miss.then(|| {
-        TieredResolver::bootstrap(
+        let cfg = TieredResolverConfig::default();
+        let models = ResolverModels::train(&build(&GroundTruthConfig::tiny()), &cfg);
+        TieredResolver::with_models(
             lookup.clone(),
             Arc::new(SyntheticFetcher::new(0x0F_E7C4)),
-            TieredResolverConfig::default(),
+            Arc::new(WallClock::new()),
+            Arc::new(models),
+            cfg,
         )
     });
     let checker: Arc<dyn UrlChecker> = match &resolver {
@@ -447,9 +455,8 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     // one fails. The flag starts true because the open above already did
     // one successful full read — except on a follower, which has not
     // read yet and is further gated on the replica having reached the
-    // primary's tip. With --classify-on-miss readiness also requires the
-    // classifier warm, and the scrape snapshot merges the resolver's
-    // per-tier series.
+    // primary's tip. With --classify-on-miss the scrape snapshot merges
+    // the resolver's per-tier series.
     let follower = role == WriteRole::ReadOnly;
     let journal_ok = Arc::new(AtomicBool::new(!follower));
     let mut ops_server = match ops_port {
@@ -476,8 +483,6 @@ fn serve(args: &[String]) -> std::io::Result<()> {
                 );
             }
             if let Some(r) = &resolver {
-                let warm = r.clone();
-                cfg = cfg.with_ready_condition("classifier_warm", Arc::new(move || warm.is_warm()));
                 let snap = r.clone();
                 cfg = cfg.with_snapshot_merge(Arc::new(move || snap.metrics_snapshot()));
             }

@@ -6,7 +6,7 @@
 //! them (obfuscated banner, noindex meta tag). Table 2 reports 0.97
 //! accuracy / 0.96 F1 at a 2.8 s median runtime.
 
-use super::{PageFetcher, PhishDetector};
+use super::{PhishDetector, SnapshotFetcher};
 use crate::features::{FeatureSet, FeatureVector};
 use crate::groundtruth::{to_dataset, LabeledSite};
 use freephish_ml::{StackModel, StackModelConfig};
@@ -67,7 +67,7 @@ impl PhishDetector for AugmentedStackModel {
         "FreePhish (augmented StackModel)"
     }
 
-    fn score(&self, url: &str, html: &str, _fetcher: &dyn PageFetcher) -> f64 {
+    fn score(&self, url: &str, html: &str, _fetcher: &dyn SnapshotFetcher) -> f64 {
         match Url::parse(url) {
             Ok(parsed) => self.score_snapshot(&parsed, html),
             Err(_) => 0.5,

@@ -14,7 +14,7 @@
 //! dynamic pass that fetches and analyses every link and iframe target up
 //! to a budget, looking for credential harvesting one hop away.
 
-use super::{PageFetcher, PhishDetector};
+use super::{PhishDetector, SnapshotFetcher};
 use freephish_htmlparse::{parse, Document};
 use freephish_urlparse::lexical::{best_brand_match, BrandMatch};
 use freephish_urlparse::Url;
@@ -137,7 +137,7 @@ impl IntentionStyle {
     /// Dynamic pass: fetch outbound targets; credential harvesting one hop
     /// away (or an unreachable lone call-to-action) is evasive-phishing
     /// evidence.
-    fn dynamic_score(&self, url: &Url, doc: &Document, fetcher: &dyn PageFetcher) -> f64 {
+    fn dynamic_score(&self, url: &Url, doc: &Document, fetcher: &dyn SnapshotFetcher) -> f64 {
         let targets = outbound_targets(doc);
         let own = url.host().registrable_domain().unwrap_or_default();
         let mut score: f64 = 0.0;
@@ -197,7 +197,7 @@ impl PhishDetector for IntentionStyle {
         "PhishIntention"
     }
 
-    fn score(&self, url: &str, html: &str, fetcher: &dyn PageFetcher) -> f64 {
+    fn score(&self, url: &str, html: &str, fetcher: &dyn SnapshotFetcher) -> f64 {
         let Ok(parsed) = Url::parse(url) else {
             return 0.5;
         };
@@ -213,15 +213,8 @@ impl PhishDetector for IntentionStyle {
 mod tests {
     use super::*;
     use crate::models::NoFetch;
+    use crate::resolver::MapFetcher;
     use freephish_webgen::{FwbKind, PageKind, PageSpec};
-    use std::collections::HashMap;
-
-    struct MapFetcher(HashMap<String, String>);
-    impl PageFetcher for MapFetcher {
-        fn fetch(&self, url: &str) -> Option<String> {
-            self.0.get(url).cloned()
-        }
-    }
 
     fn gen(kind: PageKind) -> freephish_webgen::GeneratedSite {
         PageSpec {
@@ -259,13 +252,13 @@ mod tests {
             target_url: target.clone(),
         });
         // The linked page harvests credentials.
-        let mut map = HashMap::new();
-        map.insert(
+        let web = MapFetcher::new();
+        web.insert(
             target,
-            r#"<html><body><form><input type="password"></form></body></html>"#.to_string(),
+            r#"<html><body><form><input type="password"></form></body></html>"#,
         );
         let m = IntentionStyle::new();
-        let s = m.score(&site.url, &site.html, &MapFetcher(map));
+        let s = m.score(&site.url, &site.html, &web);
         assert!(s > 0.7, "score={s}");
     }
 

@@ -25,17 +25,27 @@ pub mod stack;
 pub mod urlnet;
 pub mod visual;
 
-/// Access to page content for models that perform dynamic analysis
-/// (following links and iframes the way PhishIntention does).
-pub trait PageFetcher {
-    /// Fetch the HTML served at `url`, or `None` when unreachable.
+/// Where a detector or the tiered resolver gets page snapshots from: the
+/// crawler's seat. Dynamic-analysis models follow links and iframes
+/// through it the way PhishIntention does; the resolver's tier 2 fetches
+/// each residue URL's page through it. The daemon uses
+/// [`SyntheticFetcher`], tests [`MapFetcher`] with exact bodies, and
+/// static-only evaluation [`NoFetch`].
+///
+/// `None` means the snapshot is unavailable (site down, non-HTML, fetch
+/// error); the resolver negative-caches the URL instead of classifying.
+///
+/// [`SyntheticFetcher`]: crate::resolver::SyntheticFetcher
+/// [`MapFetcher`]: crate::resolver::MapFetcher
+pub trait SnapshotFetcher: Send + Sync {
+    /// The page body for `url`, if one can be obtained.
     fn fetch(&self, url: &str) -> Option<String>;
 }
 
 /// A fetcher that resolves nothing — for static-only evaluation.
 pub struct NoFetch;
 
-impl PageFetcher for NoFetch {
+impl SnapshotFetcher for NoFetch {
     fn fetch(&self, _url: &str) -> Option<String> {
         None
     }
@@ -47,10 +57,10 @@ pub trait PhishDetector {
     fn name(&self) -> &'static str;
 
     /// Probability-like score in [0, 1] that the snapshot is phishing.
-    fn score(&self, url: &str, html: &str, fetcher: &dyn PageFetcher) -> f64;
+    fn score(&self, url: &str, html: &str, fetcher: &dyn SnapshotFetcher) -> f64;
 
     /// Hard decision at the 0.5 threshold.
-    fn predict(&self, url: &str, html: &str, fetcher: &dyn PageFetcher) -> u8 {
+    fn predict(&self, url: &str, html: &str, fetcher: &dyn SnapshotFetcher) -> u8 {
         u8::from(self.score(url, html, fetcher) >= 0.5)
     }
 }

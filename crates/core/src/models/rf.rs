@@ -4,7 +4,7 @@
 //! Kept as a comparison point (reported as an extension row in the Table 2
 //! harness).
 
-use super::{PageFetcher, PhishDetector};
+use super::{PhishDetector, SnapshotFetcher};
 use crate::features::{FeatureSet, FeatureVector};
 use crate::groundtruth::{to_dataset, LabeledSite};
 use freephish_ml::{ForestConfig, RandomForest};
@@ -36,7 +36,7 @@ impl PhishDetector for ForestDetector {
         "Random Forest (§4 overview)"
     }
 
-    fn score(&self, url: &str, html: &str, _fetcher: &dyn PageFetcher) -> f64 {
+    fn score(&self, url: &str, html: &str, _fetcher: &dyn SnapshotFetcher) -> f64 {
         let Ok(parsed) = Url::parse(url) else {
             return 0.5;
         };

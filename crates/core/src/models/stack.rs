@@ -2,7 +2,7 @@
 //! ensemble over the original 20-feature URL+HTML layout, including the two
 //! features FreePhish drops (`https` presence, multi-TLD count).
 
-use super::{PageFetcher, PhishDetector};
+use super::{PhishDetector, SnapshotFetcher};
 use crate::features::{FeatureSet, FeatureVector};
 use crate::groundtruth::{to_dataset, LabeledSite};
 use freephish_ml::{StackModel, StackModelConfig};
@@ -34,7 +34,7 @@ impl PhishDetector for BaseStackModel {
         "Base StackModel"
     }
 
-    fn score(&self, url: &str, html: &str, _fetcher: &dyn PageFetcher) -> f64 {
+    fn score(&self, url: &str, html: &str, _fetcher: &dyn SnapshotFetcher) -> f64 {
         let Ok(parsed) = Url::parse(url) else {
             return 0.5;
         };

@@ -8,7 +8,7 @@
 //! host), so recall is the weakest of the line-up (0.68 in Table 2), while
 //! inference is by far the fastest.
 
-use super::{PageFetcher, PhishDetector};
+use super::{PhishDetector, SnapshotFetcher};
 use crate::groundtruth::LabeledSite;
 use freephish_ml::logistic::{char_ngram_vector, LogisticConfig, LogisticRegression};
 use freephish_simclock::Rng64;
@@ -47,7 +47,7 @@ impl PhishDetector for UrlNetStyle {
         "URLNet"
     }
 
-    fn score(&self, url: &str, _html: &str, _fetcher: &dyn PageFetcher) -> f64 {
+    fn score(&self, url: &str, _html: &str, _fetcher: &dyn SnapshotFetcher) -> f64 {
         self.model
             .predict_proba(&char_ngram_vector(url, NGRAM, DIM))
     }

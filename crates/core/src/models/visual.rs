@@ -16,7 +16,7 @@
 //! while benign member-portal pages that do resemble generic login layouts
 //! cause false alarms.
 
-use super::{PageFetcher, PhishDetector};
+use super::{PhishDetector, SnapshotFetcher};
 use crate::groundtruth::LabeledSite;
 use freephish_htmlparse::{parse, Document};
 use freephish_ml::knn::{Knn, Metric};
@@ -145,7 +145,7 @@ impl PhishDetector for VisualStyle {
         "VisualPhishNet"
     }
 
-    fn score(&self, url: &str, html: &str, _fetcher: &dyn PageFetcher) -> f64 {
+    fn score(&self, url: &str, html: &str, _fetcher: &dyn SnapshotFetcher) -> f64 {
         let doc = parse(html);
         let sig = layout_signature(&doc);
         let Some(&(brand, dist)) = self.gallery.nearest(&sig, 1).first() else {

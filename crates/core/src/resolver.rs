@@ -56,16 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Where tier 2 gets page snapshots from. Production would put a crawler
-/// here; the daemon uses [`SyntheticFetcher`] (a deterministic stand-in
-/// world) and tests/benches use [`MapFetcher`] with exact bodies.
-///
-/// `None` means the snapshot is unavailable (site down, non-HTML, fetch
-/// error); the resolver negative-caches the URL instead of classifying.
-pub trait SnapshotFetcher: Send + Sync {
-    /// The page body for `url`, if one can be obtained.
-    fn fetch(&self, url: &str) -> Option<String>;
-}
+pub use crate::models::SnapshotFetcher;
 
 /// A fetcher serving exact bodies from an in-memory map — the test
 /// backend, where miss URLs are generated together with their HTML.
@@ -134,130 +125,6 @@ impl SnapshotFetcher for SyntheticFetcher {
     fn fetch(&self, url: &str) -> Option<String> {
         let i = (fnv1a(url) % self.bodies.len() as u64) as usize;
         Some(self.bodies[i].clone())
-    }
-}
-
-/// A minimal real-page fetcher: `GET` over a plain [`TcpStream`], no
-/// TLS, no redirects, no external dependencies. Enough for
-/// `--classify-on-miss` to pull live pages from `http://` endpoints —
-/// local crawler sidecars, test servers, the ops plane — while
-/// `https://` URLs (which would need a TLS stack) and every failure
-/// mode map to `None`, which the resolver treats as "snapshot
-/// unavailable" and negative-caches.
-///
-/// The request is pinned to HTTP/1.0 so compliant servers reply with a
-/// whole body and close — sidestepping chunked transfer decoding — and
-/// the body read is capped so a hostile endpoint cannot balloon
-/// memory.
-pub struct HttpFetcher {
-    connect_timeout: Duration,
-    io_timeout: Duration,
-    max_body_bytes: usize,
-}
-
-impl Default for HttpFetcher {
-    fn default() -> HttpFetcher {
-        HttpFetcher {
-            connect_timeout: Duration::from_secs(2),
-            io_timeout: Duration::from_secs(5),
-            max_body_bytes: 2 << 20,
-        }
-    }
-}
-
-impl HttpFetcher {
-    /// A fetcher with default timeouts (2 s connect, 5 s read) and a
-    /// 2 MiB body cap.
-    pub fn new() -> HttpFetcher {
-        HttpFetcher::default()
-    }
-
-    /// Override the timeouts and body cap.
-    pub fn with_limits(
-        connect_timeout: Duration,
-        io_timeout: Duration,
-        max_body_bytes: usize,
-    ) -> HttpFetcher {
-        HttpFetcher {
-            connect_timeout,
-            io_timeout,
-            max_body_bytes,
-        }
-    }
-
-    fn fetch_inner(&self, url: &str) -> Option<String> {
-        use std::io::{Read, Write};
-        use std::net::{TcpStream, ToSocketAddrs};
-
-        let rest = url.strip_prefix("http://")?;
-        let (host_port, path) = match rest.find('/') {
-            Some(i) => (&rest[..i], &rest[i..]),
-            None => (rest, "/"),
-        };
-        if host_port.is_empty() {
-            return None;
-        }
-        let host = host_port.rsplit_once(':').map_or(host_port, |(h, p)| {
-            if p.chars().all(|c| c.is_ascii_digit()) {
-                h
-            } else {
-                host_port
-            }
-        });
-        let addr = if host_port.contains(':') {
-            host_port.to_socket_addrs().ok()?.next()?
-        } else {
-            (host_port, 80).to_socket_addrs().ok()?.next()?
-        };
-        let mut stream = TcpStream::connect_timeout(&addr, self.connect_timeout).ok()?;
-        stream.set_read_timeout(Some(self.io_timeout)).ok()?;
-        stream.set_write_timeout(Some(self.io_timeout)).ok()?;
-        stream
-            .write_all(
-                format!(
-                    "GET {path} HTTP/1.0\r\nHost: {host}\r\nAccept: text/html\r\n\
-                     Connection: close\r\n\r\n"
-                )
-                .as_bytes(),
-            )
-            .ok()?;
-        let mut raw = Vec::new();
-        let mut chunk = [0u8; 16 * 1024];
-        let cap = self.max_body_bytes + 16 * 1024; // headers allowance
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    raw.extend_from_slice(&chunk[..n]);
-                    if raw.len() > cap {
-                        return None;
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-        let text = String::from_utf8_lossy(&raw);
-        let (head, body) = text.split_once("\r\n\r\n")?;
-        let status_line = head.lines().next()?;
-        let mut parts = status_line.split_whitespace();
-        let proto = parts.next()?;
-        if !proto.starts_with("HTTP/1.") {
-            return None;
-        }
-        let status: u16 = parts.next()?.parse().ok()?;
-        if !(200..300).contains(&status) {
-            return None;
-        }
-        if body.len() > self.max_body_bytes {
-            return None;
-        }
-        Some(body.to_string())
-    }
-}
-
-impl SnapshotFetcher for HttpFetcher {
-    fn fetch(&self, url: &str) -> Option<String> {
-        self.fetch_inner(url)
     }
 }
 
@@ -335,8 +202,6 @@ pub struct TieredResolverConfig {
     pub microbatch: usize,
     /// How long a safe (negative) verdict suppresses re-classification.
     pub negative_ttl: SimDuration,
-    /// Ground-truth corpus the bootstrap path trains on.
-    pub corpus: GroundTruthConfig,
     /// Seed for model training.
     pub train_seed: u64,
 }
@@ -349,7 +214,6 @@ impl Default for TieredResolverConfig {
             queue_cap: 4096,
             microbatch: 64,
             negative_ttl: SimDuration(3600),
-            corpus: GroundTruthConfig::tiny(),
             train_seed: 0xF5EE_F00D,
         }
     }
@@ -459,7 +323,6 @@ struct ResolverMetrics {
     enqueued: Arc<Counter>,
     pending_hits: Arc<Counter>,
     shed: Arc<Counter>,
-    cold: Arc<Counter>,
     rejected: Arc<Counter>,
     negative_expired: Arc<Counter>,
     classified: Arc<Counter>,
@@ -496,7 +359,6 @@ impl ResolverMetrics {
             enqueued: registry.counter("resolver_classify_enqueued_total", &[]),
             pending_hits: registry.counter("resolver_classify_pending_hits_total", &[]),
             shed: registry.counter("resolver_classify_shed_total", &[]),
-            cold: registry.counter("resolver_cold_misses_total", &[]),
             rejected: registry.counter("resolver_rejected_urls_total", &[]),
             negative_expired: registry.counter("resolver_negative_expired_total", &[]),
             classified: registry.counter("resolver_classified_total", &[]),
@@ -515,20 +377,19 @@ impl ResolverMetrics {
     }
 }
 
-/// What the worker and trainer threads share with the handle. The
-/// threads hold this, never the [`TieredResolver`] itself, so dropping the
-/// last handle runs its `Drop` — which stops and joins them.
+/// What the worker thread shares with the handle. The thread holds this,
+/// never the [`TieredResolver`] itself, so dropping the last handle runs
+/// its `Drop` — which stops and joins it.
 struct Shared {
     inner: Arc<dyn UrlChecker>,
     fetcher: Arc<dyn SnapshotFetcher>,
     clock: Arc<dyn ResolverClock>,
     cfg: TieredResolverConfig,
-    models: RwLock<Option<Arc<ResolverModels>>>,
+    models: Arc<ResolverModels>,
     negative: RwLock<HashMap<String, NegativeEntry>>,
     state: Mutex<QueueState>,
     work_cv: Condvar,
     idle_cv: Condvar,
-    warm: AtomicBool,
     stop: AtomicBool,
     metrics: ResolverMetrics,
 }
@@ -542,8 +403,8 @@ pub struct TieredResolver {
 }
 
 impl TieredResolver {
-    /// A resolver over pre-trained models: warm immediately. The worker
-    /// thread starts consuming the classify queue at once.
+    /// A resolver serving with `models`. The worker thread starts
+    /// consuming the classify queue at once.
     pub fn with_models(
         inner: Arc<dyn UrlChecker>,
         fetcher: Arc<dyn SnapshotFetcher>,
@@ -551,41 +412,7 @@ impl TieredResolver {
         models: Arc<ResolverModels>,
         cfg: TieredResolverConfig,
     ) -> Arc<TieredResolver> {
-        let r = Self::build(inner, fetcher, clock, cfg);
-        *write(&r.shared.models) = Some(models);
-        r.shared.warm.store(true, Ordering::SeqCst);
-        r.spawn_worker();
-        r
-    }
-
-    /// A resolver that trains its own models on a background thread (the
-    /// daemon's startup path): serving begins immediately, `/readyz` stays
-    /// 503 on the `classifier_warm` condition until training and a warm-up
-    /// scoring pass finish, and cold misses queue up to be classified the
-    /// moment the models land.
-    pub fn bootstrap(
-        inner: Arc<dyn UrlChecker>,
-        fetcher: Arc<dyn SnapshotFetcher>,
-        cfg: TieredResolverConfig,
-    ) -> Arc<TieredResolver> {
-        let r = Self::build(inner, fetcher, Arc::new(WallClock::new()), cfg);
-        let s = r.shared.clone();
-        let trainer = std::thread::spawn(move || {
-            let corpus = build(&s.cfg.corpus);
-            let models = Arc::new(ResolverModels::train(&corpus, &s.cfg));
-            // Warm-up pass: fault in both models' hot paths before
-            // declaring readiness, so the first real request pays no
-            // first-touch cost.
-            if let Ok(u) = Url::parse(&corpus[0].site.url) {
-                let _ = models.prefilter_score(&u);
-                let _ = models.stack.score_snapshot(&u, &corpus[0].site.html);
-            }
-            *write(&s.models) = Some(models);
-            s.warm.store(true, Ordering::SeqCst);
-            // Wake the worker: queued cold misses are now classifiable.
-            s.work_cv.notify_all();
-        });
-        lock(&r.workers).push(trainer);
+        let r = Self::build(inner, fetcher, clock, models, cfg);
         r.spawn_worker();
         r
     }
@@ -594,6 +421,7 @@ impl TieredResolver {
         inner: Arc<dyn UrlChecker>,
         fetcher: Arc<dyn SnapshotFetcher>,
         clock: Arc<dyn ResolverClock>,
+        models: Arc<ResolverModels>,
         cfg: TieredResolverConfig,
     ) -> Arc<TieredResolver> {
         Arc::new(TieredResolver {
@@ -602,12 +430,11 @@ impl TieredResolver {
                 fetcher,
                 clock,
                 cfg,
-                models: RwLock::new(None),
+                models,
                 negative: RwLock::new(HashMap::new()),
                 state: Mutex::new(QueueState::default()),
                 work_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
-                warm: AtomicBool::new(false),
                 stop: AtomicBool::new(false),
                 metrics: ResolverMetrics::new(),
             }),
@@ -618,24 +445,6 @@ impl TieredResolver {
     fn spawn_worker(&self) {
         let s = self.shared.clone();
         lock(&self.workers).push(std::thread::spawn(move || s.worker_loop()));
-    }
-
-    /// True once models are trained and warmed — the `/readyz`
-    /// `classifier_warm` condition.
-    pub fn is_warm(&self) -> bool {
-        self.shared.warm.load(Ordering::SeqCst)
-    }
-
-    /// Block until warm, up to `timeout`. Returns whether it happened.
-    pub fn wait_warm(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.is_warm() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        true
     }
 
     /// Block until the classify queue is empty and no batch is in flight,
@@ -658,7 +467,7 @@ impl TieredResolver {
         true
     }
 
-    /// Stop the background threads and join them; dropping the last
+    /// Stop the worker thread and join it; dropping the last
     /// handle does the same. Idempotent; verdicts already journaled are
     /// durable regardless (the inner checker fsyncs per `add`), which is
     /// what the kill-mid-load recovery test relies on.
@@ -735,21 +544,13 @@ impl Shared {
             return Verdict::Safe(0.0);
         };
 
-        let Some(models) = read(&self.models).clone() else {
-            // Cold: models still training. Queue the miss so it resolves
-            // once warm; answer the only thing known so far.
-            self.metrics.cold.inc();
-            residue.push(url);
-            return Verdict::Safe(0.0);
-        };
-
         // Tier 1: URL-lexical pre-filter.
         let t0 = Instant::now();
-        let p = models.prefilter_score(&parsed);
+        let p = self.models.prefilter_score(&parsed);
         self.metrics
             .prefilter_us
             .record(t0.elapsed().as_secs_f64() * 1e6);
-        if p < models.cutoff {
+        if p < self.models.cutoff {
             self.metrics.hit_prefilter.inc();
             self.insert_negatives(&[(url, p, NegativeSrc::Prefilter)], now);
             return Verdict::Safe(p);
@@ -832,7 +633,7 @@ impl Shared {
                     if self.stop.load(Ordering::SeqCst) {
                         return;
                     }
-                    if !st.queue.is_empty() && read(&self.models).is_some() {
+                    if !st.queue.is_empty() {
                         break;
                     }
                     st = self
@@ -846,10 +647,7 @@ impl Shared {
                 st.inflight += batch.len();
                 batch
             };
-            let models = read(&self.models)
-                .clone()
-                .expect("worker only runs with models");
-            self.classify_batch(&batch, &models);
+            self.classify_batch(&batch);
             let mut st = self.state.lock().unwrap();
             st.inflight -= batch.len();
             for url in &batch {
@@ -863,10 +661,10 @@ impl Shared {
     /// Tier 2 + tier 3 for one microbatch: fetch, sniff and score on the
     /// `par` pool, so a batch waits for its slowest fetch rather than the
     /// sum of them, then journal phishing / negative-cache the rest.
-    fn classify_batch(&self, batch: &[String], models: &ResolverModels) {
+    fn classify_batch(&self, batch: &[String]) {
         let t0 = Instant::now();
         let now = self.clock.now();
-        let fetcher = &*self.fetcher;
+        let (fetcher, models) = (&*self.fetcher, &*self.models);
         // Each item is pure and independent, so the scores are
         // bit-identical to serial `score_snapshot` calls at any
         // FREEPHISH_THREADS — the cross-engine equivalence tests pin this.
@@ -1000,83 +798,6 @@ mod tests {
             Arc::new(m),
             cfg,
         )
-    }
-
-    /// A one-request HTTP server thread serving a canned response.
-    fn canned_http_server(response: &'static str) -> std::net::SocketAddr {
-        use std::io::{Read, Write};
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { continue };
-                let mut buf = [0u8; 4096];
-                // Read until the end of the request head.
-                let mut seen = Vec::new();
-                while !seen.windows(4).any(|w| w == b"\r\n\r\n") {
-                    match stream.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => seen.extend_from_slice(&buf[..n]),
-                    }
-                }
-                let _ = stream.write_all(response.as_bytes());
-            }
-        });
-        addr
-    }
-
-    #[test]
-    fn http_fetcher_fetches_real_pages_over_tcp() {
-        let ok = canned_http_server(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n<html><body>login page</body></html>",
-        );
-        let fetcher = HttpFetcher::new();
-        assert_eq!(
-            fetcher.fetch(&format!("http://{ok}/login")).as_deref(),
-            Some("<html><body>login page</body></html>")
-        );
-
-        // Non-2xx, unsupported schemes, and dead hosts all map to None
-        // (the resolver's "snapshot unavailable" signal).
-        let missing = canned_http_server("HTTP/1.0 404 Not Found\r\n\r\ngone");
-        assert_eq!(fetcher.fetch(&format!("http://{missing}/x")), None);
-        assert_eq!(fetcher.fetch("https://needs-tls.example/"), None);
-        assert_eq!(fetcher.fetch("not a url"), None);
-        let dead = HttpFetcher::with_limits(
-            Duration::from_millis(200),
-            Duration::from_millis(200),
-            1 << 20,
-        );
-        assert_eq!(dead.fetch("http://127.0.0.1:1/x"), None);
-    }
-
-    #[test]
-    fn http_fetcher_feeds_classify_on_miss() {
-        // The fetcher is a drop-in SnapshotFetcher: a resolver configured
-        // with it classifies a page fetched over real TCP.
-        let addr = canned_http_server(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n\
-             <html><form action=\"http://collector.test/post\">\
-             <input type=password name=pw></form>\
-             Verify your account password immediately</html>",
-        );
-        let cfg = TieredResolverConfig::default();
-        let resolver = resolver_with(
-            Some(0.0),
-            Arc::new(HttpFetcher::new()),
-            Arc::new(WallClock::new()),
-            cfg,
-        );
-        let url = format!("http://{addr}/verify");
-        // The first check enqueues the miss; drain runs the fetch →
-        // parse → classify pipeline against the live TCP server.
-        let v = resolver.check(&url);
-        assert!(v.score().is_finite());
-        assert!(resolver.drain(Duration::from_secs(10)));
-        let snap = resolver.metrics_snapshot();
-        assert_eq!(snap.counter("resolver_fetch_failed_total", &[]), 0);
-        assert_eq!(snap.counter("resolver_classified_total", &[]), 1);
-        resolver.shutdown();
     }
 
     /// A fetcher holding a sentinel: the sentinel's strong count tells
@@ -1253,27 +974,40 @@ mod tests {
         }
     }
 
+    /// Models with cutoff 0: every parsable miss is residue for tier 2.
+    fn unconsumed_models(cfg: &TieredResolverConfig) -> Arc<ResolverModels> {
+        Arc::new(ResolverModels::train(&corpus(), cfg).with_cutoff(0.0))
+    }
+
+    /// A resolver whose worker never starts, so admissions stay queued.
+    fn unconsumed_resolver(
+        models: &Arc<ResolverModels>,
+        cfg: TieredResolverConfig,
+    ) -> Arc<TieredResolver> {
+        TieredResolver::build(
+            Arc::new(ShardedIndex::with_default_shards()),
+            Arc::new(MapFetcher::new()),
+            Arc::new(ManualClock::new()),
+            models.clone(),
+            cfg,
+        )
+    }
+
     #[test]
     fn full_queue_sheds_instead_of_blocking() {
         let urls: Vec<String> = (0..5)
             .map(|i| format!("https://miss{i}.weebly.com/"))
             .collect();
+        let cfg = TieredResolverConfig {
+            queue_cap: 2,
+            ..TieredResolverConfig::default()
+        };
+        let models = unconsumed_models(&cfg);
         for frame in [false, true] {
-            let cfg = TieredResolverConfig {
-                queue_cap: 2,
-                ..TieredResolverConfig::default()
-            };
-            // No fetcher entries: classification will negative-cache as
+            // No fetcher entries: classification would negative-cache as
             // unfetchable, but that is irrelevant here — we only watch the
-            // admission. Use a cold resolver (no models): the worker cannot
-            // consume, so the queue genuinely fills.
-            let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
-            let r = TieredResolver::build(
-                inner,
-                Arc::new(MapFetcher::new()),
-                Arc::new(ManualClock::new()),
-                cfg,
-            );
+            // admission. No worker consumes, so the queue genuinely fills.
+            let r = unconsumed_resolver(&models, cfg.clone());
             check_each_or_as_frame(&r, &urls, frame);
             let snap = r.metrics_snapshot();
             assert_eq!(
@@ -1293,16 +1027,11 @@ mod tests {
     #[test]
     fn duplicate_misses_deduplicate_while_pending() {
         let urls = vec!["https://same.weebly.com/".to_string(); 4];
+        let cfg = TieredResolverConfig::default();
+        let models = unconsumed_models(&cfg);
         for frame in [false, true] {
-            let cfg = TieredResolverConfig::default();
-            let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
-            // Cold resolver: the queue holds whatever is admitted.
-            let r = TieredResolver::build(
-                inner,
-                Arc::new(MapFetcher::new()),
-                Arc::new(ManualClock::new()),
-                cfg,
-            );
+            // No worker: the queue holds whatever is admitted.
+            let r = unconsumed_resolver(&models, cfg.clone());
             check_each_or_as_frame(&r, &urls, frame);
             let snap = r.metrics_snapshot();
             assert_eq!(
@@ -1349,11 +1078,10 @@ mod tests {
         let batch: Vec<String> = (0..8)
             .map(|i| format!("https://slow{i}.weebly.com/"))
             .collect();
-        let models = read(&r.shared.models).clone().expect("built with models");
         // Called directly: the thread override is thread-local and would
         // not reach the resolver's worker thread.
         let started = Instant::now();
-        freephish_par::with_thread_override(4, || r.shared.classify_batch(&batch, &models));
+        freephish_par::with_thread_override(4, || r.shared.classify_batch(&batch));
         let wall = started.elapsed();
         let sum = delay * batch.len() as u32;
         assert!(
@@ -1420,41 +1148,6 @@ mod tests {
         // An analyst reports it over the wire.
         r.add(url, 0.97).unwrap();
         assert!(r.check(url).is_phishing());
-        r.shutdown();
-    }
-
-    #[test]
-    fn bootstrap_becomes_warm_and_flushes_cold_misses() {
-        let sites = corpus();
-        let phish = sites.iter().find(|s| s.label == 1).unwrap();
-        let fetcher = Arc::new(MapFetcher::new());
-        fetcher.insert(&phish.site.url, &phish.site.html);
-        let cfg = TieredResolverConfig {
-            corpus: GroundTruthConfig {
-                n_phish: 60,
-                n_benign: 60,
-                seed: 0xB007,
-            },
-            ..TieredResolverConfig::default()
-        };
-        let inner: Arc<dyn UrlChecker> = Arc::new(ShardedIndex::with_default_shards());
-        let r = TieredResolver::bootstrap(inner, fetcher, cfg);
-        // A miss arriving before warm-up is queued, not dropped.
-        r.check(&phish.site.url);
-        assert!(
-            r.wait_warm(Duration::from_secs(120)),
-            "trainer never warmed"
-        );
-        assert!(r.drain(Duration::from_secs(30)));
-        let snap = r.metrics_snapshot();
-        // The cold miss was classified once the models landed (unless the
-        // trainer won the race, in which case it went through tier 1/2
-        // normally — either way it was not lost).
-        assert!(
-            snap.counter("resolver_classified_total", &[])
-                + snap.counter("resolver_tier_hits_total", &[("tier", "prefilter")])
-                >= 1
-        );
         r.shutdown();
     }
 }

@@ -6,7 +6,6 @@
 //! registry that plays the role of the crawler (given a URL, return the
 //! page HTML if the site is up).
 
-use crate::models::PageFetcher;
 use freephish_ecosim::{Blocklist, BlocklistKind, SearchIndex, VirusTotal};
 use freephish_fwbsim::history::Platform;
 use freephish_fwbsim::{CtLog, FwbHost, SelfHostedPopulation, WhoisDb};
@@ -128,34 +127,15 @@ impl World {
         })
     }
 
-    /// A [`PageFetcher`] view of the world at a fixed instant, for the
-    /// dynamic-analysis models.
-    pub fn fetcher_at(&self, now: SimTime) -> WorldFetcher<'_> {
-        WorldFetcher { world: self, now }
-    }
-
     /// Number of registered snapshots.
     pub fn snapshot_count(&self) -> usize {
         self.snapshots.len()
     }
 }
 
-/// Fetcher over the world's snapshot registry at a fixed time.
-pub struct WorldFetcher<'a> {
-    world: &'a World,
-    now: SimTime,
-}
-
-impl PageFetcher for WorldFetcher<'_> {
-    fn fetch(&self, url: &str) -> Option<String> {
-        self.world.crawl(url, self.now).map(|s| s.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::PageFetcher;
 
     #[test]
     fn world_wires_every_subsystem() {
@@ -183,24 +163,6 @@ mod tests {
             .is_none());
         assert!(w
             .crawl("https://unknown.weebly.com/", SimTime::ZERO)
-            .is_none());
-    }
-
-    #[test]
-    fn fetcher_respects_time() {
-        let mut w = World::new(3);
-        w.register_snapshot(
-            "https://b.weebly.com/",
-            "<p>x</p>".into(),
-            Some(SimTime::from_hours(2)),
-        );
-        assert!(w
-            .fetcher_at(SimTime::from_hours(1))
-            .fetch("https://b.weebly.com/")
-            .is_some());
-        assert!(w
-            .fetcher_at(SimTime::from_hours(3))
-            .fetch("https://b.weebly.com/")
             .is_none());
     }
 

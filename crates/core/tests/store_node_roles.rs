@@ -6,7 +6,7 @@
 
 use freephish_cluster::{Replica, ReplicaConfig, ReplicationSource};
 use freephish_core::extension::{UrlChecker, Verdict, VerdictClient};
-use freephish_core::groundtruth::build;
+use freephish_core::groundtruth::{build, GroundTruthConfig};
 use freephish_core::resolver::{
     ManualClock, MapFetcher, ResolverModels, TieredResolver, TieredResolverConfig,
 };
@@ -99,7 +99,7 @@ fn a_follower_serves_what_the_primary_acknowledged_and_refuses_writes() {
 
     // … and one is classified inline by the resolver mounted on the node.
     let cfg = TieredResolverConfig::default();
-    let corpus = build(&cfg.corpus);
+    let corpus = build(&GroundTruthConfig::tiny());
     let models = Arc::new(ResolverModels::train(&corpus, &cfg).with_cutoff(0.0));
     let phish = corpus.iter().find(|s| s.label == 1).unwrap();
     let fetcher = Arc::new(MapFetcher::new());

@@ -58,7 +58,8 @@ fn miss_fixture() -> MissFixture {
     for (url, html) in &sites {
         fetcher.insert(url, html);
     }
-    let models = Arc::new(ResolverModels::train(&build(&cfg.corpus), &cfg).with_cutoff(0.0));
+    let models =
+        Arc::new(ResolverModels::train(&build(&GroundTruthConfig::tiny()), &cfg).with_cutoff(0.0));
     MissFixture {
         cfg,
         sites,

@@ -136,10 +136,11 @@ fn readiness_flips_once_under_concurrent_load() {
 
 #[test]
 fn readiness_with_composed_condition_still_flips_exactly_once() {
-    // The daemon's classify-on-miss shape: engine readiness (index
-    // published) composed with a wrapper condition (classifier warm).
-    // The two become true at different times; /readyz must go 503→200
-    // exactly once, only after BOTH hold.
+    // Engine readiness (index published) composed with one wrapper
+    // condition, as the daemon composes its journal-tail and replication
+    // conditions; the name here is only a label. The two become true at
+    // different times; /readyz must go 503→200 exactly once, only after
+    // BOTH hold.
     let index = Arc::new(ShardedIndex::with_default_shards());
     let warm = Arc::new(AtomicBool::new(false));
     let mut engine = EventedServer::start(index.clone()).expect("start engine");

@@ -108,41 +108,6 @@ pub fn coverage_curve(delays: &[Option<u64>], checkpoints_secs: &[u64]) -> Vec<(
         .collect()
 }
 
-/// Histogram with fixed-width buckets over [0, width*buckets); the final
-/// bucket absorbs overflow. Used for per-quarter counts in Figure 1.
-#[derive(Debug, Clone)]
-pub struct FixedHistogram {
-    width: u64,
-    counts: Vec<u64>,
-}
-
-impl FixedHistogram {
-    /// `buckets` buckets of `width` each; `buckets` must be > 0.
-    pub fn new(width: u64, buckets: usize) -> Self {
-        assert!(width > 0 && buckets > 0);
-        FixedHistogram {
-            width,
-            counts: vec![0; buckets],
-        }
-    }
-
-    /// Record one observation at `x`.
-    pub fn record(&mut self, x: u64) {
-        let i = ((x / self.width) as usize).min(self.counts.len() - 1);
-        self.counts[i] += 1;
-    }
-
-    /// The bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,15 +170,5 @@ mod tests {
     fn coverage_curve_empty_population() {
         let curve = coverage_curve(&[], &[10]);
         assert_eq!(curve, vec![(10, 0.0)]);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = FixedHistogram::new(10, 3);
-        for x in [0, 9, 10, 25, 999] {
-            h.record(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 2]); // 999 lands in the last bucket
-        assert_eq!(h.total(), 5);
     }
 }

@@ -8,11 +8,19 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release
+
+# Tier-1 builds from a clean clone: every dependency is a path inside the
+# repository, so the lock file may name no registry.
+echo "== Cargo.lock names no registry =="
+if grep -n 'source = "registry+' Cargo.lock; then
+  echo "ci.sh: ERROR: Cargo.lock pulls a crate from a registry (see above); a clean clone could not build" >&2
+  exit 1
+fi
 
 # README §Performance, DESIGN.md and EXPERIMENTS.md may only name
 # workloads and metrics BENCHMARK.json declares and keys
@@ -58,11 +66,13 @@ fi
 
 # One store-backed node, one index checker, std locks, a size-derived
 # compaction trigger, one `repro` run, one property runner
-# (`freephish_simclock::prop`): the forks, the dependencies, the tick-count
-# knob and the per-table knobs this repo retired must not come back
-# (crates/benchmark keeps its own stand-ins, `proptest` among them).
+# (`freephish_simclock::prop`), one fetch trait, a resolver that is built
+# with its models: the forks, the dependencies, the tick-count knob, the
+# per-table knobs and the warm-up machinery this repo retired must not come
+# back (crates/benchmark keeps its own stand-ins, `proptest` and `criterion`
+# among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
