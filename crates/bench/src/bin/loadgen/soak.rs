@@ -14,6 +14,9 @@
 //!    size, proving generation is truly streaming.
 //! 2. **bake** — stream `FREEPHISH_SOAK_INDEX` verdicts (default 10M)
 //!    through the external-merge [`IndexWriter`] into a snapshot file.
+//!    Gate: RSS growth stays within the writer's bound — the run budget
+//!    ([`DEFAULT_RUN_BYTES`]) plus 4 bytes per bucket of occupancy counts
+//!    plus 48 MB of process slack (176 MB at 10M entries).
 //! 3. **load** — time `SnapshotIndex::open` (best of 3). Gate: a
 //!    10M-entry restart must cost at most 100 ms — the whole point of
 //!    the mmap format. ~1000 spot lookups then prove bit-identical
@@ -30,7 +33,7 @@ use bytes::BytesMut;
 use freephish_core::extension::read_line_buffered;
 use freephish_core::verdictstore::EventedStoreChecker;
 use freephish_core::{ScaleWorld, ScaleWorldConfig};
-use freephish_mapidx::SnapshotIndex;
+use freephish_mapidx::{SnapshotIndex, DEFAULT_RUN_BYTES};
 use freephish_obs::process_rss_bytes;
 use freephish_serve::{
     decode_bin_reply, encode_bin_request, BinReply, BinRequest, EventedServer, OpsServer,
@@ -137,17 +140,27 @@ fn bake_and_load_phase(
     let summary = world.bake_index(entries, out).expect("bake scale index");
     let bake_secs = t0.elapsed().as_secs_f64();
     let bake_peak = sampler.finish();
+    assert_eq!(
+        summary.entries, entries,
+        "scale world URLs are index-unique; the bake must not dedup any away"
+    );
+    // The writer holds one run and the bucket counts, sized from the
+    // pre-dedup total (here every entry is unique).
+    let buckets = entries.next_power_of_two().max(1);
+    let rss_limit_mb = (DEFAULT_RUN_BYTES as f64 + 4.0 * buckets as f64) / (1024.0 * 1024.0) + 48.0;
+    let growth = bake_peak - rss0;
     println!(
         "  bake: {} entries ({:.1} MB) in {bake_secs:.2}s ({:.0} entries/s), \
-         {} spill runs, RSS peak {bake_peak:.1} MB",
+         {} spill runs, RSS peak {bake_peak:.1} MB (+{growth:.1}, bound {rss_limit_mb:.0})",
         summary.entries,
         summary.file_bytes as f64 / (1024.0 * 1024.0),
         entries as f64 / bake_secs,
         summary.spill_runs
     );
-    assert_eq!(
-        summary.entries, entries,
-        "scale world URLs are index-unique; the bake must not dedup any away"
+    assert!(
+        growth <= rss_limit_mb,
+        "a {entries}-entry bake must grow RSS by at most {rss_limit_mb:.0} MB \
+         (run budget + 4 B per bucket + 48 MB), grew {growth:.1} MB"
     );
     let bake = serde_json::json!({
         "entries": summary.entries,
@@ -156,7 +169,8 @@ fn bake_and_load_phase(
         "entries_per_sec": entries as f64 / bake_secs,
         "spill_runs": summary.spill_runs,
         "rss_peak_mb": bake_peak,
-        "rss_growth_mb": bake_peak - rss0,
+        "rss_growth_mb": growth,
+        "rss_growth_limit_mb": rss_limit_mb,
     });
 
     // Load: best-of-3 opens. The serve-path open is O(1) in file size,

@@ -25,7 +25,8 @@
 use std::io;
 use std::path::Path;
 
-use freephish_fwbsim::{scale, ScaleSampler, ScaleSite, ScaleStats};
+use freephish_fwbsim::scale::{self, URL_CAPACITY};
+use freephish_fwbsim::{ScaleSampler, ScaleSite, ScaleStats};
 use freephish_mapidx::{BakeSummary, IndexWriter};
 
 /// Shape of a scale world. `Default` gives the soak harness's baseline:
@@ -91,10 +92,20 @@ impl ScaleWorld {
         self.sampler.site_at(index % self.cfg.sites.max(1))
     }
 
-    /// The verdict-store entry for site `index`: `(url, score)`.
+    /// The verdict-store entry for site `index`: `(url, score)`. The URL
+    /// is one allocation of [`URL_CAPACITY`] bytes.
     pub fn verdict_at(&self, index: u64) -> (String, f64) {
-        let site = self.site_at(index);
-        (site.url, site.score)
+        let mut url = String::with_capacity(URL_CAPACITY);
+        let score = self.verdict_into(index, &mut url);
+        (url, score)
+    }
+
+    /// [`ScaleWorld::verdict_at`] into a caller's buffer: renders site
+    /// `index`'s URL into `url` (cleared first) and returns its score, so
+    /// a loop over the world reuses one `String` and allocates nothing.
+    pub fn verdict_into(&self, index: u64, url: &mut String) -> f64 {
+        debug_assert!(self.cfg.sites > 0, "verdict_into on an empty world");
+        self.sampler.render_at(index % self.cfg.sites.max(1), url)
     }
 
     /// Stream every site in index order. Constant memory: one
@@ -135,16 +146,20 @@ impl ScaleWorld {
     /// scale path for building multi-million-entry baked baselines
     /// without a journal: the external-merge writer spills sorted runs,
     /// so peak memory is the writer's run budget, not the entry count.
+    /// One `String` carries every URL, so the loop allocates nothing;
+    /// the spill directory is removed whether the bake succeeds or fails.
     pub fn bake_index(&self, entries: u64, out_path: &Path) -> io::Result<BakeSummary> {
         let spill = out_path.with_extension("spill");
-        let mut writer = IndexWriter::create(&spill)?;
-        for i in 0..entries {
-            let (url, score) = self.verdict_at(i);
-            writer.add(&url, score)?;
-        }
-        let summary = writer.finish(out_path)?;
+        let baked = IndexWriter::create(&spill).and_then(|mut writer| {
+            let mut url = String::with_capacity(URL_CAPACITY);
+            for i in 0..entries {
+                let score = self.verdict_into(i, &mut url);
+                writer.add(&url, score)?;
+            }
+            writer.finish(out_path)
+        });
         let _ = std::fs::remove_dir_all(&spill);
-        Ok(summary)
+        baked
     }
 }
 
@@ -152,6 +167,7 @@ impl ScaleWorld {
 mod tests {
     use super::*;
     use freephish_mapidx::SnapshotIndex;
+    use freephish_store::testutil::TempDir;
 
     fn small(sites: u64) -> ScaleWorld {
         ScaleWorld::new(ScaleWorldConfig {
@@ -217,6 +233,93 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    #[test]
+    fn verdicts_are_the_sites_url_and_score() {
+        let mut url = String::from("a stale URL");
+        for seed in [1, 7, ScaleWorldConfig::default().seed] {
+            let w = ScaleWorld::new(ScaleWorldConfig {
+                sites: 1 << 40,
+                seed,
+                ..ScaleWorldConfig::default()
+            });
+            let mut rng = freephish_simclock::Rng64::new(seed);
+            for _ in 0..10_000 {
+                let i = rng.next_u64();
+                let site = w.site_at(i);
+                let (got_url, score) = w.verdict_at(i);
+                assert_eq!(got_url, site.url, "seed {seed} index {i}");
+                assert_eq!(
+                    score.to_bits(),
+                    site.score.to_bits(),
+                    "seed {seed} index {i}"
+                );
+                assert_eq!(w.verdict_into(i, &mut url).to_bits(), score.to_bits());
+                assert_eq!(url, got_url);
+            }
+        }
+    }
+
+    /// The default world's first 100,000 verdicts, pinned: a change to the
+    /// sampler's draws or the URL renderer changes every bake downstream.
+    #[test]
+    fn the_default_world_does_not_change() {
+        let w = ScaleWorld::new(ScaleWorldConfig::default());
+        let mut url = String::new();
+        let digest = (0..100_000).fold(FNV_OFFSET, |h, i| {
+            let score = w.verdict_into(i, &mut url);
+            fnv(fnv(h, url.as_bytes()), &score.to_bits().to_le_bytes())
+        });
+        assert_eq!(digest, 0xf6fd_c500_de4c_685b);
+    }
+
+    /// A seed-1 bake of 20,000 entries, pinned byte for byte: the writer's
+    /// run layout, spill and merge may change, the file may not.
+    #[test]
+    fn a_bake_is_byte_for_byte_the_recorded_file() {
+        let dir = TempDir::new("scalebake-golden");
+        let out = dir.path().join("golden.mapidx");
+        let w = ScaleWorld::new(ScaleWorldConfig {
+            sites: 20_000,
+            seed: 1,
+            ..ScaleWorldConfig::default()
+        });
+        w.bake_index(20_000, &out).unwrap();
+        let bytes = std::fs::read(&out).unwrap();
+        assert_eq!(bytes.len(), 1_412_075);
+        assert_eq!(fnv(FNV_OFFSET, &bytes), 0x2746_1b1c_66ea_4ad9);
+    }
+
+    #[test]
+    fn a_failed_bake_leaves_no_temporary_files() {
+        let dir = TempDir::new("scalebake-fail");
+        let out = dir.path().join("idx.mapidx");
+        let w = small(200_000);
+        w.bake_index(1_000, &out).unwrap();
+        let before = std::fs::read(&out).unwrap();
+        // A directory where the output's temporary file goes.
+        let tmp = dir.path().join("idx.mapidx.tmp");
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(w.bake_index(200_000, &out).is_err());
+        assert!(
+            !dir.path().join("idx.spill").exists(),
+            "spill dir left behind"
+        );
+        assert_eq!(std::fs::read_dir(&tmp).unwrap().count(), 0);
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            before,
+            "the old index changed"
+        );
     }
 
     #[test]

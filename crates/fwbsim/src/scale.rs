@@ -15,9 +15,10 @@
 //! The crucial property for scale worlds is *random access*: every site is
 //! a pure function of `(seed, index)` ([`ScaleSampler::site_at`]), derived
 //! through the same fork discipline as the rest of the simulator. Nothing
-//! is materialised — a 10M-site world is 10M calls, each allocating only
-//! its own URL string — so the soak harness can stream one chunk at a
-//! time and assert that RSS stays flat.
+//! is materialised — a 10M-site world is 10M calls, and
+//! [`ScaleSampler::render_at`] renders each URL into one reused buffer —
+//! so the soak harness can stream one chunk at a time and assert that RSS
+//! stays flat.
 
 use freephish_simclock::{Rng64, Zipf};
 use freephish_webgen::{Brand, FwbKind, ALL_FWBS, BRANDS};
@@ -30,6 +31,11 @@ pub const DEFAULT_BRAND_ZIPF_S: f64 = 1.05;
 /// the benign hobby/business sites that make FWBs "free waters" in the
 /// first place.
 pub const DEFAULT_PHISH_FRACTION: f64 = 0.2;
+
+/// Bytes to reserve for one rendered URL: room for the longest FWB prefix,
+/// brand token, action and a six-digit base-36 tag (worlds of up to 2
+/// billion sites), so a URL renders without regrowing its buffer.
+pub const URL_CAPACITY: usize = 64;
 
 /// Walker alias table: O(1) sampling from a fixed discrete distribution.
 ///
@@ -111,21 +117,58 @@ pub struct ScaleSite {
     pub score: f64,
 }
 
-/// Lowercase base-36 rendering of `n` — the per-site uniqueness tag kept
-/// short enough that a 10M-site world adds only ~5 characters per name.
-fn base36(mut n: u64) -> String {
-    const DIGITS: &[u8; 36] = b"0123456789abcdefghijklmnopqrstuvwxyz";
-    let mut out = [0u8; 13];
-    let mut i = out.len();
-    loop {
-        i -= 1;
-        out[i] = DIGITS[(n % 36) as usize];
-        n /= 36;
-        if n == 0 {
-            break;
+/// A site name, `{word}-{word}-{base36 index}`, rendered on the stack.
+/// The base-36 index keeps names unique and short: a 10M-site world adds
+/// only ~5 characters per name. The longest brand token (15 bytes),
+/// action (7) and a `u64` tag (13) take 37 of its 48 bytes.
+struct SiteName {
+    buf: [u8; 48],
+    len: usize,
+}
+
+impl SiteName {
+    fn new(words: [&str; 2], index: u64) -> SiteName {
+        let mut name = SiteName {
+            buf: [0; 48],
+            len: 0,
+        };
+        for word in words {
+            name.push(word.as_bytes());
+            name.push(b"-");
         }
+        const DIGITS: &[u8; 36] = b"0123456789abcdefghijklmnopqrstuvwxyz";
+        let mut tag = [0u8; 13];
+        let (mut i, mut n) = (tag.len(), index);
+        loop {
+            i -= 1;
+            tag[i] = DIGITS[(n % 36) as usize];
+            n /= 36;
+            if n == 0 {
+                break;
+            }
+        }
+        name.push(&tag[i..]);
+        name
     }
-    String::from_utf8_lossy(&out[i..]).into_owned()
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("site names are ASCII")
+    }
+}
+
+/// What site `index` is before any string is rendered: the RNG draws
+/// that define it, made once, in one fixed order.
+struct SiteDraw {
+    fwb: FwbKind,
+    brand: Option<&'static Brand>,
+    /// The name's two words: brand token and action, or the benign pair.
+    words: [&'static str; 2],
+    score: f64,
 }
 
 const PHISH_ACTIONS: &[&str] = &[
@@ -197,36 +240,63 @@ impl ScaleSampler {
         Rng64::new(self.stream_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
+    /// The draws behind site `index`. Field order is draw order: FWB,
+    /// phishing coin, then brand and action or the two benign words, then
+    /// the score.
+    fn draw(&self, index: u64) -> SiteDraw {
+        let mut rng = self.rng_at(index);
+        let fwb = ALL_FWBS[self.fwb_table.sample(&mut rng)].kind;
+        if rng.chance(self.phish_fraction) {
+            let brand = &BRANDS[self.brand_zipf.sample(&mut rng)];
+            SiteDraw {
+                fwb,
+                brand: Some(brand),
+                words: [brand.token, PHISH_ACTIONS[rng.index(PHISH_ACTIONS.len())]],
+                score: 0.5 + rng.f64() * 0.5,
+            }
+        } else {
+            SiteDraw {
+                fwb,
+                brand: None,
+                words: [
+                    BENIGN_WORDS_A[rng.index(BENIGN_WORDS_A.len())],
+                    BENIGN_WORDS_B[rng.index(BENIGN_WORDS_B.len())],
+                ],
+                score: rng.f64() * 0.5,
+            }
+        }
+    }
+
     /// Generate site `index` of the world. Pure in `(seed, index)`: the
     /// same pair always yields the same site, so worlds never need to be
     /// materialised to be revisited. Site names embed the index (base36),
     /// so distinct indices are distinct sites — a world of N sites is N
     /// *unique* URLs, which bakes and dedup tests rely on.
     pub fn site_at(&self, index: u64) -> ScaleSite {
-        let mut rng = self.rng_at(index);
-        let fwb = ALL_FWBS[self.fwb_table.sample(&mut rng)].kind;
-        let phishing = rng.chance(self.phish_fraction);
-        let tag = base36(index);
-        let (brand, site_name, score) = if phishing {
-            let brand = &BRANDS[self.brand_zipf.sample(&mut rng)];
-            let action = PHISH_ACTIONS[rng.index(PHISH_ACTIONS.len())];
-            let name = format!("{}-{action}-{tag}", brand.token);
-            (Some(brand), name, 0.5 + rng.f64() * 0.5)
-        } else {
-            let a = BENIGN_WORDS_A[rng.index(BENIGN_WORDS_A.len())];
-            let b = BENIGN_WORDS_B[rng.index(BENIGN_WORDS_B.len())];
-            (None, format!("{a}-{b}-{tag}"), rng.f64() * 0.5)
-        };
-        let url = fwb.site_url(&site_name);
+        let draw = self.draw(index);
+        let name = SiteName::new(draw.words, index);
+        let mut url = String::with_capacity(URL_CAPACITY);
+        draw.fwb.push_site_url(name.as_str(), &mut url);
         ScaleSite {
             index,
-            fwb,
-            brand,
-            site_name,
+            fwb: draw.fwb,
+            brand: draw.brand,
+            site_name: name.as_str().to_owned(),
             url,
-            phishing,
-            score,
+            phishing: draw.brand.is_some(),
+            score: draw.score,
         }
+    }
+
+    /// Render site `index`'s URL into `url` (cleared first) and return its
+    /// score: `site_at(index)`'s URL and score, with no allocation once
+    /// `url` has grown to fit a URL.
+    pub fn render_at(&self, index: u64, url: &mut String) -> f64 {
+        let draw = self.draw(index);
+        url.clear();
+        draw.fwb
+            .push_site_url(SiteName::new(draw.words, index).as_str(), url);
+        draw.score
     }
 }
 
@@ -402,9 +472,17 @@ mod tests {
         for i in 0..20_000u64 {
             assert!(seen.insert(s.site_at(i).url), "index {i} repeated a URL");
         }
-        assert_eq!(base36(0), "0");
-        assert_eq!(base36(35), "z");
-        assert_eq!(base36(36), "10");
+        let tag = |i| SiteName::new(["a", "b"], i).as_str().to_owned();
+        assert_eq!(tag(0), "a-b-0");
+        assert_eq!(tag(35), "a-b-z");
+        assert_eq!(tag(36), "a-b-10");
+        // The longest words and tag fit the stack name.
+        let longest = |words: &[&'static str]| *words.iter().max_by_key(|w| w.len()).unwrap();
+        let tokens: Vec<&'static str> = BRANDS.iter().map(|b| b.token).collect();
+        let name = SiteName::new([longest(&tokens), longest(PHISH_ACTIONS)], u64::MAX);
+        assert_eq!(name.as_str(), "americanexpress-service-3w5e11264sgsf");
+        let benign = SiteName::new([longest(BENIGN_WORDS_A), longest(BENIGN_WORDS_B)], u64::MAX);
+        assert!(benign.len <= name.len);
     }
 
     #[test]

@@ -163,6 +163,67 @@ mod tests {
         );
     }
 
+    /// Files left under `dir`, recursively (directories not counted).
+    fn files_under(dir: &std::path::Path) -> usize {
+        std::fs::read_dir(dir).map_or(0, |entries| {
+            entries
+                .map(|e| e.unwrap().path())
+                .map(|p| if p.is_dir() { files_under(&p) } else { 1 })
+                .sum()
+        })
+    }
+
+    #[test]
+    fn a_failed_finish_removes_its_runs_heap_and_output_temporaries() {
+        let dir = TempDir::new("mapidx-fail-finish");
+        let spill = dir.path().join("spill");
+        let mut w = IndexWriter::with_run_bytes(&spill, 1024).unwrap();
+        for i in 0..500 {
+            w.add(&format!("https://f{i}.weebly.com/"), 0.5).unwrap();
+        }
+        // The key heap's temporary cannot be created: the output's
+        // temporary already exists when this fails.
+        std::fs::create_dir(spill.join("keyheap.tmp")).unwrap();
+        let out = dir.path().join("idx.mapidx");
+        assert!(w.finish(&out).is_err());
+        assert_eq!(files_under(&spill), 0, "runs left behind");
+        assert!(!dir.path().join("idx.mapidx.tmp").exists());
+        assert!(!out.exists());
+    }
+
+    #[test]
+    fn a_failed_journal_bake_leaves_no_temporary_files() {
+        use freephish_store::Store;
+        let dir = TempDir::new("mapidx-fail-journal");
+        let store_dir = dir.path().join("journal");
+        let (mut store, _) = Store::open(&store_dir).unwrap();
+        for i in 0..2_000 {
+            store
+                .append(format!("https://j{i}.weebly.com/ 0.5").as_bytes())
+                .unwrap();
+        }
+        store.flush().unwrap();
+        let decode = |payload: &[u8]| -> std::io::Result<Option<(String, f64)>> {
+            let (url, score) = std::str::from_utf8(payload)
+                .unwrap()
+                .split_once(' ')
+                .unwrap();
+            Ok(Some((url.to_string(), score.parse().unwrap())))
+        };
+        let out = dir.path().join("idx.mapidx");
+        std::fs::write(&out, b"an index already published").unwrap();
+        // A directory where the output's temporary file goes.
+        let tmp = dir.path().join("idx.mapidx.tmp");
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(bake_journal(&store_dir, &out, decode).is_err());
+        assert!(
+            !dir.path().join("idx.spill").exists(),
+            "spill dir left behind"
+        );
+        assert_eq!(files_under(&tmp), 0);
+        assert_eq!(std::fs::read(&out).unwrap(), b"an index already published");
+    }
+
     #[test]
     fn bake_journal_records_cursor_and_resumes() {
         use freephish_store::{Store, StoreOptions, TailFollower};

@@ -7,7 +7,8 @@
 //! Alongside the adversarial properties, a round-trip property pins the
 //! writer's semantics: arbitrary entry streams with duplicate keys and
 //! tiny spill budgets always bake to exactly the last-write-wins map a
-//! `HashMap` replay produces, bit-for-bit.
+//! `HashMap` replay produces, bit-for-bit, and the same bytes whatever
+//! the budget.
 
 use freephish_mapidx::{IndexError, IndexWriter, SnapshotIndex};
 use freephish_simclock::prop::{check, Gen};
@@ -77,6 +78,27 @@ fn bakes_replay_to_last_write_wins_bit_identically() {
         if entries.is_empty() {
             assert!(idx.is_empty());
         }
+    });
+}
+
+#[test]
+fn the_run_budget_never_changes_the_bytes() {
+    check(64, |g| {
+        // As `entries`, plus the empty key: runs of it share no offset.
+        let entries = g.vec(0..200, |g| {
+            let id = g.u64_in(0..64);
+            let url = match id {
+                60.. => String::new(),
+                _ => format!("https://site-{id}.weebly.com/login"),
+            };
+            (url, g.f64_bits())
+        });
+        let run_bytes = g.usize_in(64..4096);
+        let spilled = TempDir::new("mapidx-prop-budget-spilled");
+        let in_memory = TempDir::new("mapidx-prop-budget-in-memory");
+        let a = std::fs::read(bake(spilled.path(), &entries, run_bytes)).unwrap();
+        let b = std::fs::read(bake(in_memory.path(), &entries, usize::MAX)).unwrap();
+        assert!(a == b, "budget {run_bytes} baked different bytes");
     });
 }
 

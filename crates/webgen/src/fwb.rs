@@ -358,10 +358,29 @@ impl FwbKind {
     /// );
     /// ```
     pub fn site_url(self, site: &str) -> String {
+        let mut url = String::new();
+        self.push_site_url(site, &mut url);
+        url
+    }
+
+    /// Append the URL of the site named `site` on this service to `out`:
+    /// the one renderer of the URL shapes, which [`FwbKind::site_url`]
+    /// wraps and scale worlds call with a reused buffer.
+    pub fn push_site_url(self, site: &str, out: &mut String) {
         let d = self.descriptor();
+        out.push_str("https://");
         match d.url_shape {
-            UrlShape::Subdomain => format!("https://{site}.{}/", d.host),
-            UrlShape::PathBased => format!("https://{}{}{site}", d.host, d.path_prefix),
+            UrlShape::Subdomain => {
+                out.push_str(site);
+                out.push('.');
+                out.push_str(d.host);
+                out.push('/');
+            }
+            UrlShape::PathBased => {
+                out.push_str(d.host);
+                out.push_str(d.path_prefix);
+                out.push_str(site);
+            }
         }
     }
 
@@ -457,6 +476,23 @@ mod tests {
             FwbKind::GoogleSites.site_url("oofifhdfhehdy"),
             "https://sites.google.com/view/oofifhdfhehdy"
         );
+    }
+
+    #[test]
+    fn push_site_url_appends_each_services_url_shape() {
+        let mut buf = String::new();
+        for d in ALL_FWBS {
+            // The shapes as `format!` rendered them before the push renderer.
+            let want = match d.url_shape {
+                UrlShape::Subdomain => format!("https://example-site-1.{}/", d.host),
+                UrlShape::PathBased => format!("https://{}{}example-site-1", d.host, d.path_prefix),
+            };
+            buf.clear();
+            buf.push_str("kept:");
+            d.kind.push_site_url("example-site-1", &mut buf);
+            assert_eq!(buf, format!("kept:{want}"), "{}", d.display_name);
+            assert_eq!(d.kind.site_url("example-site-1"), want);
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@
 #     mapidx_load_ms), then soaks the evented engine with mixed
 #     CHECK/CHECKN/ADD traffic while sampling RSS and rolling p99.9
 #     (soak, soak_rss_peak_mb, soak_p999_us). The SLO gates — index load
-#     <= 100 ms, bounded RSS growth, sub-second p99.9 — are asserted
-#     inside the binary, so a regression fails this script.
+#     <= 100 ms, bounded RSS growth of the world build, the bake (run
+#     budget + 4 B per bucket + 48 MB) and the soak, sub-second p99.9 —
+#     are asserted inside the binary, so a regression fails this script.
 #
 # Knobs: FREEPHISH_BENCH_OUT (output path, default BENCH_PIPELINE.json),
 #        FREEPHISH_LOADGEN_SECS / _BATCH (seconds per cluster sweep point,

@@ -97,7 +97,8 @@ fi
 
 # Downscaled soak smoke: the full million-site pipeline (streaming world
 # build -> bake -> mmap load -> mixed CHECK/CHECKN/ADD soak with RSS and
-# p99.9 gates) at a size that finishes in seconds. Its ADDs publish into
+# p99.9 gates, the bake's RSS growth held to the writer's bound of run
+# budget + 4 B per bucket + 48 MB) at a size that finishes in seconds. Its ADDs publish into
 # the live `serve::index` delta while CHECK/CHECKN read it, so this is
 # also the head/fold publish path under mixed load with the RSS gate. The
 # binary asserts the SLOs internally; a failed gate is a nonzero exit here.
