@@ -30,17 +30,16 @@
 //!    reclaimable pages the kernel still counts) and a sane p99.9.
 
 use bytes::BytesMut;
-use freephish_core::extension::read_line_buffered;
 use freephish_core::verdictstore::EventedStoreChecker;
 use freephish_core::{ScaleWorld, ScaleWorldConfig};
 use freephish_mapidx::{SnapshotIndex, DEFAULT_RUN_BYTES};
 use freephish_obs::process_rss_bytes;
 use freephish_serve::{
-    decode_bin_reply, encode_bin_request, BinReply, BinRequest, EventedServer, OpsServer,
-    UrlChecker, Verdict, HANDSHAKE_OK,
+    encode_bin_request, read_bin_reply, read_line_buffered, BinReply, BinRequest, EventedServer,
+    OpsServer, UrlChecker, Verdict, HANDSHAKE_OK,
 };
 use freephish_store::testutil::TempDir;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -242,7 +241,6 @@ fn soak_worker(
     let handshake = read_line_buffered(&mut stream, &mut inbuf).expect("handshake read");
     assert_eq!(handshake, HANDSHAKE_OK, "engine refused binary protocol");
     let mut outbuf = BytesMut::new();
-    let mut tmp = [0u8; 16 * 1024];
     let mut counts = SoakCounts {
         urls: 0,
         adds: 0,
@@ -284,35 +282,26 @@ fn soak_worker(
         outbuf.clear();
         encode_bin_request(&mut outbuf, &request).expect("encode soak frame");
         stream.write_all(&outbuf).expect("soak write");
-        loop {
-            match decode_bin_reply(&mut inbuf).expect("decode soak reply") {
-                Some(BinReply::VerdictN(vs)) => {
-                    assert_eq!(vs.len(), batch);
-                    counts.urls += batch as u64;
-                    break;
-                }
-                Some(BinReply::Verdict(v)) => {
-                    let (url, score) = world.verdict_at(cursor);
-                    match v {
-                        Verdict::Phishing(s) => assert_eq!(
-                            s.to_bits(),
-                            score.to_bits(),
-                            "baked verdict for {url} must be bit-identical under load"
-                        ),
-                        other => panic!("baked URL {url} served {other:?}"),
-                    }
-                    counts.urls += 1;
-                    break;
-                }
-                Some(BinReply::Ok(_)) => break,
-                Some(BinReply::Busy) => panic!("soak shed: raise --max-inflight"),
-                Some(other) => panic!("unexpected soak reply {other:?}"),
-                None => {
-                    let n = stream.read(&mut tmp).expect("soak read");
-                    assert!(n > 0, "server closed mid-soak");
-                    inbuf.extend_from_slice(&tmp[..n]);
-                }
+        match read_bin_reply(&mut stream, &mut inbuf).expect("soak reply") {
+            BinReply::VerdictN(vs) => {
+                assert_eq!(vs.len(), batch);
+                counts.urls += batch as u64;
             }
+            BinReply::Verdict(v) => {
+                let (url, score) = world.verdict_at(cursor);
+                match v {
+                    Verdict::Phishing(s) => assert_eq!(
+                        s.to_bits(),
+                        score.to_bits(),
+                        "baked verdict for {url} must be bit-identical under load"
+                    ),
+                    other => panic!("baked URL {url} served {other:?}"),
+                }
+                counts.urls += 1;
+            }
+            BinReply::Ok(_) => {}
+            BinReply::Busy => panic!("soak shed: raise --max-inflight"),
+            other => panic!("unexpected soak reply {other:?}"),
         }
         counts.frame_lat_us.push(t0.elapsed().as_micros() as u64);
         if expect_batch {

@@ -37,6 +37,6 @@ pub mod wire;
 
 pub use replica::{recover_local, Replica, ReplicaConfig};
 pub use ring::HashRing;
-pub use router::{Router, RouterClient, RouterConfig, RouterServer};
+pub use router::{Router, RouterClient, RouterConfig};
 pub use source::{ReplicationSource, SourceConfig};
 pub use wire::{ReplCursor, ReplFrame};

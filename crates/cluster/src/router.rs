@@ -18,24 +18,28 @@
 //! request position. A shard that fails mid-gather only fails over its
 //! own URLs — the rest of the batch is unaffected.
 //!
-//! [`RouterServer`] wraps all of this behind the same verdict wire the
-//! backends speak (line protocol plus `BINARY` upgrade), so existing
-//! clients can point at a router instead of a single node unchanged.
-//! The router is read-only by design: `ADD` mutations belong on the
-//! primary's journal, not sprayed at replicas, and are refused.
+//! A [`Router`] is itself a [`UrlChecker`], so the one serving engine
+//! (`freephish_serve::EventedServer`) fronts it with the same verdict
+//! wire the backends speak (line protocol plus `BINARY` upgrade), and
+//! existing clients can point at a router instead of a single node
+//! unchanged. Each engine call checks one client out of a pool, so a
+//! poll worker holds at most one set of backend connections. The router
+//! is read-only by design: `ADD` mutations belong on the primary's
+//! journal, not sprayed at replicas, and are refused.
 
 use crate::ring::HashRing;
 use bytes::BytesMut;
+use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use freephish_serve::proto::{
-    decode_bin_reply, decode_request, encode_bin_request, encode_verdict, BinReply, BinRequest,
-    Request, HANDSHAKE_LINE, HANDSHAKE_OK, MAX_BATCH,
+    encode_bin_request, read_bin_reply, read_line_buffered, BinReply, BinRequest, HANDSHAKE_LINE,
+    HANDSHAKE_OK, MAX_BATCH,
 };
-use freephish_serve::{http_get, OpsConfig, Readiness, Verdict};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use freephish_serve::{http_get, UrlChecker, Verdict};
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -114,6 +118,8 @@ impl Shared {
 /// handles out of via [`Router::client`].
 pub struct Router {
     shared: Arc<Shared>,
+    /// Idle clients behind the [`UrlChecker`] face.
+    pool: Mutex<Vec<RouterClient>>,
     health_thread: Option<JoinHandle<()>>,
 }
 
@@ -137,6 +143,7 @@ impl Router {
             .ok();
         Router {
             shared,
+            pool: Mutex::new(Vec::new()),
             health_thread,
         }
     }
@@ -180,6 +187,35 @@ impl Router {
 impl Drop for Router {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The serving engine's view of a router: every call routes as one
+/// batch through a pooled [`RouterClient`].
+impl UrlChecker for Router {
+    fn check(&self, url: &str) -> Verdict {
+        self.check_many(&[url.to_string()])[0]
+    }
+
+    /// Fails open, as the extension's navigation guard does: a URL no
+    /// backend could answer is `Safe(0.0)`.
+    fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
+        self.try_check_many(urls)
+            .into_iter()
+            .map(|r| r.unwrap_or(Verdict::Safe(0.0)))
+            .collect()
+    }
+
+    fn try_check_many(&self, urls: &[String]) -> Vec<Result<Verdict, String>> {
+        let pooled = lock(&self.pool).pop();
+        let mut client = pooled.unwrap_or_else(|| self.client());
+        let results = client.check_batch(urls);
+        lock(&self.pool).push(client);
+        results
+    }
+
+    fn add(&self, _url: &str, _score: f64) -> Result<u64, String> {
+        Err("router is read-only; send writes to the primary".to_string())
     }
 }
 
@@ -249,92 +285,25 @@ impl RouterClient {
                 TcpStream::connect_timeout(&shared.backends[node], shared.cfg.connect_timeout)?;
             stream.set_nodelay(true).ok();
             stream.set_read_timeout(Some(shared.cfg.io_timeout))?;
-            stream.write_all(HANDSHAKE_LINE.as_bytes())?;
-            stream.write_all(b"\n")?;
-            let mut line = Vec::new();
-            let mut byte = [0u8; 1];
-            while line.last() != Some(&b'\n') {
-                if line.len() > 256 {
-                    return Err(std::io::Error::new(
-                        ErrorKind::InvalidData,
-                        "oversized handshake reply",
-                    ));
-                }
-                stream.read_exact(&mut byte)?;
-                line.push(byte[0]);
-            }
-            let reply = String::from_utf8_lossy(&line);
-            if reply.trim() != HANDSHAKE_OK {
+            stream.write_all(format!("{HANDSHAKE_LINE}\n").as_bytes())?;
+            let mut inbuf = BytesMut::new();
+            let reply = read_line_buffered(&mut stream, &mut inbuf)?;
+            if reply != HANDSHAKE_OK {
                 return Err(std::io::Error::new(
                     ErrorKind::InvalidData,
-                    format!("backend refused binary handshake: {}", reply.trim()),
+                    format!("backend refused binary handshake: {reply}"),
                 ));
             }
-            self.conns[node] = Some(Conn {
-                stream,
-                inbuf: BytesMut::new(),
-            });
+            self.conns[node] = Some(Conn { stream, inbuf });
         }
         Ok(&mut self.conns[node].as_mut().expect("just connected").stream)
     }
 
-    fn read_reply(&mut self, node: usize) -> Result<BinReply, String> {
+    fn read_reply(&mut self, node: usize) -> std::io::Result<BinReply> {
         let Conn { stream, inbuf } = self.conns[node]
             .as_mut()
-            .ok_or_else(|| "connection lost".to_string())?;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(reply) = decode_bin_reply(inbuf)? {
-                return Ok(reply);
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err("backend closed connection".to_string()),
-                Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(format!("backend read failed: {e}")),
-            }
-        }
-    }
-
-    /// Route one URL: try its owner, then each ring successor, skipping
-    /// unhealthy backends; `BUSY` and transport errors fail over.
-    pub fn check(&mut self, url: &str) -> Result<Verdict, String> {
-        let shared = self.shared.clone();
-        let m = &shared.metrics;
-        m.requests.inc();
-        m.urls_routed.inc();
-        let mut first = true;
-        let mut last_err = "no healthy backend".to_string();
-        for node in shared.ring.successors(url) {
-            if !first {
-                m.failovers.inc();
-            }
-            first = false;
-            if !shared.is_healthy(node) {
-                continue;
-            }
-            match self.try_check(node, url) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    self.conns[node] = None;
-                    last_err = e;
-                }
-            }
-        }
-        m.unroutable.inc();
-        Err(last_err)
-    }
-
-    fn try_check(&mut self, node: usize, url: &str) -> Result<Verdict, String> {
-        let mut out = BytesMut::new();
-        encode_bin_request(&mut out, &BinRequest::Check(url.to_string()))?;
-        let stream = self.conn(node).map_err(|e| e.to_string())?;
-        stream.write_all(&out).map_err(|e| e.to_string())?;
-        match self.read_reply(node)? {
-            BinReply::Verdict(v) => Ok(v),
-            BinReply::Busy => Err("backend busy".to_string()),
-            BinReply::Error(msg) => Err(msg),
-            other => Err(format!("unexpected reply to CHECK: {other:?}")),
-        }
+            .ok_or_else(|| std::io::Error::from(ErrorKind::NotConnected))?;
+        read_bin_reply(stream, inbuf)
     }
 
     /// Scatter a batch across its owning shards and gather verdicts
@@ -360,7 +329,7 @@ impl RouterClient {
                     next += 1;
                 }
                 // Counted after the health skip, so a URL whose owner the
-                // prober already marked down has failed over, as in `check`.
+                // prober already marked down has failed over too.
                 if next > 0 {
                     m.failovers.inc();
                 }
@@ -471,192 +440,5 @@ impl RouterClient {
             self.conns[plan.node] = None;
         }
         failed
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Router server: the verdict wire, fronted by routing
-// ---------------------------------------------------------------------------
-
-/// A TCP front-end speaking the backend verdict protocol (line mode
-/// plus `BINARY` upgrade) and answering every lookup through the ring.
-pub struct RouterServer {
-    router: Arc<Router>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl RouterServer {
-    /// Bind `port` (0 picks a free one) and serve lookups via `router`.
-    pub fn start(port: u16, router: Router) -> std::io::Result<RouterServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let router = Arc::new(router);
-        let stop = Arc::new(AtomicBool::new(false));
-        let (r, s) = (router.clone(), stop.clone());
-        let handle = std::thread::Builder::new()
-            .name("router-accept".to_string())
-            .spawn(move || accept_loop(&listener, &r, &s))?;
-        Ok(RouterServer {
-            router,
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound front-end address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Snapshot of the underlying router's metrics.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.router.metrics_snapshot()
-    }
-
-    /// What this front-end exposes to an ops plane: the
-    /// `cluster_router_*` series, and readiness that holds while any
-    /// backend is healthy (with every backend down the ring has nowhere
-    /// to fail over to, so `/readyz` goes 503).
-    pub fn ops_config(&self) -> OpsConfig {
-        let snap = self.router.clone();
-        let ready = self.router.clone();
-        OpsConfig {
-            snapshot: Arc::new(move || snap.metrics_snapshot()),
-            ready: Arc::new(move || {
-                Readiness::ready()
-                    .with_condition("any_backend_healthy", ready.any_backend_healthy())
-            }),
-            varz_extra: None,
-            traces: None,
-        }
-    }
-
-    /// Stop accepting; live connections drain on their own threads.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, router: &Arc<Router>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let client = router.client();
-                let stop = stop.clone();
-                let _ = std::thread::Builder::new()
-                    .name("router-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_conn(stream, client, &stop);
-                    });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn serve_conn(
-    stream: TcpStream,
-    mut client: RouterClient,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    // Line mode until a BINARY handshake upgrades the connection.
-    let mut line = String::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
-        if line.trim() == HANDSHAKE_LINE {
-            writer.write_all(HANDSHAKE_OK.as_bytes())?;
-            writer.write_all(b"\n")?;
-            return serve_binary(reader, writer, client, stop);
-        }
-        let mut buf = BytesMut::from(line.as_bytes());
-        match decode_request(&mut buf) {
-            Ok(Some(Request::Check(url))) => match client.check(&url) {
-                Ok(v) => writer.write_all(encode_verdict(&v).as_bytes())?,
-                Err(msg) => writer.write_all(format!("ERROR {msg}\n").as_bytes())?,
-            },
-            Ok(Some(_)) => {
-                writer.write_all(b"ERROR router is read-only; send writes to the primary\n")?;
-            }
-            Ok(None) => {}
-            Err(msg) => writer.write_all(format!("ERROR {msg}\n").as_bytes())?,
-        }
-    }
-}
-
-fn serve_binary(
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    mut client: RouterClient,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    use freephish_serve::proto::{decode_bin_request, encode_bin_reply};
-    let mut buf = BytesMut::from(&reader.buffer().to_vec()[..]);
-    reader.consume(buf.len());
-    let mut chunk = [0u8; 16 * 1024];
-    let mut out = BytesMut::new();
-    loop {
-        loop {
-            let req = match decode_bin_request(&mut buf) {
-                Ok(Some(req)) => req,
-                Ok(None) => break,
-                Err(msg) => {
-                    out.clear();
-                    encode_bin_reply(&mut out, &BinReply::Error(msg));
-                    writer.write_all(&out)?;
-                    return Ok(());
-                }
-            };
-            out.clear();
-            let reply = match req {
-                BinRequest::Check(url) => match client.check(&url) {
-                    Ok(v) => BinReply::Verdict(v),
-                    Err(msg) => BinReply::Error(msg),
-                },
-                BinRequest::CheckN(urls) => {
-                    let results = client.check_batch(&urls);
-                    match results.into_iter().collect::<Result<Vec<_>, _>>() {
-                        Ok(vs) => BinReply::VerdictN(vs),
-                        Err(msg) => BinReply::Error(msg),
-                    }
-                }
-                _ => BinReply::Error("router is read-only; send writes to the primary".to_string()),
-            };
-            encode_bin_reply(&mut out, &reply);
-            writer.write_all(&out)?;
-        }
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match reader.get_mut().read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
     }
 }

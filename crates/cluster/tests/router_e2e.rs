@@ -1,12 +1,13 @@
 //! Router end-to-end: real evented backends behind the consistent-hash
 //! front-end — placement, in-order gather, failover on dead and
-//! shedding nodes, and the `RouterServer` wire front-end.
+//! shedding nodes, and the router mounted on the serving engine as its
+//! wire front door.
 
 use bytes::BytesMut;
-use freephish_cluster::{Router, RouterConfig, RouterServer};
+use freephish_cluster::{Router, RouterConfig};
 use freephish_serve::proto::{
-    decode_bin_reply, decode_bin_request, encode_bin_reply, encode_bin_request, BinReply,
-    BinRequest, HANDSHAKE_LINE, HANDSHAKE_OK,
+    decode_bin_reply, decode_bin_request, encode_bin_reply, encode_bin_request, read_bin_reply,
+    read_line_buffered, BinReply, BinRequest, HANDSHAKE_LINE, HANDSHAKE_OK,
 };
 use freephish_serve::{EventedServer, Verdict};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -31,6 +32,31 @@ fn quick_health() -> RouterConfig {
         health_period: Duration::from_millis(50),
         ..RouterConfig::default()
     }
+}
+
+/// The router behind the serving engine, as `freephish-extd route`
+/// mounts it.
+fn front_door(router: Router) -> EventedServer {
+    EventedServer::start(Arc::new(router)).expect("start router front door")
+}
+
+/// Backend addresses with nothing listening: every connect is refused.
+fn dead_addrs(n: usize) -> Vec<SocketAddr> {
+    (0..n)
+        .map(|_| {
+            let probe = TcpListener::bind("127.0.0.1:0").expect("bind");
+            probe.local_addr().expect("addr")
+        })
+        .collect()
+}
+
+/// A client connection that fails a test instead of hanging it.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
 }
 
 /// A minimal backend that completes the binary handshake and answers
@@ -102,7 +128,9 @@ fn batches_scatter_by_ring_owner_and_gather_in_order() {
 
     // Single checks route identically.
     for url in batch.iter().take(10) {
-        let v = client.check(url).expect("verdict");
+        let v = client.check_batch(std::slice::from_ref(url))[0]
+            .clone()
+            .expect("verdict");
         assert_eq!(v.score(), router.owner_of(url) as f64);
     }
     let m = router.metrics_snapshot();
@@ -213,8 +241,7 @@ fn shedding_backend_fails_over_per_shard() {
 fn router_server_speaks_line_and_binary_wire() {
     let backends: Vec<EventedServer> = (0..2).map(|i| tagged_backend(i as f64)).collect();
     let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.addr()).collect();
-    let server =
-        RouterServer::start(0, Router::new(addrs, quick_health())).expect("start router server");
+    let server = front_door(Router::new(addrs, quick_health()));
 
     // Line mode.
     let stream = TcpStream::connect(server.addr()).expect("connect");
@@ -264,5 +291,107 @@ fn router_server_speaks_line_and_binary_wire() {
     assert_eq!(vs.len(), batch.len());
     for (url, v) in batch.iter().zip(&vs) {
         assert!(v.score() == 0.0 || v.score() == 1.0, "{url}: {v:?}");
+    }
+}
+
+#[test]
+fn an_endless_line_is_refused_and_closed_not_buffered() {
+    let backends: Vec<EventedServer> = (0..2).map(|i| tagged_backend(i as f64)).collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.addr()).collect();
+    let server = front_door(Router::new(addrs, quick_health()));
+    let mut stream = connect(server.addr());
+    let mut writer = stream.try_clone().expect("clone");
+    // 2 MiB with no newline; the writer may be cut off by the close.
+    let flood = std::thread::spawn(move || {
+        let mut line = b"CHECK https://".to_vec();
+        line.resize(2 << 20, b'a');
+        let _ = writer.write_all(&line);
+    });
+    let mut buf = BytesMut::new();
+    let reply = read_line_buffered(&mut stream, &mut buf).expect("a reply, not a hang");
+    assert_eq!(reply, "ERROR request exceeds maximum size");
+    let mut rest = [0u8; 64];
+    assert!(
+        matches!(stream.read(&mut rest), Ok(0) | Err(_)),
+        "the front door keeps a connection it cannot parse"
+    );
+    flood.join().expect("flood thread");
+}
+
+#[test]
+fn shutdown_and_drain_close_idle_client_connections() {
+    let backends: Vec<EventedServer> = (0..2).map(|i| tagged_backend(i as f64)).collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.addr()).collect();
+    let mut server = front_door(Router::new(addrs, quick_health()));
+    let mut stream = connect(server.addr());
+    stream
+        .write_all(b"CHECK https://victim0.000webhostapp.com/verify\n")
+        .unwrap();
+    let mut buf = BytesMut::new();
+    let reply = read_line_buffered(&mut stream, &mut buf).expect("verdict line");
+    assert!(reply.starts_with("SAFE "), "{reply:?}");
+    // The connection is now idle; stopping the front door must close it.
+    server.shutdown();
+    assert!(
+        server.drain(Duration::from_secs(5)),
+        "workers did not drain"
+    );
+    let mut rest = [0u8; 64];
+    assert_eq!(
+        stream
+            .read(&mut rest)
+            .expect("EOF, not a blocked connection"),
+        0
+    );
+}
+
+#[test]
+fn with_every_backend_down_each_request_gets_its_own_error() {
+    let server = front_door(Router::new(dead_addrs(2), quick_health()));
+
+    // Line mode: one CHECK, then two pipelined in one write, then an ADD.
+    let mut stream = connect(server.addr());
+    let mut buf = BytesMut::new();
+    stream
+        .write_all(b"CHECK https://victim0.000webhostapp.com/verify\n")
+        .unwrap();
+    assert_eq!(
+        read_line_buffered(&mut stream, &mut buf).unwrap(),
+        "ERROR no healthy backend"
+    );
+    stream
+        .write_all(
+            b"CHECK https://victim1.000webhostapp.com/verify\n\
+              CHECK https://victim2.000webhostapp.com/verify\n",
+        )
+        .unwrap();
+    for _ in 0..2 {
+        assert_eq!(
+            read_line_buffered(&mut stream, &mut buf).unwrap(),
+            "ERROR no healthy backend"
+        );
+    }
+    stream.write_all(b"ADD https://x.example 0.9\n").unwrap();
+    assert_eq!(
+        read_line_buffered(&mut stream, &mut buf).unwrap(),
+        "ERROR router is read-only; send writes to the primary"
+    );
+
+    // Binary mode: a CHECKN with no live backend is one error frame.
+    let mut stream = connect(server.addr());
+    let mut buf = BytesMut::new();
+    stream
+        .write_all(format!("{HANDSHAKE_LINE}\n").as_bytes())
+        .unwrap();
+    assert_eq!(
+        read_line_buffered(&mut stream, &mut buf).unwrap(),
+        HANDSHAKE_OK
+    );
+    let mut out = BytesMut::new();
+    encode_bin_request(&mut out, &BinRequest::CheckN(urls(5))).unwrap();
+    stream.write_all(&out).unwrap();
+    match read_bin_reply(&mut stream, &mut buf).unwrap() {
+        BinReply::Error(msg) => assert_eq!(msg, "no healthy backend"),
+        other => panic!("expected an error frame, got {other:?}"),
     }
 }

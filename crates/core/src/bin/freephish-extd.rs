@@ -62,12 +62,18 @@
 //!
 //! freephish-extd route [--port N] --backends ADDR,ADDR,...
 //!                      [--backend-ops ADDR|-,...] [--ops-port N]
-//!     Consistent-hash router front-end over `serve` backends: speaks
-//!     the same line + BINARY verdict wire, scatters CHECKN batches by
-//!     ring owner, gathers in order, fails over along the ring when a
-//!     backend is down or shedding. --backend-ops lists each backend's
-//!     ops address ("-" for none) for /readyz health probes; without
-//!     one a bare TCP connect is probed. Read-only: ADDs are refused.
+//!     Consistent-hash router front-end over `serve` backends, served
+//!     by the same poll-loop engine as `serve`: the line + BINARY
+//!     verdict wire, STATS, bounded buffers and BUSY load shedding. It
+//!     scatters each batch of CHECKs (a CHECKN frame, or the single
+//!     CHECKs read in one pass) by ring owner, gathers in order, and
+//!     fails over along the ring when a backend is down or shedding.
+//!     --backend-ops lists each backend's ops address ("-" for none) for
+//!     /readyz health probes; without one a bare TCP connect is probed.
+//!     With --ops-port N the ops plane serves the serve_* and
+//!     cluster_router_* series, and /readyz holds 503 until some backend
+//!     is healthy (any_backend_healthy). Read-only: ADDs are refused.
+//!     Ctrl-C / SIGTERM drains connections and exits 0.
 //!
 //! freephish-extd check <addr> <url> [url...]
 //!     Query a running daemon; exit code 2 if any URL is phishing,
@@ -75,7 +81,7 @@
 //! ```
 
 use freephish_cluster::{
-    Replica, ReplicaConfig, ReplicationSource, Router, RouterConfig, RouterServer, SourceConfig,
+    Replica, ReplicaConfig, ReplicationSource, Router, RouterConfig, SourceConfig,
 };
 use freephish_core::extension::{UrlChecker, VerdictClient};
 use freephish_core::groundtruth::{build, GroundTruthConfig};
@@ -83,7 +89,9 @@ use freephish_core::resolver::{
     ResolverModels, SyntheticFetcher, TieredResolver, TieredResolverConfig, WallClock,
 };
 use freephish_core::verdictstore::{EventedStoreChecker, WriteRole};
-use freephish_serve::{EventedServer, IndexPublisher, OpsServer, ServeConfig, ShardedIndex};
+use freephish_serve::{
+    EventedServer, IndexPublisher, OpsConfig, OpsServer, Readiness, ServeConfig, ShardedIndex,
+};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -637,22 +645,42 @@ fn route(args: &[String]) -> std::io::Result<()> {
     }
 
     let n = backends.len();
-    let router = Router::new(
+    let router = Arc::new(Router::new(
         backends,
         RouterConfig {
             ops_addrs: backend_ops,
             ..RouterConfig::default()
         },
-    );
+    ));
     shutdown::install();
-    let mut server = RouterServer::start(port, router)?;
+    // The router mounts on the serving engine like any other checker:
+    // same wire, bounded buffers, BUSY shedding and drain.
+    let mut server = EventedServer::start_with(
+        ServeConfig {
+            port,
+            ..ServeConfig::default()
+        },
+        router.clone(),
+    )?;
     println!(
         "freephish-extd router listening on {} ({n} backends)",
         server.addr()
     );
+    // Ready while any backend is: with every backend down the ring has
+    // nowhere to fail over to, so /readyz goes 503.
     let mut ops_server = match ops_port {
         Some(p) => {
-            let ops = OpsServer::start(p, server.ops_config())?;
+            let ready = router.clone();
+            let snap = router.clone();
+            let cfg = OpsConfig {
+                ready: Arc::new(move || {
+                    Readiness::ready()
+                        .with_condition("any_backend_healthy", ready.any_backend_healthy())
+                }),
+                ..server.ops_config()
+            }
+            .with_snapshot_merge(Arc::new(move || snap.metrics_snapshot()));
+            let ops = OpsServer::start(p, cfg)?;
             println!("ops plane on http://{}", ops.addr());
             Some(ops)
         }
@@ -663,11 +691,14 @@ fn route(args: &[String]) -> std::io::Result<()> {
     while !shutdown::requested() {
         std::thread::sleep(SERVE_POLL);
     }
-    println!("shutting down");
+    println!("shutting down: draining connections");
     if let Some(ops) = ops_server.as_mut() {
         ops.shutdown();
     }
     server.shutdown();
+    if !server.drain(DRAIN_TIMEOUT) {
+        freephish_obs::warn("extd", "drain timed out with connections still active");
+    }
     println!("bye");
     Ok(())
 }

@@ -27,7 +27,7 @@ use freephish_obs::sync::{lock, read, write};
 use freephish_obs::{Counter, MetricsSnapshot, Registry};
 use freephish_simclock::Rng64;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
@@ -35,6 +35,7 @@ use std::time::Duration;
 pub use freephish_serve::proto::{
     decode_request, decode_verdict, encode_verdict, Request, HANDSHAKE_LINE, HANDSHAKE_OK,
 };
+use freephish_serve::{read_bin_reply, read_line_buffered};
 pub use freephish_serve::{BinReply, BinRequest, UrlChecker, Verdict, MAX_BATCH};
 
 // ---------------------------------------------------------------------------
@@ -46,47 +47,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 fn io_invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Read one `\n`-terminated line through a shared accumulation buffer, so
-/// bytes belonging to a following binary frame are never lost to
-/// read-ahead when a connection switches protocols.
-pub fn read_line_buffered(stream: &mut TcpStream, buf: &mut BytesMut) -> std::io::Result<String> {
-    loop {
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line = buf.split_to(pos + 1);
-            let text =
-                std::str::from_utf8(&line[..pos]).map_err(|_| io_invalid("non-utf8 reply"))?;
-            return Ok(text.trim_end_matches('\r').to_string());
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed mid-reply",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-/// Read one complete binary reply frame through the shared buffer.
-fn read_bin_reply(stream: &mut TcpStream, buf: &mut BytesMut) -> std::io::Result<BinReply> {
-    loop {
-        if let Some(reply) = freephish_serve::decode_bin_reply(buf).map_err(io_invalid)? {
-            return Ok(reply);
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed mid-reply",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
 }
 
 /// The extension-side client with a verdict cache.
@@ -414,6 +374,7 @@ pub fn block_page(url: &str) -> String {
 mod tests {
     use super::*;
     use freephish_serve::{EventedServer, ShardedIndex};
+    use std::io::Read;
     use std::net::TcpListener;
 
     /// An index holding one known-phishing URL.

@@ -98,14 +98,6 @@ impl World {
             .expect("all blocklists present")
     }
 
-    /// Mutable blocklist access.
-    pub fn blocklist_mut(&mut self, kind: BlocklistKind) -> &mut Blocklist {
-        self.blocklists
-            .iter_mut()
-            .find(|b| b.kind == kind)
-            .expect("all blocklists present")
-    }
-
     /// Register a snapshot: `url` serves `html` until `down_at` (if any).
     pub fn register_snapshot(&mut self, url: &str, html: String, down_at: Option<SimTime>) {
         self.snapshots.insert(url.to_string(), (html, down_at));
@@ -125,11 +117,6 @@ impl World {
             Some(at) if now >= *at => None,
             _ => Some(html.as_str()),
         })
-    }
-
-    /// Number of registered snapshots.
-    pub fn snapshot_count(&self) -> usize {
-        self.snapshots.len()
     }
 }
 

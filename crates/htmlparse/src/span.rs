@@ -29,13 +29,6 @@ pub struct SpanAttr<'a> {
     pub value: Cow<'a, str>,
 }
 
-impl SpanAttr<'_> {
-    /// The value as a plain `&str`.
-    pub fn value_str(&self) -> &str {
-        self.value.as_ref()
-    }
-}
-
 /// The attributes of one open tag, as a view of their raw source: from
 /// just after the tag name to just before the tag's end. Nothing is folded
 /// or decoded until asked for, and then only what is asked for.

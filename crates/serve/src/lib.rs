@@ -52,8 +52,8 @@ pub use ops::{http_get, OpsConfig, OpsServer, Readiness};
 pub use overlay::OverlayIndex;
 pub use proto::{
     decode_bin_reply, decode_bin_request, decode_request, decode_verdict, encode_bin_reply,
-    encode_bin_request, encode_verdict, BinReply, BinRequest, Request, HANDSHAKE_LINE,
-    HANDSHAKE_OK, MAX_BATCH,
+    encode_bin_request, encode_verdict, read_bin_reply, read_line_buffered, BinReply, BinRequest,
+    Request, HANDSHAKE_LINE, HANDSHAKE_OK, MAX_BATCH,
 };
 pub use server::{EventedServer, ServeConfig};
 pub use verdict::{UrlChecker, Verdict};

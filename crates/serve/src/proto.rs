@@ -36,9 +36,15 @@
 //! payload exceeds [`MAX_FRAME_PAYLOAD`], batches over [`MAX_BATCH`]
 //! URLs, and URLs over [`MAX_URL_BYTES`] are protocol errors. Torn
 //! (incomplete) frames simply wait for more bytes.
+//!
+//! Blocking clients — the extension's `VerdictClient`, the cluster
+//! router's backend connections, load generators — read the handshake
+//! line and binary replies through [`read_line_buffered`] and
+//! [`read_bin_reply`].
 
 use crate::verdict::Verdict;
 use bytes::BytesMut;
+use std::io::Read;
 
 /// First byte of every binary frame; never a valid line-protocol start.
 pub const MAGIC: u8 = 0xFB;
@@ -409,9 +415,79 @@ pub fn decode_bin_reply(buf: &mut BytesMut) -> Result<Option<BinReply>, String> 
     Ok(Some(reply))
 }
 
+// ---------------------------------------------------------------------------
+// Blocking client reads
+// ---------------------------------------------------------------------------
+
+fn io_invalid(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Append one `read(2)` worth of bytes to `buf`; EOF is an error, since
+/// every caller is waiting for the rest of a reply.
+fn read_more(stream: &mut impl Read, buf: &mut BytesMut) -> std::io::Result<()> {
+    let mut chunk = [0u8; 4096];
+    let n = stream.read(&mut chunk)?;
+    if n == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed mid-reply",
+        ));
+    }
+    buf.extend_from_slice(&chunk[..n]);
+    Ok(())
+}
+
+/// Read one `\n`-terminated line through a shared accumulation buffer, so
+/// bytes belonging to a following binary frame are never lost to
+/// read-ahead when a connection switches protocols. A line longer than
+/// [`MAX_FRAME_PAYLOAD`] is an error, not a buffer that keeps growing.
+pub fn read_line_buffered(stream: &mut impl Read, buf: &mut BytesMut) -> std::io::Result<String> {
+    loop {
+        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+            let line = buf.split_to(pos + 1);
+            let text =
+                std::str::from_utf8(&line[..pos]).map_err(|_| io_invalid("non-utf8 reply"))?;
+            return Ok(text.trim_end_matches('\r').to_string());
+        }
+        if buf.len() > MAX_FRAME_PAYLOAD {
+            return Err(io_invalid("reply line exceeds maximum size"));
+        }
+        read_more(stream, buf)?;
+    }
+}
+
+/// Read one complete binary reply frame through the shared buffer.
+pub fn read_bin_reply(stream: &mut impl Read, buf: &mut BytesMut) -> std::io::Result<BinReply> {
+    loop {
+        if let Some(reply) = decode_bin_reply(buf).map_err(io_invalid)? {
+            return Ok(reply);
+        }
+        read_more(stream, buf)?;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn blocking_reads_keep_what_follows_a_line_and_refuse_an_endless_one() {
+        // A handshake reply and the first frame in one segment: the line
+        // reader must leave the frame's bytes for the frame reader.
+        let mut wire = BytesMut::from(&b"OK binary\n"[..]);
+        encode_bin_reply(&mut wire, &BinReply::Busy);
+        let mut src: &[u8] = &wire;
+        let mut buf = BytesMut::new();
+        assert_eq!(read_line_buffered(&mut src, &mut buf).unwrap(), "OK binary");
+        assert_eq!(read_bin_reply(&mut src, &mut buf).unwrap(), BinReply::Busy);
+        let err = read_bin_reply(&mut src, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+
+        let endless = vec![b'a'; MAX_FRAME_PAYLOAD + 8192];
+        let err = read_line_buffered(&mut &endless[..], &mut BytesMut::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
 
     #[test]
     fn bin_request_round_trip() {

@@ -12,8 +12,8 @@
 //!   locking on the request path) and loops: `poll(2)` → read until
 //!   `WouldBlock` → parse frames/lines → execute → flush. Single
 //!   `CHECK`s parsed in one pass are **microbatched** into a single
-//!   [`UrlChecker::check_many`] call; a `CHECKN` frame is its own batch.
-//!   Either way the index is snapshotted once per batch.
+//!   [`UrlChecker::try_check_many`] call; a `CHECKN` frame is its own
+//!   batch. Either way the index is snapshotted once per batch.
 //!
 //! ## Admission control
 //!
@@ -159,6 +159,13 @@ impl ServeMetrics {
             window_checkn: WindowedHistogram::wall(SLO_WINDOWS, SLO_WINDOW_WIDTH),
             window_add: WindowedHistogram::wall(SLO_WINDOWS, SLO_WINDOW_WIDTH),
             registry,
+        }
+    }
+
+    fn count_verdict(&self, v: &Verdict) {
+        match v {
+            Verdict::Phishing(_) => self.verdicts_phishing.inc(),
+            Verdict::Safe(_) => self.verdicts_safe.inc(),
         }
     }
 
@@ -463,19 +470,17 @@ fn exec_checks(
     trace::span_record("decode", clock.decode_secs());
     let (urls, modes): (Vec<String>, Vec<ReplyMode>) = pending.drain(..).unzip();
     let watch = Stopwatch::start();
-    let verdicts = trace::span("lookup", || s.checker.check_many(&urls));
+    let results = trace::span("lookup", || s.checker.try_check_many(&urls));
     watch.record(&s.metrics.service_seconds);
     s.budget.release(n);
     s.metrics.urls_checked.add(n as u64);
     trace::span("respond", || {
-        for (v, mode) in verdicts.iter().zip(modes) {
-            match v {
-                Verdict::Phishing(_) => s.metrics.verdicts_phishing.inc(),
-                Verdict::Safe(_) => s.metrics.verdicts_safe.inc(),
-            }
-            match mode {
-                ReplyMode::Line => conn.push_bytes(encode_verdict(v).as_bytes()),
-                ReplyMode::Bin => conn.push_reply(&BinReply::Verdict(*v)),
+        for (result, mode) in results.into_iter().zip(modes) {
+            match (result.inspect(|v| s.metrics.count_verdict(v)), mode) {
+                (Ok(v), ReplyMode::Line) => conn.push_bytes(encode_verdict(&v).as_bytes()),
+                (Ok(v), ReplyMode::Bin) => conn.push_reply(&BinReply::Verdict(v)),
+                (Err(msg), ReplyMode::Line) => conn.push_bytes(format!("ERROR {msg}\n").as_bytes()),
+                (Err(msg), ReplyMode::Bin) => conn.push_reply(&BinReply::Error(msg)),
             }
         }
     });
@@ -503,18 +508,22 @@ fn exec_checkn(conn: &mut Conn, s: &Shared, urls: Vec<String>, clock: &mut Batch
     trace::span_record("accept", clock.accept_secs);
     trace::span_record("decode", clock.decode_secs());
     let watch = Stopwatch::start();
-    let verdicts = trace::span("lookup", || s.checker.check_many(&urls));
+    let results = trace::span("lookup", || s.checker.try_check_many(&urls));
     watch.record(&s.metrics.service_seconds);
     s.budget.release(n);
     s.metrics.urls_checked.add(n as u64);
     trace::span("respond", || {
-        for v in &verdicts {
-            match v {
-                Verdict::Phishing(_) => s.metrics.verdicts_phishing.inc(),
-                Verdict::Safe(_) => s.metrics.verdicts_safe.inc(),
+        // One frame answers the whole batch, so one failed URL fails it.
+        match results
+            .into_iter()
+            .collect::<Result<Vec<Verdict>, String>>()
+        {
+            Ok(verdicts) => {
+                verdicts.iter().for_each(|v| s.metrics.count_verdict(v));
+                conn.push_reply(&BinReply::VerdictN(verdicts));
             }
+            Err(msg) => conn.push_reply(&BinReply::Error(msg)),
         }
-        conn.push_reply(&BinReply::VerdictN(verdicts));
     });
     s.metrics
         .window_checkn
@@ -901,11 +910,6 @@ impl EventedServer {
             })),
             traces: Some(self.shared.traces.clone()),
         }
-    }
-
-    /// Connections currently owned by workers.
-    pub fn active_connections(&self) -> i64 {
-        self.shared.metrics.connections_active.get()
     }
 
     /// Stop accepting and tell workers to wind down. Safe to call twice.

@@ -40,6 +40,15 @@ pub trait UrlChecker: Send + Sync {
         urls.iter().map(|u| self.check(u)).collect()
     }
 
+    /// [`UrlChecker::check_many`] for checkers that can fail per URL —
+    /// the serving engine calls only this. A failed URL is answered
+    /// `ERROR <msg>` (line) or an error frame (binary). The default never
+    /// fails; a cluster router overrides it, since a URL with no live
+    /// backend has no verdict to give.
+    fn try_check_many(&self, urls: &[String]) -> Vec<Result<Verdict, String>> {
+        self.check_many(urls).into_iter().map(Ok).collect()
+    }
+
     /// Record `url` as known phishing (the wire protocol's `ADD`).
     /// Returns the checker's new generation count. Checkers without a
     /// mutable backing set refuse.

@@ -114,12 +114,6 @@ impl Rng64 {
         (median.max(f64::MIN_POSITIVE).ln() + sigma * self.normal()).exp()
     }
 
-    /// Exponential with the given mean.
-    pub fn exp_mean(&mut self, mean: f64) -> f64 {
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
     /// Pick a uniformly random element of a slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]

@@ -85,16 +85,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Duration in fractional hours; used for the coverage-vs-time figures.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
-
-    /// Duration in fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60.0
-    }
-
     /// Format as the paper's `hh:mm` notation (hours may exceed 24, e.g.
     /// `148:05` for just over six days).
     ///

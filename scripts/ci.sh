@@ -64,7 +64,8 @@ if [ "$status" -ne 64 ]; then
   exit 1
 fi
 
-# One store-backed node, one index checker, std locks, a size-derived
+# One serving engine (the cluster router's front door included), one
+# store-backed node, one index checker, std locks, a size-derived
 # compaction trigger, one `repro` run, one property runner
 # (`freephish_simclock::prop`), one fetch trait, a resolver that is built
 # with its models: the forks, the dependencies, the tick-count knob, the
@@ -72,7 +73,7 @@ fi
 # back (crates/benchmark keeps its own stand-ins, `proptest` and `criterion`
 # among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
