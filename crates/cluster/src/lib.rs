@@ -11,10 +11,11 @@
 //! - [`source`] / [`replica`] — the primary serves its live store
 //!   directory to any number of followers; each follower mirrors the
 //!   segment files byte-for-byte into its own directory, which doubles
-//!   as its durable cursor: on reconnect it recovers locally (truncate
-//!   the torn tail, drop anything after it) and resumes from the
-//!   resulting `(segment, offset)` without re-shipping completed
-//!   segments.
+//!   as its durable cursor: on reconnect it runs the store's recovery
+//!   scan (truncate the torn tail, drop anything after it) and resumes
+//!   from the resulting `(segment, offset)` without re-shipping
+//!   completed segments. Both sides read the directory only through
+//!   `freephish-store`: a session is a `TailFollower`.
 //! - [`ring`] / [`router`] — a consistent-hash ring with virtual
 //!   nodes places every URL on a backend deterministically; the router
 //!   scatters `CHECKN` batches shard-by-shard, gathers replies in
@@ -35,7 +36,7 @@ pub mod router;
 pub mod source;
 pub mod wire;
 
-pub use replica::{recover_local, Replica, ReplicaConfig};
+pub use replica::{Replica, ReplicaConfig};
 pub use ring::HashRing;
 pub use router::{Router, RouterClient, RouterConfig};
 pub use source::{ReplicationSource, SourceConfig};

@@ -1,15 +1,17 @@
 //! The follower side of replication: a background thread that keeps a
 //! local store directory a byte-faithful replica of a primary's WAL.
 //!
-//! The replica's directory *is* its cursor. On every (re)connect it
-//! recovers locally exactly the way [`freephish_store::Store::open`]
-//! does — scan segments in order, truncate the first defective tail,
-//! delete anything after it — and sends the resulting `(segment,
-//! offset)` as its `HELLO` cursor. The primary then resumes from that
-//! boundary without re-shipping completed segments, or bootstraps the
-//! follower from a snapshot when compaction has moved past it. Every
-//! shipped record's CRC32 is re-verified before a byte is written, so
-//! a replica is exactly as trustworthy as a local recovery scan.
+//! The replica's directory *is* its cursor. On every (re)connect it runs
+//! the store's own recovery scan ([`freephish_store::recover`], what
+//! `Store::open` runs, without opening a writer): drop invalid
+//! snapshots and the segments a snapshot covers, truncate the first
+//! defective tail, delete anything after it. It sends the resulting
+//! `(segment, offset)` as its `HELLO` cursor. The primary then resumes
+//! from that boundary without re-shipping completed segments, or
+//! bootstraps the follower from a snapshot when compaction has moved
+//! past it. Every shipped record is re-verified with the store's frame
+//! decoder before a byte is written, so a replica is exactly as
+//! trustworthy as a local recovery scan.
 //!
 //! The replica only mirrors files; serving is layered on top by
 //! pointing a [`freephish_serve::IndexPublisher`] (or any
@@ -20,17 +22,17 @@
 //! stale data — and [`Replica::caught_up`] reports when the prefix
 //! has reached the primary's tip.
 
-use crate::source::list_indexed;
 use crate::wire::{decode_repl, encode_repl, verify_record_frame, ReplCursor, ReplFrame};
 use bytes::BytesMut;
 use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use freephish_store::segment::{
-    parse_segment_name, scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
+    parse_segment_name, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use freephish_store::snapshot::{
-    fsync_dir, load_snapshot, parse_snapshot_name, snapshot_file_name, write_snapshot,
+    fsync_dir, parse_snapshot_name, snapshot_file_name, write_snapshot,
 };
+use freephish_store::{list_indexed, recover};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -187,48 +189,6 @@ impl Drop for Replica {
     }
 }
 
-/// Recover the local replica directory the way `Store::open` would:
-/// scan segments in index order, truncate the first defective tail,
-/// delete everything after it. Returns the resume cursor.
-pub fn recover_local(dir: &Path) -> std::io::Result<ReplCursor> {
-    let snapshot_seq = list_indexed(dir, parse_snapshot_name)?
-        .into_iter()
-        .rev()
-        .find(|&seq| {
-            load_snapshot(&dir.join(snapshot_file_name(seq)), seq)
-                .ok()
-                .flatten()
-                .is_some()
-        });
-    let mut tail: Option<(u32, u64)> = None;
-    let mut defective = false;
-    for seg in list_indexed(dir, parse_segment_name)? {
-        let path = dir.join(segment_file_name(seg));
-        if defective {
-            std::fs::remove_file(&path)?;
-            continue;
-        }
-        let scan = scan_segment(&path)?;
-        if !scan.header_ok {
-            std::fs::remove_file(&path)?;
-            defective = true;
-            continue;
-        }
-        if scan.torn.is_some() {
-            let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-            f.set_len(scan.good_len)?;
-            defective = true;
-        }
-        tail = Some((seg, scan.good_len));
-    }
-    fsync_dir(dir)?;
-    Ok(ReplCursor {
-        snapshot_seq,
-        segment: tail.map(|(s, _)| s),
-        offset: tail.map(|(_, o)| o).unwrap_or(0),
-    })
-}
-
 fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, msg)
 }
@@ -324,38 +284,20 @@ impl Applier<'_> {
         let dir = &self.shared.dir;
         let m = &self.shared.metrics;
         match frame {
-            ReplFrame::Snapshot {
-                seq,
-                first_segment: _,
-                body,
-            } => {
+            // A bootstrap replaces local history wholesale: install the
+            // image (if any), then drop every other local file — the
+            // primary re-ships the live segments next.
+            ReplFrame::Snapshot { seq, body, .. } => {
                 self.note_session_mode(true);
-                // A bootstrap replaces local history wholesale: install
-                // the image, then drop every local segment — the
-                // primary re-ships the live ones next.
                 self.writer = None;
                 write_snapshot(dir, seq, &body)?;
-                for seg in list_indexed(dir, parse_segment_name)? {
-                    std::fs::remove_file(dir.join(segment_file_name(seg)))?;
-                }
-                for old in list_indexed(dir, parse_snapshot_name)? {
-                    if old != seq {
-                        std::fs::remove_file(dir.join(snapshot_file_name(old)))?;
-                    }
-                }
-                fsync_dir(dir)?;
+                discard_all_but(dir, Some(seq))?;
                 m.snapshots_applied.inc();
             }
-            ReplFrame::Reset { first_segment: _ } => {
+            ReplFrame::Reset { .. } => {
                 self.note_session_mode(true);
                 self.writer = None;
-                for seg in list_indexed(dir, parse_segment_name)? {
-                    std::fs::remove_file(dir.join(segment_file_name(seg)))?;
-                }
-                for old in list_indexed(dir, parse_snapshot_name)? {
-                    std::fs::remove_file(dir.join(snapshot_file_name(old)))?;
-                }
-                fsync_dir(dir)?;
+                discard_all_but(dir, None)?;
             }
             ReplFrame::Segment { index } => {
                 self.note_session_mode(false);
@@ -421,10 +363,29 @@ impl Applier<'_> {
     }
 }
 
+/// Delete every segment in `dir` and every snapshot but `keep`, durably.
+fn discard_all_but(dir: &Path, keep: Option<u32>) -> std::io::Result<()> {
+    for seg in list_indexed(dir, parse_segment_name)? {
+        std::fs::remove_file(dir.join(segment_file_name(seg)))?;
+    }
+    for seq in list_indexed(dir, parse_snapshot_name)? {
+        if Some(seq) != keep {
+            std::fs::remove_file(dir.join(snapshot_file_name(seq)))?;
+        }
+    }
+    fsync_dir(dir)
+}
+
 /// One connect → hello → apply-until-drop session. `Ok(())` only on
 /// clean shutdown.
 fn run_session(shared: &Shared) -> std::io::Result<()> {
-    let cursor = recover_local(&shared.dir)?;
+    // The directory is the cursor: recover it, dropping the records.
+    let found = recover(&shared.dir, |_, _| {})?;
+    let cursor = ReplCursor {
+        snapshot_seq: found.snapshot_seq,
+        segment: found.tail.map(|t| t.segment),
+        offset: found.tail.map_or(0, |t| t.end_offset),
+    };
     let mut stream = TcpStream::connect_timeout(&shared.primary, shared.cfg.connect_timeout)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;

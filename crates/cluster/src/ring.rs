@@ -13,8 +13,8 @@
 //! always produce the same placement, so routers restarted or scaled
 //! horizontally agree on where every URL lives without coordination.
 
-/// FNV-1a, the same cheap 64-bit hash the resolver's synthetic fetcher
-/// uses; placement needs speed and spread, not collision resistance.
+/// FNV-1a, a cheap 64-bit hash: placement needs speed and spread, not
+/// collision resistance.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

@@ -1,31 +1,25 @@
 //! The primary side of replication: a listener that ships a store
 //! directory's WAL to any number of followers.
 //!
-//! Each follower connection is one session: the follower says `HELLO`
-//! with its resume cursor, the source decides between **resume** (the
-//! cursor names a live segment at a valid record boundary — stream
-//! from exactly there, re-shipping nothing) and **bootstrap** (no
-//! usable cursor, or compaction has deleted the follower's segment —
-//! ship the newest snapshot, or a `RESET`, then every live segment),
-//! and then tails the directory, shipping records as the primary
-//! appends them. The source never writes the store; it is a reader
-//! exactly like [`freephish_store::TailFollower`], so it can run inside
-//! the writing process or beside it.
-//!
-//! Cursor validation is strict: an offset that is not a record
-//! boundary of the named segment (a forged or diverged cursor) demotes
-//! the session to a bootstrap rather than shipping bytes that would
-//! desynchronize the follower's framing.
+//! Each follower connection is one session, and a session is a
+//! [`TailFollower`]: the store's own reader of its directory. The
+//! follower says `HELLO` with its resume cursor. When the cursor is a
+//! record boundary of a live segment the session **resumes** a follower
+//! there, re-shipping nothing; otherwise (no cursor, a forged or
+//! diverged one, or one whose segment compaction deleted) it
+//! **bootstraps** a new follower. It polls one segment at a time and
+//! maps each poll onto frames: a (re)start becomes `SNAPSHOT` (or
+//! `RESET` when there is no snapshot), entering a segment becomes
+//! `SEGMENT`, each record becomes `RECORD`, and a poll that ends on the
+//! newest segment is followed by `TIP`. The source never writes the
+//! store, so it can run inside the writing process or beside it.
 
-use crate::wire::{decode_repl, encode_repl, ReplCursor, ReplFrame};
+use crate::wire::{decode_repl, encode_repl, ReplFrame};
 use bytes::BytesMut;
 use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, MetricsSnapshot, Registry};
-use freephish_store::segment::{
-    encode_frame_into, parse_segment_name, scan_buffer, segment_file_name, Torn, FRAME_OVERHEAD,
-    SEGMENT_HEADER_LEN,
-};
-use freephish_store::snapshot::{load_snapshot, parse_snapshot_name, snapshot_file_name};
+use freephish_store::segment::{encode_frame_into, FRAME_OVERHEAD};
+use freephish_store::{TailCursor, TailFollower};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -53,22 +47,6 @@ impl Default for SourceConfig {
             hello_timeout: Duration::from_secs(10),
         }
     }
-}
-
-/// List the indices of files in `dir` matching `parse`, sorted.
-pub(crate) fn list_indexed(
-    dir: &Path,
-    parse: fn(&str) -> Option<u32>,
-) -> std::io::Result<Vec<u32>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        if let Some(idx) = name.to_str().and_then(parse) {
-            out.push(idx);
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
 }
 
 struct SourceMetrics {
@@ -259,23 +237,8 @@ fn send(stream: &mut TcpStream, frame: &ReplFrame) -> std::io::Result<()> {
     stream.write_all(&buf)
 }
 
-/// The record boundaries of a segment's current bytes: header end plus
-/// each valid record's end offset, stopping at the first defect.
-fn boundaries(bytes: &[u8]) -> Vec<u64> {
-    let mut out = vec![SEGMENT_HEADER_LEN];
-    if bytes.len() < SEGMENT_HEADER_LEN as usize {
-        return out;
-    }
-    let (records, _) = scan_buffer(&bytes[SEGMENT_HEADER_LEN as usize..]);
-    let mut off = SEGMENT_HEADER_LEN;
-    for r in &records {
-        off += FRAME_OVERHEAD + r.len() as u64;
-        out.push(off);
-    }
-    out
-}
-
-/// One follower session: handshake, placement, then tail-and-ship.
+/// One follower session: handshake, then `TailFollower` polls shipped
+/// as frames, a `TIP` once a poll ends on the newest segment.
 fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
@@ -291,175 +254,103 @@ fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
         return Err(invalid(format!("expected HELLO, got {hello:?}")));
     };
 
-    let mut cursor = Some(cursor);
-    loop {
-        // (Re-)place the session: resume at the cursor when it is a
-        // valid boundary of a live segment, bootstrap otherwise. The
-        // loop re-enters here whenever compaction deletes the segment
-        // being streamed.
-        let (mut seg, mut off) = place(shared, &mut stream, cursor.take())?;
-        send(&mut stream, &ReplFrame::Segment { index: seg })?;
+    // Resume at the follower's cursor when it is a record boundary of a
+    // live segment; otherwise the first poll bootstraps.
+    let tail_cursor = TailCursor {
+        snapshot_seq: cursor.snapshot_seq,
+        segment: cursor.segment,
+        offset: cursor.offset,
+    };
+    let mut follower = TailFollower::resume(&shared.dir, tail_cursor);
+    // The segment the follower was last told about.
+    let mut announced = follower.cursor().and_then(|c| c.segment);
+    match (announced, cursor.segment) {
+        (Some(index), _) => {
+            shared.metrics.sessions_resume.inc();
+            send(&mut stream, &ReplFrame::Segment { index })?;
+        }
+        (None, Some(seg)) => {
+            let at = format!("({seg}, {})", cursor.offset);
+            let msg = format!("cursor {at} is no live record boundary; bootstrapping");
+            freephish_obs::debug("cluster", msg);
+        }
+        (None, None) => {}
+    }
 
-        loop {
-            if shared.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let segs = list_indexed(&shared.dir, parse_segment_name)?;
-            let Some(&first) = segs.first() else {
-                std::thread::sleep(shared.cfg.poll_interval);
-                continue;
-            };
-            if seg < first {
-                // Compacted out from under this session: re-bootstrap.
-                break;
-            }
-            let bytes = match std::fs::read(shared.dir.join(segment_file_name(seg))) {
-                Ok(b) => b,
-                Err(e) if e.kind() == ErrorKind::NotFound => break,
-                Err(e) => return Err(e),
-            };
-            let mut shipped = false;
-            if bytes.len() as u64 > off {
-                let (records, torn) = scan_buffer(&bytes[off as usize..]);
-                let mut out = BytesMut::new();
-                for payload in &records {
-                    off += FRAME_OVERHEAD + payload.len() as u64;
-                    let mut frame = Vec::with_capacity(FRAME_OVERHEAD as usize + payload.len());
-                    encode_frame_into(&mut frame, payload);
-                    encode_repl(
-                        &mut out,
-                        &ReplFrame::Record {
-                            segment: seg,
-                            end_offset: off,
-                            frame,
-                        },
-                    )
-                    .map_err(invalid)?;
-                    shared.metrics.records_shipped.inc();
-                    shared
-                        .metrics
-                        .bytes_shipped
-                        .add(FRAME_OVERHEAD + payload.len() as u64);
-                    shipped = true;
-                }
-                match torn {
-                    // A partial tail is the live append in progress.
-                    None | Some(Torn::PartialFrame) => {}
-                    Some(defect) => {
-                        send(
-                            &mut stream,
-                            &ReplFrame::Error(format!("primary segment {seg} is corrupt")),
-                        )
-                        .ok();
-                        return Err(invalid(format!(
-                            "segment {seg} mid-file defect: {defect:?}"
-                        )));
+    let mut out = BytesMut::new();
+    while !shared.stop.load(Ordering::SeqCst) {
+        // One segment a poll keeps a bootstrap's memory to one segment.
+        let before = follower.cursor().and_then(|c| c.segment);
+        let batch = follower.poll_segment().inspect_err(|e| {
+            let msg = format!("primary WAL is unreadable: {e}");
+            send(&mut stream, &ReplFrame::Error(msg)).ok();
+        })?;
+        if let Some(start) = batch.start {
+            shared.metrics.sessions_bootstrap.inc();
+            let first_segment = start.first_segment;
+            let frame = match (start.snapshot_seq, batch.snapshot) {
+                (Some(seq), Some(body)) => {
+                    shared.metrics.snapshots_shipped.inc();
+                    ReplFrame::Snapshot {
+                        seq,
+                        first_segment,
+                        body,
                     }
                 }
-                if shipped {
-                    stream.write_all(&out)?;
-                }
-            }
-            // Rotate once this segment is fully shipped and a later one
-            // exists (the store only rotates after sealing the old
-            // segment, so "a successor exists" marks it complete).
-            let next = segs.iter().copied().find(|&s| s > seg);
-            if let Some(next) = next {
-                if off >= bytes.len() as u64 {
-                    seg = next;
-                    off = SEGMENT_HEADER_LEN;
-                    send(&mut stream, &ReplFrame::Segment { index: seg })?;
-                    continue;
-                }
-            }
-            // Tip for lag accounting; doubles as a liveness heartbeat
-            // and detects followers that went away while we idle.
-            let tip_seg = *segs.last().expect("non-empty");
-            let tip_len = std::fs::metadata(shared.dir.join(segment_file_name(tip_seg)))
-                .map(|m| m.len())
-                .unwrap_or(SEGMENT_HEADER_LEN);
-            send(
-                &mut stream,
-                &ReplFrame::Tip {
-                    segment: tip_seg,
-                    offset: tip_len.max(SEGMENT_HEADER_LEN),
-                },
-            )?;
-            if !shipped {
-                std::thread::sleep(shared.cfg.poll_interval);
+                _ => ReplFrame::Reset { first_segment },
+            };
+            encode_repl(&mut out, &frame).map_err(invalid)?;
+            announced = None;
+            announce(&mut out, &mut announced, first_segment)?;
+        }
+        let shipped = !batch.records.is_empty();
+        for (pos, payload) in batch.records {
+            announce(&mut out, &mut announced, pos.segment)?;
+            let mut frame = Vec::with_capacity(FRAME_OVERHEAD as usize + payload.len());
+            encode_frame_into(&mut frame, &payload);
+            shared.metrics.records_shipped.inc();
+            shared.metrics.bytes_shipped.add(frame.len() as u64);
+            let record = ReplFrame::Record {
+                segment: pos.segment,
+                end_offset: pos.end_offset,
+                frame,
+            };
+            encode_repl(&mut out, &record).map_err(invalid)?;
+            if out.len() >= 64 << 10 {
+                stream.write_all(&out)?;
+                out.clear();
             }
         }
+        // A segment the follower entered with no record in it yet.
+        let now = follower.cursor().and_then(|c| c.segment);
+        if let Some(segment) = now {
+            announce(&mut out, &mut announced, segment)?;
+        }
+        // Tip for lag accounting; doubles as a liveness heartbeat and
+        // detects followers that went away while we idle. A poll that
+        // moved on to a segment not yet read reads it first.
+        let moved = now != before;
+        if let Some(tip) = batch.tip.filter(|_| !moved) {
+            let frame = ReplFrame::Tip {
+                segment: tip.segment,
+                offset: tip.end_offset,
+            };
+            encode_repl(&mut out, &frame).map_err(invalid)?;
+        }
+        stream.write_all(&out)?;
+        out.clear();
+        if !shipped && !moved {
+            std::thread::sleep(shared.cfg.poll_interval);
+        }
     }
+    Ok(())
 }
 
-/// Decide where a session starts. Returns `(segment, offset)` to stream
-/// from, after sending any bootstrap frames.
-fn place(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    cursor: Option<ReplCursor>,
-) -> std::io::Result<(u32, u64)> {
-    loop {
-        let segs = list_indexed(&shared.dir, parse_segment_name)?;
-        let Some(&first) = segs.first() else {
-            // An empty directory: wait for the store to create it.
-            if shared.stop.load(Ordering::SeqCst) {
-                return Err(std::io::Error::other("source shutting down"));
-            }
-            std::thread::sleep(shared.cfg.poll_interval);
-            continue;
-        };
-
-        // Resume: the cursor names a live segment at a valid boundary.
-        if let Some(c) = cursor {
-            if let Some(seg) = c.segment {
-                if segs.contains(&seg) {
-                    let bytes = std::fs::read(shared.dir.join(segment_file_name(seg)))?;
-                    if boundaries(&bytes).contains(&c.offset) {
-                        shared.metrics.sessions_resume.inc();
-                        return Ok((seg, c.offset));
-                    }
-                    freephish_obs::warn(
-                        "cluster",
-                        format!(
-                            "follower cursor ({seg}, {}) is not a record boundary; \
-                             bootstrapping instead",
-                            c.offset
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Bootstrap: newest loadable snapshot plus all live segments,
-        // or a bare RESET when no snapshot exists yet.
-        shared.metrics.sessions_bootstrap.inc();
-        let snaps = list_indexed(&shared.dir, parse_snapshot_name)?;
-        let newest = snaps.iter().rev().find_map(|&seq| {
-            load_snapshot(&shared.dir.join(snapshot_file_name(seq)), seq)
-                .ok()
-                .flatten()
-                .map(|body| (seq, body))
-        });
-        match newest {
-            Some((seq, body)) => {
-                send(
-                    stream,
-                    &ReplFrame::Snapshot {
-                        seq,
-                        first_segment: first,
-                        body,
-                    },
-                )?;
-                shared.metrics.snapshots_shipped.inc();
-            }
-            None => send(
-                stream,
-                &ReplFrame::Reset {
-                    first_segment: first,
-                },
-            )?,
-        }
-        return Ok((first, SEGMENT_HEADER_LEN));
+/// Queue `SEGMENT` for `segment` unless the follower already has it.
+fn announce(out: &mut BytesMut, announced: &mut Option<u32>, segment: u32) -> std::io::Result<()> {
+    if *announced != Some(segment) {
+        *announced = Some(segment);
+        encode_repl(out, &ReplFrame::Segment { index: segment }).map_err(invalid)?;
     }
+    Ok(())
 }

@@ -27,12 +27,12 @@
 //! unknown opcodes, cursors whose fields contradict each other — are
 //! hard errors that close the connection, exactly like the verdict
 //! wire. Record payload integrity is separate from framing:
-//! [`verify_record_frame`] re-checks the WAL CRC32 so a follower never
-//! writes a byte the primary's checksum does not vouch for.
+//! [`verify_record_frame`] re-checks the WAL frame with the store's own
+//! decoder so a follower never writes a byte the primary's checksum does
+//! not vouch for.
 
 use bytes::BytesMut;
-use freephish_store::crc32;
-use freephish_store::segment::{FRAME_OVERHEAD, MAX_RECORD_LEN, SEGMENT_HEADER_LEN};
+use freephish_store::segment::{decode_frame, FRAME_OVERHEAD, MAX_RECORD_LEN, SEGMENT_HEADER_LEN};
 
 /// First byte of every replication frame.
 pub const REPL_MAGIC: u8 = 0xFC;
@@ -352,34 +352,20 @@ pub fn decode_repl(buf: &mut BytesMut) -> Result<Option<ReplFrame>, String> {
     Ok(Some(frame))
 }
 
-/// Verify a shipped WAL record frame end to end: the declared length
-/// must match the bytes on hand and the CRC32 must vouch for the
-/// payload. Returns the payload slice on success. This is the check
-/// that makes a follower's copy exactly as trustworthy as the
-/// primary's own recovery scan.
+/// Verify a shipped WAL record frame end to end with the store's frame
+/// decoder: the declared length must match the bytes on hand and the
+/// CRC32 must vouch for the payload. Returns the payload slice on
+/// success. This is the check that makes a follower's copy exactly as
+/// trustworthy as the primary's own recovery scan.
 pub fn verify_record_frame(frame: &[u8]) -> Result<&[u8], String> {
-    if frame.len() < FRAME_OVERHEAD as usize {
-        return Err(format!("record frame of {} bytes is torn", frame.len()));
+    match decode_frame(frame) {
+        Ok((payload, len)) if len == frame.len() => Ok(payload),
+        Ok((_, len)) => Err(format!(
+            "record frame carries {} bytes past its end",
+            frame.len() - len
+        )),
+        Err(torn) => Err(format!("shipped record rejected: {torn}")),
     }
-    let len = u32::from_le_bytes(frame[..4].try_into().unwrap());
-    if len > MAX_RECORD_LEN {
-        return Err(format!("record length {len} exceeds {MAX_RECORD_LEN}"));
-    }
-    let payload = &frame[FRAME_OVERHEAD as usize..];
-    if payload.len() != len as usize {
-        return Err(format!(
-            "record declares {len} payload bytes, frame carries {}",
-            payload.len()
-        ));
-    }
-    let want = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-    let got = crc32(payload);
-    if got != want {
-        return Err(format!(
-            "record checksum mismatch: stored 0x{want:08x}, computed 0x{got:08x}"
-        ));
-    }
-    Ok(payload)
 }
 
 #[cfg(test)]

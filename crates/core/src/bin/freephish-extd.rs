@@ -28,13 +28,17 @@
 //!     are journaled through the store (with --store, durably — a
 //!     restart recovers them with zero re-classification). The models
 //!     are trained before the server listens, so the first miss is
-//!     already classifiable. With --ops-port N the daemon also mounts the
-//!     ops plane on 127.0.0.1:N: GET /metrics (Prometheus text, including
-//!     the resolver_* tier series), /varz (JSON), /healthz, /readyz,
-//!     /events and /traces/slow. /readyz reports 503 until the serving
-//!     index has published its first generation and, with --store, the
-//!     journal tail is caught up. Ctrl-C / SIGTERM drains connections,
-//!     flushes the store, and exits 0.
+//!     already classifiable. Pages come from a simulated web, not a
+//!     crawler: the sites of the default scale world, each serving a
+//!     training body of its label; any other URL is unfetchable, so it
+//!     is cached SAFE 0 and never journaled. With --ops-port N the
+//!     daemon also mounts the ops plane on 127.0.0.1:N: GET /metrics
+//!     (Prometheus text, including the resolver_* tier series), /varz
+//!     (JSON), /healthz, /readyz, /events and /traces/slow. /readyz
+//!     reports 503 until the serving index has published its first
+//!     generation and, with --store, the journal tail is caught up.
+//!     Ctrl-C / SIGTERM drains connections, flushes the store, and
+//!     exits 0.
 //!
 //!     Scale flags (both need --store): --index-file FILE mmaps a baked
 //!     verdict index (DESIGN.md §15) as the serving baseline — a node
@@ -85,9 +89,8 @@ use freephish_cluster::{
 };
 use freephish_core::extension::{UrlChecker, VerdictClient};
 use freephish_core::groundtruth::{build, GroundTruthConfig};
-use freephish_core::resolver::{
-    ResolverModels, SyntheticFetcher, TieredResolver, TieredResolverConfig, WallClock,
-};
+use freephish_core::resolver::{ResolverModels, TieredResolver, TieredResolverConfig, WallClock};
+use freephish_core::scaleworld::{ScaleWorld, ScaleWorldConfig, ScaleWorldFetcher};
 use freephish_core::verdictstore::{EventedStoreChecker, WriteRole};
 use freephish_serve::{
     EventedServer, IndexPublisher, OpsConfig, OpsServer, Readiness, ServeConfig, ShardedIndex,
@@ -395,16 +398,20 @@ fn serve(args: &[String]) -> std::io::Result<()> {
 
     // --classify-on-miss mounts the tiered resolver in front of the
     // lookup. Its models are trained here, before the server listens, on
-    // the tiny ground-truth corpus; snapshots come from the deterministic
-    // synthetic fetcher until a real crawler is wired in. Inline phishing
-    // verdicts journal through the lookup's `add` path — durable when it
-    // is store-backed.
+    // the tiny ground-truth corpus. Until a real crawler is wired in,
+    // pages come from the default scale world, each site serving a body
+    // of its label from that corpus; any other URL is unfetchable, so it
+    // is cached safe and never journaled. Inline phishing verdicts
+    // journal through the lookup's `add` path — durable when it is
+    // store-backed.
     let resolver: Option<Arc<TieredResolver>> = classify_on_miss.then(|| {
         let cfg = TieredResolverConfig::default();
-        let models = ResolverModels::train(&build(&GroundTruthConfig::tiny()), &cfg);
+        let corpus = build(&GroundTruthConfig::tiny());
+        let models = ResolverModels::train(&corpus, &cfg);
+        let world = ScaleWorld::new(ScaleWorldConfig::default());
         TieredResolver::with_models(
             lookup.clone(),
-            Arc::new(SyntheticFetcher::new(0x0F_E7C4)),
+            Arc::new(ScaleWorldFetcher::new(world, &corpus)),
             Arc::new(WallClock::new()),
             Arc::new(models),
             cfg,

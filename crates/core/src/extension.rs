@@ -7,7 +7,8 @@
 //! the extension side, which lives here:
 //!
 //! * a [`VerdictClient`] — a verdict cache so a page's subresources do
-//!   not re-query, a bounded connect timeout, one jittered retry for a
+//!   not re-query, bounded connect, read and write timeouts, replies read
+//!   through a buffer capped at one frame, one jittered retry for a
 //!   failed connect or a shed (`BUSY`) request, the line protocol
 //!   (`CHECK <url>\n` → `PHISHING <score>` / `SAFE <score>` /
 //!   `ERROR <msg>`) for single checks, and a batched
@@ -27,7 +28,7 @@ use freephish_obs::sync::{lock, read, write};
 use freephish_obs::{Counter, MetricsSnapshot, Registry};
 use freephish_simclock::Rng64;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
@@ -44,6 +45,10 @@ pub use freephish_serve::{BinReply, BinRequest, UrlChecker, Verdict, MAX_BATCH};
 
 /// How long the client waits for a TCP connect before retrying.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long the client waits on a connected socket's read or write
+/// before giving up, so a server that never answers cannot hang it.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn io_invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
@@ -96,16 +101,20 @@ impl VerdictClient {
     }
 
     /// Connect with a bounded timeout; on failure, retry once after a
-    /// jittered backoff.
+    /// jittered backoff. Reads and writes on the connection time out
+    /// after [`IO_TIMEOUT`].
     fn connect(&self) -> std::io::Result<TcpStream> {
-        match TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) {
-            Ok(s) => Ok(s),
+        let stream = match TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) {
+            Ok(s) => s,
             Err(first) => {
                 self.retries_connect.inc();
                 std::thread::sleep(self.backoff());
-                TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT).map_err(|_| first)
+                TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT).map_err(|_| first)?
             }
-        }
+        };
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        Ok(stream)
     }
 
     /// Check a URL, consulting the local cache first.
@@ -116,19 +125,18 @@ impl VerdictClient {
         }
         self.cache_misses.inc();
         let request = format!("CHECK {url}\n");
-        let mut reader = BufReader::new(self.connect()?);
-        let mut line = String::new();
-        reader.get_mut().write_all(request.as_bytes())?;
-        reader.read_line(&mut line)?;
-        if line.trim() == "BUSY" {
+        let mut stream = self.connect()?;
+        let mut buf = BytesMut::new();
+        stream.write_all(request.as_bytes())?;
+        let mut line = read_line_buffered(&mut stream, &mut buf)?;
+        if line == "BUSY" {
             // Shed under load (rate cap or in-flight budget): the same
             // single jittered retry as the other paths, on the same
             // connection. A second BUSY surfaces as the error below.
             self.retries_line.inc();
             std::thread::sleep(self.backoff());
-            line.clear();
-            reader.get_mut().write_all(request.as_bytes())?;
-            reader.read_line(&mut line)?;
+            stream.write_all(request.as_bytes())?;
+            line = read_line_buffered(&mut stream, &mut buf)?;
         }
         let verdict = decode_verdict(&line).map_err(io_invalid)?;
         write(&self.cache).insert(url.to_string(), verdict);
@@ -250,19 +258,11 @@ impl VerdictClient {
     pub fn add(&self, url: &str, score: f64) -> std::io::Result<u64> {
         let mut stream = self.connect()?;
         stream.write_all(format!("ADD {url} {score}\n").as_bytes())?;
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let line = read_line_buffered(&mut stream, &mut BytesMut::new())?;
         let generation = line
-            .trim_end()
             .strip_prefix("OK ")
             .and_then(|g| g.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("ADD refused: {}", line.trim_end()),
-                )
-            })?;
+            .ok_or_else(|| io_invalid(format!("ADD refused: {line}")))?;
         write(&self.cache).remove(url);
         Ok(generation)
     }
@@ -272,18 +272,11 @@ impl VerdictClient {
     pub fn stats(&self) -> std::io::Result<serde_json::Value> {
         let mut stream = self.connect()?;
         stream.write_all(b"STATS\n")?;
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let payload = line.trim_end().strip_prefix("STATS ").ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed STATS reply: {line:?}"),
-            )
-        })?;
-        let value: serde_json::Value = serde_json::from_str(payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(value)
+        let line = read_line_buffered(&mut stream, &mut BytesMut::new())?;
+        let payload = line
+            .strip_prefix("STATS ")
+            .ok_or_else(|| io_invalid(format!("malformed STATS reply: {line:?}")))?;
+        serde_json::from_str(payload).map_err(|e| io_invalid(e.to_string()))
     }
 
     /// Cached verdict count.
@@ -374,7 +367,7 @@ pub fn block_page(url: &str) -> String {
 mod tests {
     use super::*;
     use freephish_serve::{EventedServer, ShardedIndex};
-    use std::io::Read;
+    use std::io::{BufRead, BufReader, Read};
     use std::net::TcpListener;
 
     /// An index holding one known-phishing URL.
@@ -757,5 +750,66 @@ mod tests {
         let strict = VerdictClient::with_seed(busy_server(true, 2), 19);
         let err = strict.check_batch_strict(&urls[..1]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+    }
+
+    /// Run `call` against a server that accepts every connection, writes
+    /// `reply` on it and never finishes a line; fail the test if `call`
+    /// hangs.
+    fn against_unanswering_server<T: Send + 'static>(
+        reply: &[u8],
+        call: impl FnOnce(SocketAddr) -> T + Send + 'static,
+    ) -> T {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || call(addr));
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let mut held = Vec::new();
+        while !client.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "the client call hung");
+            match listener.accept() {
+                Ok((mut stream, _)) => {
+                    let _ = stream.write_all(reply);
+                    held.push(stream);
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        client.join().expect("the client call panicked")
+    }
+
+    #[test]
+    fn a_silent_server_is_an_error_not_a_hang() {
+        let err = against_unanswering_server(b"", |addr| {
+            VerdictClient::new(addr).check("https://a.weebly.com/")
+        })
+        .unwrap_err();
+        let timed_out = [std::io::ErrorKind::WouldBlock, std::io::ErrorKind::TimedOut];
+        assert!(timed_out.contains(&err.kind()), "{err}");
+    }
+
+    #[test]
+    fn a_silent_server_fails_the_guard_open() {
+        let nav = against_unanswering_server(b"", |addr| {
+            NavigationGuard::new(addr).navigate("https://a.weebly.com/")
+        });
+        assert_eq!(nav, Navigation::Allowed);
+    }
+
+    #[test]
+    fn a_reply_line_longer_than_a_frame_is_refused() {
+        let endless = vec![b'x'; freephish_serve::proto::MAX_FRAME_PAYLOAD + 4096];
+        let errors = against_unanswering_server(&endless, |addr| {
+            let client = VerdictClient::new(addr);
+            [
+                client.check("https://a.weebly.com/").map(drop),
+                client.stats().map(drop),
+                client.add("https://a.weebly.com/", 0.9).map(drop),
+            ]
+        });
+        for result in errors {
+            let err = result.unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
     }
 }

@@ -42,8 +42,8 @@ pub mod world;
 pub use features::{FeatureSet, FeatureVector};
 pub use models::augmented::AugmentedStackModel;
 pub use resolver::{
-    ManualClock, MapFetcher, ResolverClock, ResolverModels, SnapshotFetcher, SyntheticFetcher,
-    TieredResolver, TieredResolverConfig, WallClock,
+    ManualClock, MapFetcher, ResolverClock, ResolverModels, SnapshotFetcher, TieredResolver,
+    TieredResolverConfig, WallClock,
 };
-pub use scaleworld::{ScaleWorld, ScaleWorldConfig};
+pub use scaleworld::{ScaleWorld, ScaleWorldConfig, ScaleWorldFetcher};
 pub use world::World;

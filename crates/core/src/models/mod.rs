@@ -29,13 +29,15 @@ pub mod visual;
 /// crawler's seat. Dynamic-analysis models follow links and iframes
 /// through it the way PhishIntention does; the resolver's tier 2 fetches
 /// each residue URL's page through it. The daemon uses
-/// [`SyntheticFetcher`], tests [`MapFetcher`] with exact bodies, and
-/// static-only evaluation [`NoFetch`].
+/// [`ScaleWorldFetcher`] (a scale world's sites, nothing else), tests
+/// [`MapFetcher`] with exact bodies, and static-only evaluation
+/// [`NoFetch`].
 ///
 /// `None` means the snapshot is unavailable (site down, non-HTML, fetch
-/// error); the resolver negative-caches the URL instead of classifying.
+/// error, not a site of the simulated web); the resolver negative-caches
+/// the URL instead of classifying.
 ///
-/// [`SyntheticFetcher`]: crate::resolver::SyntheticFetcher
+/// [`ScaleWorldFetcher`]: crate::scaleworld::ScaleWorldFetcher
 /// [`MapFetcher`]: crate::resolver::MapFetcher
 pub trait SnapshotFetcher: Send + Sync {
     /// The page body for `url`, if one can be obtained.

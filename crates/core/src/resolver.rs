@@ -43,7 +43,7 @@
 
 use crate::extension::{UrlChecker, Verdict};
 use crate::features::url_features;
-use crate::groundtruth::{build, GroundTruthConfig, LabeledSite};
+use crate::groundtruth::LabeledSite;
 use crate::models::augmented::AugmentedStackModel;
 use freephish_htmlparse::looks_like_html;
 use freephish_ml::{threshold_at_fnr, Dataset, Gbdt, GbdtConfig, StackModelConfig};
@@ -90,41 +90,6 @@ impl MapFetcher {
 impl SnapshotFetcher for MapFetcher {
     fn fetch(&self, url: &str) -> Option<String> {
         read(&self.map).get(url).cloned()
-    }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// A deterministic synthetic snapshot source: every URL hashes to one of
-/// a pre-generated pool of ground-truth sites (phishing and benign), so a
-/// daemon without a real crawler still exercises the full tier-2 path
-/// with reproducible results.
-pub struct SyntheticFetcher {
-    bodies: Vec<String>,
-}
-
-impl SyntheticFetcher {
-    /// Generate a pool of `n_phish + n_benign` bodies from `seed`.
-    pub fn new(seed: u64) -> SyntheticFetcher {
-        let corpus = build(&GroundTruthConfig {
-            n_phish: 24,
-            n_benign: 24,
-            seed,
-        });
-        SyntheticFetcher {
-            bodies: corpus.into_iter().map(|s| s.site.html).collect(),
-        }
-    }
-}
-
-impl SnapshotFetcher for SyntheticFetcher {
-    fn fetch(&self, url: &str) -> Option<String> {
-        let i = (fnv1a(url) % self.bodies.len() as u64) as usize;
-        Some(self.bodies[i].clone())
     }
 }
 
@@ -767,6 +732,7 @@ impl UrlChecker for TieredResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groundtruth::{build, GroundTruthConfig};
     use freephish_serve::ShardedIndex;
 
     fn corpus() -> Vec<LabeledSite> {

@@ -25,7 +25,9 @@
 use std::io;
 use std::path::Path;
 
-use freephish_fwbsim::scale::{self, URL_CAPACITY};
+use crate::groundtruth::LabeledSite;
+use crate::models::SnapshotFetcher;
+use freephish_fwbsim::scale::{self, site_index, URL_CAPACITY};
 use freephish_fwbsim::{ScaleSampler, ScaleSite, ScaleStats};
 use freephish_mapidx::{BakeSummary, IndexWriter};
 
@@ -163,6 +165,41 @@ impl ScaleWorld {
     }
 }
 
+/// A [`ScaleWorld`]'s pages, for a node without a crawler: site `i`'s
+/// page is body `i % n` of its label's pool of `n` bodies, taken from a
+/// labelled corpus (the one the node's models trained on). A URL that is
+/// not a site of the world has no page.
+pub struct ScaleWorldFetcher {
+    world: ScaleWorld,
+    /// Benign bodies, then phishing ones: indexed by label.
+    bodies: [Vec<String>; 2],
+}
+
+impl ScaleWorldFetcher {
+    /// Serve `world` with the bodies of `corpus`, split by label. Panics
+    /// if either label has no body.
+    pub fn new(world: ScaleWorld, corpus: &[LabeledSite]) -> ScaleWorldFetcher {
+        let bodies = [0, 1].map(|label| {
+            let sites = corpus.iter().filter(|s| s.label == label);
+            sites.map(|s| s.site.html.clone()).collect::<Vec<_>>()
+        });
+        assert!(
+            bodies.iter().all(|pool| !pool.is_empty()),
+            "a world fetcher needs bodies of both labels"
+        );
+        ScaleWorldFetcher { world, bodies }
+    }
+}
+
+impl SnapshotFetcher for ScaleWorldFetcher {
+    fn fetch(&self, url: &str) -> Option<String> {
+        let index = site_index(url)?;
+        let site = self.world.site_at(index);
+        let pool = &self.bodies[usize::from(site.phishing)];
+        (site.url == url).then(|| pool[(index % pool.len() as u64) as usize].clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +211,28 @@ mod tests {
             sites,
             ..ScaleWorldConfig::default()
         })
+    }
+
+    #[test]
+    fn world_fetcher_serves_sites_by_label_and_nothing_else() {
+        let corpus = crate::groundtruth::build(&crate::groundtruth::GroundTruthConfig {
+            n_phish: 3,
+            n_benign: 2,
+            seed: 5,
+        });
+        let w = small(1_000);
+        let fetcher = ScaleWorldFetcher::new(w.clone(), &corpus);
+        for i in [0, 1, 2, 500, 999] {
+            let site = w.site_at(i);
+            let (label, n) = if site.phishing { (1, 3) } else { (0, 2) };
+            let pool: Vec<_> = corpus.iter().filter(|s| s.label == label).collect();
+            let want = &pool[(i % n) as usize].site.html;
+            assert_eq!(fetcher.fetch(&site.url).as_ref(), Some(want));
+        }
+        assert_eq!(fetcher.fetch("https://www.paypal.com/signin"), None);
+        // A well-formed name whose index renders a different URL.
+        let other = w.site_at(7).url.replace("-7", "-8");
+        assert_eq!(fetcher.fetch(&other), None);
     }
 
     #[test]

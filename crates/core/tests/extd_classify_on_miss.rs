@@ -1,12 +1,14 @@
 //! `freephish-extd serve --classify-on-miss` end to end: the daemon trains
 //! its resolver models before it listens, so `/readyz` carries no
-//! classifier condition and the first URL it has never seen is classified.
+//! classifier condition; a phishing site of its simulated web that it has
+//! never seen is classified and settles as PHISHING, and a real site it
+//! cannot fetch stays SAFE.
 
 mod common;
 
 use common::{counter, poll_until, Daemon};
 use freephish_core::extension::VerdictClient;
-use freephish_core::groundtruth::{build, GroundTruthConfig};
+use freephish_core::scaleworld::{ScaleWorld, ScaleWorldConfig};
 use freephish_core::verdictstore::EventedStoreChecker;
 use freephish_serve::http_get;
 use freephish_store::testutil::TempDir;
@@ -44,21 +46,47 @@ fn classify_on_miss_daemon_is_ready_without_a_warm_up_and_classifies_a_new_url()
         "trained before listening, so nothing to wait for: {readyz:?}"
     );
 
-    // URLs the daemon has never been told about: every CHECK gets a
-    // verdict, and the ones the pre-filter does not wave through are
-    // classified off the serve path.
-    let client = VerdictClient::new(serve);
-    let unseen = build(&GroundTruthConfig {
-        n_phish: 8,
-        n_benign: 0,
-        seed: 0xC0FFEE,
-    });
-    for site in &unseen {
-        let v = client.check(&site.site.url).expect("CHECK answered");
-        assert!(v.score().is_finite(), "{}: {v:?}", site.site.url);
+    // Sites of the daemon's simulated web it has never been told about:
+    // every CHECK gets a verdict, and a phishing site the pre-filter does
+    // not wave through is classified off the serve path, journaled, and
+    // from then on answered PHISHING by the index (tier 0). Each CHECK
+    // uses a fresh client, because a client caches the verdicts it got.
+    let check = |url: &str| {
+        VerdictClient::new(serve)
+            .check(url)
+            .expect("CHECK answered")
+    };
+    let world = ScaleWorld::new(ScaleWorldConfig::default());
+    let phishing: Vec<String> = (0..)
+        .map(|i| world.site_at(i))
+        .filter(|site| site.phishing)
+        .take(16)
+        .map(|site| site.url)
+        .collect();
+    for url in &phishing {
+        let v = check(url);
+        assert!(v.score().is_finite(), "{url}: {v:?}");
     }
-    poll_until("resolver_classified_total >= 1", || {
+    poll_until("a phishing site answered PHISHING by the index", || {
+        let phish = phishing
+            .iter()
+            .filter(|url| check(url).is_phishing())
+            .count();
         let (_, metrics) = http_get(ops, "/metrics").ok()?;
-        counter(&metrics, "resolver_classified_total").filter(|&n| n >= 1)
+        let tier0 = counter(&metrics, "resolver_tier_hits_total{tier=\"index\"}");
+        tier0.filter(|&n| n >= 1 && phish >= 1)
     });
+
+    // A real site is not in the simulated web: it cannot be fetched, so
+    // it is cached SAFE and never journaled as phishing.
+    let real = "https://www.paypal.com/signin";
+    check(real);
+    poll_until("every admitted URL to be decided", || {
+        let (_, metrics) = http_get(ops, "/metrics").ok()?;
+        let n = |name| counter(&metrics, name).unwrap_or(0);
+        let decided = n("resolver_classified_total") + n("resolver_fetch_failed_total");
+        (decided >= n("resolver_classify_enqueued_total")).then_some(())
+    });
+    let again = check(real);
+    assert!(!again.is_phishing(), "{real} answered {again:?}");
 }

@@ -161,6 +161,20 @@ impl SiteName {
     }
 }
 
+/// The inverse of [`SiteName`]: the index a scale-world URL was rendered
+/// from (its site name ends in `-<index in base 36>`), or `None` for a
+/// URL of another shape. It does not check that the URL is that site's;
+/// render the index and compare for that.
+pub fn site_index(url: &str) -> Option<u64> {
+    let rest = url.strip_prefix("https://")?;
+    // `https://<site>.<host>/` or `https://<host>/<prefix>/<site>`.
+    let site = match rest.strip_suffix('/') {
+        Some(host) => host.split('.').next()?,
+        None => rest.rsplit('/').next()?,
+    };
+    u64::from_str_radix(site.rsplit_once('-')?.1, 36).ok()
+}
+
 /// What site `index` is before any string is rendered: the RNG draws
 /// that define it, made once, in one fixed order.
 struct SiteDraw {
@@ -371,6 +385,25 @@ impl Default for ScaleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn site_index_inverts_the_site_name() {
+        let mut rng = Rng64::new(0x51DE);
+        let mut url = String::new();
+        for seed in 0..16 {
+            let sampler = ScaleSampler::new(seed);
+            let indices = [0, 1, 35, 36, 1 << 40, u64::MAX];
+            for index in indices
+                .into_iter()
+                .chain((0..500).map(|_| rng.next_u64() >> rng.index(64)))
+            {
+                sampler.render_at(index, &mut url);
+                assert_eq!(site_index(&url), Some(index), "{url}");
+            }
+        }
+        assert_eq!(site_index("https://www.paypal.com/signin"), None);
+        assert_eq!(site_index("http://sunny-cafe-1.weebly.com/"), None);
+    }
 
     #[test]
     fn site_at_is_pure_in_seed_and_index() {

@@ -261,9 +261,7 @@ mod tests {
         let mut follower = TailFollower::resume(&store_dir, cursor);
         let batch = follower.poll().unwrap();
         assert!(batch.snapshot.is_none(), "no snapshot redelivery on resume");
-        assert_eq!(
-            batch.records,
-            vec![b"https://after.weebly.com/ 0.99".to_vec()]
-        );
+        let payloads: Vec<_> = batch.records.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(payloads, vec![b"https://after.weebly.com/ 0.99".to_vec()]);
     }
 }

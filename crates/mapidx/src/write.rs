@@ -433,7 +433,7 @@ where
                     }
                 }
             }
-            for payload in &batch.records {
+            for (_, payload) in &batch.records {
                 if let Some((url, score)) = decode(payload)? {
                     writer.add(&url, score)?;
                 }

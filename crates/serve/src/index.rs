@@ -397,7 +397,7 @@ impl IndexPublisher {
                 }
             }
         }
-        for payload in &batch.records {
+        for (_, payload) in &batch.records {
             if let Some(entry) = (self.decode)(payload)? {
                 entries.push(entry);
             }

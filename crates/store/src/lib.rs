@@ -14,14 +14,19 @@
 //! * **Snapshots + compaction** ([`snapshot`], [`Store::snapshot`]): a
 //!   durable point-in-time image lets the store delete every segment the
 //!   image covers, bounding replay time and disk use.
-//! * **Recovery** ([`Store::open`]): replay the newest valid snapshot,
-//!   then the WAL suffix, truncating at the first defect. Corruption is
-//!   *truncated*, never propagated: the recovered state is always a valid
-//!   prefix of what was appended (the crash model is tail damage — a torn
-//!   final write — plus arbitrary bit rot, which the checksums catch).
+//! * **Recovery** ([`Store::open`], or [`recover`] without a writer):
+//!   replay the newest valid snapshot, then the WAL suffix, truncating at
+//!   the first defect. Corruption is *truncated*, never propagated: the
+//!   recovered state is always a valid prefix of what was appended (the
+//!   crash model is tail damage — a torn final write — plus arbitrary bit
+//!   rot, which the checksums catch).
 //! * **Tailing** ([`TailFollower`]): read-only incremental consumption of
 //!   a directory another process is writing, used by the verdict service
-//!   to hot-reload as the pipeline appends verdicts.
+//!   to hot-reload as the pipeline appends verdicts and by replication to
+//!   ship a primary's WAL.
+//!
+//! This crate is the only reader of the directory format: other crates
+//! list, recover, tail and check frames through it, never by hand.
 //!
 //! The crate is deliberately std-only — no dependencies, not even on the
 //! rest of the workspace — so the durability layer stays small enough to
@@ -46,5 +51,7 @@ pub mod testutil;
 pub use codec::{DecodeError, PayloadReader, PayloadWriter};
 pub use crc32::{crc32, crc32_update};
 pub use segment::Torn;
-pub use store::{RecordPos, Recovered, Store, StoreObserver, StoreOptions};
-pub use tail::{TailBatch, TailCursor, TailFollower};
+pub use store::{
+    list_indexed, recover, RecordPos, Recovered, Recovery, Store, StoreObserver, StoreOptions,
+};
+pub use tail::{TailBatch, TailCursor, TailFollower, TailStart};

@@ -97,39 +97,61 @@ pub struct SegmentScan {
     pub header_ok: bool,
 }
 
-/// Decode frames from `bytes` starting at `offset`. Shared by segment and
-/// snapshot scanning.
-fn scan_frames(bytes: &[u8], mut offset: usize) -> (Vec<ScannedRecord>, u64, Option<Torn>) {
+/// Decode the frame at the start of `bytes`: its payload and the frame's
+/// whole length. This is the one check every reader applies to a frame —
+/// segment and snapshot scans, tail polls, and a replica verifying a
+/// shipped record.
+pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), Torn> {
+    let header = bytes
+        .get(..FRAME_OVERHEAD as usize)
+        .ok_or(Torn::PartialFrame)?;
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    if len > MAX_RECORD_LEN {
+        return Err(Torn::BadLength(len));
+    }
+    let end = FRAME_OVERHEAD as usize + len as usize;
+    let payload = bytes
+        .get(FRAME_OVERHEAD as usize..end)
+        .ok_or(Torn::PartialFrame)?;
+    if crc32(payload) != crc {
+        return Err(Torn::BadChecksum);
+    }
+    Ok((payload, end))
+}
+
+/// Decode frames from `bytes` starting at `offset`, up to the first
+/// defect. Returns the records, the offset just past the last good one,
+/// and the defect, if any. Shared by segment and snapshot scanning and
+/// by tail polls.
+pub(crate) fn scan_frames(
+    bytes: &[u8],
+    mut offset: usize,
+) -> (Vec<ScannedRecord>, u64, Option<Torn>) {
     let mut records = Vec::new();
-    let mut good_len = offset as u64;
     let torn = loop {
         if offset == bytes.len() {
             break None; // clean end
         }
-        if bytes.len() - offset < FRAME_OVERHEAD as usize {
-            break Some(Torn::PartialFrame);
+        match decode_frame(&bytes[offset..]) {
+            Ok((payload, len)) => {
+                offset += len;
+                records.push(ScannedRecord {
+                    payload: payload.to_vec(),
+                    end_offset: offset as u64,
+                });
+            }
+            Err(torn) => break Some(torn),
         }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            break Some(Torn::BadLength(len));
-        }
-        let body_start = offset + FRAME_OVERHEAD as usize;
-        if bytes.len() - body_start < len as usize {
-            break Some(Torn::PartialFrame);
-        }
-        let payload = &bytes[body_start..body_start + len as usize];
-        if crc32(payload) != crc {
-            break Some(Torn::BadChecksum);
-        }
-        offset = body_start + len as usize;
-        good_len = offset as u64;
-        records.push(ScannedRecord {
-            payload: payload.to_vec(),
-            end_offset: good_len,
-        });
     };
-    (records, good_len, torn)
+    (records, offset as u64, torn)
+}
+
+/// Whether `bytes` open with the header of segment `index`.
+pub(crate) fn header_ok(bytes: &[u8], index: u32) -> bool {
+    bytes.len() >= SEGMENT_HEADER_LEN as usize
+        && bytes[..4] == SEGMENT_MAGIC
+        && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) == index
 }
 
 /// Scan one segment file, validating the header and every frame.
@@ -144,9 +166,7 @@ pub fn scan_segment(path: &Path) -> std::io::Result<SegmentScan> {
             .unwrap_or_default(),
     )
     .unwrap_or(0);
-    let header_ok = bytes.len() >= SEGMENT_HEADER_LEN as usize
-        && bytes[..4] == SEGMENT_MAGIC
-        && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) == index;
+    let header_ok = header_ok(&bytes, index);
     if !header_ok {
         return Ok(SegmentScan {
             index,

@@ -119,10 +119,10 @@ pub struct Store {
     observer: Option<Arc<dyn StoreObserver>>,
 }
 
-pub(crate) fn list_indexed(
-    dir: &Path,
-    parse: fn(&str) -> Option<u32>,
-) -> std::io::Result<Vec<u32>> {
+/// The indices of the files in `dir` whose names `parse` accepts
+/// ([`crate::segment::parse_segment_name`] or
+/// [`crate::snapshot::parse_snapshot_name`]), sorted.
+pub fn list_indexed(dir: &Path, parse: fn(&str) -> Option<u32>) -> std::io::Result<Vec<u32>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -133,6 +133,131 @@ pub(crate) fn list_indexed(
     }
     out.sort_unstable();
     Ok(out)
+}
+
+/// What the recovery scan ([`recover`]) found, besides the records it
+/// handed over.
+#[derive(Debug)]
+pub struct Recovery {
+    /// Covered index of the latest valid snapshot, if any.
+    pub snapshot_seq: Option<u32>,
+    /// That snapshot's payload.
+    pub snapshot: Option<Vec<u8>>,
+    /// End of the last surviving segment — where appending resumes — or
+    /// `None` when no segment survived.
+    pub tail: Option<RecordPos>,
+    /// Whether a torn/corrupt tail was found (and truncated).
+    pub torn_tail: bool,
+    /// Bytes dropped by tail truncation (including deleted later
+    /// segments).
+    pub truncated_bytes: u64,
+}
+
+/// The recovery scan [`Store::open`] runs, without opening a writer: load
+/// the newest valid snapshot (removing invalid ones), delete the segments
+/// it covers, then scan the rest in index order, truncating the first
+/// defective tail and deleting every segment after it. Each surviving
+/// record goes to `on_record` in append order, so the scan holds one
+/// segment's payloads at a time. Afterwards the directory is a valid
+/// prefix of what was appended, durably.
+pub fn recover(
+    dir: &Path,
+    mut on_record: impl FnMut(RecordPos, Vec<u8>),
+) -> std::io::Result<Recovery> {
+    // Clear leftovers from an interrupted snapshot write.
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        if entry.file_name().to_string_lossy().ends_with(".tmp") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+
+    // Latest valid snapshot wins; invalid ones are removed (their
+    // covered segments still exist — compaction deletes segments only
+    // after the snapshot is durable).
+    let mut removed = false;
+    let mut snapshot_seq = None;
+    let mut snapshot = None;
+    for seq in list_indexed(dir, parse_snapshot_name)?.into_iter().rev() {
+        let path = dir.join(snapshot_file_name(seq));
+        match load_snapshot(&path, seq)? {
+            Some(payload) => {
+                snapshot_seq = Some(seq);
+                snapshot = Some(payload);
+                break;
+            }
+            None => removed |= std::fs::remove_file(&path).is_ok(),
+        }
+    }
+
+    // Complete any interrupted compaction: segments the snapshot
+    // covers are dead.
+    let mut segments = list_indexed(dir, parse_segment_name)?;
+    if let Some(seq) = snapshot_seq {
+        for &idx in segments.iter().filter(|&&i| i <= seq) {
+            removed |= std::fs::remove_file(dir.join(segment_file_name(idx))).is_ok();
+        }
+        segments.retain(|&i| i > seq);
+    }
+
+    // Replay the WAL suffix, stopping at the first defect.
+    let mut torn_tail = false;
+    let mut truncated_bytes = 0u64;
+    let mut tail = None;
+    for (i, &idx) in segments.iter().enumerate() {
+        let path = dir.join(segment_file_name(idx));
+        let scan = scan_segment(&path)?;
+        if !scan.header_ok {
+            // The whole file is invalid (crash during creation, or
+            // external damage): drop it and everything after.
+            torn_tail = true;
+            truncated_bytes += scan.file_len;
+            let _ = std::fs::remove_file(&path);
+        } else {
+            for rec in scan.records {
+                let pos = RecordPos {
+                    segment: idx,
+                    end_offset: rec.end_offset,
+                };
+                on_record(pos, rec.payload);
+            }
+            tail = Some(RecordPos {
+                segment: idx,
+                end_offset: scan.good_len,
+            });
+            if scan.torn.is_none() {
+                continue;
+            }
+            torn_tail = true;
+            truncated_bytes += scan.file_len - scan.good_len;
+            let f = OpenOptions::new().write(true).open(&path)?;
+            f.set_len(scan.good_len)?;
+            f.sync_data()?;
+        }
+        // A defect poisons everything after it: later segments were
+        // appended after the damaged point and must not be replayed.
+        for &later in &segments[i + 1..] {
+            let path = dir.join(segment_file_name(later));
+            if let Ok(meta) = std::fs::metadata(&path) {
+                truncated_bytes += meta.len();
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+        removed = true;
+        break;
+    }
+    // Deleted files must stay deleted: a later segment that reappeared
+    // after a crash would replay records past the truncation point.
+    if removed {
+        fsync_dir(dir)?;
+    }
+    Ok(Recovery {
+        snapshot_seq,
+        snapshot,
+        tail,
+        torn_tail,
+        truncated_bytes,
+    })
 }
 
 impl Store {
@@ -149,124 +274,35 @@ impl Store {
     ) -> std::io::Result<(Store, Recovered)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-
-        // Clear leftovers from an interrupted snapshot write.
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            if entry.file_name().to_string_lossy().ends_with(".tmp") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-
-        // Latest valid snapshot wins; invalid ones are removed (their
-        // covered segments still exist — compaction deletes segments only
-        // after the snapshot is durable).
-        let mut snapshot_seq = None;
-        let mut snapshot_payload = None;
-        for seq in list_indexed(&dir, parse_snapshot_name)?.into_iter().rev() {
-            let path = dir.join(snapshot_file_name(seq));
-            match load_snapshot(&path, seq)? {
-                Some(payload) => {
-                    snapshot_seq = Some(seq);
-                    snapshot_payload = Some(payload);
-                    break;
-                }
-                None => {
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
-
-        // Complete any interrupted compaction: segments the snapshot
-        // covers are dead.
-        let mut segments = list_indexed(&dir, parse_segment_name)?;
-        if let Some(seq) = snapshot_seq {
-            for &idx in segments.iter().filter(|&&i| i <= seq) {
-                let _ = std::fs::remove_file(dir.join(segment_file_name(idx)));
-            }
-            segments.retain(|&i| i > seq);
-        }
-
-        // Replay the WAL suffix, stopping at the first defect.
         let mut records = Vec::new();
-        let mut torn_tail = false;
-        let mut truncated_bytes = 0u64;
-        let mut live: Vec<(u32, u64)> = Vec::new(); // (index, good_len)
-        let mut stop_at: Option<usize> = None;
-        for (i, &idx) in segments.iter().enumerate() {
-            let path = dir.join(segment_file_name(idx));
-            let scan = scan_segment(&path)?;
-            if !scan.header_ok {
-                // The whole file is invalid (crash during creation, or
-                // external damage): drop it and everything after.
-                torn_tail = true;
-                truncated_bytes += scan.file_len;
-                let _ = std::fs::remove_file(&path);
-                stop_at = Some(i);
-                break;
-            }
-            for rec in scan.records {
-                records.push((
-                    RecordPos {
-                        segment: idx,
-                        end_offset: rec.end_offset,
-                    },
-                    rec.payload,
-                ));
-            }
-            if scan.torn.is_some() {
-                torn_tail = true;
-                truncated_bytes += scan.file_len - scan.good_len;
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(scan.good_len)?;
-                f.sync_data()?;
-                live.push((idx, scan.good_len));
-                stop_at = Some(i + 1);
-                break;
-            }
-            live.push((idx, scan.good_len));
-        }
-        // A defect poisons everything after it: later segments were
-        // appended after the damaged point and must not be replayed.
-        if let Some(stop) = stop_at {
-            for &idx in &segments[stop..] {
-                if live.iter().any(|&(l, _)| l == idx) {
-                    continue;
-                }
-                let path = dir.join(segment_file_name(idx));
-                if let Ok(meta) = std::fs::metadata(&path) {
-                    truncated_bytes += meta.len();
-                }
-                let _ = std::fs::remove_file(&path);
-            }
-        }
+        let found = recover(&dir, |pos, payload| records.push((pos, payload)))?;
 
         // Reopen the last surviving segment for append, or start fresh.
-        let writer = match live.last() {
-            Some(&(idx, len)) => SegmentWriter::open_append(&dir, idx, len)?,
+        let writer = match found.tail {
+            Some(tail) => SegmentWriter::open_append(&dir, tail.segment, tail.end_offset)?,
             None => {
-                let first = snapshot_seq.map_or(0, |s| s + 1);
+                let first = found.snapshot_seq.map_or(0, |s| s + 1);
                 let w = SegmentWriter::create(&dir, first)?;
                 fsync_dir(&dir)?;
                 w
             }
         };
 
-        let recovered = Recovered {
-            snapshot: snapshot_payload,
-            records,
-            torn_tail,
-            truncated_bytes,
-        };
         if let Some(obs) = &observer {
-            obs.on_recovery(recovered.records.len(), truncated_bytes, torn_tail);
+            obs.on_recovery(records.len(), found.truncated_bytes, found.torn_tail);
         }
+        let recovered = Recovered {
+            snapshot: found.snapshot,
+            records,
+            torn_tail: found.torn_tail,
+            truncated_bytes: found.truncated_bytes,
+        };
         Ok((
             Store {
                 dir,
                 opts,
                 writer,
-                snapshot_seq,
+                snapshot_seq: found.snapshot_seq,
                 observer,
             },
             recovered,
@@ -635,6 +671,34 @@ mod tests {
         let (_, rec) = Store::open(dir.path()).unwrap();
         assert_eq!(rec.snapshot.as_deref(), Some(&b"base"[..]));
         assert!(rec.records.is_empty());
+    }
+
+    #[test]
+    fn recover_repairs_the_directory_without_opening_a_writer() {
+        let dir = TempDir::new("store-recover");
+        assert!(recover(dir.path(), |_, _| {}).unwrap().tail.is_none());
+        assert!(list_indexed(dir.path(), parse_segment_name)
+            .unwrap()
+            .is_empty());
+
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        for p in payloads(6) {
+            store.append(&p).unwrap();
+        }
+        store.sync().unwrap();
+        let end = store.position();
+        drop(store);
+        let seg = dir.path().join(segment_file_name(0));
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, [&bytes[..], &[7, 0, 0]].concat()).unwrap();
+
+        let mut seen = Vec::new();
+        let found = recover(dir.path(), |pos, _| seen.push(pos)).unwrap();
+        assert!(found.torn_tail);
+        assert_eq!(found.truncated_bytes, 3);
+        assert_eq!(found.tail, Some(end));
+        assert_eq!(seen.len(), 6);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), end.end_offset);
     }
 
     #[test]

@@ -2,12 +2,17 @@
 //!
 //! A [`TailFollower`] incrementally delivers records as the writer flushes
 //! them, surviving segment rotation and snapshot compaction. It never
-//! writes to the directory.
+//! writes to the directory. It is the one reader every consumer of a
+//! live directory uses: the verdict service's index publisher, the
+//! index baker and the cluster's replication sessions.
 //!
 //! ## Delivery semantics
 //!
 //! * The first successful poll delivers the latest valid snapshot payload
-//!   (if any), then records.
+//!   (if any), then records, each with its [`RecordPos`]; the batch's
+//!   [`TailStart`] says where it started.
+//! * A poll reads only the bytes past the follower's offset, so a record
+//!   is decoded and checksummed once, when it is delivered.
 //! * A partial frame at the end of the active segment means the writer is
 //!   mid-append (or crashed mid-append): the follower waits; it never
 //!   truncates another writer's file.
@@ -18,21 +23,38 @@
 //! * A full frame with a bad checksum is genuine corruption: the follower
 //!   poisons itself and every subsequent poll errors.
 
-use crate::segment::parse_segment_name;
-use crate::segment::{scan_segment, segment_file_name, Torn, SEGMENT_HEADER_LEN};
+use crate::segment::{
+    header_ok, parse_segment_name, scan_frames, segment_file_name, Torn, SEGMENT_HEADER_LEN,
+};
 use crate::snapshot::{load_snapshot, parse_snapshot_name, snapshot_file_name};
-use crate::store::list_indexed;
-use std::io;
+use crate::store::{list_indexed, RecordPos};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+
+/// Where a poll (re)started the follower: at the newest valid snapshot,
+/// or at the start of the WAL when there is none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TailStart {
+    /// The snapshot delivered in [`TailBatch::snapshot`], if any.
+    pub snapshot_seq: Option<u32>,
+    /// The first segment after it, where the records start.
+    pub first_segment: u32,
+}
 
 /// What one poll produced.
 #[derive(Debug, Default)]
 pub struct TailBatch {
-    /// A snapshot payload to apply before `records` (first poll, or
-    /// redelivery after compaction overtook the follower).
+    /// Set when this poll (re)started the follower: on the first poll,
+    /// or after compaction deleted the segment it was reading.
+    pub start: Option<TailStart>,
+    /// A snapshot payload to apply before `records` (a start found one).
     pub snapshot: Option<Vec<u8>>,
-    /// New record payloads, in append order.
-    pub records: Vec<Vec<u8>>,
+    /// New records with their positions, in append order.
+    pub records: Vec<(RecordPos, Vec<u8>)>,
+    /// The newest segment this poll listed and its length in bytes: the
+    /// writer's append position as far as the files show it.
+    pub tip: Option<RecordPos>,
 }
 
 impl TailBatch {
@@ -66,7 +88,6 @@ pub struct TailCursor {
 #[derive(Debug)]
 pub struct TailFollower {
     dir: PathBuf,
-    initialized: bool,
     snapshot_seq: Option<u32>,
     segment: Option<u32>,
     offset: u64,
@@ -79,7 +100,6 @@ impl TailFollower {
     pub fn new(dir: impl AsRef<Path>) -> TailFollower {
         TailFollower {
             dir: dir.as_ref().to_path_buf(),
-            initialized: false,
             snapshot_seq: None,
             segment: None,
             offset: SEGMENT_HEADER_LEN,
@@ -89,18 +109,29 @@ impl TailFollower {
 
     /// Resume following `dir` from a previously captured [`TailCursor`]:
     /// the first poll delivers only records past the cursor, with no
-    /// snapshot redelivery — unless compaction has since deleted the
-    /// cursor's segment, in which case the follower falls back to the
-    /// usual snapshot-reload path.
+    /// snapshot redelivery. That takes a cursor at a record boundary of a
+    /// live segment — where one of its records (or its header) ends — so
+    /// this reads the segment up to the cursor. Any other cursor (one
+    /// whose segment compaction deleted, or a forged or diverged one)
+    /// falls back to the usual snapshot-reload path: the follower has no
+    /// [`TailFollower::cursor`] until its first poll starts it over.
     pub fn resume(dir: impl AsRef<Path>, cursor: TailCursor) -> TailFollower {
-        TailFollower {
-            dir: dir.as_ref().to_path_buf(),
-            initialized: true,
-            snapshot_seq: cursor.snapshot_seq,
-            segment: cursor.segment,
-            offset: cursor.offset.max(SEGMENT_HEADER_LEN),
-            poisoned: false,
+        let mut follower = TailFollower::new(dir);
+        let offset = cursor.offset.max(SEGMENT_HEADER_LEN);
+        if let Some(seg) = cursor.segment {
+            let path = follower.dir.join(segment_file_name(seg));
+            let bytes = std::fs::read(path).unwrap_or_default();
+            // The frames up to the offset must end there exactly.
+            if header_ok(&bytes, seg)
+                && offset <= bytes.len() as u64
+                && scan_frames(&bytes[..offset as usize], SEGMENT_HEADER_LEN as usize).1 == offset
+            {
+                follower.snapshot_seq = cursor.snapshot_seq;
+                follower.segment = Some(seg);
+                follower.offset = offset;
+            }
         }
+        follower
     }
 
     /// The directory being followed.
@@ -108,22 +139,37 @@ impl TailFollower {
         &self.dir
     }
 
-    /// The current consumption position, or `None` before the first
-    /// successful poll (an uninitialized follower has no position worth
-    /// persisting).
+    /// The current consumption position, or `None` until a poll has
+    /// started the follower on a segment (an unstarted follower has no
+    /// position worth persisting).
     pub fn cursor(&self) -> Option<TailCursor> {
-        if !self.initialized || self.poisoned {
+        if self.poisoned {
             return None;
         }
         Some(TailCursor {
             snapshot_seq: self.snapshot_seq,
-            segment: self.segment,
+            segment: Some(self.segment?),
             offset: self.offset,
         })
     }
 
-    /// Deliver everything new since the last poll.
+    /// Deliver everything new since the last poll. Only the bytes past
+    /// the follower's offset are read and checked: records already
+    /// delivered are not decoded again.
     pub fn poll(&mut self) -> io::Result<TailBatch> {
+        self.poll_segments(false)
+    }
+
+    /// [`TailFollower::poll`], reading at most one segment: a poll that
+    /// finishes its segment moves to the next one and stops there. A
+    /// batch then holds one segment's records (plus the snapshot a start
+    /// delivers), so a reader streaming a large directory — a
+    /// replication session — keeps one segment in memory, not the WAL.
+    pub fn poll_segment(&mut self) -> io::Result<TailBatch> {
+        self.poll_segments(true)
+    }
+
+    fn poll_segments(&mut self, one: bool) -> io::Result<TailBatch> {
         if self.poisoned {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -135,51 +181,48 @@ impl TailFollower {
             return Ok(batch);
         }
         let segments = list_indexed(&self.dir, parse_segment_name)?;
-        let snapshots = list_indexed(&self.dir, parse_snapshot_name)?;
 
-        // (Re)initialize from the newest valid snapshot on first poll, or
-        // when compaction deleted the segment we were reading.
-        let current_gone = match self.segment {
-            Some(s) => !self.dir.join(segment_file_name(s)).exists(),
-            None => false,
-        };
-        if !self.initialized || current_gone {
-            let mut seq = None;
-            let mut payload = None;
-            for &s in snapshots.iter().rev() {
-                if let Some(p) = load_snapshot(&self.dir.join(snapshot_file_name(s)), s)? {
-                    seq = Some(s);
-                    payload = Some(p);
-                    break;
-                }
-            }
+        // (Re)start from the newest valid snapshot on first poll, or when
+        // compaction deleted the segment we were reading — once a
+        // segment after that snapshot exists to start on.
+        if self.segment.is_none_or(|s| !segments.contains(&s)) {
+            self.segment = None;
+            let (seq, payload) = self.newest_snapshot()?;
+            let Some(&first) = segments.iter().find(|&&i| seq.is_none_or(|s| i > s)) else {
+                return Ok(batch);
+            };
+            batch.start = Some(TailStart {
+                snapshot_seq: seq,
+                first_segment: first,
+            });
             batch.snapshot = payload;
             self.snapshot_seq = seq;
-            self.segment = None;
-            self.offset = SEGMENT_HEADER_LEN;
-            self.initialized = true;
-        }
-
-        if self.segment.is_none() {
-            self.segment = segments
-                .iter()
-                .copied()
-                .find(|&i| self.snapshot_seq.is_none_or(|s| i > s));
+            self.segment = Some(first);
             self.offset = SEGMENT_HEADER_LEN;
         }
 
         while let Some(seg) = self.segment {
-            let path = self.dir.join(segment_file_name(seg));
-            let scan = match scan_segment(&path) {
-                Ok(s) => s,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    // Compaction raced us; reinitialize next poll.
-                    self.initialized = false;
-                    break;
-                }
-                Err(e) => return Err(e),
+            // At the header, read (and check) the whole file; past it,
+            // read only what is new.
+            let from = if self.offset == SEGMENT_HEADER_LEN {
+                0
+            } else {
+                self.offset
             };
-            if !scan.header_ok {
+            let mut bytes = Vec::new();
+            let read = File::open(self.dir.join(segment_file_name(seg))).and_then(|mut file| {
+                file.seek(SeekFrom::Start(from))?;
+                file.read_to_end(&mut bytes)
+            });
+            if let Err(e) = read {
+                if e.kind() != io::ErrorKind::NotFound {
+                    return Err(e);
+                }
+                // Compaction raced us; restart next poll.
+                self.segment = None;
+                break;
+            }
+            if from == 0 && !header_ok(&bytes, seg) {
                 // The writer has created the file but not yet written the
                 // header; wait. If a later segment already exists the
                 // header can never complete — that is corruption.
@@ -192,15 +235,17 @@ impl TailFollower {
                 }
                 break;
             }
-            for rec in scan.records {
-                if rec.end_offset > self.offset {
-                    batch.records.push(rec.payload);
-                }
-            }
-            if scan.good_len > self.offset {
-                self.offset = scan.good_len;
-            }
-            match scan.torn {
+            let start = (self.offset - from) as usize;
+            let (records, good_len, torn) = scan_frames(&bytes, start);
+            batch.records.extend(records.into_iter().map(|rec| {
+                let pos = RecordPos {
+                    segment: seg,
+                    end_offset: from + rec.end_offset,
+                };
+                (pos, rec.payload)
+            }));
+            self.offset = from + good_len;
+            match torn {
                 // Writer mid-append (or a crashed writer whose recovery
                 // will truncate): wait, never consume past it.
                 Some(Torn::PartialFrame) => break,
@@ -215,12 +260,41 @@ impl TailFollower {
                     Some(next) => {
                         self.segment = Some(next);
                         self.offset = SEGMENT_HEADER_LEN;
+                        if one {
+                            break;
+                        }
                     }
                     None => break,
                 },
             }
         }
+
+        if let Some(&newest) = segments.last() {
+            let len =
+                std::fs::metadata(self.dir.join(segment_file_name(newest))).map_or(0, |m| m.len());
+            batch.tip = Some(RecordPos {
+                segment: newest,
+                end_offset: len.max(SEGMENT_HEADER_LEN),
+            });
+        }
         Ok(batch)
+    }
+
+    /// The newest snapshot that loads, skipping invalid ones and ones
+    /// compaction deletes while we look.
+    fn newest_snapshot(&self) -> io::Result<(Option<u32>, Option<Vec<u8>>)> {
+        for seq in list_indexed(&self.dir, parse_snapshot_name)?
+            .into_iter()
+            .rev()
+        {
+            match load_snapshot(&self.dir.join(snapshot_file_name(seq)), seq) {
+                Ok(Some(payload)) => return Ok((Some(seq), Some(payload))),
+                Ok(None) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((None, None))
     }
 }
 
@@ -229,6 +303,10 @@ mod tests {
     use super::*;
     use crate::store::{Store, StoreOptions};
     use crate::testutil::TempDir;
+
+    fn payloads(batch: &TailBatch) -> Vec<Vec<u8>> {
+        batch.records.iter().map(|(_, p)| p.clone()).collect()
+    }
 
     fn opts(max: u64) -> StoreOptions {
         StoreOptions {
@@ -255,7 +333,7 @@ mod tests {
         store.append(b"two").unwrap();
         store.flush().unwrap();
         let b1 = follower.poll().unwrap();
-        assert_eq!(b1.records, vec![b"one".to_vec(), b"two".to_vec()]);
+        assert_eq!(payloads(&b1), vec![b"one".to_vec(), b"two".to_vec()]);
 
         // Nothing new: empty batch.
         assert!(follower.poll().unwrap().is_empty());
@@ -267,9 +345,10 @@ mod tests {
         store.flush().unwrap();
         assert!(store.position().segment > 0, "should have rotated");
         let b2 = follower.poll().unwrap();
-        assert_eq!(b2.records.len(), 20);
-        assert_eq!(b2.records[0], b"rec-00");
-        assert_eq!(b2.records[19], b"rec-19");
+        let got = payloads(&b2);
+        assert_eq!(got.len(), 20);
+        assert_eq!(got[0], b"rec-00");
+        assert_eq!(got[19], b"rec-19");
     }
 
     #[test]
@@ -280,7 +359,10 @@ mod tests {
         store.append(b"buffered").unwrap();
         assert!(follower.poll().unwrap().is_empty());
         store.flush().unwrap();
-        assert_eq!(follower.poll().unwrap().records, vec![b"buffered".to_vec()]);
+        assert_eq!(
+            payloads(&follower.poll().unwrap()),
+            vec![b"buffered".to_vec()]
+        );
     }
 
     #[test]
@@ -295,7 +377,7 @@ mod tests {
         let mut follower = TailFollower::new(dir.path());
         let batch = follower.poll().unwrap();
         assert_eq!(batch.snapshot.as_deref(), Some(&b"state"[..]));
-        assert_eq!(batch.records, vec![b"new".to_vec()]);
+        assert_eq!(payloads(&batch), vec![b"new".to_vec()]);
     }
 
     #[test]
@@ -306,7 +388,7 @@ mod tests {
 
         store.append(b"a").unwrap();
         store.flush().unwrap();
-        assert_eq!(follower.poll().unwrap().records, vec![b"a".to_vec()]);
+        assert_eq!(payloads(&follower.poll().unwrap()), vec![b"a".to_vec()]);
 
         // Snapshot + compaction deletes segment 0 out from under the
         // follower.
@@ -320,10 +402,10 @@ mod tests {
         let mut records = Vec::new();
         for _ in 0..3 {
             let batch = follower.poll().unwrap();
+            records.extend(payloads(&batch));
             if batch.snapshot.is_some() {
                 snapshot = batch.snapshot;
             }
-            records.extend(batch.records);
             if !records.is_empty() {
                 break;
             }
@@ -347,7 +429,7 @@ mod tests {
 
         let mut follower = TailFollower::new(dir.path());
         let batch = follower.poll().unwrap();
-        assert_eq!(batch.records, vec![b"whole".to_vec()]);
+        assert_eq!(payloads(&batch), vec![b"whole".to_vec()]);
         // Still waiting, not erroring.
         assert!(follower.poll().unwrap().is_empty());
     }
@@ -363,7 +445,7 @@ mod tests {
         store.append(b"seen-2").unwrap();
         store.flush().unwrap();
         assert_eq!(follower.poll().unwrap().records.len(), 2);
-        let cursor = follower.cursor().expect("initialized after poll");
+        let cursor = follower.cursor().expect("started by the poll");
         drop(follower);
 
         store.append(b"fresh").unwrap();
@@ -371,7 +453,7 @@ mod tests {
         let mut resumed = TailFollower::resume(dir.path(), cursor);
         let batch = resumed.poll().unwrap();
         assert!(batch.snapshot.is_none(), "resume does not redeliver");
-        assert_eq!(batch.records, vec![b"fresh".to_vec()]);
+        assert_eq!(payloads(&batch), vec![b"fresh".to_vec()]);
         assert!(resumed.poll().unwrap().is_empty());
     }
 
@@ -395,10 +477,10 @@ mod tests {
         let mut records = Vec::new();
         for _ in 0..3 {
             let batch = resumed.poll().unwrap();
+            records.extend(payloads(&batch));
             if batch.snapshot.is_some() {
                 snapshot = batch.snapshot;
             }
-            records.extend(batch.records);
             if !records.is_empty() {
                 break;
             }
@@ -423,5 +505,118 @@ mod tests {
         let mut follower = TailFollower::new(dir.path());
         assert!(follower.poll().is_err());
         assert!(follower.poll().is_err(), "stays poisoned");
+    }
+
+    #[test]
+    fn batches_carry_positions_start_and_tip() {
+        let dir = TempDir::new("tail-positions");
+        let (mut store, _) = Store::open_with(dir.path(), opts(128), None).unwrap();
+        store.append(b"old").unwrap();
+        store.snapshot(b"state").unwrap();
+        for i in 0..12 {
+            store.append(format!("rec-{i:02}").as_bytes()).unwrap();
+        }
+        store.flush().unwrap();
+
+        let mut follower = TailFollower::new(dir.path());
+        let batch = follower.poll().unwrap();
+        let start = TailStart {
+            snapshot_seq: Some(0),
+            first_segment: 1,
+        };
+        assert_eq!(batch.start, Some(start));
+        assert_eq!(batch.tip, Some(store.position()));
+        // The same positions recovery reports.
+        drop(store);
+        let (store, recovered) = Store::open(dir.path()).unwrap();
+        assert_eq!(batch.records, recovered.records);
+        let last = batch.records.last().unwrap().0;
+        assert_eq!(follower.cursor().unwrap().segment, Some(last.segment));
+        assert_eq!(follower.cursor().unwrap().offset, last.end_offset);
+
+        let idle = follower.poll().unwrap();
+        assert!(idle.is_empty() && idle.start.is_none());
+        assert_eq!(idle.tip, Some(store.position()));
+    }
+
+    #[test]
+    fn poll_segment_reads_one_segment_at_a_time() {
+        let dir = TempDir::new("tail-one-segment");
+        let (mut store, _) = Store::open_with(dir.path(), opts(128), None).unwrap();
+        for i in 0..30 {
+            store.append(format!("rec-{i:02}").as_bytes()).unwrap();
+        }
+        store.flush().unwrap();
+        let all = TailFollower::new(dir.path()).poll().unwrap().records;
+
+        let mut follower = TailFollower::new(dir.path());
+        let mut got = Vec::new();
+        loop {
+            let batch = follower.poll_segment().unwrap();
+            if batch.is_empty() {
+                break;
+            }
+            let segments: Vec<u32> = batch.records.iter().map(|(pos, _)| pos.segment).collect();
+            assert!(segments.windows(2).all(|w| w[0] == w[1]), "{segments:?}");
+            got.extend(batch.records);
+        }
+        assert!(store.position().segment > 1, "several segments");
+        assert_eq!(got, all);
+    }
+
+    #[test]
+    fn delivered_records_are_not_read_again() {
+        let dir = TempDir::new("tail-past-offset");
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        store.append(b"aaaa").unwrap();
+        store.flush().unwrap();
+        let mut follower = TailFollower::new(dir.path());
+        assert_eq!(payloads(&follower.poll().unwrap()), vec![b"aaaa".to_vec()]);
+
+        // Damage the delivered record: later polls read past it only.
+        let seg = dir.path().join(segment_file_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let n = bytes.len();
+        bytes[n - 1] ^= 0x01;
+        std::fs::write(&seg, &bytes).unwrap();
+        store.append(b"bbbb").unwrap();
+        store.flush().unwrap();
+        assert_eq!(payloads(&follower.poll().unwrap()), vec![b"bbbb".to_vec()]);
+    }
+
+    #[test]
+    fn resume_starts_over_unless_the_cursor_is_a_live_record_boundary() {
+        let dir = TempDir::new("tail-boundary");
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        for p in [&b"one"[..], b"two", b"three"] {
+            store.append(p).unwrap();
+        }
+        store.flush().unwrap();
+        let resumed = |segment, offset| {
+            let cursor = TailCursor {
+                snapshot_seq: None,
+                segment,
+                offset,
+            };
+            TailFollower::resume(dir.path(), cursor)
+        };
+
+        // After "one" (8-byte header, 8-byte frame header, 3 bytes).
+        let mut follower = resumed(Some(0), 19);
+        assert_eq!(follower.cursor().unwrap().offset, 19);
+        let batch = follower.poll().unwrap();
+        assert!(batch.start.is_none());
+        assert_eq!(payloads(&batch), vec![b"two".to_vec(), b"three".to_vec()]);
+        assert!(resumed(Some(0), SEGMENT_HEADER_LEN).cursor().is_some());
+
+        // Inside a record, past the end, no such segment, no segment: the
+        // first poll starts over and delivers everything.
+        for (segment, offset) in [(Some(0), 20), (Some(0), 1000), (Some(7), 8), (None, 0)] {
+            let mut follower = resumed(segment, offset);
+            assert_eq!(follower.cursor(), None, "{segment:?} {offset}");
+            let batch = follower.poll().unwrap();
+            assert!(batch.start.is_some());
+            assert_eq!(batch.records.len(), 3);
+        }
     }
 }

@@ -73,10 +73,18 @@ fi
 # back (crates/benchmark keeps its own stand-ins, `proptest` and `criterion`
 # among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
+  exit 1
+fi
+# `freephish-store` is the one reader of a store directory: the cluster
+# reads it through `TailFollower` and `recover`, never by scanning
+# segments or snapshots or listing the directory itself.
+echo "== the cluster reads the WAL only through freephish-store =="
+if grep -rnE '\b(scan_segment|scan_buffer|load_snapshot)\b|fn list_indexed' crates/cluster/src; then
+  echo "ci.sh: ERROR: crates/cluster/src re-derives the store's directory format (see above)" >&2
   exit 1
 fi
 # `par` resolves the host's parallelism once per process, and the serving
