@@ -18,7 +18,7 @@
 //!   router load; one is SIGKILLed mid-load, traffic fails over along
 //!   the ring, the primary keeps appending, and the node restarts on
 //!   its own directory. The restart must resume from its recovered
-//!   `(segment, offset)` cursor (a `mode=resume` session, no snapshot
+//!   `(segment, offset)` cursor (a `mode=resume` session, no `RESET`
 //!   bootstrap, shipped-records delta far below the full history) and
 //!   after catch-up every journaled verdict must be served as a hit.
 
@@ -253,7 +253,6 @@ pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
         primary_dir.path(),
         StoreOptions {
             segment_max_bytes: SEGMENT_BYTES,
-            sync_every_append: false,
         },
         None,
     )
@@ -392,7 +391,7 @@ pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
     let total_history = (known.len() + delta.len()) as u64;
     assert_eq!(
         bootstrapped, 0,
-        "restart must resume from its cursor, not bootstrap from a snapshot"
+        "restart must resume from its cursor, not bootstrap from the first segment"
     );
     assert!(resumed >= 1, "restart must open a mode=resume session");
     // The resumed session ships the delta plus at most the torn tail of

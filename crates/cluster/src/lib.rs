@@ -6,7 +6,7 @@
 //!
 //! - [`wire`] — the replication frame codec. A length-prefixed binary
 //!   protocol (magic `0xFC`) carrying a follower's resume cursor
-//!   upstream and snapshot images, segment boundaries, and CRC-framed
+//!   upstream and bootstrap resets, segment boundaries, and CRC-framed
 //!   WAL records downstream.
 //! - [`source`] / [`replica`] — the primary serves its live store
 //!   directory to any number of followers; each follower mirrors the

@@ -3,13 +3,12 @@
 //!
 //! The replica's directory *is* its cursor. On every (re)connect it runs
 //! the store's own recovery scan ([`freephish_store::recover`], what
-//! `Store::open` runs, without opening a writer): drop invalid
-//! snapshots and the segments a snapshot covers, truncate the first
+//! `Store::open` runs, without opening a writer): truncate the first
 //! defective tail, delete anything after it. It sends the resulting
 //! `(segment, offset)` as its `HELLO` cursor. The primary then resumes
 //! from that boundary without re-shipping completed segments, or
-//! bootstraps the follower from a snapshot when compaction has moved
-//! past it. Every shipped record is re-verified with the store's frame
+//! bootstraps the follower with `RESET` and every segment from the first
+//! when the cursor is no live record boundary. Every shipped record is re-verified with the store's frame
 //! decoder before a byte is written, so a replica is exactly as
 //! trustworthy as a local recovery scan.
 //!
@@ -26,13 +25,8 @@ use crate::wire::{decode_repl, encode_repl, verify_record_frame, ReplCursor, Rep
 use bytes::BytesMut;
 use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use freephish_store::segment::{
-    parse_segment_name, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
-};
-use freephish_store::snapshot::{
-    fsync_dir, parse_snapshot_name, snapshot_file_name, write_snapshot,
-};
-use freephish_store::{list_indexed, recover};
+use freephish_store::segment::{segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN};
+use freephish_store::{fsync_dir, list_segments, recover};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -41,6 +35,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Fdatasync the active segment every this many applied records
+/// (flushes happen at every tip regardless; an OS-buffered tail lost to a
+/// crash is simply re-fetched from the primary).
+const SYNC_EVERY_RECORDS: u64 = 256;
+
 /// Tuning for a follower replica.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
@@ -48,10 +47,6 @@ pub struct ReplicaConfig {
     pub reconnect_backoff: Duration,
     /// Bound on each connect attempt.
     pub connect_timeout: Duration,
-    /// Fdatasync the active segment every this many applied records
-    /// (flushes happen at every tip regardless; an OS-buffered tail
-    /// lost to a crash is simply re-fetched from the primary).
-    pub sync_every_records: u64,
 }
 
 impl Default for ReplicaConfig {
@@ -59,7 +54,6 @@ impl Default for ReplicaConfig {
         ReplicaConfig {
             reconnect_backoff: Duration::from_millis(100),
             connect_timeout: Duration::from_millis(500),
-            sync_every_records: 256,
         }
     }
 }
@@ -68,7 +62,6 @@ struct ReplicaMetrics {
     registry: Registry,
     records_applied: Arc<Counter>,
     bytes_applied: Arc<Counter>,
-    snapshots_applied: Arc<Counter>,
     reconnects: Arc<Counter>,
     sessions_resume: Arc<Counter>,
     sessions_bootstrap: Arc<Counter>,
@@ -87,7 +80,6 @@ impl ReplicaMetrics {
         ReplicaMetrics {
             records_applied: registry.counter("cluster_replication_records_applied_total", &[]),
             bytes_applied: registry.counter("cluster_replication_bytes_applied_total", &[]),
-            snapshots_applied: registry.counter("cluster_replication_snapshots_applied_total", &[]),
             reconnects: registry.counter("cluster_replication_reconnects_total", &[]),
             sessions_resume: registry
                 .counter("cluster_replication_sessions_total", &[("mode", "resume")]),
@@ -270,7 +262,7 @@ impl Applier<'_> {
 
     fn flush(&mut self, force_sync: bool) -> std::io::Result<()> {
         if let Some(w) = self.writer.as_mut() {
-            if force_sync || self.records_since_sync >= self.shared.cfg.sync_every_records {
+            if force_sync || self.records_since_sync >= SYNC_EVERY_RECORDS {
                 w.sync()?;
                 self.records_since_sync = 0;
             } else {
@@ -284,20 +276,15 @@ impl Applier<'_> {
         let dir = &self.shared.dir;
         let m = &self.shared.metrics;
         match frame {
-            // A bootstrap replaces local history wholesale: install the
-            // image (if any), then drop every other local file — the
-            // primary re-ships the live segments next.
-            ReplFrame::Snapshot { seq, body, .. } => {
-                self.note_session_mode(true);
-                self.writer = None;
-                write_snapshot(dir, seq, &body)?;
-                discard_all_but(dir, Some(seq))?;
-                m.snapshots_applied.inc();
-            }
+            // A bootstrap replaces local history wholesale: drop every
+            // local segment — the primary ships all of its own next.
             ReplFrame::Reset { .. } => {
                 self.note_session_mode(true);
                 self.writer = None;
-                discard_all_but(dir, None)?;
+                for seg in list_segments(dir)? {
+                    std::fs::remove_file(dir.join(segment_file_name(seg)))?;
+                }
+                fsync_dir(dir)?;
             }
             ReplFrame::Segment { index } => {
                 self.note_session_mode(false);
@@ -363,26 +350,12 @@ impl Applier<'_> {
     }
 }
 
-/// Delete every segment in `dir` and every snapshot but `keep`, durably.
-fn discard_all_but(dir: &Path, keep: Option<u32>) -> std::io::Result<()> {
-    for seg in list_indexed(dir, parse_segment_name)? {
-        std::fs::remove_file(dir.join(segment_file_name(seg)))?;
-    }
-    for seq in list_indexed(dir, parse_snapshot_name)? {
-        if Some(seq) != keep {
-            std::fs::remove_file(dir.join(snapshot_file_name(seq)))?;
-        }
-    }
-    fsync_dir(dir)
-}
-
 /// One connect → hello → apply-until-drop session. `Ok(())` only on
 /// clean shutdown.
 fn run_session(shared: &Shared) -> std::io::Result<()> {
     // The directory is the cursor: recover it, dropping the records.
     let found = recover(&shared.dir, |_, _| {})?;
     let cursor = ReplCursor {
-        snapshot_seq: found.snapshot_seq,
         segment: found.tail.map(|t| t.segment),
         offset: found.tail.map_or(0, |t| t.end_offset),
     };

@@ -6,10 +6,9 @@
 //! follower says `HELLO` with its resume cursor. When the cursor is a
 //! record boundary of a live segment the session **resumes** a follower
 //! there, re-shipping nothing; otherwise (no cursor, a forged or
-//! diverged one, or one whose segment compaction deleted) it
-//! **bootstraps** a new follower. It polls one segment at a time and
-//! maps each poll onto frames: a (re)start becomes `SNAPSHOT` (or
-//! `RESET` when there is no snapshot), entering a segment becomes
+//! diverged one, or one whose segment is gone) it **bootstraps** a new
+//! follower. It polls one segment at a time and maps each poll onto
+//! frames: a (re)start becomes `RESET`, entering a segment becomes
 //! `SEGMENT`, each record becomes `RECORD`, and a poll that ends on the
 //! newest segment is followed by `TIP`. The source never writes the
 //! store, so it can run inside the writing process or beside it.
@@ -28,6 +27,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How long to wait for a connection's `HELLO` before dropping it.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Tuning for the replication source.
 #[derive(Debug, Clone)]
 pub struct SourceConfig {
@@ -35,8 +37,6 @@ pub struct SourceConfig {
     pub port: u16,
     /// How often an idle session re-reads the directory for new bytes.
     pub poll_interval: Duration,
-    /// How long to wait for a connection's `HELLO` before dropping it.
-    pub hello_timeout: Duration,
 }
 
 impl Default for SourceConfig {
@@ -44,7 +44,6 @@ impl Default for SourceConfig {
         SourceConfig {
             port: 0,
             poll_interval: Duration::from_millis(20),
-            hello_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -53,7 +52,6 @@ struct SourceMetrics {
     registry: Registry,
     records_shipped: Arc<Counter>,
     bytes_shipped: Arc<Counter>,
-    snapshots_shipped: Arc<Counter>,
     sessions_resume: Arc<Counter>,
     sessions_bootstrap: Arc<Counter>,
     followers: Arc<Gauge>,
@@ -65,7 +63,6 @@ impl SourceMetrics {
         SourceMetrics {
             records_shipped: registry.counter("cluster_source_records_shipped_total", &[]),
             bytes_shipped: registry.counter("cluster_source_bytes_shipped_total", &[]),
-            snapshots_shipped: registry.counter("cluster_source_snapshots_shipped_total", &[]),
             sessions_resume: registry
                 .counter("cluster_source_sessions_total", &[("mode", "resume")]),
             sessions_bootstrap: registry
@@ -247,7 +244,7 @@ fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
         &mut stream,
         &mut buf,
         &shared.stop,
-        Instant::now() + shared.cfg.hello_timeout,
+        Instant::now() + HELLO_TIMEOUT,
     )?;
     let ReplFrame::Hello(cursor) = hello else {
         send(&mut stream, &ReplFrame::Error("expected HELLO".into())).ok();
@@ -256,14 +253,18 @@ fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
 
     // Resume at the follower's cursor when it is a record boundary of a
     // live segment; otherwise the first poll bootstraps.
-    let tail_cursor = TailCursor {
-        snapshot_seq: cursor.snapshot_seq,
-        segment: cursor.segment,
-        offset: cursor.offset,
+    let mut follower = match cursor.segment {
+        Some(segment) => TailFollower::resume(
+            &shared.dir,
+            TailCursor {
+                segment,
+                offset: cursor.offset,
+            },
+        ),
+        None => TailFollower::new(&shared.dir),
     };
-    let mut follower = TailFollower::resume(&shared.dir, tail_cursor);
     // The segment the follower was last told about.
-    let mut announced = follower.cursor().and_then(|c| c.segment);
+    let mut announced = follower.cursor().map(|c| c.segment);
     match (announced, cursor.segment) {
         (Some(index), _) => {
             shared.metrics.sessions_resume.inc();
@@ -280,7 +281,7 @@ fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     let mut out = BytesMut::new();
     while !shared.stop.load(Ordering::SeqCst) {
         // One segment a poll keeps a bootstrap's memory to one segment.
-        let before = follower.cursor().and_then(|c| c.segment);
+        let before = follower.cursor().map(|c| c.segment);
         let batch = follower.poll_segment().inspect_err(|e| {
             let msg = format!("primary WAL is unreadable: {e}");
             send(&mut stream, &ReplFrame::Error(msg)).ok();
@@ -288,18 +289,7 @@ fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
         if let Some(start) = batch.start {
             shared.metrics.sessions_bootstrap.inc();
             let first_segment = start.first_segment;
-            let frame = match (start.snapshot_seq, batch.snapshot) {
-                (Some(seq), Some(body)) => {
-                    shared.metrics.snapshots_shipped.inc();
-                    ReplFrame::Snapshot {
-                        seq,
-                        first_segment,
-                        body,
-                    }
-                }
-                _ => ReplFrame::Reset { first_segment },
-            };
-            encode_repl(&mut out, &frame).map_err(invalid)?;
+            encode_repl(&mut out, &ReplFrame::Reset { first_segment }).map_err(invalid)?;
             announced = None;
             announce(&mut out, &mut announced, first_segment)?;
         }
@@ -322,7 +312,7 @@ fn run_session(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
             }
         }
         // A segment the follower entered with no record in it yet.
-        let now = follower.cursor().and_then(|c| c.segment);
+        let now = follower.cursor().map(|c| c.segment);
         if let Some(segment) = now {
             announce(&mut out, &mut announced, segment)?;
         }

@@ -3,12 +3,11 @@
 //!
 //! ```text
 //! frame    := magic(0xFC) opcode(u8) len(u32 LE) payload(len bytes)
-//! HELLO    (0x01): version(u16) flags(u8) snapshot_seq(u32) segment(u32)
-//!                  offset(u64) — the follower's resume cursor
-//! SNAPSHOT (0x81): seq(u32) first_segment(u32) body — bootstrap image;
-//!                  the follower discards local segments and installs it
-//! RESET    (0x82): first_segment(u32) — bootstrap without a snapshot;
-//!                  the follower discards local state and starts fresh
+//! HELLO    (0x01): version(u16) flags(u8) segment(u32) offset(u64) — the
+//!                  follower's resume cursor
+//! RESET    (0x82): first_segment(u32) — bootstrap: the follower discards
+//!                  its local segments; every segment from the first
+//!                  follows
 //! SEGMENT  (0x83): index(u32) — the records that follow belong to this
 //!                  segment (sent before the first record of every
 //!                  segment, including a resumed one)
@@ -26,7 +25,9 @@
 //! consuming); structurally impossible frames — oversized payloads,
 //! unknown opcodes, cursors whose fields contradict each other — are
 //! hard errors that close the connection, exactly like the verdict
-//! wire. Record payload integrity is separate from framing:
+//! wire. Version 1 also shipped store snapshots, which stores no longer
+//! write; its `HELLO` is refused as an unsupported version. Record
+//! payload integrity is separate from framing:
 //! [`verify_record_frame`] re-checks the WAL frame with the store's own
 //! decoder so a follower never writes a byte the primary's checksum does
 //! not vouch for.
@@ -37,7 +38,7 @@ use freephish_store::segment::{decode_frame, FRAME_OVERHEAD, MAX_RECORD_LEN, SEG
 /// First byte of every replication frame.
 pub const REPL_MAGIC: u8 = 0xFC;
 /// Protocol version carried in `HELLO`.
-pub const REPL_VERSION: u16 = 1;
+pub const REPL_VERSION: u16 = 2;
 /// Bytes of frame header: magic + opcode + u32 length.
 pub const REPL_FRAME_HEADER: usize = 6;
 /// Hard cap on a frame's declared payload: the largest WAL record plus
@@ -45,23 +46,21 @@ pub const REPL_FRAME_HEADER: usize = 6;
 pub const MAX_REPL_PAYLOAD: usize = MAX_RECORD_LEN as usize + FRAME_OVERHEAD as usize + 16;
 
 const OP_HELLO: u8 = 0x01;
-const OP_SNAPSHOT: u8 = 0x81;
 const OP_RESET: u8 = 0x82;
 const OP_SEGMENT: u8 = 0x83;
 const OP_RECORD: u8 = 0x84;
 const OP_TIP: u8 = 0x85;
 const OP_ERROR: u8 = 0x86;
 
-const FLAG_HAS_SNAPSHOT: u8 = 0b01;
-const FLAG_HAS_SEGMENT: u8 = 0b10;
+const FLAG_HAS_SEGMENT: u8 = 0b01;
+/// `HELLO` payload: version, flags, segment, offset.
+const HELLO_LEN: usize = 15;
 
 /// A follower's durable position in the primary's WAL: everything up to
-/// (`segment`, `offset`) — and, when set, the snapshot `snapshot_seq` —
-/// has been applied locally. A fresh follower sends the empty cursor.
+/// (`segment`, `offset`) has been applied locally. A fresh follower sends
+/// the empty cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplCursor {
-    /// Newest snapshot applied locally, if any.
-    pub snapshot_seq: Option<u32>,
     /// Last segment with locally applied bytes, if any.
     pub segment: Option<u32>,
     /// Bytes of that segment applied (including its 8-byte header);
@@ -73,7 +72,6 @@ impl ReplCursor {
     /// The cursor of a follower with no local state.
     pub fn empty() -> ReplCursor {
         ReplCursor {
-            snapshot_seq: None,
             segment: None,
             offset: 0,
         }
@@ -95,20 +93,10 @@ impl ReplCursor {
 pub enum ReplFrame {
     /// Follower → primary: version + resume cursor.
     Hello(ReplCursor),
-    /// Bootstrap image: install `body` as snapshot `seq`; live segments
-    /// start at `first_segment`.
-    Snapshot {
-        /// Snapshot sequence number (names the file).
-        seq: u32,
-        /// First live segment after the snapshot.
-        first_segment: u32,
-        /// Raw snapshot payload.
-        body: Vec<u8>,
-    },
-    /// Bootstrap without a snapshot: discard local state; live segments
-    /// start at `first_segment`.
+    /// Bootstrap: discard local segments; the primary's segments follow,
+    /// starting at `first_segment`.
     Reset {
-        /// First live segment.
+        /// The primary's first segment.
         first_segment: u32,
     },
     /// The records that follow belong to segment `index`.
@@ -156,34 +144,14 @@ pub fn encode_repl(buf: &mut BytesMut, frame: &ReplFrame) -> Result<(), String> 
             if !cursor.is_consistent() {
                 return Err(format!("inconsistent cursor: {cursor:?}"));
             }
-            let mut payload = [0u8; 19];
+            let mut payload = [0u8; HELLO_LEN];
             payload[..2].copy_from_slice(&REPL_VERSION.to_le_bytes());
-            let mut flags = 0u8;
-            if cursor.snapshot_seq.is_some() {
-                flags |= FLAG_HAS_SNAPSHOT;
-            }
             if cursor.segment.is_some() {
-                flags |= FLAG_HAS_SEGMENT;
+                payload[2] = FLAG_HAS_SEGMENT;
             }
-            payload[2] = flags;
-            payload[3..7].copy_from_slice(&cursor.snapshot_seq.unwrap_or(0).to_le_bytes());
-            payload[7..11].copy_from_slice(&cursor.segment.unwrap_or(0).to_le_bytes());
-            payload[11..19].copy_from_slice(&cursor.offset.to_le_bytes());
+            payload[3..7].copy_from_slice(&cursor.segment.unwrap_or(0).to_le_bytes());
+            payload[7..].copy_from_slice(&cursor.offset.to_le_bytes());
             put_frame(buf, OP_HELLO, &payload);
-        }
-        ReplFrame::Snapshot {
-            seq,
-            first_segment,
-            body,
-        } => {
-            if body.len() + 8 > MAX_REPL_PAYLOAD {
-                return Err(format!("snapshot body of {} exceeds frame cap", body.len()));
-            }
-            let mut payload = Vec::with_capacity(8 + body.len());
-            payload.extend_from_slice(&seq.to_le_bytes());
-            payload.extend_from_slice(&first_segment.to_le_bytes());
-            payload.extend_from_slice(body);
-            put_frame(buf, OP_SNAPSHOT, &payload);
         }
         ReplFrame::Reset { first_segment } => {
             put_frame(buf, OP_RESET, &first_segment.to_le_bytes());
@@ -276,22 +244,24 @@ pub fn decode_repl(buf: &mut BytesMut) -> Result<Option<ReplFrame>, String> {
     };
     let frame = match opcode {
         OP_HELLO => {
-            if payload.len() != 19 {
+            // The version comes first, so a peer of another version is
+            // told so whatever its HELLO's length.
+            if let Some(v) = payload.get(..2) {
+                let version = u16::from_le_bytes([v[0], v[1]]);
+                if version != REPL_VERSION {
+                    return Err(format!("unsupported replication version {version}"));
+                }
+            }
+            if payload.len() != HELLO_LEN {
                 return Err(format!("HELLO payload of {} bytes", payload.len()));
             }
-            let version = u16::from_le_bytes([payload[0], payload[1]]);
-            if version != REPL_VERSION {
-                return Err(format!("unsupported replication version {version}"));
-            }
             let flags = payload[2];
-            if flags & !(FLAG_HAS_SNAPSHOT | FLAG_HAS_SEGMENT) != 0 {
+            if flags & !FLAG_HAS_SEGMENT != 0 {
                 return Err(format!("unknown HELLO flags 0x{flags:02x}"));
             }
-            let snapshot_seq = u32::from_le_bytes(payload[3..7].try_into().unwrap());
-            let segment = u32::from_le_bytes(payload[7..11].try_into().unwrap());
-            let offset = u64::from_le_bytes(payload[11..19].try_into().unwrap());
+            let segment = u32::from_le_bytes(payload[3..7].try_into().unwrap());
+            let offset = u64::from_le_bytes(payload[7..].try_into().unwrap());
             let cursor = ReplCursor {
-                snapshot_seq: (flags & FLAG_HAS_SNAPSHOT != 0).then_some(snapshot_seq),
                 segment: (flags & FLAG_HAS_SEGMENT != 0).then_some(segment),
                 offset,
             };
@@ -299,15 +269,6 @@ pub fn decode_repl(buf: &mut BytesMut) -> Result<Option<ReplFrame>, String> {
                 return Err(format!("forged cursor: {cursor:?}"));
             }
             ReplFrame::Hello(cursor)
-        }
-        OP_SNAPSHOT => {
-            let seq = take_u32(&mut payload)?;
-            let first_segment = take_u32(&mut payload)?;
-            ReplFrame::Snapshot {
-                seq,
-                first_segment,
-                body: payload.to_vec(),
-            }
         }
         OP_RESET => {
             let first_segment = take_u32(&mut payload)?;
@@ -388,15 +349,9 @@ mod tests {
         for frame in [
             ReplFrame::Hello(ReplCursor::empty()),
             ReplFrame::Hello(ReplCursor {
-                snapshot_seq: Some(3),
                 segment: Some(7),
                 offset: 99,
             }),
-            ReplFrame::Snapshot {
-                seq: 2,
-                first_segment: 5,
-                body: vec![1, 2, 3],
-            },
             ReplFrame::Reset { first_segment: 0 },
             ReplFrame::Segment { index: 4 },
             ReplFrame::Record {
@@ -433,20 +388,35 @@ mod tests {
     #[test]
     fn inconsistent_cursors_are_refused_both_ways() {
         let forged = ReplCursor {
-            snapshot_seq: None,
             segment: Some(1),
             offset: 3, // inside the segment header: impossible
         };
         let mut buf = BytesMut::new();
         assert!(encode_repl(&mut buf, &ReplFrame::Hello(forged)).is_err());
         // Hand-build the same forged HELLO and check decode rejects it.
-        let mut payload = [0u8; 19];
+        let mut payload = [0u8; HELLO_LEN];
         payload[..2].copy_from_slice(&REPL_VERSION.to_le_bytes());
         payload[2] = FLAG_HAS_SEGMENT;
-        payload[7..11].copy_from_slice(&1u32.to_le_bytes());
-        payload[11..19].copy_from_slice(&3u64.to_le_bytes());
+        payload[3..7].copy_from_slice(&1u32.to_le_bytes());
+        payload[7..].copy_from_slice(&3u64.to_le_bytes());
         let mut raw = BytesMut::new();
         put_frame(&mut raw, OP_HELLO, &payload);
+        assert!(decode_repl(&mut raw).is_err());
+    }
+
+    #[test]
+    fn a_version_1_peer_is_refused() {
+        // Version 1's HELLO: version, flags, snapshot sequence, segment,
+        // offset.
+        let mut payload = [0u8; 19];
+        payload[..2].copy_from_slice(&1u16.to_le_bytes());
+        let mut raw = BytesMut::new();
+        put_frame(&mut raw, OP_HELLO, &payload);
+        let err = decode_repl(&mut raw).unwrap_err();
+        assert_eq!(err, "unsupported replication version 1");
+        // Version 1's SNAPSHOT frame is no frame of this version.
+        let mut raw = BytesMut::new();
+        put_frame(&mut raw, 0x81, &[0; 8]);
         assert!(decode_repl(&mut raw).is_err());
     }
 

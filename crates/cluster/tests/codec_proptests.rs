@@ -10,14 +10,28 @@ use freephish_cluster::wire::{
 };
 use freephish_simclock::prop::{check, Gen};
 use freephish_store::segment::{
-    encode_frame_into, scan_buffer, FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
+    decode_frame, encode_frame_into, FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
 };
 
+/// Decode the frames of `bytes` up to the first defect; true when one
+/// stopped the scan.
+fn scan(mut bytes: &[u8]) -> (Vec<Vec<u8>>, bool) {
+    let mut frames = Vec::new();
+    while !bytes.is_empty() {
+        match decode_frame(bytes) {
+            Ok((payload, len)) => {
+                frames.push(payload.to_vec());
+                bytes = &bytes[len..];
+            }
+            Err(_) => return (frames, true),
+        }
+    }
+    (frames, false)
+}
+
 fn cursor(g: &mut Gen) -> ReplCursor {
-    let snapshot_seq = g.option(Gen::u32);
     let seg = g.option(|g| (g.u32(), g.u64_in(SEGMENT_HEADER_LEN..u64::MAX)));
     ReplCursor {
-        snapshot_seq,
         segment: seg.map(|(s, _)| s),
         offset: seg.map(|(_, o)| o).unwrap_or(0),
     }
@@ -31,18 +45,13 @@ fn wal_frame(g: &mut Gen) -> Vec<u8> {
 }
 
 fn frame(g: &mut Gen) -> ReplFrame {
-    match g.usize_in(0..7) {
+    match g.usize_in(0..6) {
         0 => ReplFrame::Hello(cursor(g)),
-        1 => ReplFrame::Snapshot {
-            seq: g.u32(),
-            first_segment: g.u32(),
-            body: g.vec(0..500, Gen::u8),
-        },
-        2 => ReplFrame::Reset {
+        1 => ReplFrame::Reset {
             first_segment: g.u32(),
         },
-        3 => ReplFrame::Segment { index: g.u32() },
-        4 => {
+        2 => ReplFrame::Segment { index: g.u32() },
+        3 => {
             let (segment, frame, slack) = (g.u32(), wal_frame(g), g.u32());
             let end_offset = SEGMENT_HEADER_LEN + frame.len() as u64 + u64::from(slack);
             ReplFrame::Record {
@@ -51,7 +60,7 @@ fn frame(g: &mut Gen) -> ReplFrame {
                 frame,
             }
         }
-        5 => ReplFrame::Tip {
+        4 => ReplFrame::Tip {
             segment: g.u32(),
             offset: g.u64(),
         },
@@ -131,13 +140,8 @@ fn any_single_bit_flip_in_a_record_is_rejected() {
 #[test]
 fn forged_cursors_are_rejected_at_encode_and_decode() {
     check(256, |g| {
-        let (snapshot_seq, segment) = (g.option(Gen::u32), g.option(Gen::u32));
-        let offset = g.u64();
-        let cursor = ReplCursor {
-            snapshot_seq,
-            segment,
-            offset,
-        };
+        let (segment, offset) = (g.option(Gen::u32), g.u64());
+        let cursor = ReplCursor { segment, offset };
         let consistent = match segment {
             Some(_) => offset >= SEGMENT_HEADER_LEN,
             None => offset == 0,
@@ -186,14 +190,14 @@ fn resume_from_any_record_boundary_replays_exactly_the_suffix() {
             bounds.push(body.len());
         }
         let k = resume_at as usize % bounds.len();
-        let (records, torn) = scan_buffer(&body[bounds[k]..]);
-        assert!(torn.is_none());
+        let (records, torn) = scan(&body[bounds[k]..]);
+        assert!(!torn);
         assert_eq!(records, payloads[k..].to_vec());
         // A cut strictly inside a record is *not* a clean boundary: the
         // scan reports a defect rather than silently resyncing.
         if bounds[k] + 1 < body.len() && k < payloads.len() {
-            let (_, mid_torn) = scan_buffer(&body[bounds[k] + 1..]);
-            assert!(mid_torn.is_some() || body[bounds[k] + 1..].is_empty());
+            let (_, mid_torn) = scan(&body[bounds[k] + 1..]);
+            assert!(mid_torn || body[bounds[k] + 1..].is_empty());
         }
     });
 }

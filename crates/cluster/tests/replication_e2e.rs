@@ -1,15 +1,13 @@
 //! End-to-end replication: a real `Store` primary, a real TCP
 //! `ReplicationSource`, and `Replica` followers mirroring it — covering
 //! bootstrap, live tailing, kill/reconnect resume without re-shipping,
-//! torn-tail repair, forged-cursor demotion, and compaction overtaking
-//! an offline follower.
+//! torn-tail repair and forged-cursor demotion.
 
 use freephish_cluster::wire::{decode_repl, encode_repl, ReplCursor, ReplFrame};
 use freephish_cluster::{Replica, ReplicaConfig, ReplicationSource};
 use freephish_store::segment::{parse_segment_name, scan_segment, segment_file_name};
-use freephish_store::snapshot::{load_snapshot, parse_snapshot_name, snapshot_file_name};
 use freephish_store::testutil::TempDir;
-use freephish_store::{Store, StoreOptions};
+use freephish_store::{list_segments, Store, StoreOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -26,38 +24,21 @@ fn wait_for(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
-/// Everything durably in a directory: the newest snapshot body (if
-/// any) and every WAL record across its segments, in order.
-fn read_dir_state(dir: &Path) -> (Option<Vec<u8>>, Vec<Vec<u8>>) {
-    let mut segs = Vec::new();
-    let mut snaps = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("read_dir") {
-        let name = entry.expect("entry").file_name();
-        let name = name.to_string_lossy();
-        if let Some(idx) = parse_segment_name(&name) {
-            segs.push(idx);
-        } else if let Some(seq) = parse_snapshot_name(&name) {
-            snaps.push(seq);
-        }
-    }
-    segs.sort_unstable();
-    snaps.sort_unstable();
-    let snapshot = snaps.last().and_then(|&seq| {
-        load_snapshot(&dir.join(snapshot_file_name(seq)), seq).expect("load snapshot")
-    });
+/// Everything durably in a directory: every WAL record across its
+/// segments, in order.
+fn read_dir_state(dir: &Path) -> Vec<Vec<u8>> {
     let mut records = Vec::new();
-    for seg in segs {
+    for seg in list_segments(dir).expect("list segments") {
         let scan = scan_segment(&dir.join(segment_file_name(seg))).expect("scan");
         assert!(scan.header_ok, "segment {seg} header");
         records.extend(scan.records.into_iter().map(|r| r.payload));
     }
-    (snapshot, records)
+    records
 }
 
 fn small_segments() -> StoreOptions {
     StoreOptions {
         segment_max_bytes: 512,
-        sync_every_append: false,
     }
 }
 
@@ -96,8 +77,8 @@ fn follower_bootstraps_then_tails_live_appends() {
         replica.caught_up() && replica.records_applied() >= 120
     });
 
-    let (_, primary_records) = read_dir_state(primary_dir.path());
-    let (_, replica_records) = read_dir_state(replica_dir.path());
+    let primary_records = read_dir_state(primary_dir.path());
+    let replica_records = read_dir_state(replica_dir.path());
     assert_eq!(primary_records, replica_records);
     let m = replica.metrics_snapshot();
     assert_eq!(
@@ -155,8 +136,8 @@ fn killed_follower_resumes_without_reshipping_completed_segments() {
         replica.caught_up() && replica.records_applied() >= 25
     });
 
-    let (_, primary_records) = read_dir_state(primary_dir.path());
-    let (_, replica_records) = read_dir_state(replica_dir.path());
+    let primary_records = read_dir_state(primary_dir.path());
+    let replica_records = read_dir_state(replica_dir.path());
     assert_eq!(primary_records, replica_records);
     assert_eq!(replica_records.len(), 85);
 
@@ -224,8 +205,8 @@ fn torn_replica_tail_is_truncated_and_refetched() {
     wait_for("catch-up after tear", Duration::from_secs(10), || {
         replica.caught_up() && replica.records_applied() >= 10
     });
-    let (_, primary_records) = read_dir_state(primary_dir.path());
-    let (_, replica_records) = read_dir_state(replica_dir.path());
+    let primary_records = read_dir_state(primary_dir.path());
+    let replica_records = read_dir_state(replica_dir.path());
     assert_eq!(primary_records, replica_records);
 }
 
@@ -246,7 +227,6 @@ fn forged_cursor_is_demoted_to_bootstrap() {
     encode_repl(
         &mut buf,
         &ReplFrame::Hello(ReplCursor {
-            snapshot_seq: None,
             segment: Some(0),
             offset: 13,
         }),
@@ -266,7 +246,7 @@ fn forged_cursor_is_demoted_to_bootstrap() {
         assert!(n > 0, "source closed before first frame");
         inbuf.extend_from_slice(&chunk[..n]);
     };
-    // No snapshot exists yet, so a demoted session starts with RESET.
+    // A demoted session starts with RESET.
     assert!(
         matches!(first, ReplFrame::Reset { .. }),
         "expected bootstrap RESET, got {first:?}"
@@ -275,52 +255,6 @@ fn forged_cursor_is_demoted_to_bootstrap() {
         source
             .metrics_snapshot()
             .counter("cluster_source_sessions_total", &[("mode", "bootstrap")]),
-        1
-    );
-}
-
-#[test]
-fn compaction_overtaking_an_offline_follower_forces_snapshot_bootstrap() {
-    let primary_dir = TempDir::new("repl-compact-primary");
-    let replica_dir = TempDir::new("repl-compact-follower");
-    let (mut store, _) = Store::open_with(primary_dir.path(), small_segments(), None).unwrap();
-    for i in 0..40 {
-        store.append(format!("old-{i}").as_bytes()).unwrap();
-    }
-    store.flush().unwrap();
-
-    let source = ReplicationSource::start(primary_dir.path()).unwrap();
-    {
-        let replica = Replica::start(source.addr(), replica_dir.path(), fast_replica()).unwrap();
-        wait_for("pre-compaction catch-up", Duration::from_secs(10), || {
-            replica.caught_up()
-        });
-    }
-
-    // While the follower is away, the primary seals history into a
-    // snapshot (deleting covered segments) and keeps appending.
-    store.snapshot(b"state-after-40").unwrap();
-    for i in 0..15 {
-        store.append(format!("new-{i}").as_bytes()).unwrap();
-    }
-    store.flush().unwrap();
-
-    let replica = Replica::start(source.addr(), replica_dir.path(), fast_replica()).unwrap();
-    wait_for("post-compaction catch-up", Duration::from_secs(10), || {
-        replica.caught_up() && replica.records_applied() >= 15
-    });
-    let (snap, records) = read_dir_state(replica_dir.path());
-    assert_eq!(snap.as_deref(), Some(&b"state-after-40"[..]));
-    assert_eq!(
-        records,
-        (0..15)
-            .map(|i| format!("new-{i}").into_bytes())
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(
-        replica
-            .metrics_snapshot()
-            .counter("cluster_replication_snapshots_applied_total", &[]),
         1
     );
 }

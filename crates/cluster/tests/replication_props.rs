@@ -4,22 +4,16 @@
 //! Each case runs a primary `Store` with small segments (so they rotate)
 //! behind a loopback `ReplicationSource`, and a `Replica` following it.
 //! A drawn script appends records of random sizes and restarts the
-//! follower; while the follower is down the primary may compact
-//! (`Store::snapshot`) and append, and the follower's newest segment may
-//! be torn. After every step the follower catches up, and then its
-//! snapshot and segment files must equal the primary's byte for byte.
-//! A restart whose recovered cursor is still a live segment of the
-//! primary must resume there and re-ship exactly the records past it.
-//!
-//! Compactions happen only while the follower is down. A compaction that
-//! races a live session can leave the follower holding the covered
-//! segments instead of the snapshot: the same history, in different
-//! files, so a byte-for-byte comparison would not hold.
+//! follower; while the follower is down the primary may append, and the
+//! follower's newest segment may be torn. After every step the follower
+//! catches up, and then its segment files must equal the primary's byte
+//! for byte. A restart whose recovered cursor is still a live segment of
+//! the primary must resume there and re-ship exactly the records past
+//! it.
 
 use freephish_cluster::{Replica, ReplicaConfig, ReplicationSource, SourceConfig};
 use freephish_simclock::prop::{check, Gen};
 use freephish_store::segment::{parse_segment_name, scan_segment, segment_file_name};
-use freephish_store::snapshot::parse_snapshot_name;
 use freephish_store::testutil::TempDir;
 use freephish_store::{Store, StoreOptions};
 use std::collections::BTreeMap;
@@ -43,10 +37,9 @@ enum Tear {
 enum Step {
     /// Append records of these sizes while the follower runs.
     Append(Vec<usize>),
-    /// Stop the follower; while it is down, optionally compact, append
-    /// and tear its tail; then start it again.
+    /// Stop the follower; while it is down, append and optionally tear
+    /// its tail; then start it again.
     Restart {
-        compact: bool,
         appends: Vec<usize>,
         tear: Option<Tear>,
     },
@@ -59,7 +52,6 @@ fn sizes(g: &mut Gen) -> Vec<usize> {
 fn step(g: &mut Gen) -> Step {
     if g.usize_in(0..3) == 0 {
         Step::Restart {
-            compact: g.bool(),
             appends: sizes(g),
             tear: g.option(|g| match g.usize_in(0..3) {
                 0 => Tear::JunkTail,
@@ -72,12 +64,12 @@ fn step(g: &mut Gen) -> Step {
     }
 }
 
-/// Every snapshot and segment file in `dir`, by name.
+/// Every segment file in `dir`, by name.
 fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-        if parse_segment_name(&name).is_some() || parse_snapshot_name(&name).is_some() {
+        if parse_segment_name(&name).is_some() {
             if let Ok(bytes) = std::fs::read(dir.join(&name)) {
                 out.insert(name, bytes);
             }
@@ -253,7 +245,6 @@ fn a_caught_up_follower_equals_its_primary_byte_for_byte() {
         let replica_dir = TempDir::new("props-follower");
         let opts = StoreOptions {
             segment_max_bytes: 256,
-            sync_every_append: false,
         };
         let (store, _) = Store::open_with(primary_dir.path(), opts, None).unwrap();
         let source = ReplicationSource::start_with(
@@ -270,10 +261,6 @@ fn a_caught_up_follower_equals_its_primary_byte_for_byte() {
             appended: 0,
         };
         primary.append(&sizes(g));
-        if g.bool() {
-            primary.store.snapshot(b"initial state").unwrap();
-            primary.append(&sizes(g));
-        }
         let mut replica = start_and_catch_up(&primary, primary_dir.path(), replica_dir.path());
 
         for step in g.vec(1..8, step) {
@@ -283,15 +270,10 @@ fn a_caught_up_follower_equals_its_primary_byte_for_byte() {
                     catch_up(primary_dir.path(), &replica);
                 }
                 Step::Restart {
-                    compact,
                     appends,
                     tear: damage,
                 } => {
                     drop(replica);
-                    if compact {
-                        let state = format!("state after {} records", primary.appended);
-                        primary.store.snapshot(state.as_bytes()).unwrap();
-                    }
                     primary.append(&appends);
                     if let Some(how) = damage {
                         tear(replica_dir.path(), how);

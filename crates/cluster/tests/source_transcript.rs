@@ -2,9 +2,8 @@
 //! TCP client says `HELLO` with a chosen cursor and decodes everything
 //! up to the first `TIP`. The expected transcript is derived from the
 //! primary's directory with the store's own scan, so these cases pin
-//! the wire a session speaks — bootstrap with and without a snapshot,
-//! resume at a record boundary, and the two demotions (a forged offset,
-//! a compacted segment).
+//! the wire a session speaks — bootstrap, resume at a record boundary,
+//! and the demotion of a forged offset.
 
 use freephish_cluster::wire::{decode_repl, encode_repl, ReplCursor, ReplFrame};
 use freephish_cluster::ReplicationSource;
@@ -17,10 +16,9 @@ use std::path::Path;
 use std::time::Duration;
 
 /// One frame reduced to what a transcript compares: its kind, the
-/// segment it names and the offset (or sequence) it carries.
+/// segment it names and the offset it carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Seen {
-    Snapshot { seq: u32, first_segment: u32 },
     Reset { first_segment: u32 },
     Segment(u32),
     Record { segment: u32, end_offset: u64 },
@@ -28,20 +26,13 @@ enum Seen {
 }
 
 /// A primary of `records` small records over 256-byte segments, so the
-/// WAL spans several segments; with `snapshot_after`, a compaction
-/// after that many records.
-fn primary(dir: &Path, records: usize, snapshot_after: Option<usize>) -> Store {
+/// WAL spans several segments.
+fn primary(dir: &Path, records: usize) -> Store {
     let opts = StoreOptions {
         segment_max_bytes: 256,
-        sync_every_append: false,
     };
     let (mut store, _) = Store::open_with(dir, opts, None).unwrap();
     for i in 0..records {
-        if snapshot_after == Some(i) {
-            store
-                .snapshot(format!("state-after-{i}").as_bytes())
-                .unwrap();
-        }
         store
             .append(format!("record-{i:03}-{}", "x".repeat(i % 23)).as_bytes())
             .unwrap();
@@ -96,9 +87,8 @@ fn expected_stream(dir: &Path, from: (u32, u64)) -> Vec<Seen> {
     out
 }
 
-/// Say `HELLO` with `cursor` and collect the frames up to the first TIP;
-/// also return the snapshot body, if one was shipped.
-fn transcript(source: &ReplicationSource, cursor: ReplCursor) -> (Vec<Seen>, Option<Vec<u8>>) {
+/// Say `HELLO` with `cursor` and collect the frames up to the first TIP.
+fn transcript(source: &ReplicationSource, cursor: ReplCursor) -> Vec<Seen> {
     let mut stream = TcpStream::connect(source.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -107,20 +97,12 @@ fn transcript(source: &ReplicationSource, cursor: ReplCursor) -> (Vec<Seen>, Opt
     encode_repl(&mut out, &ReplFrame::Hello(cursor)).unwrap();
     stream.write_all(&out).unwrap();
 
-    let (mut seen, mut snapshot) = (Vec::new(), None);
+    let mut seen = Vec::new();
     let mut inbuf = bytes::BytesMut::new();
     let mut chunk = [0u8; 4096];
     loop {
         while let Some(frame) = decode_repl(&mut inbuf).unwrap() {
             seen.push(match frame {
-                ReplFrame::Snapshot {
-                    seq,
-                    first_segment,
-                    body,
-                } => {
-                    snapshot = Some(body);
-                    Seen::Snapshot { seq, first_segment }
-                }
                 ReplFrame::Reset { first_segment } => Seen::Reset { first_segment },
                 ReplFrame::Segment { index } => Seen::Segment(index),
                 ReplFrame::Record {
@@ -133,7 +115,7 @@ fn transcript(source: &ReplicationSource, cursor: ReplCursor) -> (Vec<Seen>, Opt
                 },
                 ReplFrame::Tip { segment, offset } => {
                     seen.push(Seen::Tip { segment, offset });
-                    return (seen, snapshot);
+                    return seen;
                 }
                 other => panic!("unexpected frame {other:?}"),
             });
@@ -145,19 +127,15 @@ fn transcript(source: &ReplicationSource, cursor: ReplCursor) -> (Vec<Seen>, Opt
 }
 
 fn cursor(segment: Option<u32>, offset: u64) -> ReplCursor {
-    ReplCursor {
-        snapshot_seq: None,
-        segment,
-        offset,
-    }
+    ReplCursor { segment, offset }
 }
 
 #[test]
 fn no_cursor_without_a_snapshot_resets_and_ships_every_segment() {
     let dir = TempDir::new("transcript-reset");
-    let _store = primary(dir.path(), 40, None);
+    let _store = primary(dir.path(), 40);
     let source = ReplicationSource::start(dir.path()).unwrap();
-    let (seen, snapshot) = transcript(&source, ReplCursor::empty());
+    let seen = transcript(&source, ReplCursor::empty());
     let mut want = vec![Seen::Reset { first_segment: 0 }];
     want.extend(expected_stream(dir.path(), (0, 0)));
     assert!(
@@ -165,43 +143,25 @@ fn no_cursor_without_a_snapshot_resets_and_ships_every_segment() {
         "the WAL spans segments"
     );
     assert_eq!(seen, want);
-    assert_eq!(snapshot, None);
-}
-
-#[test]
-fn no_cursor_with_a_snapshot_ships_it_then_the_live_segments() {
-    let dir = TempDir::new("transcript-snapshot");
-    let store = primary(dir.path(), 50, Some(30));
-    let seq = store.snapshot_seq().expect("compacted");
-    let source = ReplicationSource::start(dir.path()).unwrap();
-    let (seen, snapshot) = transcript(&source, ReplCursor::empty());
-    let first = seq + 1;
-    let mut want = vec![Seen::Snapshot {
-        seq,
-        first_segment: first,
-    }];
-    want.extend(expected_stream(dir.path(), (first, 0)));
-    assert_eq!(seen, want);
-    assert_eq!(snapshot.as_deref(), Some(&b"state-after-30"[..]));
 }
 
 #[test]
 fn a_cursor_at_a_live_record_boundary_resumes_there() {
     let dir = TempDir::new("transcript-resume");
-    let _store = primary(dir.path(), 40, None);
+    let _store = primary(dir.path(), 40);
     let segs = live_segments(dir.path());
     let source = ReplicationSource::start(dir.path()).unwrap();
 
     // Mid-segment: the records past the cursor, nothing before it.
     let (seg, ends) = &segs[1];
     let at = ends[ends.len() / 2];
-    let (seen, _) = transcript(&source, cursor(Some(*seg), at));
+    let seen = transcript(&source, cursor(Some(*seg), at));
     assert_eq!(seen, expected_stream(dir.path(), (*seg, at)));
 
     // The end of a sealed segment: it is announced, then its successor.
     let (seg, ends) = &segs[0];
     let at = *ends.last().unwrap();
-    let (seen, _) = transcript(&source, cursor(Some(*seg), at));
+    let seen = transcript(&source, cursor(Some(*seg), at));
     assert_eq!(seen[..2], [Seen::Segment(*seg), Seen::Segment(seg + 1)]);
     assert_eq!(seen, expected_stream(dir.path(), (*seg, at)));
 }
@@ -209,31 +169,12 @@ fn a_cursor_at_a_live_record_boundary_resumes_there() {
 #[test]
 fn a_forged_offset_inside_a_record_bootstraps_instead() {
     let dir = TempDir::new("transcript-forged");
-    let _store = primary(dir.path(), 40, None);
+    let _store = primary(dir.path(), 40);
     let segs = live_segments(dir.path());
     let source = ReplicationSource::start(dir.path()).unwrap();
     let (seg, ends) = &segs[1];
-    let (seen, _) = transcript(&source, cursor(Some(*seg), ends[0] + 3));
+    let seen = transcript(&source, cursor(Some(*seg), ends[0] + 3));
     let mut want = vec![Seen::Reset { first_segment: 0 }];
     want.extend(expected_stream(dir.path(), (0, 0)));
     assert_eq!(seen, want);
-}
-
-#[test]
-fn a_cursor_in_a_compacted_segment_bootstraps_from_the_snapshot() {
-    let dir = TempDir::new("transcript-compacted");
-    let store = primary(dir.path(), 50, Some(30));
-    let seq = store.snapshot_seq().expect("compacted");
-    let source = ReplicationSource::start(dir.path()).unwrap();
-    // Segment 0 held the first records; the snapshot deleted it.
-    assert!(!dir.path().join(segment_file_name(0)).exists());
-    let (seen, snapshot) = transcript(&source, cursor(Some(0), 8 + 8 + 10));
-    let first = seq + 1;
-    let mut want = vec![Seen::Snapshot {
-        seq,
-        first_segment: first,
-    }];
-    want.extend(expected_stream(dir.path(), (first, 0)));
-    assert_eq!(seen, want);
-    assert_eq!(snapshot.as_deref(), Some(&b"state-after-30"[..]));
 }

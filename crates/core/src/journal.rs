@@ -38,9 +38,8 @@ use freephish_fwbsim::history::Platform;
 use freephish_obs::{Counter, Histogram, MetricsSnapshot, Registry};
 use freephish_simclock::SimTime;
 use freephish_socialsim::PostId;
-use freephish_store::segment::{encode_frame_into, scan_buffer};
 use freephish_store::{
-    DecodeError, PayloadReader, PayloadWriter, RecordPos, Store, StoreObserver, StoreOptions,
+    DecodeError, PayloadReader, PayloadWriter, Recovered, Store, StoreObserver, StoreOptions,
 };
 use freephish_webgen::FwbKind;
 use std::io;
@@ -300,8 +299,6 @@ struct StoreMetrics {
     bytes_written: Arc<Counter>,
     fsyncs: Arc<Counter>,
     segments_created: Arc<Counter>,
-    snapshots: Arc<Counter>,
-    snapshot_seconds: Arc<Histogram>,
     append_seconds: Arc<Histogram>,
     fsync_seconds: Arc<Histogram>,
     recoveries: Arc<Counter>,
@@ -319,8 +316,6 @@ fn store_metrics() -> &'static StoreMetrics {
             bytes_written: registry.counter("store_bytes_written_total", &[]),
             fsyncs: registry.counter("store_fsyncs_total", &[]),
             segments_created: registry.counter("store_segments_created_total", &[]),
-            snapshots: registry.counter("store_snapshots_total", &[]),
-            snapshot_seconds: registry.histogram("store_snapshot_seconds", &[]),
             append_seconds: registry.histogram("store_append_seconds", &[]),
             fsync_seconds: registry.histogram("store_fsync_seconds", &[]),
             recoveries: registry.counter("store_recoveries_total", &[]),
@@ -332,7 +327,7 @@ fn store_metrics() -> &'static StoreMetrics {
 }
 
 /// Snapshot of the process-wide store metrics (appends, bytes, fsyncs,
-/// snapshot durations, recovery events). Merged into
+/// append and fsync durations, recovery events). Merged into
 /// [`Pipeline::metrics`].
 pub fn store_metrics_snapshot() -> MetricsSnapshot {
     store_metrics().registry.snapshot()
@@ -365,11 +360,6 @@ impl StoreObserver for ObsStoreObserver {
     fn on_segment_created(&self) {
         store_metrics().segments_created.inc();
     }
-    fn on_snapshot(&self, seconds: f64, _payload_bytes: u64) {
-        let m = store_metrics();
-        m.snapshots.inc();
-        m.snapshot_seconds.record(seconds);
-    }
     fn on_recovery(&self, _records: usize, truncated_bytes: u64, torn: bool) {
         let m = store_metrics();
         m.recoveries.inc();
@@ -389,24 +379,10 @@ pub fn obs_store_observer() -> Arc<dyn StoreObserver> {
 // RunJournal: typed event log over a Store.
 // ---------------------------------------------------------------------------
 
-/// Append-side handle to a run's event log. Keeps the full framed event
-/// history in memory so a snapshot is one buffer write; at the
-/// simulation's scale that history is megabytes.
-///
-/// A snapshot holds the whole history, so compaction does not bound the
-/// directory: snapshot plus WAL suffix stays about the size of the
-/// history. A checkpoint snapshots only once the history has at least
-/// doubled since the last snapshot (the WAL suffix is then at least as
-/// large as the snapshot), so a run of `n` history bytes writes O(log n)
-/// snapshots totalling at most `2n` bytes.
+/// Append-side handle to a run's event log. The log is the store's
+/// segments and nothing else: a reopen replays every record.
 pub struct RunJournal {
     store: Store,
-    history: Vec<u8>,
-    /// History length at the last snapshot (0 before the first).
-    snapshot_len: usize,
-    /// Payload length of every snapshot this handle wrote, in order.
-    #[cfg(test)]
-    pub(crate) snapshots_written: Vec<usize>,
 }
 
 /// What [`RunJournal::open`] recovered.
@@ -425,61 +401,34 @@ pub struct RecoveredRun {
 }
 
 impl RunJournal {
-    fn store_options() -> StoreOptions {
-        StoreOptions::default()
-    }
-
-    fn new(store: Store, history: Vec<u8>, snapshot_len: usize) -> RunJournal {
-        RunJournal {
-            store,
-            history,
-            snapshot_len,
-            #[cfg(test)]
-            snapshots_written: Vec::new(),
-        }
+    fn open_store(dir: impl AsRef<Path>) -> io::Result<(Store, Recovered)> {
+        Store::open_with(dir, StoreOptions::default(), Some(obs_store_observer()))
     }
 
     /// Start a fresh journal in `dir` (must be empty) and durably record
     /// the run's parameters.
     pub fn create(dir: impl AsRef<Path>, meta: &RunMeta) -> io::Result<RunJournal> {
-        let (store, recovered) =
-            Store::open_with(dir, Self::store_options(), Some(obs_store_observer()))?;
-        if recovered.snapshot.is_some() || !recovered.records.is_empty() {
+        let (store, recovered) = Self::open_store(dir)?;
+        if !recovered.records.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 "refusing to create a run journal over an existing one (use open)",
             ));
         }
-        let mut journal = RunJournal::new(store, Vec::new(), 0);
+        let mut journal = RunJournal { store };
         journal.append_event(&RunEvent::Meta(meta.clone()))?;
         journal.store.sync()?;
         Ok(journal)
     }
 
-    /// Reopen an existing journal: decode snapshot + WAL, drop (and
-    /// physically truncate) any partial tick after the last checkpoint,
-    /// and hand back the replayable event stream.
+    /// Reopen an existing journal: decode the WAL, drop (and physically
+    /// truncate) any partial tick after the last checkpoint, and hand back
+    /// the replayable event stream.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<(RunJournal, RecoveredRun)> {
-        let (mut store, recovered) =
-            Store::open_with(dir, Self::store_options(), Some(obs_store_observer()))?;
-
-        // Events from the snapshot carry no WAL position; events from the
-        // WAL carry theirs so truncation can cut at a record boundary.
-        let mut events: Vec<(Option<RecordPos>, RunEvent)> = Vec::new();
-        if let Some(payload) = &recovered.snapshot {
-            let (frames, torn) = scan_buffer(payload);
-            if torn.is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "snapshot payload framing is corrupt",
-                ));
-            }
-            for frame in frames {
-                events.push((None, decode_event(&frame)?));
-            }
-        }
+        let (mut store, recovered) = Self::open_store(dir)?;
+        let mut events = Vec::with_capacity(recovered.records.len());
         for (pos, payload) in &recovered.records {
-            events.push((Some(*pos), decode_event(payload)?));
+            events.push((*pos, decode_event(payload)?));
         }
 
         let meta = match events.first() {
@@ -492,16 +441,16 @@ impl RunJournal {
             }
         };
 
-        // Keep everything up to the last checkpoint; a partial tick after
-        // it is dropped and truncated so resumption re-runs that tick.
-        let last_checkpoint_idx = events
+        // Keep everything up to the last checkpoint (the meta record when
+        // no tick completed); a partial tick after it is dropped and
+        // truncated so resumption re-runs that tick.
+        let keep = events
             .iter()
-            .rposition(|(_, ev)| matches!(ev, RunEvent::Checkpoint(_)));
-        let keep = last_checkpoint_idx.map_or(1, |i| i + 1);
+            .rposition(|(_, ev)| matches!(ev, RunEvent::Checkpoint(_)))
+            .map_or(1, |i| i + 1);
         let dropped_events = events.len() - keep;
-        let cut_pos = events[..keep].iter().rev().find_map(|(pos, _)| *pos);
         if dropped_events > 0 {
-            store.truncate_after(cut_pos)?;
+            store.truncate_after(events[keep - 1].0)?;
             freephish_obs::warn(
                 "journal",
                 format!("dropped {dropped_events} events from a partially journaled tick"),
@@ -513,17 +462,6 @@ impl RunJournal {
             RunEvent::Checkpoint(c) => Some(*c),
             _ => None,
         });
-
-        // Rebuild the in-memory history from the kept events.
-        let mut history = Vec::new();
-        for (_, ev) in &events {
-            encode_frame_into(&mut history, &encode_event(ev));
-        }
-
-        // The doubling rule resumes from the snapshot recovery found, so a
-        // reopened run keeps the same bound.
-        let snapshot_len = recovered.snapshot.as_ref().map_or(0, Vec::len);
-        let journal = RunJournal::new(store, history, snapshot_len);
         let recovered_run = RecoveredRun {
             meta,
             events: events.into_iter().skip(1).map(|(_, ev)| ev).collect(),
@@ -531,14 +469,11 @@ impl RunJournal {
             dropped_events,
             torn_tail: recovered.torn_tail,
         };
-        Ok((journal, recovered_run))
+        Ok((RunJournal { store }, recovered_run))
     }
 
     fn append_event(&mut self, ev: &RunEvent) -> io::Result<()> {
-        let payload = encode_event(ev);
-        self.store.append(&payload)?;
-        encode_frame_into(&mut self.history, &payload);
-        Ok(())
+        self.store.append(&encode_event(ev))
     }
 
     /// Journal a detection.
@@ -552,18 +487,10 @@ impl RunJournal {
     }
 
     /// Journal the end of a tick and make it durable (this is the fsync
-    /// point — one per tick). Once the history has at least doubled since
-    /// the last snapshot, it is snapshotted and the WAL compacted.
+    /// point — one per tick).
     pub fn checkpoint(&mut self, ev: CheckpointEvent) -> io::Result<()> {
         self.append_event(&RunEvent::Checkpoint(ev))?;
-        self.store.sync()?;
-        if self.history.len() >= 2 * self.snapshot_len {
-            self.store.snapshot(&self.history)?;
-            self.snapshot_len = self.history.len();
-            #[cfg(test)]
-            self.snapshots_written.push(self.snapshot_len);
-        }
-        Ok(())
+        self.store.sync()
     }
 
     /// Flush and fsync without checkpointing (shutdown path).
@@ -882,108 +809,5 @@ mod tests {
         let (_, rec2) = RunJournal::open(dir.path()).unwrap();
         assert_eq!(rec2.dropped_events, 0);
         assert_eq!(rec2.events.len(), 2);
-    }
-
-    #[test]
-    fn journal_survives_snapshot_compaction() {
-        let dir = TempDir::new("journal-snap");
-        let meta = RunMeta {
-            seed: 2,
-            days: 1,
-            scale: 0.01,
-            benign_fraction: 0.0,
-            threshold: 0.5,
-            end_secs: 86_400,
-        };
-        let ticks = 10u64;
-        {
-            let mut j = RunJournal::create(dir.path(), &meta).unwrap();
-            for t in 1..=ticks {
-                j.append_verdict(VerdictEvent {
-                    url: format!("https://s{t}.weebly.com/"),
-                    fwb: FwbKind::Weebly,
-                    platform: Platform::Twitter,
-                    post: t,
-                    observed_at_secs: t * 600,
-                    score: 0.75,
-                })
-                .unwrap();
-                j.checkpoint(CheckpointEvent {
-                    tick_secs: t * 600,
-                    scanned: t,
-                    observed: t,
-                    detections_total: t,
-                })
-                .unwrap();
-            }
-            assert!(!j.snapshots_written.is_empty(), "no compaction happened");
-        }
-        let (_, rec) = RunJournal::open(dir.path()).unwrap();
-        assert_eq!(rec.dropped_events, 0);
-        assert_eq!(rec.last_checkpoint.unwrap().tick_secs, ticks * 600);
-        let verdicts = rec
-            .events
-            .iter()
-            .filter(|e| matches!(e, RunEvent::Verdict(_)))
-            .count();
-        assert_eq!(verdicts as u64, ticks);
-    }
-
-    #[test]
-    fn compaction_writes_logarithmically_many_snapshots() {
-        let dir = TempDir::new("journal-doubling");
-        let meta = RunMeta {
-            seed: 3,
-            days: 30,
-            scale: 0.01,
-            benign_fraction: 0.0,
-            threshold: 0.5,
-            end_secs: 30 * 86_400,
-        };
-        let tick = |j: &mut RunJournal, t: u64| {
-            j.append_verdict(VerdictEvent {
-                url: format!("https://d{t}.weebly.com/"),
-                fwb: FwbKind::Weebly,
-                platform: Platform::Facebook,
-                post: t,
-                observed_at_secs: t * 600,
-                score: 0.6,
-            })
-            .unwrap();
-            j.checkpoint(CheckpointEvent {
-                tick_secs: t * 600,
-                scanned: t,
-                observed: t,
-                detections_total: t,
-            })
-            .unwrap();
-        };
-        // 2,400 checkpoints, with a reopen part-way: the resumed handle
-        // must pick up the doubling rule from the snapshot on disk.
-        let mut sizes = {
-            let mut j = RunJournal::create(dir.path(), &meta).unwrap();
-            for t in 1..=1_500 {
-                tick(&mut j, t);
-            }
-            j.snapshots_written.clone()
-        };
-        let (mut j, _) = RunJournal::open(dir.path()).unwrap();
-        for t in 1_501..=2_400 {
-            tick(&mut j, t);
-        }
-        sizes.extend_from_slice(&j.snapshots_written);
-
-        let history = j.history.len();
-        assert!(!sizes.is_empty(), "no compaction happened");
-        let ceil_log2 = history.next_power_of_two().trailing_zeros() as usize;
-        assert!(
-            sizes.len() <= ceil_log2 + 1,
-            "{} snapshots for a {history}-byte history",
-            sizes.len()
-        );
-        assert!(sizes.iter().sum::<usize>() <= 2 * history, "{sizes:?}");
-        for pair in sizes.windows(2) {
-            assert!(pair[1] >= 2 * pair[0], "{sizes:?}");
-        }
     }
 }

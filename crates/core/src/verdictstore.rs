@@ -22,10 +22,9 @@
 //!   follower): the node holds no store and refuses additions.
 //!
 //! Either way an addition is append + fsync before `OK`, then a publish
-//! into the delta for read-your-writes. Redelivery — the tail follower
-//! re-reading history after a compaction, or an owner's tail re-reading
-//! its own appends — is harmless: applying a verdict twice is an
-//! idempotent map insert.
+//! into the delta for read-your-writes. An owner's tail re-reading its
+//! own appends is harmless: applying a verdict twice is an idempotent map
+//! insert.
 //!
 //! At million-entry scale the node accepts a *baked baseline*
 //! (`freephish-mapidx`, see [`bake_index`]): an immutable mmap-loadable
@@ -40,7 +39,6 @@ use crate::journal::{decode_event, encode_event, obs_store_observer, AddEvent, R
 use freephish_mapidx::{bake_journal, BakeSummary, SnapshotIndex};
 use freephish_obs::sync::lock;
 use freephish_serve::{IndexPublisher, OverlayIndex, PayloadDecoder, ShardedIndex};
-use freephish_store::segment::scan_buffer;
 use freephish_store::{Recovered, Store, StoreOptions, TailCursor, TailFollower};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -67,35 +65,17 @@ pub enum WriteRole {
 
 /// Every `(url, score)` a recovered sidecar store holds, in order.
 fn replay_adds(recovered: &Recovered) -> io::Result<Vec<(String, f64)>> {
-    let mut entries = Vec::new();
-    let mut apply = |payload: &[u8]| -> io::Result<()> {
-        match decode_event(payload)? {
-            RunEvent::Add(a) => {
-                entries.push((a.url, a.score));
-                Ok(())
-            }
+    recovered
+        .records
+        .iter()
+        .map(|(_, payload)| match decode_event(payload)? {
+            RunEvent::Add(a) => Ok((a.url, a.score)),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "sidecar store holds a non-ADD record",
             )),
-        }
-    };
-    if let Some(snapshot) = &recovered.snapshot {
-        let (frames, torn) = scan_buffer(snapshot);
-        if torn.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "sidecar snapshot framing is corrupt",
-            ));
-        }
-        for frame in frames {
-            apply(&frame)?;
-        }
-    }
-    for (_, payload) in &recovered.records {
-        apply(payload)?;
-    }
-    Ok(entries)
+        })
+        .collect()
 }
 
 /// Decode one run-journal payload into an optional `(url, score)` entry:
@@ -385,31 +365,6 @@ mod tests {
         tick(&mut journal, 2);
         assert_eq!(publisher.poll().unwrap(), 1);
         assert!(checker.check("https://v2.weebly.com/").is_phishing());
-    }
-
-    #[test]
-    fn survives_journal_compaction_via_snapshot_redelivery() {
-        let dir = TempDir::new("storechecker-compact");
-        let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();
-        let checker = EventedStoreChecker::open(dir.path()).unwrap();
-        let mut publisher = checker.publisher();
-        for t in 1..=6u64 {
-            tick(&mut journal, t);
-            // Poll on every tick so the follower crosses compactions.
-            publisher.poll().unwrap();
-        }
-        assert!(
-            !journal.snapshots_written.is_empty(),
-            "no compaction happened"
-        );
-        for t in 1..=6u64 {
-            assert!(
-                checker
-                    .check(&format!("https://v{t}.weebly.com/"))
-                    .is_phishing(),
-                "verdict {t} lost across compaction"
-            );
-        }
     }
 
     #[test]

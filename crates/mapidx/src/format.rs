@@ -6,13 +6,13 @@
 //! ```text
 //! [header: 88 bytes]
 //!   0  magic           u64   "FPMAPIDX"
-//!   8  version         u32   = 1
+//!   8  version         u32   = 2
 //!  12  reserved        u32   = 0
 //!  16  entry_count     u64
 //!  24  bucket_count    u64   >= 1
 //!  32  keyheap_len     u64
-//!  40  bake_snapshot_seq u32  (u32::MAX = none)
-//!  44  bake_segment    u32   (u32::MAX = none)
+//!  40  reserved1       u32   = 0
+//!  44  bake_segment    u32
 //!  48  bake_offset     u64   (u64::MAX = no cursor recorded)
 //!  56  body_sum        u64   checksum over records ∥ keyheap ∥ buckets
 //!  64  total_len       u64   whole-file length
@@ -36,6 +36,9 @@
 //! index stays inside the millisecond restart budget. Neither is
 //! cryptographic — the threat model is torn writes and bit rot, the same
 //! one the WAL's CRC32 answers.
+//!
+//! A version-1 file's cursor also named a store snapshot, which stores no
+//! longer write; the loader refuses it with [`IndexError::BadVersion`].
 
 use freephish_store::crc32;
 use freephish_store::tail::TailCursor;
@@ -43,7 +46,7 @@ use freephish_store::tail::TailCursor;
 /// File magic, "FPMAPIDX" read as a little-endian u64.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"FPMAPIDX");
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 88;
 /// Fixed record width in bytes.
@@ -51,8 +54,6 @@ pub const RECORD_LEN: usize = 24;
 /// Width of one bucket-table offset.
 pub const BUCKET_ENTRY_LEN: usize = 4;
 
-/// Sentinel meaning "no value" in the header's u32 cursor fields.
-pub const NONE_U32: u32 = u32::MAX;
 /// Sentinel meaning "no cursor recorded" in `bake_offset`.
 pub const NONE_U64: u64 = u64::MAX;
 
@@ -261,15 +262,7 @@ impl Header {
         out[16..24].copy_from_slice(&self.entry_count.to_le_bytes());
         out[24..32].copy_from_slice(&self.bucket_count.to_le_bytes());
         out[32..40].copy_from_slice(&self.keyheap_len.to_le_bytes());
-        let (snap, seg, off) = match &self.cursor {
-            Some(c) => (
-                c.snapshot_seq.unwrap_or(NONE_U32),
-                c.segment.unwrap_or(NONE_U32),
-                c.offset,
-            ),
-            None => (NONE_U32, NONE_U32, NONE_U64),
-        };
-        out[40..44].copy_from_slice(&snap.to_le_bytes());
+        let (seg, off) = self.cursor.map_or((0, NONE_U64), |c| (c.segment, c.offset));
         out[44..48].copy_from_slice(&seg.to_le_bytes());
         out[48..56].copy_from_slice(&off.to_le_bytes());
         out[56..64].copy_from_slice(&self.body_sum.to_le_bytes());
@@ -308,16 +301,10 @@ impl Header {
             return Err(IndexError::Malformed("nonzero header padding"));
         }
         let offset = u64_at(48);
-        let cursor = if offset == NONE_U64 {
-            None
-        } else {
-            let opt32 = |v: u32| (v != NONE_U32).then_some(v);
-            Some(TailCursor {
-                snapshot_seq: opt32(u32_at(40)),
-                segment: opt32(u32_at(44)),
-                offset,
-            })
-        };
+        let cursor = (offset != NONE_U64).then(|| TailCursor {
+            segment: u32_at(44),
+            offset,
+        });
         let header = Header {
             entry_count: u64_at(16),
             bucket_count: u64_at(24),
@@ -348,14 +335,12 @@ mod tests {
         for cursor in [
             None,
             Some(TailCursor {
-                snapshot_seq: Some(3),
-                segment: Some(7),
+                segment: 7,
                 offset: 4096,
             }),
             Some(TailCursor {
-                snapshot_seq: None,
-                segment: None,
-                offset: 16,
+                segment: 0,
+                offset: 8,
             }),
         ] {
             let h = Header {
@@ -369,6 +354,26 @@ mod tests {
             let bytes = h.encode();
             assert_eq!(Header::decode(&bytes).unwrap(), h);
         }
+    }
+
+    #[test]
+    fn a_version_1_header_is_refused() {
+        let h = Header {
+            entry_count: 1,
+            bucket_count: 1,
+            keyheap_len: 4,
+            cursor: None,
+            body_sum: 0,
+            total_len: 124,
+        };
+        let mut bytes = h.encode();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bytes[..80]);
+        bytes[80..84].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            Header::decode(&bytes),
+            Err(IndexError::BadVersion(1))
+        ));
     }
 
     #[test]

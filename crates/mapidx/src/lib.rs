@@ -231,7 +231,6 @@ mod tests {
         let store_dir = dir.path().join("journal");
         let opts = StoreOptions {
             segment_max_bytes: 256,
-            sync_every_append: false,
         };
         let (mut store, _) = Store::open_with(&store_dir, opts, None).unwrap();
         // Payloads are "url score" text; decoder splits them.
@@ -260,7 +259,7 @@ mod tests {
         store.flush().unwrap();
         let mut follower = TailFollower::resume(&store_dir, cursor);
         let batch = follower.poll().unwrap();
-        assert!(batch.snapshot.is_none(), "no snapshot redelivery on resume");
+        assert!(batch.start.is_none(), "resume does not start over");
         let payloads: Vec<_> = batch.records.into_iter().map(|(_, p)| p).collect();
         assert_eq!(payloads, vec![b"https://after.weebly.com/ 0.99".to_vec()]);
     }

@@ -26,7 +26,6 @@
 //! plus 48 MB (176 MB at 10M entries).
 
 use crate::format::{bucket_of, key_hash, BodySum, Header, HEADER_LEN, RECORD_LEN};
-use freephish_store::segment::scan_buffer;
 use freephish_store::tail::TailCursor;
 use freephish_store::TailFollower;
 use std::fs::File;
@@ -418,20 +417,6 @@ where
             let batch = follower.poll()?;
             if batch.is_empty() {
                 break;
-            }
-            if let Some(snapshot) = &batch.snapshot {
-                let (frames, torn) = scan_buffer(snapshot);
-                if torn.is_some() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "journal snapshot framing is corrupt",
-                    ));
-                }
-                for frame in frames {
-                    if let Some((url, score)) = decode(&frame)? {
-                        writer.add(&url, score)?;
-                    }
-                }
             }
             for (_, payload) in &batch.records {
                 if let Some((url, score)) = decode(payload)? {

@@ -32,7 +32,6 @@
 
 use crate::verdict::{UrlChecker, Verdict};
 use freephish_obs::sync::{lock, read, write};
-use freephish_store::segment::scan_buffer;
 use freephish_store::TailFollower;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -377,26 +376,12 @@ impl IndexPublisher {
     }
 
     /// Ingest everything journaled since the last poll and publish it as
-    /// one new generation. Returns the number of entries published.
-    /// Snapshot redelivery after compaction is harmless: publishing an
-    /// entry twice is an idempotent overwrite.
+    /// one new generation. Returns the number of entries published. A
+    /// redelivery (the follower starting over after its segment vanished)
+    /// is harmless: publishing an entry twice is an idempotent overwrite.
     pub fn poll(&mut self) -> io::Result<usize> {
         let batch = self.follower.poll()?;
         let mut entries = Vec::new();
-        if let Some(snapshot) = &batch.snapshot {
-            let (frames, torn) = scan_buffer(snapshot);
-            if torn.is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal snapshot framing is corrupt",
-                ));
-            }
-            for frame in frames {
-                if let Some(entry) = (self.decode)(&frame)? {
-                    entries.push(entry);
-                }
-            }
-        }
         for (_, payload) in &batch.records {
             if let Some(entry) = (self.decode)(payload)? {
                 entries.push(entry);

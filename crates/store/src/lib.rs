@@ -1,8 +1,7 @@
 //! # freephish-store
 //!
-//! A crash-recoverable write-ahead log + snapshot engine, the durability
-//! layer under resumable pipeline runs and the live-updatable verdict
-//! service.
+//! A crash-recoverable write-ahead log, the durability layer under
+//! resumable pipeline runs and the live-updatable verdict service.
 //!
 //! The measurement the paper describes is longitudinal — FreePhish-style
 //! monitoring runs for months, and losing weeks of observations to one
@@ -10,16 +9,13 @@
 //! contract the rest of the workspace builds on:
 //!
 //! * **Segmented WAL** ([`segment`]): append-only `wal-<index>.log` files
-//!   of length-prefixed, CRC32-checksummed records.
-//! * **Snapshots + compaction** ([`snapshot`], [`Store::snapshot`]): a
-//!   durable point-in-time image lets the store delete every segment the
-//!   image covers, bounding replay time and disk use.
+//!   of length-prefixed, CRC32-checksummed records. A store directory is
+//!   its segments and nothing else.
 //! * **Recovery** ([`Store::open`], or [`recover`] without a writer):
-//!   replay the newest valid snapshot, then the WAL suffix, truncating at
-//!   the first defect. Corruption is *truncated*, never propagated: the
-//!   recovered state is always a valid prefix of what was appended (the
-//!   crash model is tail damage — a torn final write — plus arbitrary bit
-//!   rot, which the checksums catch).
+//!   replay every segment, truncating at the first defect. Corruption is
+//!   *truncated*, never propagated: the recovered state is always a valid
+//!   prefix of what was appended (the crash model is tail damage — a torn
+//!   final write — plus arbitrary bit rot, which the checksums catch).
 //! * **Tailing** ([`TailFollower`]): read-only incremental consumption of
 //!   a directory another process is writing, used by the verdict service
 //!   to hot-reload as the pipeline appends verdicts and by replication to
@@ -31,9 +27,8 @@
 //! The crate is deliberately std-only — no dependencies, not even on the
 //! rest of the workspace — so the durability layer stays small enough to
 //! audit and test exhaustively (the CRC32 lives in [`crc32`]). Its
-//! truncation, bit-flip and snapshot-cycle properties are an integration
-//! suite on `freephish-simclock`'s property runner, the crate's only
-//! dev-dependency.
+//! truncation and bit-flip properties are an integration suite on
+//! `freephish-simclock`'s property runner, the crate's only dev-dependency.
 //!
 //! Typed record encoding for pipeline events lives with the consumers
 //! (`freephish-core`); this crate moves opaque byte payloads and offers
@@ -42,7 +37,6 @@
 pub mod codec;
 pub mod crc32;
 pub mod segment;
-pub mod snapshot;
 pub mod store;
 pub mod tail;
 #[doc(hidden)]
@@ -52,6 +46,7 @@ pub use codec::{DecodeError, PayloadReader, PayloadWriter};
 pub use crc32::{crc32, crc32_update};
 pub use segment::Torn;
 pub use store::{
-    list_indexed, recover, RecordPos, Recovered, Recovery, Store, StoreObserver, StoreOptions,
+    fsync_dir, list_segments, recover, RecordPos, Recovered, Recovery, Store, StoreObserver,
+    StoreOptions,
 };
 pub use tail::{TailBatch, TailCursor, TailFollower, TailStart};

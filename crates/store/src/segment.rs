@@ -99,8 +99,7 @@ pub struct SegmentScan {
 
 /// Decode the frame at the start of `bytes`: its payload and the frame's
 /// whole length. This is the one check every reader applies to a frame —
-/// segment and snapshot scans, tail polls, and a replica verifying a
-/// shipped record.
+/// segment scans, tail polls, and a replica verifying a shipped record.
 pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), Torn> {
     let header = bytes
         .get(..FRAME_OVERHEAD as usize)
@@ -122,8 +121,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), Torn> {
 
 /// Decode frames from `bytes` starting at `offset`, up to the first
 /// defect. Returns the records, the offset just past the last good one,
-/// and the defect, if any. Shared by segment and snapshot scanning and
-/// by tail polls.
+/// and the defect, if any. Shared by segment scans and tail polls.
 pub(crate) fn scan_frames(
     bytes: &[u8],
     mut offset: usize,
@@ -186,13 +184,6 @@ pub fn scan_segment(path: &Path) -> std::io::Result<SegmentScan> {
         file_len,
         header_ok,
     })
-}
-
-/// Decode frames from an in-memory buffer (snapshot payloads reuse the
-/// record framing to carry many events in one file).
-pub fn scan_buffer(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<Torn>) {
-    let (records, _, torn) = scan_frames(bytes, 0);
-    (records.into_iter().map(|r| r.payload).collect(), torn)
 }
 
 /// Buffered appender for the active segment. Appends accumulate in memory
@@ -302,7 +293,7 @@ mod tests {
     fn names_round_trip() {
         assert_eq!(segment_file_name(7), "wal-0000000007.log");
         assert_eq!(parse_segment_name("wal-0000000007.log"), Some(7));
-        assert_eq!(parse_segment_name("snap-0000000007.snap"), None);
+        assert_eq!(parse_segment_name("wal-0000000007.log.tmp"), None);
         assert_eq!(parse_segment_name("wal-x.log"), None);
     }
 

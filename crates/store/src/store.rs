@@ -1,6 +1,5 @@
-//! The store: a segmented write-ahead log plus snapshot compaction, with
-//! crash recovery that replays the last valid snapshot and the WAL suffix,
-//! truncating — never propagating — a torn tail.
+//! The store: a segmented write-ahead log with crash recovery that
+//! replays every segment, truncating — never propagating — a torn tail.
 //!
 //! ## Durability model
 //!
@@ -9,23 +8,18 @@
 //!   atomic-enough unit (the pipeline syncs once per tick, at the
 //!   checkpoint record) and the recovery contract is "some prefix of
 //!   synced records, truncated at the first defect".
-//! * [`Store::snapshot`] seals every segment written so far under one
-//!   durable snapshot file (write-tmp → fsync → rename → fsync dir), then
-//!   deletes the covered segments. A crash at any point leaves either the
-//!   old snapshot + old segments or the new snapshot; recovery completes
-//!   an interrupted compaction by purging segments the snapshot covers.
 //! * [`Store::open`] scans segments in index order. At the first invalid
 //!   frame it truncates that segment to its last good record and deletes
 //!   any later segment, so the recovered state is always a valid prefix
 //!   of what was appended.
+//! * A store directory is its segments and nothing else. A directory that
+//!   still holds a `snap-*.snap` file (written by an older version, which
+//!   deleted the segments that file covered) is refused, never read as a
+//!   partial history.
 
-use crate::segment::{
-    parse_segment_name, scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
-};
-use crate::snapshot::{
-    fsync_dir, load_snapshot, parse_snapshot_name, snapshot_file_name, write_snapshot,
-};
-use std::fs::OpenOptions;
+use crate::segment::{parse_segment_name, scan_segment, segment_file_name, SegmentWriter};
+use std::fs::{File, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,10 +49,6 @@ pub trait StoreObserver: Send + Sync {
     }
     /// A new segment file was created.
     fn on_segment_created(&self) {}
-    /// A snapshot completed, taking `seconds` and writing `payload_bytes`.
-    fn on_snapshot(&self, seconds: f64, payload_bytes: u64) {
-        let _ = (seconds, payload_bytes);
-    }
     /// A recovery ran: `records` replayed, `truncated_bytes` dropped,
     /// `torn` whether a defective tail was found.
     fn on_recovery(&self, records: usize, truncated_bytes: u64, torn: bool) {
@@ -71,16 +61,12 @@ pub trait StoreObserver: Send + Sync {
 pub struct StoreOptions {
     /// Rotate the active segment once it reaches this size.
     pub segment_max_bytes: u64,
-    /// Fdatasync after every append (slow; for tests and paranoid
-    /// callers). The default policy is explicit [`Store::sync`] calls.
-    pub sync_every_append: bool,
 }
 
 impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             segment_max_bytes: 4 << 20,
-            sync_every_append: false,
         }
     }
 }
@@ -98,9 +84,7 @@ pub struct RecordPos {
 /// What recovery found.
 #[derive(Debug)]
 pub struct Recovered {
-    /// Payload of the latest valid snapshot, if any.
-    pub snapshot: Option<Vec<u8>>,
-    /// WAL records after that snapshot, in append order, with positions.
+    /// Every WAL record, in append order, with positions.
     pub records: Vec<(RecordPos, Vec<u8>)>,
     /// Whether a torn/corrupt tail was found (and truncated).
     pub torn_tail: bool,
@@ -109,26 +93,41 @@ pub struct Recovered {
     pub truncated_bytes: u64,
 }
 
-/// The WAL + snapshot store. Single writer per directory; any number of
+/// The WAL store. Single writer per directory; any number of
 /// [`crate::TailFollower`]s may read concurrently.
 pub struct Store {
     dir: PathBuf,
     opts: StoreOptions,
     writer: SegmentWriter,
-    snapshot_seq: Option<u32>,
     observer: Option<Arc<dyn StoreObserver>>,
 }
 
-/// The indices of the files in `dir` whose names `parse` accepts
-/// ([`crate::segment::parse_segment_name`] or
-/// [`crate::snapshot::parse_snapshot_name`]), sorted.
-pub fn list_indexed(dir: &Path, parse: fn(&str) -> Option<u32>) -> std::io::Result<Vec<u32>> {
+/// Fsync a directory so renames/unlinks within it are durable.
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// The indices of the segment files in `dir`, sorted. A `snap-*.snap`
+/// file left by an older version is an `InvalidData` error naming it:
+/// that version deleted the segments the file covered, so the segments
+/// alone are not the directory's history.
+pub fn list_segments(dir: &Path) -> io::Result<Vec<u32>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        if let Some(idx) = name.to_str().and_then(parse) {
+        let Some(name) = name.to_str() else { continue };
+        if let Some(idx) = parse_segment_name(name) {
             out.push(idx);
+        } else if name.starts_with("snap-") && name.ends_with(".snap") {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: a store snapshot from an older version; the segments it \
+                     covered are gone, so this directory is not a readable history",
+                    entry.path().display()
+                ),
+            ));
         }
     }
     out.sort_unstable();
@@ -139,10 +138,6 @@ pub fn list_indexed(dir: &Path, parse: fn(&str) -> Option<u32>) -> std::io::Resu
 /// handed over.
 #[derive(Debug)]
 pub struct Recovery {
-    /// Covered index of the latest valid snapshot, if any.
-    pub snapshot_seq: Option<u32>,
-    /// That snapshot's payload.
-    pub snapshot: Option<Vec<u8>>,
     /// End of the last surviving segment — where appending resumes — or
     /// `None` when no segment survived.
     pub tail: Option<RecordPos>,
@@ -153,54 +148,14 @@ pub struct Recovery {
     pub truncated_bytes: u64,
 }
 
-/// The recovery scan [`Store::open`] runs, without opening a writer: load
-/// the newest valid snapshot (removing invalid ones), delete the segments
-/// it covers, then scan the rest in index order, truncating the first
-/// defective tail and deleting every segment after it. Each surviving
-/// record goes to `on_record` in append order, so the scan holds one
-/// segment's payloads at a time. Afterwards the directory is a valid
-/// prefix of what was appended, durably.
-pub fn recover(
-    dir: &Path,
-    mut on_record: impl FnMut(RecordPos, Vec<u8>),
-) -> std::io::Result<Recovery> {
-    // Clear leftovers from an interrupted snapshot write.
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if entry.file_name().to_string_lossy().ends_with(".tmp") {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-
-    // Latest valid snapshot wins; invalid ones are removed (their
-    // covered segments still exist — compaction deletes segments only
-    // after the snapshot is durable).
-    let mut removed = false;
-    let mut snapshot_seq = None;
-    let mut snapshot = None;
-    for seq in list_indexed(dir, parse_snapshot_name)?.into_iter().rev() {
-        let path = dir.join(snapshot_file_name(seq));
-        match load_snapshot(&path, seq)? {
-            Some(payload) => {
-                snapshot_seq = Some(seq);
-                snapshot = Some(payload);
-                break;
-            }
-            None => removed |= std::fs::remove_file(&path).is_ok(),
-        }
-    }
-
-    // Complete any interrupted compaction: segments the snapshot
-    // covers are dead.
-    let mut segments = list_indexed(dir, parse_segment_name)?;
-    if let Some(seq) = snapshot_seq {
-        for &idx in segments.iter().filter(|&&i| i <= seq) {
-            removed |= std::fs::remove_file(dir.join(segment_file_name(idx))).is_ok();
-        }
-        segments.retain(|&i| i > seq);
-    }
-
-    // Replay the WAL suffix, stopping at the first defect.
+/// The recovery scan [`Store::open`] runs, without opening a writer: scan
+/// the segments in index order, truncating the first defective tail and
+/// deleting every segment after it. Each surviving record goes to
+/// `on_record` in append order, so the scan holds one segment's payloads
+/// at a time. Afterwards the directory is a valid prefix of what was
+/// appended, durably.
+pub fn recover(dir: &Path, mut on_record: impl FnMut(RecordPos, Vec<u8>)) -> io::Result<Recovery> {
+    let segments = list_segments(dir)?;
     let mut torn_tail = false;
     let mut truncated_bytes = 0u64;
     let mut tail = None;
@@ -243,17 +198,13 @@ pub fn recover(
             }
             let _ = std::fs::remove_file(&path);
         }
-        removed = true;
+        // Deleted files must stay deleted: a later segment that
+        // reappeared after a crash would replay records past the
+        // truncation point.
+        fsync_dir(dir)?;
         break;
     }
-    // Deleted files must stay deleted: a later segment that reappeared
-    // after a crash would replay records past the truncation point.
-    if removed {
-        fsync_dir(dir)?;
-    }
     Ok(Recovery {
-        snapshot_seq,
-        snapshot,
         tail,
         torn_tail,
         truncated_bytes,
@@ -262,7 +213,7 @@ pub fn recover(
 
 impl Store {
     /// Open (or create) the store in `dir` with default options.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<(Store, Recovered)> {
+    pub fn open(dir: impl AsRef<Path>) -> io::Result<(Store, Recovered)> {
         Store::open_with(dir, StoreOptions::default(), None)
     }
 
@@ -271,7 +222,7 @@ impl Store {
         dir: impl AsRef<Path>,
         opts: StoreOptions,
         observer: Option<Arc<dyn StoreObserver>>,
-    ) -> std::io::Result<(Store, Recovered)> {
+    ) -> io::Result<(Store, Recovered)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let mut records = Vec::new();
@@ -281,8 +232,7 @@ impl Store {
         let writer = match found.tail {
             Some(tail) => SegmentWriter::open_append(&dir, tail.segment, tail.end_offset)?,
             None => {
-                let first = found.snapshot_seq.map_or(0, |s| s + 1);
-                let w = SegmentWriter::create(&dir, first)?;
+                let w = SegmentWriter::create(&dir, 0)?;
                 fsync_dir(&dir)?;
                 w
             }
@@ -292,7 +242,6 @@ impl Store {
             obs.on_recovery(records.len(), found.truncated_bytes, found.torn_tail);
         }
         let recovered = Recovered {
-            snapshot: found.snapshot,
             records,
             torn_tail: found.torn_tail,
             truncated_bytes: found.truncated_bytes,
@@ -302,7 +251,6 @@ impl Store {
                 dir,
                 opts,
                 writer,
-                snapshot_seq: found.snapshot_seq,
                 observer,
             },
             recovered,
@@ -310,7 +258,7 @@ impl Store {
     }
 
     /// Append one record (buffered; durable only after [`Store::sync`]).
-    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         if self.writer.len() >= self.opts.segment_max_bytes {
             self.rotate()?;
         }
@@ -319,20 +267,17 @@ impl Store {
         if let Some(obs) = &self.observer {
             obs.on_append_timed(framed, t0.elapsed().as_secs_f64());
         }
-        if self.opts.sync_every_append {
-            self.sync()?;
-        }
         Ok(())
     }
 
     /// Write buffered records to the file without fsync (makes them
     /// visible to tail followers).
-    pub fn flush(&mut self) -> std::io::Result<()> {
+    pub fn flush(&mut self) -> io::Result<()> {
         self.writer.flush()
     }
 
     /// Flush and fdatasync the active segment.
-    pub fn sync(&mut self) -> std::io::Result<()> {
+    pub fn sync(&mut self) -> io::Result<()> {
         let t0 = Instant::now();
         self.writer.sync()?;
         if let Some(obs) = &self.observer {
@@ -341,7 +286,7 @@ impl Store {
         Ok(())
     }
 
-    fn rotate(&mut self) -> std::io::Result<()> {
+    fn rotate(&mut self) -> io::Result<()> {
         let t0 = Instant::now();
         self.writer.sync()?;
         if let Some(obs) = &self.observer {
@@ -356,67 +301,22 @@ impl Store {
         Ok(())
     }
 
-    /// Seal everything appended so far under `payload` (the consumer's
-    /// serialized state), then delete the covered segments and any older
-    /// snapshot. After this, recovery loads `payload` and replays only
-    /// records appended after this call.
-    pub fn snapshot(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        let start = Instant::now();
-        let covered = self.writer.index();
-        self.writer.sync()?;
-        self.writer = SegmentWriter::create(&self.dir, covered + 1)?;
-        fsync_dir(&self.dir)?;
-        if let Some(obs) = &self.observer {
-            obs.on_fsync();
-            obs.on_segment_created();
-        }
-        write_snapshot(&self.dir, covered, payload)?;
-        // The snapshot is durable: everything it covers can go.
-        for idx in list_indexed(&self.dir, parse_segment_name)? {
-            if idx <= covered {
-                let _ = std::fs::remove_file(self.dir.join(segment_file_name(idx)));
-            }
-        }
-        for seq in list_indexed(&self.dir, parse_snapshot_name)? {
-            if seq < covered {
-                let _ = std::fs::remove_file(self.dir.join(snapshot_file_name(seq)));
-            }
-        }
-        fsync_dir(&self.dir)?;
-        self.snapshot_seq = Some(covered);
-        if let Some(obs) = &self.observer {
-            obs.on_snapshot(start.elapsed().as_secs_f64(), payload.len() as u64);
-        }
-        Ok(())
-    }
-
-    /// Drop every WAL record after `pos` (from [`Recovered::records`]);
-    /// with `None`, drop the entire WAL suffix, keeping only the snapshot.
+    /// Drop every WAL record after `pos` (from [`Recovered::records`]).
     /// Used by consumers whose logical unit spans several records (the run
     /// journal truncates to its last checkpoint).
-    pub fn truncate_after(&mut self, pos: Option<RecordPos>) -> std::io::Result<()> {
-        let (keep_segment, keep_len) = match pos {
-            Some(p) => (p.segment, p.end_offset),
-            None => {
-                let first = self.snapshot_seq.map_or(0, |s| s + 1);
-                (first, SEGMENT_HEADER_LEN)
-            }
-        };
+    pub fn truncate_after(&mut self, pos: RecordPos) -> io::Result<()> {
         self.writer.flush()?;
-        for idx in list_indexed(&self.dir, parse_segment_name)? {
-            if idx > keep_segment {
+        for idx in list_segments(&self.dir)? {
+            if idx > pos.segment {
                 let _ = std::fs::remove_file(self.dir.join(segment_file_name(idx)));
             }
         }
-        let keep_path = self.dir.join(segment_file_name(keep_segment));
-        if keep_path.exists() {
-            let f = OpenOptions::new().write(true).open(&keep_path)?;
-            f.set_len(keep_len)?;
-            f.sync_data()?;
-            self.writer = SegmentWriter::open_append(&self.dir, keep_segment, keep_len)?;
-        } else {
-            self.writer = SegmentWriter::create(&self.dir, keep_segment)?;
-        }
+        let f = OpenOptions::new()
+            .write(true)
+            .open(self.dir.join(segment_file_name(pos.segment)))?;
+        f.set_len(pos.end_offset)?;
+        f.sync_data()?;
+        self.writer = SegmentWriter::open_append(&self.dir, pos.segment, pos.end_offset)?;
         fsync_dir(&self.dir)?;
         Ok(())
     }
@@ -434,11 +334,6 @@ impl Store {
             end_offset: self.writer.len(),
         }
     }
-
-    /// Covered index of the latest snapshot, if one exists.
-    pub fn snapshot_seq(&self) -> Option<u32> {
-        self.snapshot_seq
-    }
 }
 
 impl Drop for Store {
@@ -452,6 +347,7 @@ impl Drop for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SEGMENT_HEADER_LEN;
     use crate::testutil::TempDir;
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
@@ -473,7 +369,6 @@ mod tests {
         {
             let (mut store, rec) = Store::open(dir.path()).unwrap();
             assert!(rec.records.is_empty());
-            assert!(rec.snapshot.is_none());
             for p in &want {
                 store.append(p).unwrap();
             }
@@ -510,7 +405,6 @@ mod tests {
         let dir = TempDir::new("store-rotate");
         let opts = StoreOptions {
             segment_max_bytes: 256,
-            sync_every_append: false,
         };
         let want = payloads(40);
         {
@@ -560,7 +454,6 @@ mod tests {
         let dir = TempDir::new("store-midcorrupt");
         let opts = StoreOptions {
             segment_max_bytes: 128,
-            sync_every_append: false,
         };
         let want = payloads(30);
         {
@@ -587,51 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compacts_and_recovery_prefers_it() {
-        let dir = TempDir::new("store-snapshot");
-        let want = payloads(20);
-        {
-            let (mut store, _) = Store::open(dir.path()).unwrap();
-            for p in &want[..15] {
-                store.append(p).unwrap();
-            }
-            store.snapshot(b"state@15").unwrap();
-            for p in &want[15..] {
-                store.append(p).unwrap();
-            }
-            store.sync().unwrap();
-            assert_eq!(store.snapshot_seq(), Some(0));
-        }
-        let (_, rec) = Store::open(dir.path()).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"state@15"[..]));
-        let tail: Vec<Vec<u8>> = rec.records.into_iter().map(|(_, p)| p).collect();
-        assert_eq!(tail, want[15..].to_vec());
-        // Old segment is gone.
-        assert!(!dir.path().join(segment_file_name(0)).exists());
-    }
-
-    #[test]
-    fn invalid_snapshot_falls_back_to_wal() {
-        let dir = TempDir::new("store-badsnap");
-        let want = payloads(8);
-        {
-            let (mut store, _) = Store::open(dir.path()).unwrap();
-            for p in &want {
-                store.append(p).unwrap();
-            }
-            store.sync().unwrap();
-        }
-        // Plant a corrupt snapshot claiming to cover everything. Recovery
-        // must reject it and replay the intact WAL instead.
-        let snap = dir.path().join(snapshot_file_name(99));
-        std::fs::write(&snap, b"FPSNgarbage").unwrap();
-        let (_, rec) = Store::open(dir.path()).unwrap();
-        assert!(rec.snapshot.is_none());
-        assert_eq!(rec.records.len(), want.len());
-        assert!(!snap.exists(), "invalid snapshot should be removed");
-    }
-
-    #[test]
     fn truncate_after_drops_suffix() {
         let dir = TempDir::new("store-truncafter");
         let want = payloads(10);
@@ -643,7 +491,7 @@ mod tests {
         drop(store);
         let (mut store, rec) = Store::open(dir.path()).unwrap();
         let cut = rec.records[5].0;
-        store.truncate_after(Some(cut)).unwrap();
+        store.truncate_after(cut).unwrap();
         store.append(b"replacement").unwrap();
         store.sync().unwrap();
         drop(store);
@@ -655,31 +503,10 @@ mod tests {
     }
 
     #[test]
-    fn truncate_after_none_keeps_only_snapshot() {
-        let dir = TempDir::new("store-truncall");
-        let (mut store, _) = Store::open(dir.path()).unwrap();
-        for p in payloads(5) {
-            store.append(&p).unwrap();
-        }
-        store.snapshot(b"base").unwrap();
-        for p in payloads(3) {
-            store.append(&p).unwrap();
-        }
-        store.sync().unwrap();
-        store.truncate_after(None).unwrap();
-        drop(store);
-        let (_, rec) = Store::open(dir.path()).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"base"[..]));
-        assert!(rec.records.is_empty());
-    }
-
-    #[test]
     fn recover_repairs_the_directory_without_opening_a_writer() {
         let dir = TempDir::new("store-recover");
         assert!(recover(dir.path(), |_, _| {}).unwrap().tail.is_none());
-        assert!(list_indexed(dir.path(), parse_segment_name)
-            .unwrap()
-            .is_empty());
+        assert!(list_segments(dir.path()).unwrap().is_empty());
 
         let (mut store, _) = Store::open(dir.path()).unwrap();
         for p in payloads(6) {
@@ -699,6 +526,26 @@ mod tests {
         assert_eq!(found.tail, Some(end));
         assert_eq!(seen.len(), 6);
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), end.end_offset);
+    }
+
+    #[test]
+    fn a_directory_holding_a_snapshot_file_is_refused() {
+        let dir = TempDir::new("store-old-snapshot");
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        store.append(b"kept").unwrap();
+        store.sync().unwrap();
+        drop(store);
+        std::fs::write(dir.path().join("snap-0000000003.snap"), b"FPSN").unwrap();
+
+        for err in [
+            recover(dir.path(), |_, _| {}).unwrap_err(),
+            Store::open(dir.path()).err().expect("open refuses"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("snap-0000000003.snap"), "{err}");
+        }
+        // Nothing was read as a partial history, or deleted.
+        assert!(dir.path().join(segment_file_name(0)).exists());
     }
 
     #[test]

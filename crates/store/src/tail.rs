@@ -1,44 +1,41 @@
 //! Read-side tailing of a store directory owned by another writer.
 //!
 //! A [`TailFollower`] incrementally delivers records as the writer flushes
-//! them, surviving segment rotation and snapshot compaction. It never
-//! writes to the directory. It is the one reader every consumer of a
-//! live directory uses: the verdict service's index publisher, the
-//! index baker and the cluster's replication sessions.
+//! them, surviving segment rotation. It never writes to the directory. It
+//! is the one reader every consumer of a live directory uses: the verdict
+//! service's index publisher, the index baker and the cluster's
+//! replication sessions.
 //!
 //! ## Delivery semantics
 //!
-//! * The first successful poll delivers the latest valid snapshot payload
-//!   (if any), then records, each with its [`RecordPos`]; the batch's
-//!   [`TailStart`] says where it started.
+//! * The first successful poll starts at the first segment and delivers
+//!   records, each with its [`RecordPos`]; the batch's [`TailStart`] says
+//!   where it started.
 //! * A poll reads only the bytes past the follower's offset, so a record
 //!   is decoded and checksummed once, when it is delivered.
 //! * A partial frame at the end of the active segment means the writer is
 //!   mid-append (or crashed mid-append): the follower waits; it never
 //!   truncates another writer's file.
-//! * If compaction deletes the segment the follower was reading, it
-//!   reloads from the newest snapshot and **redelivers** it — consumers
-//!   must apply snapshots and records idempotently (the verdict checker's
-//!   map insert is).
+//! * If the segment the follower was reading disappears (the writer's
+//!   recovery or [`crate::Store::truncate_after`] deleted it), the
+//!   follower starts over at the first segment and **redelivers** —
+//!   consumers must apply records idempotently (the verdict checker's map
+//!   insert is).
 //! * A full frame with a bad checksum is genuine corruption: the follower
 //!   poisons itself and every subsequent poll errors.
+//! * A directory holding a snapshot file from an older version is refused
+//!   ([`list_segments`]): every poll errors, naming the file.
 
-use crate::segment::{
-    header_ok, parse_segment_name, scan_frames, segment_file_name, Torn, SEGMENT_HEADER_LEN,
-};
-use crate::snapshot::{load_snapshot, parse_snapshot_name, snapshot_file_name};
-use crate::store::{list_indexed, RecordPos};
+use crate::segment::{header_ok, scan_frames, segment_file_name, Torn, SEGMENT_HEADER_LEN};
+use crate::store::{list_segments, RecordPos};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// Where a poll (re)started the follower: at the newest valid snapshot,
-/// or at the start of the WAL when there is none.
+/// Where a poll (re)started the follower.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailStart {
-    /// The snapshot delivered in [`TailBatch::snapshot`], if any.
-    pub snapshot_seq: Option<u32>,
-    /// The first segment after it, where the records start.
+    /// The first segment, where the records start.
     pub first_segment: u32,
 }
 
@@ -46,10 +43,8 @@ pub struct TailStart {
 #[derive(Debug, Default)]
 pub struct TailBatch {
     /// Set when this poll (re)started the follower: on the first poll,
-    /// or after compaction deleted the segment it was reading.
+    /// or after the segment it was reading disappeared.
     pub start: Option<TailStart>,
-    /// A snapshot payload to apply before `records` (a start found one).
-    pub snapshot: Option<Vec<u8>>,
     /// New records with their positions, in append order.
     pub records: Vec<(RecordPos, Vec<u8>)>,
     /// The newest segment this poll listed and its length in bytes: the
@@ -60,25 +55,20 @@ pub struct TailBatch {
 impl TailBatch {
     /// True when the poll found nothing new.
     pub fn is_empty(&self) -> bool {
-        self.snapshot.is_none() && self.records.is_empty()
+        self.records.is_empty()
     }
 }
 
-/// A resumable position in a store directory: which snapshot the reader
-/// has applied, and how far into which segment it has consumed.
+/// A resumable position in a store directory: how far into which segment
+/// the reader has consumed.
 ///
 /// Produced by [`TailFollower::cursor`] and persisted by consumers (the
 /// baked-index header stamps one) so a restarting process can
-/// [`TailFollower::resume`] instead of replaying from the snapshot. If
-/// compaction has deleted the cursor's segment by resume time, the
-/// follower degrades safely to the normal reinitialize-from-snapshot
-/// path (a redelivery, which consumers already apply idempotently).
+/// [`TailFollower::resume`] instead of replaying from the first segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailCursor {
-    /// The newest snapshot sequence applied, if any.
-    pub snapshot_seq: Option<u32>,
-    /// The segment being consumed, if the follower had reached one.
-    pub segment: Option<u32>,
+    /// The segment being consumed.
+    pub segment: u32,
     /// Byte offset of the next unread frame within `segment` (at least
     /// the segment header length).
     pub offset: u64,
@@ -88,7 +78,6 @@ pub struct TailCursor {
 #[derive(Debug)]
 pub struct TailFollower {
     dir: PathBuf,
-    snapshot_seq: Option<u32>,
     segment: Option<u32>,
     offset: u64,
     poisoned: bool,
@@ -100,7 +89,6 @@ impl TailFollower {
     pub fn new(dir: impl AsRef<Path>) -> TailFollower {
         TailFollower {
             dir: dir.as_ref().to_path_buf(),
-            snapshot_seq: None,
             segment: None,
             offset: SEGMENT_HEADER_LEN,
             poisoned: false,
@@ -108,28 +96,24 @@ impl TailFollower {
     }
 
     /// Resume following `dir` from a previously captured [`TailCursor`]:
-    /// the first poll delivers only records past the cursor, with no
-    /// snapshot redelivery. That takes a cursor at a record boundary of a
-    /// live segment — where one of its records (or its header) ends — so
-    /// this reads the segment up to the cursor. Any other cursor (one
-    /// whose segment compaction deleted, or a forged or diverged one)
-    /// falls back to the usual snapshot-reload path: the follower has no
-    /// [`TailFollower::cursor`] until its first poll starts it over.
+    /// the first poll delivers only records past the cursor. That takes a
+    /// cursor at a record boundary of a live segment — where one of its
+    /// records (or its header) ends — so this reads the segment up to the
+    /// cursor. Any other cursor (one whose segment is gone, or a forged or
+    /// diverged one) falls back to a start from the first segment: the
+    /// follower has no [`TailFollower::cursor`] until its first poll
+    /// starts it over.
     pub fn resume(dir: impl AsRef<Path>, cursor: TailCursor) -> TailFollower {
         let mut follower = TailFollower::new(dir);
-        let offset = cursor.offset.max(SEGMENT_HEADER_LEN);
-        if let Some(seg) = cursor.segment {
-            let path = follower.dir.join(segment_file_name(seg));
-            let bytes = std::fs::read(path).unwrap_or_default();
-            // The frames up to the offset must end there exactly.
-            if header_ok(&bytes, seg)
-                && offset <= bytes.len() as u64
-                && scan_frames(&bytes[..offset as usize], SEGMENT_HEADER_LEN as usize).1 == offset
-            {
-                follower.snapshot_seq = cursor.snapshot_seq;
-                follower.segment = Some(seg);
-                follower.offset = offset;
-            }
+        let (seg, offset) = (cursor.segment, cursor.offset.max(SEGMENT_HEADER_LEN));
+        let bytes = std::fs::read(follower.dir.join(segment_file_name(seg))).unwrap_or_default();
+        // The frames up to the offset must end there exactly.
+        if header_ok(&bytes, seg)
+            && offset <= bytes.len() as u64
+            && scan_frames(&bytes[..offset as usize], SEGMENT_HEADER_LEN as usize).1 == offset
+        {
+            follower.segment = Some(seg);
+            follower.offset = offset;
         }
         follower
     }
@@ -147,8 +131,7 @@ impl TailFollower {
             return None;
         }
         Some(TailCursor {
-            snapshot_seq: self.snapshot_seq,
-            segment: Some(self.segment?),
+            segment: self.segment?,
             offset: self.offset,
         })
     }
@@ -162,9 +145,9 @@ impl TailFollower {
 
     /// [`TailFollower::poll`], reading at most one segment: a poll that
     /// finishes its segment moves to the next one and stops there. A
-    /// batch then holds one segment's records (plus the snapshot a start
-    /// delivers), so a reader streaming a large directory — a
-    /// replication session — keeps one segment in memory, not the WAL.
+    /// batch then holds one segment's records, so a reader streaming a
+    /// large directory — a replication session — keeps one segment in
+    /// memory, not the WAL.
     pub fn poll_segment(&mut self) -> io::Result<TailBatch> {
         self.poll_segments(true)
     }
@@ -180,23 +163,18 @@ impl TailFollower {
         if !self.dir.exists() {
             return Ok(batch);
         }
-        let segments = list_indexed(&self.dir, parse_segment_name)?;
+        let segments = list_segments(&self.dir)?;
 
-        // (Re)start from the newest valid snapshot on first poll, or when
-        // compaction deleted the segment we were reading — once a
-        // segment after that snapshot exists to start on.
+        // (Re)start at the first segment on first poll, or when the
+        // segment we were reading is gone — once a segment exists.
         if self.segment.is_none_or(|s| !segments.contains(&s)) {
             self.segment = None;
-            let (seq, payload) = self.newest_snapshot()?;
-            let Some(&first) = segments.iter().find(|&&i| seq.is_none_or(|s| i > s)) else {
+            let Some(&first) = segments.first() else {
                 return Ok(batch);
             };
             batch.start = Some(TailStart {
-                snapshot_seq: seq,
                 first_segment: first,
             });
-            batch.snapshot = payload;
-            self.snapshot_seq = seq;
             self.segment = Some(first);
             self.offset = SEGMENT_HEADER_LEN;
         }
@@ -218,7 +196,7 @@ impl TailFollower {
                 if e.kind() != io::ErrorKind::NotFound {
                     return Err(e);
                 }
-                // Compaction raced us; restart next poll.
+                // The segment was deleted under us; restart next poll.
                 self.segment = None;
                 break;
             }
@@ -279,23 +257,6 @@ impl TailFollower {
         }
         Ok(batch)
     }
-
-    /// The newest snapshot that loads, skipping invalid ones and ones
-    /// compaction deletes while we look.
-    fn newest_snapshot(&self) -> io::Result<(Option<u32>, Option<Vec<u8>>)> {
-        for seq in list_indexed(&self.dir, parse_snapshot_name)?
-            .into_iter()
-            .rev()
-        {
-            match load_snapshot(&self.dir.join(snapshot_file_name(seq)), seq) {
-                Ok(Some(payload)) => return Ok((Some(seq), Some(payload))),
-                Ok(None) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((None, None))
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +272,6 @@ mod tests {
     fn opts(max: u64) -> StoreOptions {
         StoreOptions {
             segment_max_bytes: max,
-            sync_every_append: false,
         }
     }
 
@@ -366,55 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn first_poll_delivers_snapshot_then_tail() {
-        let dir = TempDir::new("tail-snapfirst");
-        let (mut store, _) = Store::open(dir.path()).unwrap();
-        store.append(b"old").unwrap();
-        store.snapshot(b"state").unwrap();
-        store.append(b"new").unwrap();
-        store.flush().unwrap();
-
-        let mut follower = TailFollower::new(dir.path());
-        let batch = follower.poll().unwrap();
-        assert_eq!(batch.snapshot.as_deref(), Some(&b"state"[..]));
-        assert_eq!(payloads(&batch), vec![b"new".to_vec()]);
-    }
-
-    #[test]
-    fn compaction_overtaking_follower_redelivers_snapshot() {
-        let dir = TempDir::new("tail-overtake");
-        let (mut store, _) = Store::open(dir.path()).unwrap();
-        let mut follower = TailFollower::new(dir.path());
-
-        store.append(b"a").unwrap();
-        store.flush().unwrap();
-        assert_eq!(payloads(&follower.poll().unwrap()), vec![b"a".to_vec()]);
-
-        // Snapshot + compaction deletes segment 0 out from under the
-        // follower.
-        store.snapshot(b"a-state").unwrap();
-        store.append(b"b").unwrap();
-        store.flush().unwrap();
-
-        // One poll notices the segment vanished; the next (or same)
-        // delivers the snapshot redelivery plus the tail.
-        let mut snapshot = None;
-        let mut records = Vec::new();
-        for _ in 0..3 {
-            let batch = follower.poll().unwrap();
-            records.extend(payloads(&batch));
-            if batch.snapshot.is_some() {
-                snapshot = batch.snapshot;
-            }
-            if !records.is_empty() {
-                break;
-            }
-        }
-        assert_eq!(snapshot.as_deref(), Some(&b"a-state"[..]));
-        assert_eq!(records, vec![b"b".to_vec()]);
-    }
-
-    #[test]
     fn partial_frame_waits_instead_of_erroring() {
         let dir = TempDir::new("tail-partial");
         let (mut store, _) = Store::open(dir.path()).unwrap();
@@ -452,41 +363,9 @@ mod tests {
         store.flush().unwrap();
         let mut resumed = TailFollower::resume(dir.path(), cursor);
         let batch = resumed.poll().unwrap();
-        assert!(batch.snapshot.is_none(), "resume does not redeliver");
+        assert!(batch.start.is_none(), "resume does not start over");
         assert_eq!(payloads(&batch), vec![b"fresh".to_vec()]);
         assert!(resumed.poll().unwrap().is_empty());
-    }
-
-    #[test]
-    fn resume_after_compaction_falls_back_to_snapshot() {
-        let dir = TempDir::new("tail-resume-compact");
-        let (mut store, _) = Store::open(dir.path()).unwrap();
-        let mut follower = TailFollower::new(dir.path());
-        store.append(b"a").unwrap();
-        store.flush().unwrap();
-        follower.poll().unwrap();
-        let cursor = follower.cursor().unwrap();
-
-        // Compaction deletes the cursor's segment.
-        store.snapshot(b"state").unwrap();
-        store.append(b"b").unwrap();
-        store.flush().unwrap();
-
-        let mut resumed = TailFollower::resume(dir.path(), cursor);
-        let mut snapshot = None;
-        let mut records = Vec::new();
-        for _ in 0..3 {
-            let batch = resumed.poll().unwrap();
-            records.extend(payloads(&batch));
-            if batch.snapshot.is_some() {
-                snapshot = batch.snapshot;
-            }
-            if !records.is_empty() {
-                break;
-            }
-        }
-        assert_eq!(snapshot.as_deref(), Some(&b"state"[..]));
-        assert_eq!(records, vec![b"b".to_vec()]);
     }
 
     #[test]
@@ -511,8 +390,6 @@ mod tests {
     fn batches_carry_positions_start_and_tip() {
         let dir = TempDir::new("tail-positions");
         let (mut store, _) = Store::open_with(dir.path(), opts(128), None).unwrap();
-        store.append(b"old").unwrap();
-        store.snapshot(b"state").unwrap();
         for i in 0..12 {
             store.append(format!("rec-{i:02}").as_bytes()).unwrap();
         }
@@ -520,18 +397,14 @@ mod tests {
 
         let mut follower = TailFollower::new(dir.path());
         let batch = follower.poll().unwrap();
-        let start = TailStart {
-            snapshot_seq: Some(0),
-            first_segment: 1,
-        };
-        assert_eq!(batch.start, Some(start));
+        assert_eq!(batch.start, Some(TailStart { first_segment: 0 }));
         assert_eq!(batch.tip, Some(store.position()));
         // The same positions recovery reports.
         drop(store);
         let (store, recovered) = Store::open(dir.path()).unwrap();
         assert_eq!(batch.records, recovered.records);
         let last = batch.records.last().unwrap().0;
-        assert_eq!(follower.cursor().unwrap().segment, Some(last.segment));
+        assert_eq!(follower.cursor().unwrap().segment, last.segment);
         assert_eq!(follower.cursor().unwrap().offset, last.end_offset);
 
         let idle = follower.poll().unwrap();
@@ -592,31 +465,41 @@ mod tests {
             store.append(p).unwrap();
         }
         store.flush().unwrap();
-        let resumed = |segment, offset| {
-            let cursor = TailCursor {
-                snapshot_seq: None,
-                segment,
-                offset,
-            };
-            TailFollower::resume(dir.path(), cursor)
-        };
+        let resumed =
+            |segment, offset| TailFollower::resume(dir.path(), TailCursor { segment, offset });
 
         // After "one" (8-byte header, 8-byte frame header, 3 bytes).
-        let mut follower = resumed(Some(0), 19);
+        let mut follower = resumed(0, 19);
         assert_eq!(follower.cursor().unwrap().offset, 19);
         let batch = follower.poll().unwrap();
         assert!(batch.start.is_none());
         assert_eq!(payloads(&batch), vec![b"two".to_vec(), b"three".to_vec()]);
-        assert!(resumed(Some(0), SEGMENT_HEADER_LEN).cursor().is_some());
+        assert!(resumed(0, SEGMENT_HEADER_LEN).cursor().is_some());
 
-        // Inside a record, past the end, no such segment, no segment: the
-        // first poll starts over and delivers everything.
-        for (segment, offset) in [(Some(0), 20), (Some(0), 1000), (Some(7), 8), (None, 0)] {
+        // Inside a record, past the end, no such segment: the first poll
+        // starts over and delivers everything.
+        for (segment, offset) in [(0, 20), (0, 1000), (7, 8)] {
             let mut follower = resumed(segment, offset);
-            assert_eq!(follower.cursor(), None, "{segment:?} {offset}");
+            assert_eq!(follower.cursor(), None, "{segment} {offset}");
             let batch = follower.poll().unwrap();
             assert!(batch.start.is_some());
             assert_eq!(batch.records.len(), 3);
+        }
+    }
+
+    #[test]
+    fn a_directory_holding_a_snapshot_file_is_refused() {
+        let dir = TempDir::new("tail-old-snapshot");
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        store.append(b"kept").unwrap();
+        store.flush().unwrap();
+        std::fs::write(dir.path().join("snap-0000000000.snap"), b"FPSN").unwrap();
+
+        let mut follower = TailFollower::new(dir.path());
+        for _ in 0..2 {
+            let err = follower.poll().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("snap-0000000000.snap"), "{err}");
         }
     }
 }

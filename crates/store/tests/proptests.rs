@@ -1,7 +1,7 @@
 //! Property tests for the recovery contract: whatever damage the tail of
 //! the WAL takes — truncation at an arbitrary byte, bit flips anywhere —
 //! recovery always yields a valid *prefix* of the appended records, and
-//! the reopened store keeps working — across snapshots and reopens too.
+//! the reopened store keeps working.
 
 use freephish_simclock::prop::{check, Gen};
 use freephish_store::testutil::TempDir;
@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 fn small_segments() -> StoreOptions {
     StoreOptions {
         segment_max_bytes: 256,
-        sync_every_append: false,
     }
 }
 
@@ -98,69 +97,5 @@ fn tail_bit_flips_always_recover_a_prefix() {
             std::fs::write(seg, &bytes).unwrap();
         }
         assert_prefix(&recover(dir.path()), &records);
-    });
-}
-
-#[test]
-fn snapshot_plus_wal_suffix_equals_full_history() {
-    check(64, |g| {
-        let (records, split_fraction) = (records(g), g.f64_in(0.0..1.0));
-        let dir = TempDir::new("prop-snap");
-        let split = ((records.len() as f64 * split_fraction) as usize).min(records.len());
-        {
-            let (mut store, _) = Store::open_with(dir.path(), small_segments(), None).unwrap();
-            for r in &records[..split] {
-                store.append(r).unwrap();
-            }
-            store.snapshot(&(split as u64).to_le_bytes()).unwrap();
-            for r in &records[split..] {
-                store.append(r).unwrap();
-            }
-            store.sync().unwrap();
-        }
-        let (_, rec) = Store::open(dir.path()).unwrap();
-        let snap = rec.snapshot.expect("snapshot present");
-        assert_eq!(
-            u64::from_le_bytes(snap[..8].try_into().unwrap()),
-            split as u64
-        );
-        let tail: Vec<Vec<u8>> = rec.records.into_iter().map(|(_, p)| p).collect();
-        assert_eq!(&tail[..], &records[split..]);
-    });
-}
-
-/// Four open–append–close cycles with snapshots at random points: every
-/// reopen is clean, its snapshot counts the records it covers, and its
-/// WAL holds exactly the records appended since.
-#[test]
-fn snapshot_cycles_preserve_state_across_reopens() {
-    check(64, |g| {
-        let dir = TempDir::new("prop-cycle");
-        let mut all: Vec<Vec<u8>> = Vec::new();
-        let mut since_snapshot = 0usize;
-        let mut have_snapshot = false;
-        for _cycle in 0..4 {
-            let (mut store, rec) = Store::open_with(dir.path(), small_segments(), None).unwrap();
-            assert!(!rec.torn_tail);
-            if have_snapshot {
-                let snap = rec.snapshot.expect("snapshot survives");
-                let count = u64::from_le_bytes(snap[..8].try_into().unwrap()) as usize;
-                assert_eq!(count, all.len() - since_snapshot);
-            }
-            let tail: Vec<Vec<u8>> = rec.records.into_iter().map(|(_, p)| p).collect();
-            assert_eq!(tail, all[all.len() - since_snapshot..]);
-
-            for payload in g.vec(0..30, |g| g.vec(0..60, Gen::u8)) {
-                store.append(&payload).unwrap();
-                all.push(payload);
-                since_snapshot += 1;
-                if g.usize_in(0..10) == 0 {
-                    store.snapshot(&(all.len() as u64).to_le_bytes()).unwrap();
-                    since_snapshot = 0;
-                    have_snapshot = true;
-                }
-            }
-            store.sync().unwrap();
-        }
     });
 }

@@ -65,15 +65,15 @@ if [ "$status" -ne 64 ]; then
 fi
 
 # One serving engine (the cluster router's front door included), one
-# store-backed node, one index checker, std locks, a size-derived
-# compaction trigger, one `repro` run, one property runner
+# store-backed node, one index checker, std locks, a store directory that
+# is its segments (no snapshots, no fsync-per-append knob), one `repro` run, one property runner
 # (`freephish_simclock::prop`), one fetch trait, a resolver that is built
 # with its models: the forks, the dependencies, the tick-count knob, the
 # per-table knobs and the warm-up machinery this repo retired must not come
 # back (crates/benchmark keeps its own stand-ins, `proptest` and `criterion`
 # among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher|write_snapshot|load_snapshot|parse_snapshot_name|snapshot_seq|store_snapshots_total|sync_every_append' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
@@ -81,10 +81,15 @@ if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSe
 fi
 # `freephish-store` is the one reader of a store directory: the cluster
 # reads it through `TailFollower` and `recover`, never by scanning
-# segments or snapshots or listing the directory itself.
+# segments or listing the directory itself, and no crate decodes a buffer
+# of frames outside the store (every reader gets records).
 echo "== the cluster reads the WAL only through freephish-store =="
-if grep -rnE '\b(scan_segment|scan_buffer|load_snapshot)\b|fn list_indexed' crates/cluster/src; then
+if grep -rnE '\b(scan_segment|scan_buffer)\b|fn list_(indexed|segments)' crates/cluster/src; then
   echo "ci.sh: ERROR: crates/cluster/src re-derives the store's directory format (see above)" >&2
+  exit 1
+fi
+if grep -rnw 'scan_buffer' crates/*/src | grep -v '^crates/store/src/'; then
+  echo "ci.sh: ERROR: a crate outside freephish-store decodes a frame buffer (see above)" >&2
   exit 1
 fi
 # `par` resolves the host's parallelism once per process, and the serving

@@ -135,11 +135,9 @@ fn run_killed_at_arbitrary_ticks_resumes_bit_identical() {
     let pipeline = pipeline();
     let (base_detections, base_fingerprint) = baseline(&pipeline);
 
-    // Kill points spread across the window (1008 ticks at 7 days). The
-    // first checkpoint snapshots at once (the history has doubled from
-    // nothing), so only tick 0 — created, killed, reopened with no
-    // checkpoint at all — precedes every snapshot; 700 follows several
-    // compactions.
+    // Kill points spread across the window (1008 ticks at 7 days). Tick
+    // 0 is created, killed and reopened with no checkpoint at all; 700
+    // replays hundreds of checkpoints.
     let mut rng = Rng64::new(77);
     let mut kill_ticks = vec![0, 1, 40, 700];
     kill_ticks.push(64 + (rng.next_u64() % 400) as usize);
@@ -190,9 +188,8 @@ fn run_killed_with_torn_wal_tail_resumes_bit_identical() {
             let junk = (rng.next_u64() % 6 + 1) as usize;
             bytes.extend_from_slice(&[0xAB; 8][..junk]);
         } else {
-            // Flip a byte in the last quarter (always past the header and,
-            // post-compaction, past nothing irreplaceable: recovery falls
-            // back to the last intact checkpoint).
+            // Flip a byte in the last quarter (always past the header:
+            // recovery falls back to the last intact checkpoint).
             let lo = bytes.len() - bytes.len() / 4;
             let at = lo + (rng.next_u64() as usize) % (bytes.len() - lo);
             bytes[at] ^= 1 << (rng.next_u64() % 8);

@@ -76,8 +76,8 @@ fn pipeline_appends_hot_reload_into_the_verdict_service() {
     assert!(checker.generation() > g0, "poll did not bump generation");
     assert!(client.check(&first).unwrap().is_phishing());
 
-    // Keep ticking across a snapshot/compaction boundary and poll again:
-    // nothing already served is lost.
+    // Keep ticking across many checkpoints and poll again: nothing
+    // already served is lost.
     for _ in 0..70 {
         if !run.tick(&pipeline).unwrap() {
             break;
@@ -109,4 +109,37 @@ fn pipeline_appends_hot_reload_into_the_verdict_service() {
     );
     assert!(client2.check(&first).unwrap().is_phishing());
     server2.shutdown();
+}
+
+/// A daemon that follows a live journal publishes each verdict once: a
+/// poll per tick over a week-long run publishes exactly as many entries
+/// as the run journaled verdicts, never a re-read of earlier history.
+#[test]
+fn a_journal_follower_publishes_each_verdict_once() {
+    let corpus = build(&GroundTruthConfig::tiny());
+    let mut rng = Rng64::new(6);
+    let model = AugmentedStackModel::train(&corpus, &StackModelConfig::tiny(), &mut rng);
+    let pipeline = Pipeline::new(model);
+
+    let dir = TempDir::new("publish-once");
+    let config = CampaignConfig {
+        scale: 0.01,
+        days: 7,
+        benign_fraction: 0.3,
+        seed: 3,
+    };
+    let mut run = JournaledRun::create(dir.path(), &config, SimTime::from_days(7), 0.5).unwrap();
+    let checker = EventedStoreChecker::open(dir.path()).unwrap();
+    let mut publisher = checker.publisher();
+    let mut published = 0;
+    while run.tick(&pipeline).unwrap() {
+        published += publisher.poll().unwrap();
+    }
+    published += publisher.poll().unwrap();
+
+    assert!(
+        run.detections.len() > 100,
+        "a week of ticks journals many verdicts"
+    );
+    assert_eq!(published, run.detections.len());
 }
