@@ -13,7 +13,8 @@
 //!    `FREEPHISH_SOAK_RSS_LIMIT_MB` (default 512) no matter the world
 //!    size, proving generation is truly streaming.
 //! 2. **bake** — stream `FREEPHISH_SOAK_INDEX` verdicts (default 10M)
-//!    through the external-merge [`IndexWriter`] into a snapshot file.
+//!    through the external-merge
+//!    [`IndexWriter`](freephish_mapidx::IndexWriter) into a snapshot file.
 //!    Gate: RSS growth stays within the writer's bound — the run budget
 //!    ([`DEFAULT_RUN_BYTES`]) plus 4 bytes per bucket of occupancy counts
 //!    plus 48 MB of process slack (176 MB at 10M entries).

@@ -2,7 +2,7 @@
 //! across N serve backends, with health checking and ring failover.
 //!
 //! A [`Router`] holds the shared placement state — the backend list,
-//! the [`HashRing`](crate::ring::HashRing), per-backend health flags
+//! the [`HashRing`], per-backend health flags
 //! refreshed by a background `/readyz` prober — and hands out
 //! per-thread [`RouterClient`]s that own their TCP connections. A
 //! client routes each URL to its ring owner and fails over along the

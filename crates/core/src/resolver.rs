@@ -33,7 +33,10 @@
 //! Safe classifications are not journaled — a lookup miss already means
 //! safe — but land in a TTL'd **negative cache** so repeat misses don't
 //! re-classify. Expired negatives re-enter the classify queue; fresh ones
-//! never do. Every stage is counted and timed through `freephish-obs`
+//! never do. A frame reads the negative cache as it stood when the frame
+//! began and writes its tier-1 `SAFE` answers under one write lock at the
+//! end, so a URL repeated within one frame is judged by tier 1 at every
+//! occurrence. Every stage is counted and timed through `freephish-obs`
 //! (`resolver_*` metrics) and surfaces on the ops plane.
 //!
 //! [`ShardedIndex`]: freephish_serve::ShardedIndex
@@ -267,6 +270,14 @@ struct NegativeEntry {
     src: NegativeSrc,
 }
 
+/// What resolving a frame's misses leaves for the end of the frame: the
+/// tier-1 `SAFE` answers to negative-cache and the residue to admit.
+#[derive(Default)]
+struct FrameMisses<'a> {
+    negatives: Vec<(&'a str, f64, NegativeSrc)>,
+    residue: Vec<&'a str>,
+}
+
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<String>,
@@ -472,12 +483,11 @@ impl Drop for TieredResolver {
 }
 
 impl Shared {
-    /// Resolve one miss (tier 0 already answered safe-unknown). A URL
-    /// left for tier 2 is answered provisionally and pushed onto
-    /// `residue` for the caller to [`Shared::admit`].
-    fn resolve_miss<'a>(&self, url: &'a str, residue: &mut Vec<&'a str>) -> Verdict {
-        let now = self.clock.now();
-
+    /// Resolve one miss (tier 0 already answered safe-unknown) at the
+    /// frame's time `now`. A tier-1 `SAFE` answer is pushed onto
+    /// `frame.negatives`, a URL left for tier 2 is answered provisionally
+    /// and pushed onto `frame.residue`; [`Shared::settle`] applies both.
+    fn resolve_miss<'a>(&self, url: &'a str, now: SimTime, frame: &mut FrameMisses<'a>) -> Verdict {
         // Negative cache: a fresh safe verdict answers without work; an
         // expired one is evicted and falls through to re-classification.
         // The write lock is taken only to evict, re-checking freshness: a
@@ -505,7 +515,7 @@ impl Shared {
         };
         let Some(parsed) = parsed else {
             self.metrics.rejected.inc();
-            self.insert_negatives(&[(url, 0.0, NegativeSrc::Rejected)], now);
+            frame.negatives.push((url, 0.0, NegativeSrc::Rejected));
             return Verdict::Safe(0.0);
         };
 
@@ -517,13 +527,13 @@ impl Shared {
             .record(t0.elapsed().as_secs_f64() * 1e6);
         if p < self.models.cutoff {
             self.metrics.hit_prefilter.inc();
-            self.insert_negatives(&[(url, p, NegativeSrc::Prefilter)], now);
+            frame.negatives.push((url, p, NegativeSrc::Prefilter));
             return Verdict::Safe(p);
         }
 
         // Tier 2 admission: provisional verdict from the tier-1 score,
         // classification deferred to the worker.
-        residue.push(url);
+        frame.residue.push(url);
         if p >= self.cfg.threshold {
             Verdict::Phishing(p)
         } else {
@@ -540,6 +550,13 @@ impl Shared {
             NegativeSrc::Rejected => self.metrics.hit_negative_rejected.inc(),
         }
         Verdict::Safe(entry.score)
+    }
+
+    /// End a frame: cache its tier-1 negatives under one write lock, then
+    /// admit its residue.
+    fn settle(&self, frame: &FrameMisses, now: SimTime) {
+        self.insert_negatives(&frame.negatives, now);
+        self.admit(&frame.residue);
     }
 
     /// Put each residue URL on the classify queue unless it is already
@@ -691,28 +708,30 @@ impl UrlChecker for TieredResolver {
             s.metrics.hit_index.inc();
             return v;
         }
-        let mut residue = Vec::new();
-        let v = s.resolve_miss(url, &mut residue);
-        s.admit(&residue);
+        let now = s.clock.now();
+        let mut frame = FrameMisses::default();
+        let v = s.resolve_miss(url, now, &mut frame);
+        s.settle(&frame, now);
         v
     }
 
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // Tier 0 resolves the whole batch against one index snapshot;
-        // only the misses walk the lower tiers, and tier 2 admits the
-        // frame's residue in one pass.
+        // only the misses walk the lower tiers, at one clock reading, and
+        // the frame's negatives and residue land in one pass each.
         let s = &self.shared;
         s.metrics.requests.add(urls.len() as u64);
         let mut out = s.inner.check_many(urls);
-        let mut residue = Vec::new();
+        let now = s.clock.now();
+        let mut frame = FrameMisses::default();
         for (url, v) in urls.iter().zip(out.iter_mut()) {
             if v.is_phishing() {
                 s.metrics.hit_index.inc();
             } else {
-                *v = s.resolve_miss(url, &mut residue);
+                *v = s.resolve_miss(url, now, &mut frame);
             }
         }
-        s.admit(&residue);
+        s.settle(&frame, now);
         out
     }
 
@@ -1114,6 +1133,50 @@ mod tests {
         // An analyst reports it over the wire.
         r.add(url, 0.97).unwrap();
         assert!(r.check(url).is_phishing());
+        r.shutdown();
+    }
+
+    #[test]
+    fn a_frame_judges_a_repeated_url_by_tier_1_each_time_and_caches_it_once() {
+        let r = resolver_with(
+            Some(f64::INFINITY),
+            Arc::new(MapFetcher::new()),
+            Arc::new(ManualClock::new()),
+            TieredResolverConfig::default(),
+        );
+        let (twice, once) = (
+            "https://twice.weebly.com/",
+            "https://once.wixsite.com/login",
+        );
+        let frame: Vec<String> = [twice, once, twice].map(String::from).to_vec();
+        let prefilter = &[("tier", "prefilter")];
+        let cached = &[("tier", "negative"), ("src", "prefilter")];
+
+        // The frame reads the cache as it stood when the frame began: all
+        // three occurrences are tier-1 answers, two URLs are cached.
+        let first = r.check_many(&frame);
+        assert!(first.iter().all(|v| !v.is_phishing()));
+        assert_eq!(first[0].score().to_bits(), first[2].score().to_bits());
+        let snap = r.metrics_snapshot();
+        assert_eq!(snap.counter("resolver_tier_hits_total", prefilter), 3);
+        assert_eq!(snap.counter("resolver_tier_hits_total", cached), 0);
+        assert_eq!(snap.gauge("resolver_negative_entries", &[]), 2);
+
+        // The next frame finds every occurrence cached, at the same score.
+        let second = r.check_many(&frame);
+        assert_eq!(
+            second
+                .iter()
+                .map(|v| v.score().to_bits())
+                .collect::<Vec<_>>(),
+            first
+                .iter()
+                .map(|v| v.score().to_bits())
+                .collect::<Vec<_>>()
+        );
+        let snap = r.metrics_snapshot();
+        assert_eq!(snap.counter("resolver_tier_hits_total", prefilter), 3);
+        assert_eq!(snap.counter("resolver_tier_hits_total", cached), 3);
         r.shutdown();
     }
 }

@@ -5,7 +5,7 @@
 //! Two distributions drive the shape:
 //!
 //! * **FWB choice** follows Table 4's per-service URL counts
-//!   ([`FwbDescriptor::paper_url_count`]): Weebly and Wix dominate, the
+//!   ([`FwbDescriptor::paper_url_count`](freephish_webgen::FwbDescriptor::paper_url_count)): Weebly and Wix dominate, the
 //!   tail services host a trickle. Sampling is O(1) via a Walker alias
 //!   table built once over the 17 services.
 //! * **Brand targeting** follows Figure 5: a Zipf law over the 109-brand
@@ -161,7 +161,7 @@ impl SiteName {
     }
 }
 
-/// The inverse of [`SiteName`]: the index a scale-world URL was rendered
+/// The inverse of the `SiteName` rendering: the index a scale-world URL was rendered
 /// from (its site name ends in `-<index in base 36>`), or `None` for a
 /// URL of another shape. It does not check that the URL is that site's;
 /// render the index and compare for that.

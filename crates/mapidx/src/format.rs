@@ -25,9 +25,10 @@
 //! ```
 //!
 //! Records are sorted ascending by `(key_hash, key bytes)`. The bucket of
-//! a hash is the multiply-shift range reduction `(hash × bucket_count)
-//! >> 64`, which is monotone in the hash — so sorted records fall into
-//! nondecreasing buckets and the bucket table is a plain prefix-sum:
+//! a hash is the multiply-shift range reduction
+//! `(hash × bucket_count) >> 64`, which is monotone in the hash — so
+//! sorted records fall into nondecreasing buckets and the bucket table is
+//! a plain prefix-sum:
 //! bucket `b` covers `records[buckets[b] .. buckets[b + 1]]`.
 //!
 //! Integrity is two-level. The header carries its own CRC32; the three

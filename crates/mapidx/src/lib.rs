@@ -8,10 +8,10 @@
 //! cost grows linearly with history — at million-site cardinality a cold
 //! start spends seconds rebuilding a map the previous process already
 //! had. This crate bakes the journal's *net state* into a write-once file
-//! ([`format`]) that a restarting node maps ([`read`]) instead of
+//! ([`format`](mod@format)) that a restarting node maps ([`read`]) instead of
 //! replaying:
 //!
-//! * [`write`] — [`IndexWriter`], an external-merge builder: bounded
+//! * [`write`](mod@write) — [`IndexWriter`], an external-merge builder: bounded
 //!   in-memory runs spilled sorted to disk, k-way merged with
 //!   last-write-wins dedup, and published by atomic rename. Memory never
 //!   scales with entry count. [`bake_journal`] streams a store directory
@@ -24,7 +24,7 @@
 //!   body checksum for distrustful readers. Corrupt or truncated files
 //!   are refused with a typed [`IndexError`]; nothing panics on
 //!   untrusted bytes.
-//! * [`format`] — the shared layout: hash-sorted fixed-width records, a
+//! * [`format`](mod@format) — the shared layout: hash-sorted fixed-width records, a
 //!   key heap, and a prefix-sum bucket table for O(1) lookups.
 //!
 //! The serve layer overlays its live RCU delta (`ShardedIndex`, fed from

@@ -25,6 +25,26 @@ use freephish_store::tail::TailCursor;
 use std::fs::File;
 use std::path::Path;
 
+/// Keys one staged probe keeps in flight: enough independent misses to
+/// fill the core's outstanding-load slots, few enough that a lane's state
+/// stays in registers and L1. Chosen by measuring `hit_baked`.
+pub const PROBE_LANE: usize = 16;
+
+/// One decoded fixed-width record.
+struct Record {
+    hash: u64,
+    key_off: usize,
+    key_len: usize,
+    score: f64,
+}
+
+impl Record {
+    /// This record's key bytes, or `None` when they lie outside the heap.
+    fn key<'h>(&self, heap: &'h [u8]) -> Option<&'h [u8]> {
+        heap.get(self.key_off..self.key_off.checked_add(self.key_len)?)
+    }
+}
+
 /// An immutable verdict index served from a memory-mapped bake file.
 pub struct SnapshotIndex {
     map: Mmap,
@@ -96,43 +116,151 @@ impl SnapshotIndex {
         Ok(())
     }
 
-    /// Look up one URL; `Some(score)` with the exact baked f64 bits.
+    /// Look up one URL; `Some(score)` with the exact baked f64 bits. The
+    /// one-key case of [`SnapshotIndex::get_many`].
     pub fn get(&self, url: &str) -> Option<f64> {
-        let key = url.as_bytes();
-        let hash = key_hash(key);
-        let bucket = bucket_of(hash, self.header.bucket_count) as usize;
-        let lo = self.bucket_offset(bucket)?;
-        let hi = self.bucket_offset(bucket + 1)?;
-        if lo > hi || hi > self.header.entry_count as usize {
-            return None;
-        }
-        let bytes = self.map.as_slice();
-        let heap = bytes.get(self.heap_off..self.buckets_off)?;
-        for i in lo..hi {
-            let off = HEADER_LEN + i * RECORD_LEN;
-            let rec = bytes.get(off..off + RECORD_LEN)?;
-            let rec_hash = u64::from_le_bytes(rec[0..8].try_into().unwrap());
-            if rec_hash < hash {
+        let mut out = [None];
+        self.get_many(&[url], &mut out);
+        out[0]
+    }
+
+    /// Answer every `None` slot of `out` with the baked score of the key
+    /// in the same slot of `keys`; slots already `Some` are left alone, so
+    /// a caller that resolved part of a batch elsewhere (the serve
+    /// overlay's delta) hands over only what it missed. A slot stays
+    /// `None` when its key is not baked.
+    ///
+    /// The unanswered slots are probed [`PROBE_LANE`] at a time, in
+    /// stages over the lane, so the cache and TLB misses of different keys
+    /// are in flight together instead of queueing one key's dependent
+    /// chain behind another's.
+    ///
+    /// # Panics
+    ///
+    /// When `keys` and `out` differ in length.
+    pub fn get_many<K: AsRef<str>>(&self, keys: &[K], out: &mut [Option<f64>]) {
+        assert_eq!(keys.len(), out.len(), "one answer slot per key");
+        let mut lane = [0usize; PROBE_LANE];
+        let mut n = 0;
+        for slot in 0..keys.len() {
+            if out[slot].is_some() {
                 continue;
             }
-            if rec_hash > hash {
-                break; // records are hash-sorted within the bucket
-            }
-            let key_off = u32::from_le_bytes(rec[8..12].try_into().unwrap()) as usize;
-            let key_len = u32::from_le_bytes(rec[12..16].try_into().unwrap()) as usize;
-            if heap.get(key_off..key_off + key_len) == Some(key) {
-                return Some(f64::from_bits(u64::from_le_bytes(
-                    rec[16..24].try_into().unwrap(),
-                )));
+            lane[n] = slot;
+            n += 1;
+            if n == PROBE_LANE {
+                self.probe(keys, out, &lane);
+                n = 0;
             }
         }
-        None
+        if n > 0 {
+            self.probe(keys, out, &lane[..n]);
+        }
+    }
+
+    /// The one probe loop: answer the slots `lane` names. A key costs
+    /// three dependent misses (bucket table, record, key heap); each
+    /// stage makes one of them for every key of the lane before the next
+    /// stage needs any of their results. The loads within a stage do not
+    /// depend on each other, so the core keeps them in flight together.
+    fn probe<K: AsRef<str>>(&self, keys: &[K], out: &mut [Option<f64>], lane: &[usize]) {
+        let bytes = self.map.as_slice();
+        let Some(heap) = bytes.get(self.heap_off..self.buckets_off) else {
+            return;
+        };
+        let entries = self.header.entry_count as usize;
+        let mut hash = [0u64; PROBE_LANE];
+        // Per key, records `next..end` are still to scan; the scan stops
+        // early at a record hashing above the key.
+        let mut next = [0usize; PROBE_LANE];
+        let mut end = [0usize; PROBE_LANE];
+
+        // Stage 1: hash every key and read its bucket's bounds. A corrupt
+        // bucket table reads as an empty bucket.
+        for (j, &slot) in lane.iter().enumerate() {
+            let h = key_hash(keys[slot].as_ref().as_bytes());
+            let bucket = bucket_of(h, self.header.bucket_count) as usize;
+            hash[j] = h;
+            if let (Some(lo), Some(hi)) =
+                (self.bucket_offset(bucket), self.bucket_offset(bucket + 1))
+            {
+                if lo <= hi && hi <= entries {
+                    (next[j], end[j]) = (lo, hi);
+                }
+            }
+        }
+
+        // Stage 2: read each bucket's first record. Nothing branches on
+        // what it holds until stage 3.
+        let mut first = [None; PROBE_LANE];
+        for j in 0..lane.len() {
+            if next[j] < end[j] {
+                first[j] = self.record(next[j]).map(|rec| rec.hash);
+            }
+        }
+
+        // Stage 3: step past the records that hash below the key (records
+        // are hash-sorted within a bucket, so `next` stops on the first
+        // candidate and a larger hash empties the span), then touch the
+        // candidate's key in the heap. Its first byte is kept, and stage 4
+        // checks it before comparing the whole key.
+        let mut lead = [None; PROBE_LANE];
+        for j in 0..lane.len() {
+            let mut rec_hash = first[j];
+            while next[j] < end[j] {
+                match rec_hash {
+                    Some(h) if h < hash[j] => {
+                        next[j] += 1;
+                        rec_hash = self.record(next[j]).map(|rec| rec.hash);
+                    }
+                    Some(h) if h == hash[j] => break,
+                    _ => end[j] = next[j],
+                }
+            }
+            if next[j] < end[j] {
+                let rec = self.record(next[j]);
+                lead[j] = rec.and_then(|rec| rec.key(heap)?.first().copied());
+            }
+        }
+
+        // Stage 4: compare keys and take the scores. Records after the
+        // first candidate are other keys of the same hash: rare, and
+        // compared in place.
+        for (j, &slot) in lane.iter().enumerate() {
+            let key = keys[slot].as_ref().as_bytes();
+            let mut i = next[j];
+            if i < end[j] && lead[j] != key.first().copied() {
+                i += 1;
+            }
+            while i < end[j] {
+                let Some(rec) = self.record(i).filter(|rec| rec.hash == hash[j]) else {
+                    break;
+                };
+                if rec.key(heap) == Some(key) {
+                    out[slot] = Some(rec.score);
+                    break;
+                }
+                i += 1;
+            }
+        }
     }
 
     fn bucket_offset(&self, i: usize) -> Option<usize> {
         let off = self.buckets_off + i * BUCKET_ENTRY_LEN;
         let raw = self.map.as_slice().get(off..off + BUCKET_ENTRY_LEN)?;
         Some(u32::from_le_bytes(raw.try_into().unwrap()) as usize)
+    }
+
+    /// Record `i`, or `None` when it lies outside the mapping.
+    fn record(&self, i: usize) -> Option<Record> {
+        let off = HEADER_LEN + i * RECORD_LEN;
+        let rec = self.map.as_slice().get(off..off + RECORD_LEN)?;
+        Some(Record {
+            hash: u64::from_le_bytes(rec[0..8].try_into().unwrap()),
+            key_off: u32::from_le_bytes(rec[8..12].try_into().unwrap()) as usize,
+            key_len: u32::from_le_bytes(rec[12..16].try_into().unwrap()) as usize,
+            score: f64::from_bits(u64::from_le_bytes(rec[16..24].try_into().unwrap())),
+        })
     }
 
     /// Number of baked entries.
@@ -159,16 +287,11 @@ impl SnapshotIndex {
     /// Iterate every baked `(url, score)` pair, in hash order. Keys that
     /// are not valid UTF-8 (impossible for our writer) are skipped.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        let bytes = self.map.as_slice();
-        let heap = &bytes[self.heap_off..self.buckets_off];
+        let heap = &self.map.as_slice()[self.heap_off..self.buckets_off];
         (0..self.header.entry_count as usize).filter_map(move |i| {
-            let off = HEADER_LEN + i * RECORD_LEN;
-            let rec = bytes.get(off..off + RECORD_LEN)?;
-            let key_off = u32::from_le_bytes(rec[8..12].try_into().unwrap()) as usize;
-            let key_len = u32::from_le_bytes(rec[12..16].try_into().unwrap()) as usize;
-            let key = std::str::from_utf8(heap.get(key_off..key_off + key_len)?).ok()?;
-            let score = f64::from_bits(u64::from_le_bytes(rec[16..24].try_into().unwrap()));
-            Some((key, score))
+            let rec = self.record(i)?;
+            let key = std::str::from_utf8(rec.key(heap)?).ok()?;
+            Some((key, rec.score))
         })
     }
 }

@@ -10,6 +10,7 @@
 //! `HashMap` replay produces, bit-for-bit, and the same bytes whatever
 //! the budget.
 
+use freephish_mapidx::read::PROBE_LANE;
 use freephish_mapidx::{IndexError, IndexWriter, SnapshotIndex};
 use freephish_simclock::prop::{check, Gen};
 use freephish_store::testutil::TempDir;
@@ -178,5 +179,104 @@ fn arbitrary_garbage_never_panics() {
             probe(&idx);
         }
         let _ = SnapshotIndex::open_verified(&out);
+    });
+}
+
+/// The widest frame a serve node hands the index: `serve::proto::MAX_BATCH`.
+const MAX_BATCH: usize = 256;
+
+/// A `get_many` batch and its answer slots. Keys are baked, absent (ids
+/// 60..64 and a foreign host) or empty, drawn with replacement so
+/// duplicates are common; lengths fall short of a lane, on it, just past
+/// it and up to a whole frame; about a quarter of the slots arrive
+/// answered and must be left alone.
+fn probe_batch(g: &mut Gen) -> (Vec<String>, Vec<Option<f64>>) {
+    let len = match g.u64_in(0..6) {
+        0 => g.usize_in(0..PROBE_LANE),
+        1 => PROBE_LANE,
+        2 => PROBE_LANE + 1,
+        3 => MAX_BATCH,
+        _ => g.usize_in(PROBE_LANE + 2..MAX_BATCH),
+    };
+    let keys = (0..len)
+        .map(|_| match g.u64_in(0..10) {
+            0 => String::new(),
+            1 => format!("https://never-baked-{}.wixsite.com/x", g.u64_in(0..4)),
+            _ => format!("https://site-{}.weebly.com/login", g.u64_in(0..64)),
+        })
+        .collect();
+    let slots = (0..len)
+        .map(|_| (g.u64_in(0..4) == 0).then(|| g.f64_bits()))
+        .collect();
+    (keys, slots)
+}
+
+/// `get_many` over `keys` with `slots` answers each prefilled slot with
+/// its own bits and every other slot exactly as `get` does.
+fn assert_get_many_is_get(idx: &SnapshotIndex, keys: &[String], slots: &[Option<f64>]) {
+    let mut out = slots.to_vec();
+    idx.get_many(keys, &mut out);
+    for ((key, before), after) in keys.iter().zip(slots).zip(&out) {
+        let want = before.or_else(|| idx.get(key));
+        assert_eq!(
+            after.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "slot for {key:?} (prefilled {before:?})"
+        );
+    }
+}
+
+#[test]
+fn get_many_answers_every_slot_as_get_does() {
+    check(64, |g| {
+        // As `entries`, plus the empty key.
+        let entries = g.vec(0..200, |g| {
+            let id = g.u64_in(0..64);
+            let url = match id {
+                60.. => String::new(),
+                _ => format!("https://site-{id}.weebly.com/login"),
+            };
+            (url, g.f64_bits())
+        });
+        let dir = TempDir::new("mapidx-prop-get-many");
+        let idx = SnapshotIndex::open(bake(dir.path(), &entries, g.usize_in(64..4096))).unwrap();
+        let replay: HashMap<&str, f64> = entries.iter().map(|(u, s)| (u.as_str(), *s)).collect();
+        for _ in 0..4 {
+            let (keys, slots) = probe_batch(g);
+            assert_get_many_is_get(&idx, &keys, &slots);
+            // And `get` itself is the baked map, bit for bit.
+            for key in &keys {
+                assert_eq!(
+                    idx.get(key).map(f64::to_bits),
+                    replay.get(key.as_str()).map(|s| s.to_bits()),
+                    "{key:?}"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn get_many_on_damaged_files_never_panics_and_equals_get() {
+    check(64, |g| {
+        let entries = entries(g);
+        let dir = TempDir::new("mapidx-prop-get-many-damaged");
+        let out = bake(dir.path(), &entries, 1024);
+        let mut bytes = std::fs::read(&out).unwrap();
+        if g.bool() {
+            let at = g.usize_in(0..bytes.len());
+            bytes[at] ^= 1 << g.u64_in(0..8);
+        } else {
+            bytes.truncate(g.usize_in(0..bytes.len()));
+        }
+        std::fs::write(&out, &bytes).unwrap();
+        // The fast open accepts body flips by design (and refuses every
+        // truncation): whatever it accepts must probe without panicking.
+        if let Ok(idx) = SnapshotIndex::open(&out) {
+            for _ in 0..4 {
+                let (keys, slots) = probe_batch(g);
+                assert_get_many_is_get(&idx, &keys, &slots);
+            }
+        }
     });
 }

@@ -23,7 +23,7 @@
 //!   SLO gates and dashboards share one number.
 //! * [`window`] — [`WindowedHistogram`], rolling fixed-width windows of
 //!   histograms for SLO-grade quantiles over the recent past.
-//! * [`trace`] (module) — per-request [`TraceId`] span traces with a
+//! * [`trace`](mod@trace) (module) — per-request [`TraceId`] span traces with a
 //!   ring-buffer [`TraceStore`] and tail-based slow capture.
 //! * [`export`] — Prometheus-style text exposition and a
 //!   `serde_json::Value` snapshot, both over [`MetricsSnapshot`].

@@ -187,6 +187,11 @@ struct Image {
 
 impl Image {
     fn get(&self, url: &str) -> Option<f64> {
+        // An empty image answers nothing, so it need not hash: an overlay
+        // serving from a fresh bake has an empty delta.
+        if self.len == 0 {
+            return None;
+        }
         let hash = hash_url(url);
         self.shards[hash as usize & self.mask].get(hash, url)
     }

@@ -96,18 +96,19 @@ impl UrlChecker for OverlayIndex {
 
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // One delta snapshot and one base Arc for the whole batch: every
-        // URL is judged against a single consistent two-level image.
+        // URL is judged against a single consistent two-level image. The
+        // delta answers first; its misses go to the base in one staged
+        // probe, whose memory misses overlap across the frame.
         let delta = self.delta.snapshot();
-        let base = self.base_arc();
-        urls.iter()
-            .map(|u| {
-                match delta
-                    .score(u)
-                    .or_else(|| base.as_ref().and_then(|b| b.get(u)))
-                {
-                    Some(score) => Verdict::Phishing(score),
-                    None => Verdict::Safe(0.0),
-                }
+        let mut scores: Vec<Option<f64>> = urls.iter().map(|u| delta.score(u)).collect();
+        if let Some(base) = self.base_arc() {
+            base.get_many(urls, &mut scores);
+        }
+        scores
+            .into_iter()
+            .map(|score| match score {
+                Some(score) => Verdict::Phishing(score),
+                None => Verdict::Safe(0.0),
             })
             .collect()
     }
@@ -126,6 +127,7 @@ impl UrlChecker for OverlayIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use freephish_mapidx::read::PROBE_LANE;
     use freephish_mapidx::IndexWriter;
     use freephish_store::testutil::TempDir;
 
@@ -224,5 +226,45 @@ mod tests {
             overlay.check("https://live.weebly.com/"),
             Verdict::Phishing(0.88)
         );
+    }
+
+    /// A verdict's block decision and exact score bits.
+    fn bits(v: &Verdict) -> (bool, u64) {
+        (v.is_phishing(), v.score().to_bits())
+    }
+
+    #[test]
+    fn check_many_equals_check_for_every_frame_size_and_across_base_swaps() {
+        let dir = TempDir::new("overlay-frames");
+        // Four kinds of URL, interleaved: base-only, delta-shadowed,
+        // delta-only and absent. The second base re-scores the base-only
+        // URLs and bakes some URLs the first one lacked.
+        let url = |i: usize| format!("https://f{i}.weebly.com/");
+        let bake = |name: &str, scale: f64| {
+            let entries: Vec<(String, f64)> = (0..300)
+                .filter(|i| i % 4 < 2 || (scale > 1.0 && i % 8 == 3))
+                .map(|i| (url(i), scale * i as f64 / 1000.0))
+                .collect();
+            let refs: Vec<(&str, f64)> = entries.iter().map(|(u, s)| (u.as_str(), *s)).collect();
+            baked(&dir, name, &refs)
+        };
+        let overlay =
+            OverlayIndex::with_base(bake("b1.mapidx", 1.0), Arc::new(ShardedIndex::new(4)));
+        for i in (0..300).filter(|i| i % 4 == 1 || i % 4 == 2) {
+            overlay.add(&url(i), 0.9 + i as f64 / 1e6).unwrap();
+        }
+        // A shuffle of the first 200 URLs that wraps, so a frame of more
+        // than 200 URLs repeats some.
+        let pool: Vec<String> = (0..256).map(|i| url(i * 7 % 200)).collect();
+        let sizes = [0, 1, PROBE_LANE - 1, PROBE_LANE, PROBE_LANE + 1, 256];
+        for (round, n) in sizes.iter().chain(&sizes).enumerate() {
+            if round == sizes.len() {
+                overlay.set_base(bake("b2.mapidx", 2.0));
+            }
+            let frame = &pool[..*n];
+            let many: Vec<_> = overlay.check_many(frame).iter().map(bits).collect();
+            let one: Vec<_> = frame.iter().map(|u| bits(&overlay.check(u))).collect();
+            assert_eq!(many, one, "frame of {n} URLs, round {round}");
+        }
     }
 }

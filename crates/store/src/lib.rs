@@ -26,7 +26,7 @@
 //!
 //! The crate is deliberately std-only — no dependencies, not even on the
 //! rest of the workspace — so the durability layer stays small enough to
-//! audit and test exhaustively (the CRC32 lives in [`crc32`]). Its
+//! audit and test exhaustively (the CRC32 lives in [`crc32`](mod@crc32)). Its
 //! truncation and bit-flip properties are an integration suite on
 //! `freephish-simclock`'s property runner, the crate's only dev-dependency.
 //!

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, release build, full test suite.
+# Pre-PR gate: formatting, lints, rustdoc, release build, full test suite.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 
@@ -10,6 +10,10 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Every crate's docs build with no broken or ambiguous intra-doc link.
+echo "== rustdoc: cargo doc --workspace --no-deps, warnings denied =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo build --release =="
 cargo build --release
