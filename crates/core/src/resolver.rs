@@ -31,15 +31,18 @@
 //!   recovers every journaled inline verdict with zero re-classification.
 //!
 //! Safe classifications are not journaled — a lookup miss already means
-//! safe — but land in a TTL'd **negative cache** so repeat misses don't
-//! re-classify. Expired negatives re-enter the classify queue; fresh ones
-//! never do. A frame reads the negative cache as it stood when the frame
-//! began and writes its tier-1 `SAFE` answers under one write lock at the
-//! end, so a URL repeated within one frame is judged by tier 1 at every
-//! occurrence. Every stage is counted and timed through `freephish-obs`
-//! (`resolver_*` metrics) and surfaces on the ops plane.
+//! safe — but land in a TTL'd **negative cache** (a [`KeyTable`]) so
+//! repeat misses don't re-classify. Expired negatives re-enter the
+//! classify queue; fresh ones never do, and a grow of the cache drops the
+//! expired ones. A frame reads the negative cache under one read lock, in
+//! one staged probe over its misses, and writes its tier-1 `SAFE` answers
+//! under one write lock at the end, so it sees the cache as it stood when
+//! the frame began and a URL repeated within one frame is judged by tier 1
+//! at every occurrence. Every stage is counted and timed through
+//! `freephish-obs` (`resolver_*` metrics) and surfaces on the ops plane.
 //!
 //! [`ShardedIndex`]: freephish_serve::ShardedIndex
+//! [`KeyTable`]: freephish_serve::KeyTable
 //! [`EventedStoreChecker`]: crate::verdictstore::EventedStoreChecker
 //! [`looks_like_html`]: freephish_htmlparse::looks_like_html
 //! [`url_features`]: crate::features::url_features
@@ -52,6 +55,7 @@ use freephish_htmlparse::looks_like_html;
 use freephish_ml::{threshold_at_fnr, Dataset, Gbdt, GbdtConfig, StackModelConfig};
 use freephish_obs::sync::{lock, read, write};
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use freephish_serve::{url_key, KeyTable};
 use freephish_simclock::{Rng64, SimDuration, SimTime};
 use freephish_urlparse::{swar, Url};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -264,17 +268,58 @@ enum NegativeSrc {
     Rejected,
 }
 
-struct NegativeEntry {
-    score: f64,
-    expires: SimTime,
-    src: NegativeSrc,
+impl NegativeSrc {
+    const ALL: [NegativeSrc; 4] = [
+        NegativeSrc::Prefilter,
+        NegativeSrc::Model,
+        NegativeSrc::Unfetchable,
+        NegativeSrc::Rejected,
+    ];
 }
 
+/// Bits of [`NegativeEntry::expires`] that hold the expiry; the two above
+/// them hold the provenance.
+const EXPIRY_BITS: u32 = 30;
+
+/// A negative-cache value, packed to 12 bytes so that with the table's
+/// URL (a `Box<str>`: nothing shares the cache's keys) and tag a slot is
+/// 32 bytes: the exact score, and the expiry in whole seconds (capped at
+/// 2^30 s, 34 years) under the provenance.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct NegativeEntry {
+    score: f64,
+    expires: u32,
+}
+
+impl NegativeEntry {
+    fn new(score: f64, expires: SimTime, src: NegativeSrc) -> NegativeEntry {
+        let seconds = expires.0.min((1 << EXPIRY_BITS) - 1) as u32;
+        NegativeEntry {
+            score,
+            expires: ((src as u32) << EXPIRY_BITS) | seconds,
+        }
+    }
+
+    fn fresh(&self, now: SimTime) -> bool {
+        now.0 < u64::from(self.expires & ((1 << EXPIRY_BITS) - 1))
+    }
+
+    fn src(&self) -> NegativeSrc {
+        NegativeSrc::ALL[(self.expires >> EXPIRY_BITS) as usize]
+    }
+}
+
+/// A frame-resolved `SAFE` answer to negative-cache, with its URL's key.
+type Negative<'a> = (u64, &'a str, f64, NegativeSrc);
+
 /// What resolving a frame's misses leaves for the end of the frame: the
-/// tier-1 `SAFE` answers to negative-cache and the residue to admit.
+/// tier-1 `SAFE` answers to negative-cache, the expired entries it found,
+/// and the residue to admit.
 #[derive(Default)]
 struct FrameMisses<'a> {
-    negatives: Vec<(&'a str, f64, NegativeSrc)>,
+    negatives: Vec<Negative<'a>>,
+    expired: Vec<(u64, &'a str)>,
     residue: Vec<&'a str>,
 }
 
@@ -362,7 +407,7 @@ struct Shared {
     clock: Arc<dyn ResolverClock>,
     cfg: TieredResolverConfig,
     models: Arc<ResolverModels>,
-    negative: RwLock<HashMap<String, NegativeEntry>>,
+    negative: RwLock<KeyTable<NegativeEntry, Box<str>>>,
     state: Mutex<QueueState>,
     work_cv: Condvar,
     idle_cv: Condvar,
@@ -407,7 +452,7 @@ impl TieredResolver {
                 clock,
                 cfg,
                 models,
-                negative: RwLock::new(HashMap::new()),
+                negative: RwLock::new(KeyTable::new()),
                 state: Mutex::new(QueueState::default()),
                 work_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
@@ -484,27 +529,25 @@ impl Drop for TieredResolver {
 
 impl Shared {
     /// Resolve one miss (tier 0 already answered safe-unknown) at the
-    /// frame's time `now`. A tier-1 `SAFE` answer is pushed onto
+    /// frame's time `now`, given its key and what the negative cache held
+    /// for it when the frame began. A tier-1 `SAFE` answer is pushed onto
     /// `frame.negatives`, a URL left for tier 2 is answered provisionally
     /// and pushed onto `frame.residue`; [`Shared::settle`] applies both.
-    fn resolve_miss<'a>(&self, url: &'a str, now: SimTime, frame: &mut FrameMisses<'a>) -> Verdict {
+    fn resolve_miss<'a>(
+        &self,
+        url: &'a str,
+        key: u64,
+        cached: Option<NegativeEntry>,
+        now: SimTime,
+        frame: &mut FrameMisses<'a>,
+    ) -> Verdict {
         // Negative cache: a fresh safe verdict answers without work; an
-        // expired one is evicted and falls through to re-classification.
-        // The write lock is taken only to evict, re-checking freshness: a
-        // publish may have raced a refresh in.
-        let expired = match read(&self.negative).get(url) {
-            Some(entry) if now < entry.expires => return self.negative_hit(entry),
-            found => found.is_some(),
-        };
-        if expired {
-            let mut neg = write(&self.negative);
-            if let Some(entry) = neg.get(url) {
-                if now < entry.expires {
-                    return self.negative_hit(entry);
-                }
-                neg.remove(url);
-                self.metrics.negative_expired.inc();
-            }
+        // expired one falls through to re-classification and is evicted
+        // when the frame settles.
+        match cached {
+            Some(entry) if entry.fresh(now) => return self.negative_hit(entry),
+            Some(_) => frame.expired.push((key, url)),
+            None => {}
         }
 
         // Garbage guard: one SWAR pass, then the one full parse. Unparsable
@@ -515,7 +558,7 @@ impl Shared {
         };
         let Some(parsed) = parsed else {
             self.metrics.rejected.inc();
-            frame.negatives.push((url, 0.0, NegativeSrc::Rejected));
+            frame.negatives.push((key, url, 0.0, NegativeSrc::Rejected));
             return Verdict::Safe(0.0);
         };
 
@@ -527,7 +570,7 @@ impl Shared {
             .record(t0.elapsed().as_secs_f64() * 1e6);
         if p < self.models.cutoff {
             self.metrics.hit_prefilter.inc();
-            frame.negatives.push((url, p, NegativeSrc::Prefilter));
+            frame.negatives.push((key, url, p, NegativeSrc::Prefilter));
             return Verdict::Safe(p);
         }
 
@@ -542,8 +585,8 @@ impl Shared {
     }
 
     /// Answer from a fresh negative-cache entry, counted by provenance.
-    fn negative_hit(&self, entry: &NegativeEntry) -> Verdict {
-        match entry.src {
+    fn negative_hit(&self, entry: NegativeEntry) -> Verdict {
+        match entry.src() {
             NegativeSrc::Prefilter => self.metrics.hit_negative_prefilter.inc(),
             NegativeSrc::Model => self.metrics.hit_negative_model.inc(),
             NegativeSrc::Unfetchable => self.metrics.hit_negative_unfetchable.inc(),
@@ -552,10 +595,20 @@ impl Shared {
         Verdict::Safe(entry.score)
     }
 
-    /// End a frame: cache its tier-1 negatives under one write lock, then
-    /// admit its residue.
+    /// End a frame: under one write lock, evict the expired entries it
+    /// found (unless a refresh raced in) and cache its tier-1 negatives;
+    /// then admit its residue.
     fn settle(&self, frame: &FrameMisses, now: SimTime) {
-        self.insert_negatives(&frame.negatives, now);
+        if !frame.expired.is_empty() || !frame.negatives.is_empty() {
+            let mut negative = write(&self.negative);
+            for &(key, url) in &frame.expired {
+                if negative.get(key, url).is_some_and(|e| !e.fresh(now)) {
+                    negative.remove(key, url);
+                    self.metrics.negative_expired.inc();
+                }
+            }
+            self.insert_negatives(&mut negative, &frame.negatives, now);
+        }
         self.admit(&frame.residue);
     }
 
@@ -588,22 +641,20 @@ impl Shared {
         }
     }
 
-    /// Negative-cache `entries` under one write lock.
-    fn insert_negatives(&self, entries: &[(&str, f64, NegativeSrc)], now: SimTime) {
-        if entries.is_empty() {
-            return;
-        }
+    /// Negative-cache `entries` in the locked `negative`. A grow this
+    /// takes drops the entries already expired, so between grows the
+    /// cache holds about one TTL of inserts.
+    fn insert_negatives(
+        &self,
+        negative: &mut KeyTable<NegativeEntry, Box<str>>,
+        entries: &[Negative],
+        now: SimTime,
+    ) {
+        let dropped = negative.reserve_dropping(entries.len(), |e| e.fresh(now));
+        self.metrics.negative_expired.add(dropped as u64);
         let expires = now + self.cfg.negative_ttl;
-        let mut negative = write(&self.negative);
-        for &(url, score, src) in entries {
-            negative.insert(
-                url.to_string(),
-                NegativeEntry {
-                    score,
-                    expires,
-                    src,
-                },
-            );
+        for &(key, url, score, src) in entries {
+            negative.insert(key, url, NegativeEntry::new(score, expires, src));
         }
     }
 
@@ -670,7 +721,7 @@ impl Shared {
                     } else {
                         self.metrics.fetch_failed.inc();
                     }
-                    negatives.push((url.as_str(), 0.0, src));
+                    negatives.push((url_key(url), url.as_str(), 0.0, src));
                     continue;
                 }
             };
@@ -689,10 +740,12 @@ impl Shared {
                 }
             } else {
                 self.metrics.classified_safe.inc();
-                negatives.push((url.as_str(), score, NegativeSrc::Model));
+                negatives.push((url_key(url), url.as_str(), score, NegativeSrc::Model));
             }
         }
-        self.insert_negatives(&negatives, now);
+        if !negatives.is_empty() {
+            self.insert_negatives(&mut write(&self.negative), &negatives, now);
+        }
         self.metrics
             .classify_batch_us
             .record(t0.elapsed().as_secs_f64() * 1e6);
@@ -709,27 +762,32 @@ impl UrlChecker for TieredResolver {
             return v;
         }
         let now = s.clock.now();
+        let key = url_key(url);
+        let cached = read(&s.negative).get(key, url);
         let mut frame = FrameMisses::default();
-        let v = s.resolve_miss(url, now, &mut frame);
+        let v = s.resolve_miss(url, key, cached, now, &mut frame);
         s.settle(&frame, now);
         v
     }
 
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // Tier 0 resolves the whole batch against one index snapshot;
-        // only the misses walk the lower tiers, at one clock reading, and
+        // only the misses walk the lower tiers, at one clock reading: one
+        // staged probe of the negative cache, then the tiers below, and
         // the frame's negatives and residue land in one pass each.
         let s = &self.shared;
         s.metrics.requests.add(urls.len() as u64);
         let mut out = s.inner.check_many(urls);
+        let misses: Vec<usize> = (0..urls.len()).filter(|&i| !out[i].is_phishing()).collect();
+        s.metrics.hit_index.add((urls.len() - misses.len()) as u64);
+        let miss_urls: Vec<&str> = misses.iter().map(|&i| urls[i].as_str()).collect();
+        let keys: Vec<u64> = miss_urls.iter().map(|url| url_key(url)).collect();
+        let mut cached = vec![None; misses.len()];
+        read(&s.negative).get_many(&keys, &miss_urls, &mut cached);
         let now = s.clock.now();
         let mut frame = FrameMisses::default();
-        for (url, v) in urls.iter().zip(out.iter_mut()) {
-            if v.is_phishing() {
-                s.metrics.hit_index.inc();
-            } else {
-                *v = s.resolve_miss(url, now, &mut frame);
-            }
+        for (j, &i) in misses.iter().enumerate() {
+            out[i] = s.resolve_miss(miss_urls[j], keys[j], cached[j], now, &mut frame);
         }
         s.settle(&frame, now);
         out
@@ -739,7 +797,7 @@ impl UrlChecker for TieredResolver {
         // Wire ADDs pass straight to the durable tier; drop any cached
         // negative so the next check sees the new verdict.
         let generation = self.shared.inner.add(url, score)?;
-        write(&self.shared.negative).remove(url);
+        write(&self.shared.negative).remove(url_key(url), url);
         Ok(generation)
     }
 
@@ -1133,6 +1191,56 @@ mod tests {
         // An analyst reports it over the wire.
         r.add(url, 0.97).unwrap();
         assert!(r.check(url).is_phishing());
+        r.shutdown();
+    }
+
+    #[test]
+    fn a_grow_of_the_negative_cache_drops_the_expired_entries() {
+        let clock = Arc::new(ManualClock::new());
+        let cfg = TieredResolverConfig {
+            negative_ttl: SimDuration(600),
+            ..TieredResolverConfig::default()
+        };
+        // Cutoff above every score: every URL is a tier-1 negative.
+        let r = resolver_with(
+            Some(f64::INFINITY),
+            Arc::new(MapFetcher::new()),
+            clock.clone(),
+            cfg,
+        );
+        let frame = |name: &str| -> Vec<String> {
+            (0..12)
+                .map(|i| format!("https://{name}{i}.weebly.com/"))
+                .collect()
+        };
+        let expired = |r: &TieredResolver| {
+            let snap = r.metrics_snapshot();
+            (
+                snap.counter("resolver_negative_expired_total", &[]),
+                snap.gauge("resolver_negative_entries", &[]),
+            )
+        };
+        let cached = &[("tier", "negative"), ("src", "prefilter")];
+
+        // Twelve entries fit the smallest table; the next twelve grow it
+        // while the first are still fresh, so nothing is dropped.
+        r.check_many(&frame("old"));
+        clock.advance(SimDuration(599));
+        r.check_many(&frame("mid"));
+        assert_eq!(expired(&r), (0, 24));
+
+        // Past the first frame's TTL, the grow the third frame takes drops
+        // the first twelve and keeps the second.
+        clock.advance(SimDuration(1));
+        r.check_many(&frame("new"));
+        assert_eq!(expired(&r), (12, 24));
+        r.check_many(&frame("mid"));
+        let snap = r.metrics_snapshot();
+        assert_eq!(snap.counter("resolver_tier_hits_total", cached), 12);
+        r.check_many(&frame("old"));
+        let snap = r.metrics_snapshot();
+        assert_eq!(snap.counter("resolver_tier_hits_total", cached), 12);
+        assert_eq!(expired(&r), (12, 36));
         r.shutdown();
     }
 

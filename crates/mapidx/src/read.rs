@@ -120,7 +120,7 @@ impl SnapshotIndex {
     /// one-key case of [`SnapshotIndex::get_many`].
     pub fn get(&self, url: &str) -> Option<f64> {
         let mut out = [None];
-        self.get_many(&[url], &mut out);
+        self.probe::<_, 1>(&[url], &mut out, &[0]);
         out[0]
     }
 
@@ -149,31 +149,39 @@ impl SnapshotIndex {
             lane[n] = slot;
             n += 1;
             if n == PROBE_LANE {
-                self.probe(keys, out, &lane);
+                self.probe::<_, PROBE_LANE>(keys, out, &lane);
                 n = 0;
             }
         }
         if n > 0 {
-            self.probe(keys, out, &lane[..n]);
+            self.probe::<_, PROBE_LANE>(keys, out, &lane[..n]);
         }
     }
 
-    /// The one probe loop: answer the slots `lane` names. A key costs
-    /// three dependent misses (bucket table, record, key heap); each
-    /// stage makes one of them for every key of the lane before the next
-    /// stage needs any of their results. The loads within a stage do not
-    /// depend on each other, so the core keeps them in flight together.
-    fn probe<K: AsRef<str>>(&self, keys: &[K], out: &mut [Option<f64>], lane: &[usize]) {
+    /// The one probe loop: answer the slots `lane` names, at most `N`. A
+    /// key costs three dependent misses (bucket table, record, key heap);
+    /// each stage makes one of them for every key of the lane before the
+    /// next stage needs any of their results. The loads within a stage do
+    /// not depend on each other, so the core keeps them in flight
+    /// together. The lane's state is `N` wide, so [`SnapshotIndex::get`]
+    /// (`N = 1`) sets up one key's worth of it.
+    fn probe<K: AsRef<str>, const N: usize>(
+        &self,
+        keys: &[K],
+        out: &mut [Option<f64>],
+        lane: &[usize],
+    ) {
+        debug_assert!(lane.len() <= N);
         let bytes = self.map.as_slice();
         let Some(heap) = bytes.get(self.heap_off..self.buckets_off) else {
             return;
         };
         let entries = self.header.entry_count as usize;
-        let mut hash = [0u64; PROBE_LANE];
+        let mut hash = [0u64; N];
         // Per key, records `next..end` are still to scan; the scan stops
         // early at a record hashing above the key.
-        let mut next = [0usize; PROBE_LANE];
-        let mut end = [0usize; PROBE_LANE];
+        let mut next = [0usize; N];
+        let mut end = [0usize; N];
 
         // Stage 1: hash every key and read its bucket's bounds. A corrupt
         // bucket table reads as an empty bucket.
@@ -192,7 +200,7 @@ impl SnapshotIndex {
 
         // Stage 2: read each bucket's first record. Nothing branches on
         // what it holds until stage 3.
-        let mut first = [None; PROBE_LANE];
+        let mut first = [None; N];
         for j in 0..lane.len() {
             if next[j] < end[j] {
                 first[j] = self.record(next[j]).map(|rec| rec.hash);
@@ -204,7 +212,7 @@ impl SnapshotIndex {
         // candidate and a larger hash empties the span), then touch the
         // candidate's key in the heap. Its first byte is kept, and stage 4
         // checks it before comparing the whole key.
-        let mut lead = [None; PROBE_LANE];
+        let mut lead = [None; N];
         for j in 0..lane.len() {
             let mut rec_hash = first[j];
             while next[j] < end[j] {

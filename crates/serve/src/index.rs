@@ -8,21 +8,25 @@
 //! sees half of a publish and a snapshot's generation always matches its
 //! contents.
 //!
-//! A shard image is a *frozen* `Arc<HashMap>` shadowed by a small *head*
-//! of recent entries kept sorted by URL hash, plus a bit filter over the
-//! head's hashes. [`ShardedIndex::publish`] copies only the touched
-//! shards' heads and the batch; every frozen map and untouched shard is
+//! A shard image is a *frozen* `Arc<KeyTable>` shadowed by a small *head*
+//! of recent entries kept sorted by URL key, plus a bit filter over the
+//! head's keys. [`ShardedIndex::publish`] copies only the touched
+//! shards' heads and the batch; every frozen table and untouched shard is
 //! shared with the previous image. When a head outgrows √n entries (n the
-//! shard's frozen size, floor 16) it *folds* into a new frozen map — one
-//! copy of that shard per √n entries — so a publish costs O(batch + √n)
-//! amortized where it used to clone the shard, and stays flat as the index
-//! grows. Publishers serialize on a writer lock and build the next image
-//! outside the lock readers take, which is held only to swap the `Arc`.
+//! shard's frozen size, floor 16) it *folds* into a new frozen table — a
+//! copy of that shard, whose URLs stay shared, per √n entries — so a
+//! publish costs O(batch + √n) amortized where it used to clone the shard,
+//! and stays flat as the index grows. Publishers serialize on a writer
+//! lock and build the next image outside the lock readers take, which is
+//! held only to swap the `Arc`.
 //!
-//! A lookup hashes the URL once for its shard, tests the filter with other
-//! bits of that hash, binary-searches the head by it only on a filter hit,
-//! and then probes the frozen map: never more than the two hashes a plain
-//! sharded map costs.
+//! A lookup computes the URL's [`url_key`] once and takes every level's
+//! bits from it: the shard from the low bits, the head filter from bits 16
+//! to 32 (the head is binary-searched only on a filter hit), and the
+//! frozen table's slot and tag from the high half. A batch
+//! ([`IndexSnapshot::score_many`]) probes the frozen tables a lane of keys
+//! at a time, in the [`KeyTable`]'s stages, so the cache misses of a
+//! frame's URLs overlap.
 //!
 //! [`IndexPublisher`] closes the loop with the durability layer: it tails
 //! a `freephish-store` directory another process is writing (the pipeline
@@ -30,12 +34,10 @@
 //! generation. Payload decoding is a caller-supplied closure so this crate
 //! stays below `freephish-core` (which owns the journal record schema).
 
+use crate::keytable::{url_key, KeyTable, Lane, Lookup};
 use crate::verdict::{UrlChecker, Verdict};
 use freephish_obs::sync::{lock, read, write};
 use freephish_store::TailFollower;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
@@ -47,10 +49,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// copy its frozen map for every few entries.
 const MIN_HEAD_CAP: usize = 16;
 
+/// A URL's key; its low bits pick the shard.
 fn hash_url(url: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    url.hash(&mut h);
-    h.finish()
+    url_key(url)
 }
 
 /// How many head entries a shard holds before folding: √frozen, so the
@@ -76,16 +77,17 @@ impl HeadEntry {
 }
 
 /// The filter word and bit for `hash` in a filter of `words` words (a
-/// power of two). Uses the high half of the hash; the shard index uses
-/// the low bits.
+/// power of two). Uses bits 16 and up: the shard index uses the low bits,
+/// and a filter reaches past bit 32, into the frozen table's tag, only
+/// once one shard holds over sixteen million entries.
 fn filter_bit(words: usize, hash: u64) -> (usize, u64) {
-    let bit = (hash >> 32) as usize & (words * 64 - 1);
+    let bit = (hash >> 16) as usize & (words * 64 - 1);
     (bit / 64, 1 << (bit % 64))
 }
 
 /// One shard's immutable image.
 struct Shard {
-    frozen: Arc<HashMap<Arc<str>, f64>>,
+    frozen: Arc<KeyTable<f64>>,
     /// Entries newer than `frozen`, which they shadow; sorted by
     /// [`HeadEntry::key`], one per URL, never more than `head_cap`.
     head: Vec<HeadEntry>,
@@ -99,38 +101,41 @@ struct Shard {
 impl Shard {
     fn empty() -> Shard {
         Shard {
-            frozen: Arc::new(HashMap::new()),
+            frozen: Arc::new(KeyTable::new()),
             head: Vec::new(),
             filter: Vec::new(),
             len: 0,
         }
     }
 
-    fn get(&self, hash: u64, url: &str) -> Option<f64> {
-        if !self.filter.is_empty() {
-            let (word, bit) = filter_bit(self.filter.len(), hash);
-            if self.filter[word] & bit != 0 {
-                let start = self.head.partition_point(|e| e.hash < hash);
-                for e in self.head[start..].iter().take_while(|e| e.hash == hash) {
-                    if &*e.url == url {
-                        return Some(e.score);
-                    }
-                }
-            }
+    /// `url`'s score in the head, which shadows the frozen table.
+    fn head_get(&self, hash: u64, url: &str) -> Option<f64> {
+        if self.filter.is_empty() {
+            return None;
         }
-        self.frozen.get(url).copied()
+        let (word, bit) = filter_bit(self.filter.len(), hash);
+        if self.filter[word] & bit == 0 {
+            return None;
+        }
+        let start = self.head.partition_point(|e| e.hash < hash);
+        self.head[start..]
+            .iter()
+            .take_while(|e| e.hash == hash)
+            .find(|e| &*e.url == url)
+            .map(|e| e.score)
     }
 
     /// This shard with `batch` applied: a non-empty run of entries in
     /// publish order, of which the last for a URL wins.
     fn with(&self, mut batch: Vec<HeadEntry>) -> Shard {
         if self.head.len() + batch.len() > head_cap(self.frozen.len()) {
-            // Fold. The clone shares every key and keeps the map's hasher,
-            // so no existing entry is rehashed; inserting head then batch
-            // in order lets the newest entry for a URL win.
-            let mut frozen = HashMap::clone(&self.frozen);
-            let newer = self.head.iter().cloned().chain(batch);
-            frozen.extend(newer.map(|e| (e.url, e.score)));
+            // Fold. The copy shares every URL and re-places entries by
+            // their stored keys, so no URL is hashed again; inserting head
+            // then batch in order lets the newest entry for a URL win.
+            let mut frozen = self.frozen.with_room(self.head.len() + batch.len());
+            for e in self.head.iter().cloned().chain(batch) {
+                frozen.insert(e.hash, e.url, e.score);
+            }
             return Shard {
                 len: frozen.len(),
                 frozen: Arc::new(frozen),
@@ -157,7 +162,7 @@ impl Shard {
                 head.push(e.clone());
             }
             let overwrites_head = old.next_if(|e| e.key() == entry.key()).is_some();
-            if !overwrites_head && !self.frozen.contains_key(&*entry.url) {
+            if !overwrites_head && self.frozen.get(entry.hash, &entry.url).is_none() {
                 len += 1;
             }
             head.push(entry);
@@ -187,13 +192,49 @@ struct Image {
 
 impl Image {
     fn get(&self, url: &str) -> Option<f64> {
-        // An empty image answers nothing, so it need not hash: an overlay
-        // serving from a fresh bake has an empty delta.
         if self.len == 0 {
             return None;
         }
-        let hash = hash_url(url);
-        self.shards[hash as usize & self.mask].get(hash, url)
+        let key = hash_url(url);
+        let shard = &self.shards[key as usize & self.mask];
+        shard
+            .head_get(key, url)
+            .or_else(|| shard.frozen.get(key, url))
+    }
+
+    /// Answer every `None` slot of `out` with the score of the URL in the
+    /// same slot of `urls`. A URL's key is computed once, its shard's head
+    /// is checked at once, and the frozen tables are probed a lane at a
+    /// time.
+    fn get_many<K: AsRef<str>>(&self, urls: &[K], out: &mut [Option<f64>]) {
+        assert_eq!(urls.len(), out.len(), "one answer slot per URL");
+        // An empty image answers nothing, so it need not hash: an overlay
+        // serving from a fresh bake has an empty delta.
+        if self.len == 0 {
+            return;
+        }
+        let mut lane = Lane::new(&self.shards[0].frozen);
+        for slot in 0..urls.len() {
+            if out[slot].is_some() {
+                continue;
+            }
+            let url = urls[slot].as_ref();
+            let key = hash_url(url);
+            let shard = &self.shards[key as usize & self.mask];
+            match shard.head_get(key, url) {
+                Some(score) => out[slot] = Some(score),
+                None => lane.push(
+                    Lookup {
+                        table: &shard.frozen,
+                        key,
+                        slot,
+                    },
+                    urls,
+                    out,
+                ),
+            }
+        }
+        lane.flush(urls, out);
     }
 }
 
@@ -303,8 +344,15 @@ impl UrlChecker for ShardedIndex {
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // One snapshot for the whole batch: every URL is judged against
         // the same generation even while publishes land concurrently.
-        let snap = self.snapshot();
-        urls.iter().map(|u| snap.check(u)).collect()
+        let mut scores = vec![None; urls.len()];
+        self.snapshot().score_many(urls, &mut scores);
+        scores
+            .into_iter()
+            .map(|score| match score {
+                Some(score) => Verdict::Phishing(score),
+                None => Verdict::Safe(0.0),
+            })
+            .collect()
     }
 
     fn add(&self, url: &str, score: f64) -> Result<u64, String> {
@@ -334,6 +382,18 @@ impl IndexSnapshot {
     /// [`ShardedIndex::score`]).
     pub fn score(&self, url: &str) -> Option<f64> {
         self.image.get(url)
+    }
+
+    /// Answer every `None` slot of `out` with the exact stored score of
+    /// the URL in the same slot of `urls`; slots already `Some` are left
+    /// alone, and a slot stays `None` when its URL is absent. The frozen
+    /// tables are probed in stages, so a frame's cache misses overlap.
+    ///
+    /// # Panics
+    ///
+    /// When `urls` and `out` differ in length.
+    pub fn score_many<K: AsRef<str>>(&self, urls: &[K], out: &mut [Option<f64>]) {
+        self.image.get_many(urls, out);
     }
 
     /// The generation this snapshot was taken at.
@@ -409,6 +469,7 @@ impl IndexPublisher {
 mod tests {
     use super::*;
     use freephish_simclock::Rng64;
+    use std::collections::HashMap;
 
     #[test]
     fn publish_and_check() {

@@ -22,6 +22,9 @@
 //!   touched shards' small heads and swaps that `Arc`, so readers wait for
 //!   no more than the swap; [`IndexPublisher`] tails a `freephish-store`
 //!   journal and publishes new generations.
+//! * [`keytable`] — [`KeyTable`]: the open-addressing table under the
+//!   delta's frozen maps and the resolver's negative cache, keyed by
+//!   [`url_key`] and probed a lane of keys at a time.
 //! * [`overlay`] — [`OverlayIndex`]: the two-level read path for
 //!   million-entry nodes. An immutable mmap baseline (`freephish-mapidx`)
 //!   under the live delta; journaled entries shadow baked ones
@@ -40,6 +43,7 @@
 //! counts, and service-time quantiles.
 
 pub mod index;
+pub mod keytable;
 pub mod ops;
 pub mod overlay;
 pub mod proto;
@@ -48,6 +52,7 @@ pub mod sys;
 pub mod verdict;
 
 pub use index::{IndexPublisher, IndexSnapshot, PayloadDecoder, ShardedIndex};
+pub use keytable::{url_key, KeyTable};
 pub use ops::{http_get, OpsConfig, OpsServer, Readiness};
 pub use overlay::OverlayIndex;
 pub use proto::{

@@ -97,10 +97,10 @@ impl UrlChecker for OverlayIndex {
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
         // One delta snapshot and one base Arc for the whole batch: every
         // URL is judged against a single consistent two-level image. The
-        // delta answers first; its misses go to the base in one staged
-        // probe, whose memory misses overlap across the frame.
-        let delta = self.delta.snapshot();
-        let mut scores: Vec<Option<f64>> = urls.iter().map(|u| delta.score(u)).collect();
+        // delta answers first and its misses go to the base, each level in
+        // one staged probe whose memory misses overlap across the frame.
+        let mut scores = vec![None; urls.len()];
+        self.delta.snapshot().score_many(urls, &mut scores);
         if let Some(base) = self.base_arc() {
             base.get_many(urls, &mut scores);
         }

@@ -81,23 +81,29 @@ pub enum Request {
 
 /// Parse one complete line out of the accumulation buffer, if available.
 /// Returns `Ok(None)` when more bytes are needed; malformed lines are an
-/// error carrying a message for the `ERROR` reply.
+/// error carrying a message for the `ERROR` reply. Either way a complete
+/// line is consumed, parsed where it lies.
 pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, String> {
     let Some(pos) = buf.iter().position(|&b| b == b'\n') else {
         return Ok(None);
     };
-    let line = buf.split_to(pos + 1);
-    let line = std::str::from_utf8(&line[..pos]).map_err(|_| "non-utf8 request".to_string())?;
+    let request = parse_line(&buf[..pos]);
+    buf.advance(pos + 1);
+    request.map(Some)
+}
+
+fn parse_line(line: &[u8]) -> Result<Request, String> {
+    let line = std::str::from_utf8(line).map_err(|_| "non-utf8 request".to_string())?;
     let line = line.trim_end_matches('\r');
     if line == "STATS" {
-        return Ok(Some(Request::Stats));
+        return Ok(Request::Stats);
     }
     if line == HANDSHAKE_LINE {
-        return Ok(Some(Request::Binary));
+        return Ok(Request::Binary);
     }
     match line.split_once(' ') {
         Some(("CHECK", url)) if !url.trim().is_empty() => {
-            Ok(Some(Request::Check(url.trim().to_string())))
+            Ok(Request::Check(url.trim().to_string()))
         }
         Some(("ADD", rest)) => {
             let (url, score) = rest
@@ -110,7 +116,7 @@ pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, String> {
             if url.is_empty() || !(0.0..=1.0).contains(&score) {
                 return Err(format!("malformed request: {line:?}"));
             }
-            Ok(Some(Request::Add(url.to_string(), score)))
+            Ok(Request::Add(url.to_string(), score))
         }
         _ => Err(format!("malformed request: {line:?}")),
     }
@@ -274,11 +280,12 @@ pub fn encode_bin_reply(buf: &mut BytesMut, reply: &BinReply) {
     }
 }
 
-/// Split one complete frame's opcode + payload off the front of `buf`.
-/// `Ok(None)` means the frame is still torn (incomplete); errors mean the
-/// stream is unrecoverable (oversized or garbled framing) and the
-/// connection should be closed after an `ERROR` reply.
-fn split_frame(buf: &mut BytesMut) -> Result<Option<(u8, BytesMut)>, String> {
+/// The opcode and payload of the complete frame at the front of `buf`,
+/// borrowed where they lie. `Ok(None)` means the frame is still torn
+/// (incomplete); errors mean the stream is unrecoverable (oversized or
+/// garbled framing) and the connection should be closed after an `ERROR`
+/// reply.
+fn peek_frame(buf: &[u8]) -> Result<Option<(u8, &[u8])>, String> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -294,125 +301,138 @@ fn split_frame(buf: &mut BytesMut) -> Result<Option<(u8, BytesMut)>, String> {
             "frame payload of {len} exceeds {MAX_FRAME_PAYLOAD}"
         ));
     }
-    if buf.len() < FRAME_HEADER + len {
-        return Ok(None);
-    }
-    let opcode = buf[1];
-    let _ = buf.split_to(FRAME_HEADER);
-    Ok(Some((opcode, buf.split_to(len))))
+    Ok(buf
+        .get(FRAME_HEADER..FRAME_HEADER + len)
+        .map(|payload| (buf[1], payload)))
 }
 
-fn take_u16(payload: &mut BytesMut) -> Result<u16, String> {
-    if payload.len() < 2 {
-        return Err("truncated field in frame".to_string());
-    }
-    let raw = payload.split_to(2);
-    Ok(u16::from_le_bytes([raw[0], raw[1]]))
-}
-
-fn take_f64(payload: &mut BytesMut) -> Result<f64, String> {
-    if payload.len() < 8 {
-        return Err("truncated score in frame".to_string());
-    }
-    let raw = payload.split_to(8);
-    Ok(f64::from_le_bytes(raw[..8].try_into().unwrap()))
-}
-
-fn take_url(payload: &mut BytesMut) -> Result<String, String> {
-    let len = take_u16(payload)? as usize;
-    if payload.len() < len {
-        return Err("truncated url in frame".to_string());
-    }
-    let raw = payload.split_to(len);
-    String::from_utf8(raw[..].to_vec()).map_err(|_| "non-utf8 url in frame".to_string())
-}
-
-/// Decode one complete request frame off the front of `buf`, if present.
-pub fn decode_bin_request(buf: &mut BytesMut) -> Result<Option<BinRequest>, String> {
-    let Some((opcode, mut payload)) = split_frame(buf)? else {
+/// Decode the complete frame at the front of `buf` with `parse`, then
+/// consume it, whether its payload parsed or not. Framing errors and torn
+/// frames consume nothing.
+fn decode_frame<T>(
+    buf: &mut BytesMut,
+    parse: impl FnOnce(u8, &mut Payload) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let Some((opcode, payload)) = peek_frame(buf)? else {
         return Ok(None);
     };
-    let req = match opcode {
-        OP_CHECK => {
-            let url = String::from_utf8(payload[..].to_vec())
-                .map_err(|_| "non-utf8 url in frame".to_string())?;
-            if url.is_empty() {
-                return Err("empty url in CHECK frame".to_string());
-            }
-            BinRequest::Check(url)
-        }
-        OP_CHECKN => {
-            let count = take_u16(&mut payload)? as usize;
-            if count > MAX_BATCH {
-                return Err(format!("batch of {count} exceeds {MAX_BATCH}"));
-            }
-            let mut urls = Vec::with_capacity(count);
-            for _ in 0..count {
-                urls.push(take_url(&mut payload)?);
-            }
-            if !payload.is_empty() {
-                return Err("trailing bytes in CHECKN frame".to_string());
-            }
-            BinRequest::CheckN(urls)
-        }
-        OP_ADD => {
-            let url = take_url(&mut payload)?;
-            let score = take_f64(&mut payload)?;
-            if url.is_empty() || !(0.0..=1.0).contains(&score) {
-                return Err("malformed ADD frame".to_string());
-            }
-            BinRequest::Add(url, score)
-        }
-        OP_STATS => BinRequest::Stats,
-        other => return Err(format!("unknown request opcode 0x{other:02x}")),
-    };
-    Ok(Some(req))
+    let len = FRAME_HEADER + payload.len();
+    let parsed = parse(opcode, &mut Payload(payload));
+    buf.advance(len);
+    parsed.map(Some)
 }
 
-/// Decode one complete reply frame off the front of `buf`, if present.
-pub fn decode_bin_reply(buf: &mut BytesMut) -> Result<Option<BinReply>, String> {
-    fn take_verdict(payload: &mut BytesMut) -> Result<Verdict, String> {
-        if payload.is_empty() {
-            return Err("truncated verdict in frame".to_string());
+/// A cursor over a frame's payload.
+struct Payload<'a>(&'a [u8]);
+
+impl<'a> Payload<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if self.0.len() < n {
+            return Err(format!("truncated {what} in frame"));
         }
-        let kind = payload.split_to(1)[0];
-        let score = take_f64(payload)?;
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u16(&mut self) -> Result<u16, String> {
+        let raw = self.take(2, "field")?;
+        Ok(u16::from_le_bytes([raw[0], raw[1]]))
+    }
+
+    fn f64(&mut self) -> Result<f64, String> {
+        let raw = self.take(8, "score")?;
+        Ok(f64::from_le_bytes(raw.try_into().unwrap()))
+    }
+
+    fn url(&mut self) -> Result<String, String> {
+        let len = self.u16()? as usize;
+        let raw = self.take(len, "url")?;
+        utf8_url(raw)
+    }
+
+    fn verdict(&mut self) -> Result<Verdict, String> {
+        let kind = self.take(1, "verdict")?[0];
+        let score = self.f64()?;
         match kind {
             1 => Ok(Verdict::Phishing(score)),
             0 => Ok(Verdict::Safe(score)),
             other => Err(format!("unknown verdict kind {other}")),
         }
     }
-    let Some((opcode, mut payload)) = split_frame(buf)? else {
-        return Ok(None);
-    };
-    let reply = match opcode {
-        OP_VERDICT => BinReply::Verdict(take_verdict(&mut payload)?),
+}
+
+fn utf8_url(raw: &[u8]) -> Result<String, String> {
+    std::str::from_utf8(raw)
+        .map(str::to_string)
+        .map_err(|_| "non-utf8 url in frame".to_string())
+}
+
+/// Decode one complete request frame off the front of `buf`, if present.
+pub fn decode_bin_request(buf: &mut BytesMut) -> Result<Option<BinRequest>, String> {
+    decode_frame(buf, |opcode, payload| match opcode {
+        OP_CHECK => {
+            let url = utf8_url(payload.0)?;
+            if url.is_empty() {
+                return Err("empty url in CHECK frame".to_string());
+            }
+            Ok(BinRequest::Check(url))
+        }
+        OP_CHECKN => {
+            let count = payload.u16()? as usize;
+            if count > MAX_BATCH {
+                return Err(format!("batch of {count} exceeds {MAX_BATCH}"));
+            }
+            let mut urls = Vec::with_capacity(count);
+            for _ in 0..count {
+                urls.push(payload.url()?);
+            }
+            if !payload.0.is_empty() {
+                return Err("trailing bytes in CHECKN frame".to_string());
+            }
+            Ok(BinRequest::CheckN(urls))
+        }
+        OP_ADD => {
+            let url = payload.url()?;
+            let score = payload.f64()?;
+            if url.is_empty() || !(0.0..=1.0).contains(&score) {
+                return Err("malformed ADD frame".to_string());
+            }
+            Ok(BinRequest::Add(url, score))
+        }
+        OP_STATS => Ok(BinRequest::Stats),
+        other => Err(format!("unknown request opcode 0x{other:02x}")),
+    })
+}
+
+/// Decode one complete reply frame off the front of `buf`, if present.
+pub fn decode_bin_reply(buf: &mut BytesMut) -> Result<Option<BinReply>, String> {
+    decode_frame(buf, |opcode, payload| match opcode {
+        OP_VERDICT => Ok(BinReply::Verdict(payload.verdict()?)),
         OP_VERDICTN => {
-            let count = take_u16(&mut payload)? as usize;
+            let count = payload.u16()? as usize;
             if count > MAX_BATCH {
                 return Err(format!("verdict batch of {count} exceeds {MAX_BATCH}"));
             }
             let mut vs = Vec::with_capacity(count);
             for _ in 0..count {
-                vs.push(take_verdict(&mut payload)?);
+                vs.push(payload.verdict()?);
             }
-            BinReply::VerdictN(vs)
+            Ok(BinReply::VerdictN(vs))
         }
-        OP_OK => {
-            if payload.len() != 8 {
-                return Err("malformed OK frame".to_string());
-            }
-            BinReply::Ok(u64::from_le_bytes(payload[..8].try_into().unwrap()))
-        }
-        OP_STATSR => BinReply::Stats(
-            String::from_utf8(payload[..].to_vec()).map_err(|_| "non-utf8 stats".to_string())?,
-        ),
-        OP_ERROR => BinReply::Error(String::from_utf8_lossy(&payload).into_owned()),
-        OP_BUSY => BinReply::Busy,
-        other => return Err(format!("unknown reply opcode 0x{other:02x}")),
-    };
-    Ok(Some(reply))
+        OP_OK => match <[u8; 8]>::try_from(payload.0) {
+            Ok(raw) => Ok(BinReply::Ok(u64::from_le_bytes(raw))),
+            Err(_) => Err("malformed OK frame".to_string()),
+        },
+        OP_STATSR => std::str::from_utf8(payload.0)
+            .map(|json| BinReply::Stats(json.to_string()))
+            .map_err(|_| "non-utf8 stats".to_string()),
+        OP_ERROR => Ok(BinReply::Error(
+            String::from_utf8_lossy(payload.0).into_owned(),
+        )),
+        OP_BUSY => Ok(BinReply::Busy),
+        other => Err(format!("unknown reply opcode 0x{other:02x}")),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -445,10 +465,11 @@ fn read_more(stream: &mut impl Read, buf: &mut BytesMut) -> std::io::Result<()> 
 pub fn read_line_buffered(stream: &mut impl Read, buf: &mut BytesMut) -> std::io::Result<String> {
     loop {
         if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line = buf.split_to(pos + 1);
-            let text =
-                std::str::from_utf8(&line[..pos]).map_err(|_| io_invalid("non-utf8 reply"))?;
-            return Ok(text.trim_end_matches('\r').to_string());
+            let text = std::str::from_utf8(&buf[..pos])
+                .map(|text| text.trim_end_matches('\r').to_string())
+                .map_err(|_| io_invalid("non-utf8 reply"));
+            buf.advance(pos + 1);
+            return text;
         }
         if buf.len() > MAX_FRAME_PAYLOAD {
             return Err(io_invalid("reply line exceeds maximum size"));

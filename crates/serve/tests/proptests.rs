@@ -1,6 +1,7 @@
 //! Property tests over the binary frame codec: round trips for arbitrary
 //! requests and replies, torn-frame waiting at every cut point, rejection
-//! of oversized frames, and decoder totality on arbitrary bytes.
+//! of oversized frames, decoder totality on arbitrary bytes, and decoders
+//! that consume exactly one complete frame, decoded or refused.
 
 use bytes::BytesMut;
 use freephish_serve::proto::{self, MAX_FRAME_PAYLOAD};
@@ -149,5 +150,71 @@ fn over_batch_rejected() {
         forged[6] = count_bytes[0];
         forged[7] = count_bytes[1];
         assert!(decode_bin_request(&mut forged).is_err());
+    });
+}
+
+/// A buffer that often starts with a whole frame: an encoded request or
+/// reply with one byte perhaps flipped, or the magic, an opcode (mostly
+/// one the protocol knows), a short declared length and that many drawn
+/// payload bytes; then sometimes cut short, sometimes followed by more.
+fn arb_frame_bytes(g: &mut Gen) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    match g.usize_in(0..3) {
+        0 => encode_bin_request(&mut buf, &arb_bin_request(g)).unwrap(),
+        1 => encode_bin_reply(&mut buf, &arb_bin_reply(g)),
+        _ => {
+            let known = [0x01, 0x02, 0x03, 0x04, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86];
+            let opcode = if g.bool() { *g.pick(&known) } else { g.u8() };
+            let payload = g.vec(0..40, Gen::u8);
+            buf.extend_from_slice(&[proto::MAGIC, opcode]);
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&payload);
+        }
+    }
+    let mut data = buf.to_vec();
+    if g.bool() {
+        let at = g.usize_in(0..data.len());
+        data[at] ^= 1 << g.usize_in(0..8);
+    }
+    match g.usize_in(0..3) {
+        0 => data.truncate(g.usize_in(0..data.len() + 1)),
+        1 => data.extend(g.vec(1..16, Gen::u8)),
+        _ => {}
+    }
+    data
+}
+
+/// The length of the complete, well-framed frame at the front of `data`.
+fn complete_frame(data: &[u8]) -> Option<usize> {
+    if data.len() < proto::FRAME_HEADER || data[0] != proto::MAGIC {
+        return None;
+    }
+    let len = u32::from_le_bytes(data[2..6].try_into().unwrap()) as usize;
+    let frame = proto::FRAME_HEADER + len;
+    (len <= MAX_FRAME_PAYLOAD && data.len() >= frame).then_some(frame)
+}
+
+/// Both decoders consume exactly the frame at the front of the buffer
+/// when it is complete, whether it decoded or its payload was refused,
+/// and nothing while it is torn or its framing is bad.
+#[test]
+fn decoders_consume_exactly_the_complete_frame() {
+    check(1024, |g| {
+        let data = arb_frame_bytes(g);
+        let frame = complete_frame(&data);
+        for reply in [false, true] {
+            let mut buf = BytesMut::from(&data[..]);
+            let decoded = match reply {
+                false => decode_bin_request(&mut buf).map(|r| r.is_some()),
+                true => decode_bin_reply(&mut buf).map(|r| r.is_some()),
+            };
+            let consumed = data.len() - buf.len();
+            match (frame, decoded) {
+                (Some(len), Ok(true) | Err(_)) => assert_eq!(consumed, len, "reply={reply}"),
+                (None, Ok(false) | Err(_)) => assert_eq!(consumed, 0, "reply={reply}"),
+                (Some(_), Ok(false)) => panic!("a complete frame read as torn (reply={reply})"),
+                (None, Ok(true)) => panic!("decoded an incomplete frame (reply={reply})"),
+            }
+        }
     });
 }

@@ -96,6 +96,14 @@ if grep -rnw 'scan_buffer' crates/*/src | grep -v '^crates/store/src/'; then
   echo "ci.sh: ERROR: a crate outside freephish-store decodes a frame buffer (see above)" >&2
   exit 1
 fi
+# The read path keys a URL once per layer with `serve::url_key`: SipHash
+# under a per-process random key, so clients cannot aim URLs at one slot.
+# A fixed-key `DefaultHasher` there would hash a URL again and undo both.
+echo "== the read path keys URLs with url_key, not DefaultHasher =="
+if grep -rnw 'DefaultHasher' crates/serve/src crates/core/src/resolver.rs; then
+  echo "ci.sh: ERROR: DefaultHasher in serve or the resolver; key URLs with serve::url_key (see above)" >&2
+  exit 1
+fi
 # `par` resolves the host's parallelism once per process, and the serving
 # engine once per server; on Linux every other call re-reads the cgroup
 # quota files, so no other code may probe the host again.
