@@ -332,7 +332,7 @@ fn serve_soak_phase(
         EventedStoreChecker::open_with_base(store_dir.path(), Some(index_path))
             .expect("open soak checker over baked base"),
     );
-    assert_eq!(checker.overlay().base_len(), world.len());
+    assert_eq!(checker.index().base_len(), world.len());
     let mut evented =
         EventedServer::start(checker.clone() as Arc<dyn UrlChecker>).expect("start soak engine");
     let addr = evented.addr();
@@ -366,7 +366,7 @@ fn serve_soak_phase(
     evented.drain(Duration::from_secs(5));
 
     // Every durable ADD landed in the delta and shadows the base.
-    assert_eq!(checker.overlay().delta().len() as u64, adds);
+    assert_eq!(checker.index().len() as u64, adds);
 
     lat.sort_unstable();
     let client_p999 = percentile(&lat, 0.999);

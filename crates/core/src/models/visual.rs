@@ -20,6 +20,7 @@ use super::{PhishDetector, SnapshotFetcher};
 use crate::groundtruth::LabeledSite;
 use freephish_htmlparse::{parse, Document};
 use freephish_ml::knn::{Knn, Metric};
+use freephish_simclock::fnv_shaped;
 use freephish_urlparse::Url;
 use freephish_webgen::authentic::authentic_login_page;
 use freephish_webgen::BRANDS;
@@ -28,15 +29,6 @@ use freephish_webgen::BRANDS;
 /// 16 hashed classes. Deliberately *structural only*: a screenshot
 /// embedding sees layout and chrome, not the semantics of the text.
 pub const SIGNATURE_DIM: usize = 30;
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// Compute the layout signature of a parsed page.
 pub fn layout_signature(doc: &Document) -> Vec<f64> {
@@ -57,7 +49,7 @@ pub fn layout_signature(doc: &Document) -> Vec<f64> {
         v[cat] += 1.0 / n;
         // Hashed class vocabulary: the visual chrome's CSS dialect.
         for class in e.classes() {
-            v[14 + (fnv(class) % 16) as usize] += 1.0 / n;
+            v[14 + (fnv_shaped(class.as_bytes()) % 16) as usize] += 1.0 / n;
         }
     }
     // Structural counts (log-scaled so big pages don't dominate).

@@ -204,6 +204,7 @@ impl SnapshotFetcher for ScaleWorldFetcher {
 mod tests {
     use super::*;
     use freephish_mapidx::SnapshotIndex;
+    use freephish_simclock::{fnv1a_from as fnv, FNV1A_OFFSET as FNV_OFFSET};
     use freephish_store::testutil::TempDir;
 
     fn small(sites: u64) -> ScaleWorld {
@@ -293,14 +294,6 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    fn fnv(hash: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(hash, |h, b| {
-            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
     #[test]
     fn verdicts_are_the_sites_url_and_score() {

@@ -2,9 +2,9 @@
 //! that serves a run-journal directory (`--store DIR`).
 //!
 //! An [`EventedStoreChecker`] reads `DIR` the same way whoever writes it:
-//! lookups resolve against a `freephish-serve` [`ShardedIndex`] delta
-//! (RCU-style snapshots, no lock held during lookups), optionally over a
-//! baked mmap baseline, and the main journal is ingested by an
+//! lookups resolve against one `freephish-serve` [`ShardedIndex`]: a live
+//! delta (RCU-style snapshots, no lock held during lookups), optionally
+//! over a baked mmap baseline, and the main journal is ingested by an
 //! [`IndexPublisher`] built from [`journal_payload_decoder`], so the
 //! verdict service hot-reloads as records land. What differs between
 //! modes is only *who writes `DIR`'s main WAL* — the node's
@@ -38,7 +38,7 @@ use crate::extension::{UrlChecker, Verdict};
 use crate::journal::{decode_event, encode_event, obs_store_observer, AddEvent, RunEvent};
 use freephish_mapidx::{bake_journal, BakeSummary, SnapshotIndex};
 use freephish_obs::sync::lock;
-use freephish_serve::{IndexPublisher, OverlayIndex, PayloadDecoder, ShardedIndex};
+use freephish_serve::{IndexPublisher, PayloadDecoder, ShardedIndex};
 use freephish_store::{Recovered, Store, StoreOptions, TailCursor, TailFollower};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -130,7 +130,7 @@ fn open_snapshot_index(path: &Path) -> io::Result<SnapshotIndex> {
 /// [`EventedStoreChecker::sync`].
 pub struct EventedStoreChecker {
     dir: PathBuf,
-    overlay: Arc<OverlayIndex>,
+    index: Arc<ShardedIndex>,
     base_cursor: Option<TailCursor>,
     /// The store additions are journaled in; `None` when read-only.
     wal: Option<Mutex<Store>>,
@@ -156,17 +156,17 @@ impl EventedStoreChecker {
     /// says. A sidecar's previously journaled additions are replayed
     /// into the index immediately; pair with
     /// [`EventedStoreChecker::publisher`] to ingest (and hot-reload) the
-    /// main journal. With a baked `index_file`, reads go through the
-    /// two-level [`OverlayIndex`] (live delta over the mmap) and the
-    /// publisher resumes the journal tail from the bake's cursor, so a
-    /// restart replays only the suffix.
+    /// main journal. With a baked `index_file`, the index answers from
+    /// the live delta over the mmap base and the publisher resumes the
+    /// journal tail from the bake's cursor, so a restart replays only the
+    /// suffix.
     pub fn open_as(
         dir: impl AsRef<Path>,
         role: WriteRole,
         index_file: Option<&Path>,
     ) -> io::Result<EventedStoreChecker> {
         let dir = dir.as_ref().to_path_buf();
-        let delta = Arc::new(ShardedIndex::with_default_shards());
+        let index = Arc::new(ShardedIndex::with_default_shards());
         let open_store =
             |at: PathBuf| Store::open_with(at, StoreOptions::default(), Some(obs_store_observer()));
         let wal = match role {
@@ -174,7 +174,7 @@ impl EventedStoreChecker {
                 let (store, recovered) = open_store(dir.join(ADDS_SUBDIR))?;
                 let adds = replay_adds(&recovered)?;
                 if !adds.is_empty() {
-                    delta.publish(adds);
+                    index.publish(adds);
                 }
                 Some(store)
             }
@@ -184,17 +184,14 @@ impl EventedStoreChecker {
             WriteRole::ReadOnly => None,
         };
         let mut base_cursor = None;
-        let overlay = match index_file {
-            Some(path) => {
-                let idx = open_snapshot_index(path)?;
-                base_cursor = idx.cursor();
-                Arc::new(OverlayIndex::with_base(idx, delta))
-            }
-            None => Arc::new(OverlayIndex::new(delta)),
-        };
+        if let Some(path) = index_file {
+            let base = open_snapshot_index(path)?;
+            base_cursor = base.cursor();
+            index.set_base(base);
+        }
         Ok(EventedStoreChecker {
             dir,
-            overlay,
+            index,
             base_cursor,
             wal: wal.map(Mutex::new),
         })
@@ -208,27 +205,30 @@ impl EventedStoreChecker {
             Some(cursor) => TailFollower::resume(&self.dir, cursor),
             None => TailFollower::new(&self.dir),
         };
-        IndexPublisher::with_follower(follower, self.overlay.delta(), journal_payload_decoder())
+        IndexPublisher::with_follower(follower, self.index.clone(), journal_payload_decoder())
     }
 
-    /// The live delta index (what the publisher feeds).
+    /// The node's index: the live delta the publisher feeds, over the
+    /// baseline. The same `Arc` as [`EventedStoreChecker::overlay`].
     pub fn index(&self) -> Arc<ShardedIndex> {
-        self.overlay.delta()
+        self.index.clone()
     }
 
-    /// The two-level read path the serve layer mounts.
-    pub fn overlay(&self) -> Arc<OverlayIndex> {
-        self.overlay.clone()
+    /// The read path the serve layer mounts: the same `Arc` as
+    /// [`EventedStoreChecker::index`], kept under this name for the
+    /// benchmark workloads that call it.
+    pub fn overlay(&self) -> Arc<ShardedIndex> {
+        self.index.clone()
     }
 
     /// Re-bake the main journal into `out_path` and swap the fresh
-    /// baseline into the serving overlay without a restart. The delta is
+    /// baseline into the serving index without a restart. The delta is
     /// deliberately left intact — its entries shadow the new baseline
     /// bit-identically; it shrinks on the next restart, which resumes
     /// from the new bake's cursor.
     pub fn rebake(&self, out_path: &Path) -> io::Result<BakeSummary> {
         let summary = bake_index(&self.dir, out_path)?;
-        self.overlay.set_base(open_snapshot_index(out_path)?);
+        self.index.set_base(open_snapshot_index(out_path)?);
         Ok(summary)
     }
 
@@ -250,7 +250,7 @@ impl EventedStoreChecker {
             wal.append(&encode_event(&ev))?;
             wal.sync()?;
         }
-        self.overlay.add(url, score).map_err(io::Error::other)
+        self.index.add(url, score).map_err(io::Error::other)
     }
 
     /// Flush + fsync the node's store (shutdown path).
@@ -264,7 +264,7 @@ impl EventedStoreChecker {
     /// Number of known-phishing URLs. With a baseline loaded this is an
     /// upper bound: delta entries that shadow baked ones count twice.
     pub fn len(&self) -> usize {
-        self.overlay.delta().len() + self.overlay.base_len() as usize
+        self.index.len() + self.index.base_len() as usize
     }
 
     /// True when nothing is known yet.
@@ -275,11 +275,11 @@ impl EventedStoreChecker {
 
 impl UrlChecker for EventedStoreChecker {
     fn check(&self, url: &str) -> Verdict {
-        self.overlay.check(url)
+        self.index.check(url)
     }
 
     fn check_many(&self, urls: &[String]) -> Vec<Verdict> {
-        self.overlay.check_many(urls)
+        self.index.check_many(urls)
     }
 
     fn add(&self, url: &str, score: f64) -> Result<u64, String> {
@@ -291,7 +291,7 @@ impl UrlChecker for EventedStoreChecker {
     }
 
     fn generation(&self) -> u64 {
-        self.overlay.generation()
+        self.index.generation()
     }
 }
 

@@ -1,4 +1,4 @@
-//! ops_smoke: the CI smoke test for the ops plane.
+//! Integration test: the ops plane's smoke check, in its own process.
 //!
 //! Starts an in-process evented engine with the ops plane mounted,
 //! pushes a little traffic through both protocols, then GETs every
@@ -11,9 +11,6 @@
 //! * `/varz` → JSON with counters/gauges/histograms and the engine tag
 //! * `/events` and `/traces/slow` → JSON with the expected top-level keys
 //! * an unknown path → 404
-//!
-//! Exits 0 on success; any malformed response panics (nonzero exit), so
-//! `ci.sh` can run this binary as its ops smoke step.
 
 use freephish_core::extension::VerdictClient;
 use freephish_serve::{http_get, EventedServer, OpsServer, ShardedIndex};
@@ -26,7 +23,9 @@ fn get_ok(addr: SocketAddr, path: &str) -> String {
     body
 }
 
-fn main() {
+/// Every ops-plane endpoint answers well-formed after a little traffic.
+#[test]
+fn every_ops_endpoint_is_well_formed() {
     let index = ShardedIndex::with_default_shards();
     index.publish(vec![("https://evil.weebly.com/login".to_string(), 0.97)]);
     let mut engine = EventedServer::start(Arc::new(index)).expect("start evented engine");
@@ -86,5 +85,4 @@ fn main() {
 
     ops.shutdown();
     engine.shutdown();
-    println!("ops_smoke: all endpoints well-formed");
 }

@@ -134,7 +134,7 @@ fn evented_overlay_matches_pure_replay() {
         // The resumed publisher ingested only the post-cursor suffix into
         // the delta; the baked prefix is served from the mmap.
         assert_eq!(overlaid.overlay().base_len(), 40, "{ctx}");
-        assert!((overlaid.overlay().delta().len() as u64) < 40 + 20, "{ctx}");
+        assert!((overlaid.index().len() as u64) < 40 + 20, "{ctx}");
 
         // The node's own additions land wherever the role journals
         // them, the later one winning; an owner's tail then re-reads them

@@ -7,6 +7,7 @@
 //! which keeps them out of Certificate Transparency logs and gives them
 //! OV/EV-grade chrome for free.
 
+use freephish_simclock::fnv_shaped;
 use freephish_webgen::FwbKind;
 
 /// Validation level of a certificate.
@@ -38,15 +39,6 @@ pub struct SslCertificate {
     pub level: ValidationLevel,
 }
 
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 impl SslCertificate {
     /// The shared certificate of an FWB service. Deterministic: every call
     /// for the same service yields the identical certificate — that is the
@@ -59,7 +51,7 @@ impl SslCertificate {
         } else {
             (format!("*.{}", d.host), d.ssl_org.to_string())
         };
-        let fp = fnv64(&format!("{}|{}", cn, org));
+        let fp = fnv_shaped(format!("{}|{}", cn, org).as_bytes());
         SslCertificate {
             common_name: cn,
             organization: org,
@@ -75,7 +67,7 @@ impl SslCertificate {
         SslCertificate {
             common_name: domain.to_string(),
             organization: String::new(), // DV certs carry no organisation
-            fingerprint: fnv64(&format!("dv|{domain}|{now_day}")),
+            fingerprint: fnv_shaped(format!("dv|{domain}|{now_day}").as_bytes()),
             issued_day: now_day,
             expires_day: now_day + 90,
             level: ValidationLevel::Dv,

@@ -135,12 +135,7 @@ impl From<std::io::Error> for IndexError {
 /// guaranteed stable across releases, and a file format must be.
 #[inline]
 pub fn key_hash(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    freephish_simclock::fnv1a(key)
 }
 
 /// Multiply-shift range reduction: maps a hash into `0..bucket_count`,

@@ -27,10 +27,10 @@
 //! * [`format`](mod@format) — the shared layout: hash-sorted fixed-width records, a
 //!   key heap, and a prefix-sum bucket table for O(1) lookups.
 //!
-//! The serve layer overlays its live RCU delta (`ShardedIndex`, fed from
-//! the journal tail *after* the baked cursor) on top of a
-//! [`SnapshotIndex`] baseline — the two-level read path described in
-//! DESIGN.md §15.
+//! The serve layer's one verdict index (`ShardedIndex`) holds a
+//! [`SnapshotIndex`] as its base level, under its live RCU delta (fed from
+//! the journal tail *after* the baked cursor): a lookup reads the delta's
+//! levels first and the base last, as DESIGN.md §10 and §15 describe.
 
 pub mod format;
 pub mod mmap;

@@ -127,7 +127,7 @@ impl SnapshotIndex {
     /// Answer every `None` slot of `out` with the baked score of the key
     /// in the same slot of `keys`; slots already `Some` are left alone, so
     /// a caller that resolved part of a batch elsewhere (the serve
-    /// overlay's delta) hands over only what it missed. A slot stays
+    /// index's delta) hands over only what it missed. A slot stays
     /// `None` when its key is not baked.
     ///
     /// The unanswered slots are probed [`PROBE_LANE`] at a time, in

@@ -104,12 +104,7 @@ pub fn char_ngram_vector(s: &str, n: usize, dim: usize) -> Vec<f64> {
     let bytes = s.as_bytes();
     if bytes.len() >= n {
         for w in bytes.windows(n) {
-            // FNV-1a
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in w {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+            let h = freephish_simclock::fnv_shaped(w);
             v[(h % dim as u64) as usize] += 1.0;
         }
     }

@@ -222,6 +222,19 @@ impl<V: Copy, U: Deref<Target = str> + Clone> KeyTable<V, U> {
         dropped
     }
 
+    /// Insert every entry of `other` by its stored tag, so no URL is
+    /// hashed again; an entry of `other` replaces this table's entry for
+    /// the same URL.
+    pub(crate) fn insert_all(&mut self, other: &KeyTable<V, U>)
+    where
+        U: AsRef<str>,
+    {
+        for slot in other.slots.iter().flatten() {
+            let key = u64::from(slot.tag) << TAG_SHIFT;
+            self.insert(key, slot.url.clone(), slot.value);
+        }
+    }
+
     /// A copy of this table with room for `additional` more entries: a
     /// plain clone when they fit, else one re-placement into a larger
     /// table, never both.
@@ -333,6 +346,9 @@ impl<'t, V: Copy, U: Deref<Target = str> + Clone> Lane<'t, V, U> {
 
     /// Probe the queued lookups and write each found value to its slot.
     pub(crate) fn flush<K: AsRef<str>>(&mut self, urls: &[K], out: &mut [Option<V>]) {
+        if self.len == 0 {
+            return;
+        }
         let lookups = &self.lookups[..self.len];
         let found = probe::<V, U, K, PROBE_LANE>(lookups, urls);
         for (l, i) in lookups.iter().zip(found) {

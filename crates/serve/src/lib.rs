@@ -17,19 +17,18 @@
 //! * [`proto`] — both wire protocols on one port: the seed's line
 //!   protocol and a length-prefixed binary protocol whose `CHECKN` frame
 //!   carries up to 256 URLs ([`proto::MAX_BATCH`]) per round trip.
-//! * [`index`] — [`ShardedIndex`]: the RCU-style generation-swapped read
-//!   path. Readers snapshot one `Arc` per batch; a publish copies only the
-//!   touched shards' small heads and swaps that `Arc`, so readers wait for
-//!   no more than the swap; [`IndexPublisher`] tails a `freephish-store`
-//!   journal and publishes new generations.
-//! * [`keytable`] — [`KeyTable`]: the open-addressing table under the
-//!   delta's frozen maps and the resolver's negative cache, keyed by
+//! * [`index`] — [`ShardedIndex`]: the one verdict index, an RCU-style
+//!   generation-swapped live delta over an optional baked mmap base
+//!   (`freephish-mapidx`). Readers snapshot one `Arc` per batch and
+//!   resolve it level by level, newest first — each shard's head, its
+//!   frozen table, then the base — so journaled entries shadow baked ones
+//!   bit-identically. A publish copies only the touched shards' small
+//!   heads and a re-bake swaps the base, each by swapping that `Arc`, so
+//!   readers wait for no more than the swap; [`IndexPublisher`] tails a
+//!   `freephish-store` journal and publishes new generations.
+//! * [`keytable`] — [`KeyTable`]: the open-addressing table under every
+//!   level of the delta and the resolver's negative cache, keyed by
 //!   [`url_key`] and probed a lane of keys at a time.
-//! * [`overlay`] — [`OverlayIndex`]: the two-level read path for
-//!   million-entry nodes. An immutable mmap baseline (`freephish-mapidx`)
-//!   under the live delta; journaled entries shadow baked ones
-//!   bit-identically, and a background re-bake swaps the baseline without
-//!   pausing reads.
 //! * [`verdict`] — [`Verdict`] and the [`UrlChecker`] trait (moved down
 //!   from `freephish-core`, which re-exports them), now with a batched
 //!   [`UrlChecker::check_many`] entry point.
@@ -45,7 +44,6 @@
 pub mod index;
 pub mod keytable;
 pub mod ops;
-pub mod overlay;
 pub mod proto;
 pub mod server;
 pub mod sys;
@@ -54,7 +52,6 @@ pub mod verdict;
 pub use index::{IndexPublisher, IndexSnapshot, PayloadDecoder, ShardedIndex};
 pub use keytable::{url_key, KeyTable};
 pub use ops::{http_get, OpsConfig, OpsServer, Readiness};
-pub use overlay::OverlayIndex;
 pub use proto::{
     decode_bin_reply, decode_bin_request, decode_request, decode_verdict, encode_bin_reply,
     encode_bin_request, encode_verdict, read_bin_reply, read_line_buffered, BinReply, BinRequest,

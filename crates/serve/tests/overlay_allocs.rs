@@ -1,14 +1,13 @@
-//! A frame allocates per frame, never per URL: `OverlayIndex::check_many`
+//! A frame allocates per frame, never per URL: `ShardedIndex::check_many`
 //! resolves the delta into one slot vector, fills its misses from the
 //! baked base in place, and returns it as the verdicts. A counting
 //! allocator checks that over a baked base.
 
 use freephish_mapidx::{IndexWriter, SnapshotIndex};
-use freephish_serve::{OverlayIndex, ShardedIndex, UrlChecker};
+use freephish_serve::{ShardedIndex, UrlChecker};
 use freephish_store::testutil::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 struct Counting;
 
@@ -56,10 +55,8 @@ fn a_frame_over_a_baked_base_allocates_per_frame_not_per_url() {
         writer.add(&url(i), 0.5 + i as f64 / 1e6).unwrap();
     }
     writer.finish(&out).unwrap();
-    let overlay = OverlayIndex::with_base(
-        SnapshotIndex::open(&out).unwrap(),
-        Arc::new(ShardedIndex::new(4)),
-    );
+    let overlay = ShardedIndex::new(4);
+    overlay.set_base(SnapshotIndex::open(&out).unwrap());
     // A delta that shadows some of the frame, so both levels answer.
     for i in 0..BAKED / 10 {
         overlay.add(&url(i * 10), 0.99).unwrap();

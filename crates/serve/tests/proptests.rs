@@ -1,15 +1,20 @@
-//! Property tests over the binary frame codec: round trips for arbitrary
+//! Property tests over the binary frame codec — round trips for arbitrary
 //! requests and replies, torn-frame waiting at every cut point, rejection
 //! of oversized frames, decoder totality on arbitrary bytes, and decoders
-//! that consume exactly one complete frame, decoded or refused.
+//! that consume exactly one complete frame, decoded or refused — and over
+//! the verdict index, whose every snapshot equals a two-level map model.
 
 use bytes::BytesMut;
+use freephish_mapidx::read::PROBE_LANE;
+use freephish_mapidx::{IndexWriter, SnapshotIndex};
 use freephish_serve::proto::{self, MAX_FRAME_PAYLOAD};
 use freephish_serve::{
     decode_bin_reply, decode_bin_request, encode_bin_reply, encode_bin_request, BinReply,
-    BinRequest, Verdict, MAX_BATCH,
+    BinRequest, IndexSnapshot, ShardedIndex, UrlChecker, Verdict, MAX_BATCH,
 };
 use freephish_simclock::prop::{check, Gen};
+use freephish_store::testutil::TempDir;
+use std::collections::HashMap;
 
 fn arb_url(g: &mut Gen) -> String {
     g.string("a-z0-9./:?=-", 1..81)
@@ -214,6 +219,122 @@ fn decoders_consume_exactly_the_complete_frame() {
                 (None, Ok(false) | Err(_)) => assert_eq!(consumed, 0, "reply={reply}"),
                 (Some(_), Ok(false)) => panic!("a complete frame read as torn (reply={reply})"),
                 (None, Ok(true)) => panic!("decoded an incomplete frame (reply={reply})"),
+            }
+        }
+    });
+}
+
+/// The index as a reader must see it: the delta's map over the base's.
+struct TwoLevel {
+    delta: HashMap<String, f64>,
+    base: HashMap<String, f64>,
+}
+
+impl TwoLevel {
+    fn get(&self, url: &str) -> Option<f64> {
+        self.delta.get(url).or_else(|| self.base.get(url)).copied()
+    }
+}
+
+/// Bake `entries` into a fresh file under `dir` and map it.
+fn bake(dir: &TempDir, name: &str, entries: &HashMap<String, f64>) -> SnapshotIndex {
+    let out = dir.path().join(name);
+    let mut writer = IndexWriter::create(dir.path().join(format!("{name}.spill"))).unwrap();
+    for (url, score) in entries {
+        writer.add(url, *score).unwrap();
+    }
+    writer.finish(&out).unwrap();
+    SnapshotIndex::open(&out).unwrap()
+}
+
+/// Every snapshot of one index equals "delta map over base map" at its
+/// generation, slot for slot and bit for bit. Publishes — mostly a few
+/// entries, so heads fill and fold, sometimes hundreds, beyond any
+/// shard's head cap — are interleaved with base swaps, each a bake of a
+/// drawn subset of the URLs known so far under fresh scores, so delta
+/// entries shadow baked ones that differ. Snapshots taken at drawn points
+/// are read after every later write, in frames of 0, 1, lane − 1, lane,
+/// lane + 1 and 256 URLs drawn with repeats from the known URLs and from
+/// URLs no level holds.
+#[test]
+fn every_snapshot_equals_the_delta_over_the_base_at_its_generation() {
+    check(64, |g| {
+        let dir = TempDir::new("prop-two-level");
+        let index = ShardedIndex::new(4);
+        let mut model = TwoLevel {
+            delta: HashMap::new(),
+            base: HashMap::new(),
+        };
+        let mut known: Vec<String> = Vec::new();
+        let mut generation = 0;
+        let mut snapshots: Vec<(IndexSnapshot, u64, TwoLevel)> = Vec::new();
+        for step in 0..g.usize_in(1..48) {
+            if g.usize_in(0..6) == 0 {
+                let mut baked = HashMap::new();
+                for url in &known {
+                    if g.bool() {
+                        baked.insert(url.clone(), g.f64_in(0.0..1.0));
+                    }
+                }
+                // Some URLs only the base holds.
+                for _ in 0..g.usize_in(0..20) {
+                    let url = format!("https://b{}.weebly.com/", known.len());
+                    known.push(url.clone());
+                    baked.insert(url, g.f64_in(0.0..1.0));
+                }
+                generation = index.set_base(bake(&dir, &format!("b{step}.mapidx"), &baked));
+                model.base = baked;
+            } else {
+                let size = if g.usize_in(0..10) < 7 {
+                    g.usize_in(1..9)
+                } else {
+                    g.usize_in(1..300)
+                };
+                let mut batch = Vec::with_capacity(size);
+                for _ in 0..size {
+                    let url = if !known.is_empty() && g.usize_in(0..10) < 3 {
+                        g.pick(&known).clone()
+                    } else {
+                        let url = format!("https://d{}.weebly.com/", known.len());
+                        known.push(url.clone());
+                        url
+                    };
+                    batch.push((url, g.f64_in(0.0..1.0)));
+                }
+                model.delta.extend(batch.iter().cloned());
+                generation = index.publish(batch);
+            }
+            assert_eq!(index.generation(), generation);
+            assert_eq!(index.len(), model.delta.len());
+            assert_eq!(index.base_len(), model.base.len() as u64);
+            if g.usize_in(0..4) == 0 {
+                let at = TwoLevel {
+                    delta: model.delta.clone(),
+                    base: model.base.clone(),
+                };
+                snapshots.push((index.snapshot(), generation, at));
+            }
+        }
+        snapshots.push((index.snapshot(), generation, model));
+
+        let absent: Vec<String> = (0..32)
+            .map(|i| format!("https://absent{i}.weebly.com/"))
+            .collect();
+        for (snap, generation, at) in &snapshots {
+            assert_eq!(snap.generation(), *generation);
+            for n in [0, 1, PROBE_LANE - 1, PROBE_LANE, PROBE_LANE + 1, 256] {
+                let frame: Vec<&str> = (0..n)
+                    .map(|_| match g.bool() && !known.is_empty() {
+                        true => g.pick(&known).as_str(),
+                        false => g.pick(&absent).as_str(),
+                    })
+                    .collect();
+                let mut out = vec![None; n];
+                snap.score_many(&frame, &mut out);
+                for (slot, url) in frame.iter().enumerate() {
+                    let want = at.get(url).map(f64::to_bits);
+                    assert_eq!(out[slot].map(f64::to_bits), want, "{url} at {generation}");
+                }
             }
         }
     });

@@ -145,10 +145,8 @@ impl Gen {
 /// panics with the seed, case number and message of a shrunk failure.
 pub fn check(cases: u32, prop: impl Fn(&mut Gen)) {
     let name = std::thread::current().name().unwrap_or("main").to_owned();
-    // FNV-1a: a stable seed that differs from test to test.
-    let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
+    // A stable seed that differs from test to test.
+    let seed = crate::hash::fnv1a(name.as_bytes());
     for case in 0..cases {
         let rng = Rng64::new(seed.wrapping_add(u64::from(case)));
         let mut g = Gen::new(Some(rng), Vec::new());

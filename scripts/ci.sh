@@ -46,7 +46,8 @@ for threads in 1 ""; do
 done
 
 # Every suite of every crate — unit, integration and property tests,
-# including the hot-path, tiered-resolver and overlay equivalence proofs —
+# including the hot-path, tiered-resolver and overlay equivalence proofs
+# and the ops plane's endpoint smoke (crates/core/tests/ops_smoke.rs) —
 # once at the host-default worker count and once serially, so the
 # bit-identity assertions also hold across pool widths.
 echo "== cargo test -q --workspace (host-default threads) =="
@@ -54,10 +55,6 @@ cargo test -q --workspace
 
 echo "== cargo test -q --workspace (FREEPHISH_THREADS=1) =="
 FREEPHISH_THREADS=1 cargo test -q --workspace
-
-echo "== ops plane smoke (ops_smoke) =="
-cargo build --release -p freephish-bench --bin ops_smoke
-./target/release/ops_smoke
 
 echo "== loadgen without a mode is a usage error =="
 cargo build --release -p freephish-bench --bin loadgen
@@ -69,7 +66,8 @@ if [ "$status" -ne 64 ]; then
 fi
 
 # One serving engine (the cluster router's front door included), one
-# store-backed node, one index checker, std locks, a store directory that
+# store-backed node, one verdict index (its baked base a level of the
+# image, its head a KeyTable), std locks, a store directory that
 # is its segments (no snapshots, no fsync-per-append knob), one `repro` run, one property runner
 # (`freephish_simclock::prop`), one fetch trait, a resolver that is built
 # with its models: the forks, the dependencies, the tick-count knob, the
@@ -77,7 +75,7 @@ fi
 # back (crates/benchmark keeps its own stand-ins, `proptest` and `criterion`
 # among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher|write_snapshot|load_snapshot|parse_snapshot_name|snapshot_seq|store_snapshots_total|sync_every_append' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher|write_snapshot|load_snapshot|parse_snapshot_name|snapshot_seq|store_snapshots_total|sync_every_append|OverlayIndex|HeadEntry|filter_bit|base_epoch' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
@@ -102,6 +100,16 @@ fi
 echo "== the read path keys URLs with url_key, not DefaultHasher =="
 if grep -rnw 'DefaultHasher' crates/serve/src crates/core/src/resolver.rs; then
   echo "ci.sh: ERROR: DefaultHasher in serve or the resolver; key URLs with serve::url_key (see above)" >&2
+  exit 1
+fi
+# One FNV-1a, defined once in `freephish_simclock::hash` beside the
+# mislabelled-prime `fnv_shaped` that Table 2's features keep: no other
+# crate spells out the offset basis and its own loop (crates/benchmark
+# keeps its own copies, as it keeps its own stand-ins).
+echo "== the FNV offset basis lives only in freephish_simclock::hash =="
+if grep -rniE --include='*.rs' --exclude-dir=target '0xcbf2_?9ce4_?8422_?2325' src tests examples crates |
+    grep -vE '^(crates/simclock/src/|crates/benchmark/)'; then
+  echo "ci.sh: ERROR: an FNV offset basis outside freephish_simclock; call fnv1a or fnv_shaped (see above)" >&2
   exit 1
 fi
 # `par` resolves the host's parallelism once per process, and the serving
