@@ -1,27 +1,18 @@
 //! The `--cluster` phase: a live multi-process verdict cluster on this
-//! host, behind the `cluster_scaling`, `cluster_replication_lag` and
-//! `cluster_failover` keys of `BENCH_PIPELINE.json`.
+//! host, behind the `cluster_replication_lag` and `cluster_failover`
+//! keys of `BENCH_PIPELINE.json`.
 //!
-//! An in-process primary WAL (plus its replication source) feeds N
+//! An in-process primary WAL (plus its replication source) feeds two
 //! spawned `freephish-extd` follower processes, and an in-process
-//! consistent-hash router scatters CHECKN load across them:
-//!
-//! * **scaling** — each follower runs with `--rate-cap` (default 8000
-//!   URLs/s, `FREEPHISH_CLUSTER_RATE`), modelling the per-replica QoS
-//!   quota of a real deployment, so aggregate admitted throughput scales
-//!   with node count even on a single-core host where raw lookup speed
-//!   would not. The sweep drives 1/2/4/8 nodes and records the measured
-//!   speedups; the per-node cap is recorded alongside so the numbers
-//!   are honest about what they measure (admission capacity, not
-//!   lookup-bound CPU scaling).
-//! * **failover / zero lost verdicts** — two uncapped followers under
-//!   router load; one is SIGKILLed mid-load, traffic fails over along
-//!   the ring, the primary keeps appending, and the node restarts on
-//!   its own directory. The restart must resume from its recovered
-//!   `(segment, offset)` cursor (a `mode=resume` session, no `RESET`
-//!   bootstrap, shipped-records delta far below the full history) and
-//!   after catch-up every journaled verdict must be served as a hit.
+//! consistent-hash router scatters CHECKN load across them. One follower
+//! is SIGKILLed mid-load, traffic fails over along the ring, the primary
+//! keeps appending, and the node restarts on its own directory. The
+//! restart must resume from its recovered `(segment, offset)` cursor (a
+//! `mode=resume` session, no `RESET` bootstrap, shipped-records delta far
+//! below the full history) and after catch-up every journaled verdict
+//! must be served as a hit.
 
+use crate::env_usize;
 use freephish_cluster::{ReplicationSource, Router, RouterConfig, SourceConfig};
 use freephish_core::extension::VerdictClient;
 use freephish_core::journal::{encode_event, AddEvent, RunEvent};
@@ -32,7 +23,7 @@ use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,13 +34,6 @@ const SEGMENT_BYTES: u64 = 16 * 1024;
 const SEED_VERDICTS: usize = 4096;
 /// Verdicts appended while the killed follower is down.
 const DELTA_VERDICTS: usize = 512;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One spawned follower daemon. Killed (SIGKILL) on drop so a panicking
 /// phase never leaves orphan processes behind.
@@ -68,7 +52,7 @@ impl Drop for Node {
 
 /// Spawn `freephish-extd serve --replicate-from` on `dir` and parse its
 /// serve + ops addresses off stdout.
-fn spawn_node(extd: &Path, dir: &Path, source: SocketAddr, rate_cap: u64) -> Node {
+fn spawn_node(extd: &Path, dir: &Path, source: SocketAddr) -> Node {
     let mut cmd = Command::new(extd);
     cmd.arg("serve")
         .arg("--store")
@@ -79,9 +63,6 @@ fn spawn_node(extd: &Path, dir: &Path, source: SocketAddr, rate_cap: u64) -> Nod
         .arg("0")
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    if rate_cap > 0 {
-        cmd.arg("--rate-cap").arg(rate_cap.to_string());
-    }
     let mut child = cmd.spawn().unwrap_or_else(|e| {
         panic!(
             "spawn {}: {e} (run scripts/bench.sh, which builds freephish-extd first)",
@@ -156,16 +137,14 @@ fn append_verdicts(store: &mut Store, urls: &[String]) {
     store.sync().expect("primary sync");
 }
 
-/// Closed-loop router load from `conns` worker threads until `stop_at`
-/// (or the `halt` flag for open-ended phases). Returns (ok, err) URL
-/// counts.
+/// Closed-loop router load from `conns` worker threads until `stop_at`.
+/// Returns (ok, err) URL counts.
 fn drive_router(
     router: &Router,
     pool: &Arc<Vec<String>>,
     conns: usize,
     batch: usize,
     stop_at: Instant,
-    halt: &Arc<AtomicBool>,
 ) -> (u64, u64) {
     let ok = Arc::new(AtomicU64::new(0));
     let err = Arc::new(AtomicU64::new(0));
@@ -174,10 +153,9 @@ fn drive_router(
             let mut client = router.client();
             let pool = pool.clone();
             let (ok, err) = (ok.clone(), err.clone());
-            let halt = halt.clone();
             scope.spawn(move || {
                 let mut i = tid.wrapping_mul(7919);
-                while Instant::now() < stop_at && !halt.load(Ordering::SeqCst) {
+                while Instant::now() < stop_at {
                     let frame: Vec<String> = (0..batch)
                         .map(|k| pool[(i + k) % pool.len()].clone())
                         .collect();
@@ -195,19 +173,13 @@ fn drive_router(
     (ok.load(Ordering::SeqCst), err.load(Ordering::SeqCst))
 }
 
-fn spawn_fleet(
-    extd: &Path,
-    source: SocketAddr,
-    n: usize,
-    rate_cap: u64,
-    label: &str,
-) -> (Vec<TempDir>, Vec<Node>) {
+fn spawn_fleet(extd: &Path, source: SocketAddr, n: usize) -> (Vec<TempDir>, Vec<Node>) {
     let dirs: Vec<TempDir> = (0..n)
-        .map(|i| TempDir::new(&format!("loadgen-cluster-{label}-{i}")))
+        .map(|i| TempDir::new(&format!("loadgen-cluster-follower-{i}")))
         .collect();
     let nodes: Vec<Node> = dirs
         .iter()
-        .map(|d| spawn_node(extd, d.path(), source, rate_cap))
+        .map(|d| spawn_node(extd, d.path(), source))
         .collect();
     for node in &nodes {
         wait_ready(node.ops, "follower");
@@ -232,8 +204,7 @@ fn ctr(snap: &freephish_obs::MetricsSnapshot, name: &str, labels: &[(&str, &str)
 }
 
 pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
-    let rate_cap = env_u64("FREEPHISH_CLUSTER_RATE", 8000);
-    let conns = env_u64("FREEPHISH_CLUSTER_CONNS", 8) as usize;
+    let conns = env_usize("FREEPHISH_CLUSTER_CONNS", 8);
     let extd = std::env::current_exe()
         .expect("current exe")
         .parent()
@@ -263,74 +234,16 @@ pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
         .expect("start replication source");
     let src_addr = source.addr();
     println!(
-        "  cluster: primary seeded with {} verdicts, rate cap {rate_cap}/node, \
-         {conns} router conns, batch {batch}",
+        "  cluster: primary seeded with {} verdicts, {conns} router conns, batch {batch}",
         known.len()
     );
 
-    // --- Scaling sweep -----------------------------------------------------
-    let halt = Arc::new(AtomicBool::new(false));
-    let mut scaling = serde_json::Map::new();
-    let mut rps_at = std::collections::BTreeMap::new();
-    for n in [1usize, 2, 4, 8] {
-        let (dirs, nodes) = spawn_fleet(&extd, src_addr, n, rate_cap, &format!("scale{n}"));
-        let mut router = router_over(&nodes);
-        let t0 = Instant::now();
-        let (ok, err) = drive_router(
-            &router,
-            &pool,
-            conns,
-            batch,
-            t0 + Duration::from_secs_f64(secs),
-            &halt,
-        );
-        let elapsed = t0.elapsed().as_secs_f64();
-        let rps = ok as f64 / elapsed;
-        println!("  cluster scale {n}: {rps:>10.0} admitted urls/s ({err} over-quota refusals)");
-        rps_at.insert(n, rps);
-        scaling.insert(format!("nodes_{n}"), serde_json::json!(rps));
-        router.shutdown();
-        drop(nodes);
-        drop(dirs);
-    }
-    let r1 = rps_at[&1].max(1.0);
-    let speedup_2 = rps_at[&2] / r1;
-    let speedup_4 = rps_at[&4] / r1;
-    let speedup_8 = rps_at[&8] / r1;
-    println!(
-        "  cluster scaling: 2 nodes {speedup_2:.2}x, 4 nodes {speedup_4:.2}x, \
-         8 nodes {speedup_8:.2}x"
-    );
-    assert!(
-        speedup_2 >= 1.7,
-        "2-node CHECKN throughput must be >=1.7x one node, got {speedup_2:.2}x"
-    );
-    assert!(
-        speedup_4 >= 3.0,
-        "4-node CHECKN throughput must be >=3x one node, got {speedup_4:.2}x"
-    );
-    let cluster_scaling = serde_json::json!({
-        "per_node_rate_cap_urls_per_sec": rate_cap,
-        "connections": conns,
-        "checkn_batch": batch,
-        "duration_secs": secs,
-        "admitted_urls_per_sec": scaling,
-        "speedup_2_nodes": speedup_2,
-        "speedup_4_nodes": speedup_4,
-        "speedup_8_nodes": speedup_8,
-        "note": "followers are admission-rate-capped per node (a per-replica QoS \
-                 quota); speedups measure aggregate admission capacity, the \
-                 cluster-relevant axis on a single-core bench host",
-    });
-
     // --- Failover: kill a follower mid-load, prove zero lost verdicts ------
-    // Uncapped nodes: this phase is about durability, not admission.
-    let (dirs, mut nodes) = spawn_fleet(&extd, src_addr, 2, 0, "failover");
+    let (dirs, mut nodes) = spawn_fleet(&extd, src_addr, 2);
     let mut router = router_over(&nodes);
     let load_secs = secs.max(1.0);
     let t0 = Instant::now();
     let kill_after = Duration::from_secs_f64(load_secs * 0.3);
-    let halt2 = halt.clone();
     let (ok, err) = std::thread::scope(|scope| {
         let killer = scope.spawn(|| {
             std::thread::sleep(kill_after);
@@ -344,7 +257,6 @@ pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
             conns,
             batch,
             t0 + Duration::from_secs_f64(load_secs),
-            &halt2,
         );
         killer.join().expect("killer thread");
         counts
@@ -374,7 +286,7 @@ pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
     );
 
     // Restart the killed node on its own directory and wait for catch-up.
-    let restarted = spawn_node(&extd, dirs[0].path(), src_addr, 0);
+    let restarted = spawn_node(&extd, dirs[0].path(), src_addr);
     wait_ready(restarted.ops, "restarted follower");
     let post = source.metrics_snapshot();
     let reshipped = ctr(&post, "cluster_source_records_shipped_total", &[]) - shipped_before;
@@ -482,7 +394,6 @@ pub fn cluster_phase(secs: f64, batch: usize) -> serde_json::Value {
     drop(store);
 
     serde_json::json!({
-        "cluster_scaling": cluster_scaling,
         "cluster_replication_lag": cluster_replication_lag,
         "cluster_failover": cluster_failover,
     })

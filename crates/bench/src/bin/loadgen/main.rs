@@ -3,11 +3,11 @@
 //! are measured by `BENCHMARK.json` via `crates/benchmark/run.sh`.)
 //!
 //! * `--cluster` — a live multi-process verdict cluster on this host:
-//!   WAL replication to spawned `freephish-extd` followers, a rate-capped
-//!   1/2/4/8-node scaling sweep through the consistent-hash router, and a
-//!   kill-a-follower / resume-from-cursor / zero-lost-verdicts proof (see
-//!   [`cluster`]). `FREEPHISH_LOADGEN_SECS` (default 2) seconds per sweep
-//!   point, `FREEPHISH_LOADGEN_BATCH` (default 64) URLs per `CHECKN`.
+//!   WAL replication to spawned `freephish-extd` followers behind the
+//!   consistent-hash router, and a kill-a-follower / resume-from-cursor /
+//!   zero-lost-verdicts proof (see [`cluster`]). `FREEPHISH_LOADGEN_SECS`
+//!   (default 2, floor 1) sets the failover load window in seconds,
+//!   `FREEPHISH_LOADGEN_BATCH` (default 64) the URLs per `CHECKN`.
 //! * `--soak` — a million-site world, a ten-million-entry baked index,
 //!   the ≤100 ms mmap load gate and a sustained mixed-traffic run with
 //!   RSS-growth and p99.9 gates (see [`soak`]).
@@ -111,7 +111,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let keys = match argv.as_slice() {
         [mode] if mode == "--cluster" => {
-            println!("loadgen: cluster phase ({secs}s per sweep point, CHECKN batch {batch})");
+            println!("loadgen: cluster phase ({secs}s failover load, CHECKN batch {batch})");
             cluster::cluster_phase(secs, batch)
         }
         [mode] if mode == "--soak" => soak::soak_phase(batch),

@@ -1,15 +1,18 @@
 //! The follower side of replication: a background thread that keeps a
 //! local store directory a byte-faithful replica of a primary's WAL.
 //!
-//! The replica's directory *is* its cursor. On every (re)connect it runs
-//! the store's own recovery scan ([`freephish_store::recover`], what
-//! `Store::open` runs, without opening a writer): truncate the first
-//! defective tail, delete anything after it. It sends the resulting
-//! `(segment, offset)` as its `HELLO` cursor. The primary then resumes
-//! from that boundary without re-shipping completed segments, or
-//! bootstraps the follower with `RESET` and every segment from the first
-//! when the cursor is no live record boundary. Every shipped record is re-verified with the store's frame
-//! decoder before a byte is written, so a replica is exactly as
+//! The replica's directory *is* its cursor, and the replica is its one
+//! writer: it holds the directory's writer lock
+//! ([`freephish_store::lock_dir`]) for its whole life. On every
+//! (re)connect it runs the store's own recovery scan
+//! ([`freephish_store::recover`], what `Store::open` runs, without
+//! opening a writer): truncate the first defective tail, delete anything
+//! after it. It sends the resulting `(segment, offset)` as its `HELLO`
+//! cursor. The primary then resumes from that boundary without
+//! re-shipping completed segments, or bootstraps the follower with
+//! `RESET` and every segment from the first when the cursor is no live
+//! record boundary. Every shipped record is re-verified with the store's
+//! frame decoder before a byte is written, so a replica is exactly as
 //! trustworthy as a local recovery scan.
 //!
 //! The replica only mirrors files; serving is layered on top by
@@ -26,7 +29,8 @@ use bytes::BytesMut;
 use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use freephish_store::segment::{segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN};
-use freephish_store::{fsync_dir, list_segments, recover};
+use freephish_store::{fsync_dir, list_segments, lock_dir, recover};
+use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -113,10 +117,13 @@ struct Shared {
 pub struct Replica {
     shared: Arc<Shared>,
     handle: Mutex<Option<JoinHandle<()>>>,
+    /// The directory's writer lock, released after the thread stops.
+    _lock: File,
 }
 
 impl Replica {
-    /// Start replicating `primary` into `dir` (created if absent).
+    /// Start replicating `primary` into `dir` (created if absent). Fails
+    /// with `ResourceBusy` if another writer holds `dir`.
     pub fn start(
         primary: SocketAddr,
         dir: impl AsRef<Path>,
@@ -124,6 +131,7 @@ impl Replica {
     ) -> std::io::Result<Replica> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let lock = lock_dir(&dir)?;
         let shared = Arc::new(Shared {
             dir,
             primary,
@@ -139,6 +147,7 @@ impl Replica {
         Ok(Replica {
             shared,
             handle: Mutex::new(Some(handle)),
+            _lock: lock,
         })
     }
 

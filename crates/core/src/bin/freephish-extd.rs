@@ -8,8 +8,8 @@
 //! ```text
 //! freephish-extd serve [--port N] [--blocklist FILE] [--store DIR]
 //!                      [--index-file FILE] [--rebake-secs N] [--ops-port N]
-//!                      [--classify-on-miss] [--rate-cap N]
-//!                      [--replication-port N] [--replicate-from ADDR]
+//!                      [--classify-on-miss] [--replication-port N]
+//!                      [--replicate-from ADDR]
 //!     Serve verdicts on 127.0.0.1:N (default: an ephemeral port).
 //!     FILE holds one `<url> [score]` per line ('#' comments allowed);
 //!     malformed lines are skipped with a warning. With --store DIR the
@@ -49,20 +49,24 @@
 //!     on the serve loop — temp file + atomic rename, then an in-process
 //!     baseline swap.
 //!
-//!     Cluster flags: --rate-cap N sheds check traffic past N URLs/sec
-//!     with BUSY (a per-replica QoS quota). N must be positive — the
-//!     cap is off when the flag is absent.
-//!     --replication-port N makes this daemon the cluster primary
-//!     (DESIGN.md §14): it is the single writer of --store DIR — wire
-//!     ADDs (and inline classify-on-miss verdicts) are journaled
+//!     Every store directory has one writer (DESIGN.md §9): the daemon
+//!     locks the directory it journals into (DIR/extd-adds, DIR itself
+//!     as primary, or the replica's DIR as follower) before it recovers
+//!     it, and exits 75 (EX_TEMPFAIL), naming the directory, if another
+//!     process holds it. A restart therefore starts only once the old
+//!     daemon has exited. Any other start-up failure exits 1, and a
+//!     usage error 64.
+//!
+//!     Cluster flags: --replication-port N makes this daemon the cluster
+//!     primary (DESIGN.md §14): it is the single writer of --store DIR —
+//!     wire ADDs (and inline classify-on-miss verdicts) are journaled
 //!     straight into the main WAL, durable before OK — and ships that
 //!     WAL to follower replicas on 127.0.0.1:N, so followers receive
-//!     every verdict the primary admits. Do not point it at a directory
-//!     another process is writing. --replicate-from ADDR turns this
-//!     daemon into a read-only follower: a replication session mirrors
-//!     the primary's WAL into --store DIR and is its only writer, so
-//!     the node serves DIR as it grows, refuses ADDs, and reports ready
-//!     only once caught up to the primary's tip.
+//!     every verdict the primary admits. --replicate-from ADDR turns
+//!     this daemon into a read-only follower: a replication session
+//!     mirrors the primary's WAL into --store DIR and is its only
+//!     writer, so the node serves DIR as it grows, refuses ADDs, and
+//!     reports ready only once caught up to the primary's tip.
 //!
 //! freephish-extd route [--port N] --backends ADDR,ADDR,...
 //!                      [--backend-ops ADDR|-,...] [--ops-port N]
@@ -196,7 +200,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: freephish-extd serve [--port N] [--blocklist FILE] [--store DIR] \
          [--index-file FILE] [--rebake-secs N] \
-         [--ops-port N] [--classify-on-miss] [--rate-cap N] \
+         [--ops-port N] [--classify-on-miss] \
          [--replication-port N] [--replicate-from ADDR]"
     );
     eprintln!(
@@ -222,7 +226,6 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     let mut ops_port: Option<u16> = None;
     let mut store_dir: Option<String> = None;
     let mut classify_on_miss = false;
-    let mut rate_cap: u64 = 0;
     let mut index_file: Option<String> = None;
     let mut rebake_secs: u64 = 0;
     let mut replication_port: Option<u16> = None;
@@ -230,22 +233,6 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--rate-cap" => {
-                i += 1;
-                let raw = args.get(i).map(String::as_str).unwrap_or_else(|| usage());
-                // A cap of zero (or below) would shed every request; the
-                // way to disable the cap is to omit the flag.
-                match raw.parse::<i64>() {
-                    Ok(n) if n > 0 => rate_cap = n as u64,
-                    _ => {
-                        eprintln!(
-                            "--rate-cap must be a positive integer (URLs/sec), got {raw:?}; \
-                             omit the flag to disable the cap"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--index-file" => {
                 i += 1;
                 index_file = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
@@ -444,7 +431,6 @@ fn serve(args: &[String]) -> std::io::Result<()> {
     let mut server = EventedServer::start_with(
         ServeConfig {
             port,
-            rate_cap_urls_per_sec: rate_cap,
             ..ServeConfig::default()
         },
         checker.clone(),
@@ -748,12 +734,21 @@ fn check(args: &[String]) -> std::io::Result<()> {
     Ok(())
 }
 
-fn main() -> std::io::Result<()> {
+/// Exit code of a daemon refused its store directory because another
+/// writer holds it (EX_TEMPFAIL: retry once the old daemon has exited).
+const EXIT_DIR_BUSY: i32 = 75;
+
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
+    let run = match args.split_first() {
         Some((cmd, rest)) if cmd == "serve" => serve(rest),
         Some((cmd, rest)) if cmd == "route" => route(rest),
         Some((cmd, rest)) if cmd == "check" => check(rest),
         _ => usage(),
+    };
+    if let Err(e) = run {
+        eprintln!("freephish-extd: {e}");
+        let busy = e.kind() == std::io::ErrorKind::ResourceBusy;
+        std::process::exit(if busy { EXIT_DIR_BUSY } else { 1 });
     }
 }

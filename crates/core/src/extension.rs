@@ -130,7 +130,7 @@ impl VerdictClient {
         stream.write_all(request.as_bytes())?;
         let mut line = read_line_buffered(&mut stream, &mut buf)?;
         if line == "BUSY" {
-            // Shed under load (rate cap or in-flight budget): the same
+            // Shed under load (the in-flight budget): the same
             // single jittered retry as the other paths, on the same
             // connection. A second BUSY surfaces as the error below.
             self.retries_line.inc();

@@ -152,21 +152,41 @@ fn evented_overlay_matches_pure_replay() {
             "{ctx}: only a sidecar node keeps a sidecar"
         );
 
+        // An overwritten URL serves the *suffix* score, not the baked
+        // one.
+        let (hit, bits) = observe(&overlaid, "https://v2.weebly.com/");
+        assert!(hit, "{ctx}");
+        assert_eq!(bits, (0.75 + 2.0 * 1e-9f64).to_bits(), "{ctx}");
+
+        // Record what the node answers, then stop it: the replay below
+        // opens DIR after the node is gone, as a restarted node would,
+        // so DIR never has two writers.
+        let urls = probe_urls();
+        let seen: Vec<_> = urls.iter().map(|u| observe(&overlaid, u)).collect();
+        let batch: Vec<_> = overlaid
+            .check_many(&urls)
+            .iter()
+            .map(|v| format!("{v:?}"))
+            .collect();
+        drop(publisher);
+        drop(overlaid);
+
         // Pure replay, no baseline. The owner's history is replayed the
-        // way a follower would read it: without a second writer on DIR.
+        // way a follower would read it.
         let replay_role = match role {
             WriteRole::Owner => WriteRole::ReadOnly,
             other => other,
         };
         let replayed = EventedStoreChecker::open_as(dir.path(), replay_role, None).unwrap();
         replayed.publisher().poll().unwrap();
-        assert_equivalent(&overlaid, &replayed, &ctx);
-
-        // An overwritten URL serves the *suffix* score, not the baked
-        // one, and an added one the last added score.
-        let (hit, bits) = observe(&overlaid, "https://v2.weebly.com/");
-        assert!(hit, "{ctx}");
-        assert_eq!(bits, (0.75 + 2.0 * 1e-9f64).to_bits(), "{ctx}");
+        for (i, url) in urls.iter().enumerate() {
+            assert_eq!(
+                seen[i],
+                observe(&replayed, url),
+                "{ctx}: overlay and replay diverged on {url:?}"
+            );
+        }
+        // The added URL replays to the last added score.
         assert_eq!(
             observe(&replayed, NODE_ADDED),
             (true, 0.625f64.to_bits()),
@@ -174,12 +194,9 @@ fn evented_overlay_matches_pure_replay() {
         );
 
         // Batch reads agree with batch reads, in order.
-        let urls = probe_urls();
-        let a: Vec<_> = overlaid.check_many(&urls);
-        let b: Vec<_> = replayed.check_many(&urls);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+        for (i, (x, y)) in batch.iter().zip(replayed.check_many(&urls)).enumerate() {
             assert_eq!(
-                format!("{x:?}"),
+                *x,
                 format!("{y:?}"),
                 "{ctx}: check_many diverged at {}",
                 urls[i]
@@ -247,7 +264,10 @@ fn journaled_adds_keep_shadowing_across_an_in_process_rebake() {
         checker.generation() > gen_before,
         "base swap must advance the generation for cache invalidation"
     );
-    let replayed = EventedStoreChecker::open(dir.path()).unwrap();
+    // The node added nothing, so the main journal is everything that was
+    // journaled: the replay reads it without opening the node's sidecar,
+    // which the live node holds as its single writer.
+    let replayed = EventedStoreChecker::open_as(dir.path(), WriteRole::ReadOnly, None).unwrap();
     replayed.publisher().poll().unwrap();
     assert_equivalent(&checker, &replayed, "post-rebake");
     assert_eq!(observe(&checker, overwritten), want);

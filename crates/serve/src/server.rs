@@ -71,12 +71,6 @@ pub struct ServeConfig {
     pub write_buf_cap: usize,
     /// Poll timeout, which bounds shutdown latency.
     pub poll_interval: Duration,
-    /// Admission rate cap in URLs per second; `0` (the default)
-    /// disables it. A per-replica QoS quota for cluster deployments:
-    /// check traffic past the refill rate is shed with `BUSY`, which a
-    /// cluster router answers by failing over along the ring. Writes
-    /// (`ADD`) and `STATS` are never rate-capped.
-    pub rate_cap_urls_per_sec: u64,
 }
 
 impl Default for ServeConfig {
@@ -89,7 +83,6 @@ impl Default for ServeConfig {
             max_inflight_urls: 4096,
             write_buf_cap: 256 * 1024,
             poll_interval: Duration::from_millis(100),
-            rate_cap_urls_per_sec: 0,
         }
     }
 }
@@ -116,7 +109,6 @@ struct ServeMetrics {
     verdicts_phishing: Arc<Counter>,
     verdicts_safe: Arc<Counter>,
     shed_total: Arc<Counter>,
-    rate_limited: Arc<Counter>,
     protocol_errors: Arc<Counter>,
     io_errors: Arc<Counter>,
     inflight_urls: Arc<Gauge>,
@@ -148,7 +140,6 @@ impl ServeMetrics {
             verdicts_phishing: registry.counter("serve_verdicts_total", &[("kind", "phishing")]),
             verdicts_safe: registry.counter("serve_verdicts_total", &[("kind", "safe")]),
             shed_total: registry.counter("serve_shed_total", &[]),
-            rate_limited: registry.counter("serve_rate_limited_total", &[]),
             protocol_errors: registry.counter("serve_protocol_errors_total", &[]),
             io_errors: registry.counter("serve_io_errors_total", &[]),
             inflight_urls: registry.gauge("serve_inflight_urls", &[]),
@@ -225,50 +216,12 @@ impl Budget {
     }
 }
 
-/// Token-bucket admission cap: `rate` URLs/second refill, with a burst
-/// allowance so batch arrivals aren't penalized for their granularity.
-/// Only constructed when [`ServeConfig::rate_cap_urls_per_sec`] is
-/// non-zero, so the default path stays untouched.
-struct RateCap {
-    rate: f64,
-    burst: f64,
-    state: Mutex<(f64, Instant)>,
-}
-
-impl RateCap {
-    fn new(urls_per_sec: u64) -> RateCap {
-        let rate = urls_per_sec as f64;
-        // 100 ms of quota, floored at one maximal CHECKN frame.
-        let burst = (rate * 0.1).max(crate::proto::MAX_BATCH as f64);
-        RateCap {
-            rate,
-            burst,
-            state: Mutex::new((burst, Instant::now())),
-        }
-    }
-
-    fn try_admit(&self, n: usize) -> bool {
-        let mut st = lock(&self.state);
-        let now = Instant::now();
-        let dt = now.duration_since(st.1).as_secs_f64();
-        st.0 = (st.0 + dt * self.rate).min(self.burst);
-        st.1 = now;
-        if st.0 >= n as f64 {
-            st.0 -= n as f64;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// State shared by the acceptor and every worker.
 struct Shared {
     cfg: ServeConfig,
     checker: Arc<dyn UrlChecker>,
     metrics: ServeMetrics,
     budget: Budget,
-    rate_cap: Option<RateCap>,
     traces: Arc<TraceStore>,
     shutdown: AtomicBool,
     inboxes: Vec<Mutex<Vec<TcpStream>>>,
@@ -451,11 +404,7 @@ fn exec_checks(
     let n = pending.len();
     s.metrics.requests_check.add(n as u64);
     s.metrics.batch_size.record(n as f64);
-    let admitted = s.rate_cap.as_ref().is_none_or(|rc| rc.try_admit(n));
-    if !admitted {
-        s.metrics.rate_limited.add(n as u64);
-    }
-    if !admitted || !s.budget.try_acquire(n) {
+    if !s.budget.try_acquire(n) {
         s.metrics.shed_total.add(n as u64);
         for (_, mode) in pending.drain(..) {
             match mode {
@@ -495,11 +444,7 @@ fn exec_checkn(conn: &mut Conn, s: &Shared, urls: Vec<String>, clock: &mut Batch
     let n = urls.len();
     s.metrics.requests_checkn.inc();
     s.metrics.batch_size.record(n as f64);
-    let admitted = s.rate_cap.as_ref().is_none_or(|rc| rc.try_admit(n));
-    if !admitted {
-        s.metrics.rate_limited.add(n as u64);
-    }
-    if !admitted || !s.budget.try_acquire(n) {
+    if !s.budget.try_acquire(n) {
         s.metrics.shed_total.add(n as u64);
         conn.push_reply(&BinReply::Busy);
         return;
@@ -838,8 +783,6 @@ impl EventedServer {
             inboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             wakes,
             budget,
-            rate_cap: (cfg.rate_cap_urls_per_sec > 0)
-                .then(|| RateCap::new(cfg.rate_cap_urls_per_sec)),
             metrics,
             traces: Arc::new(TraceStore::new()),
             checker,
@@ -1050,50 +993,6 @@ mod tests {
         assert_eq!(
             snap.counter("serve_requests_total", &[("kind", "checkn")]),
             1
-        );
-    }
-
-    #[test]
-    fn rate_cap_sheds_over_quota_batches_with_busy() {
-        let server = EventedServer::start_with(
-            ServeConfig {
-                // Burst floors at one maximal CHECKN (256 URLs); the
-                // refill rate is far too slow to admit a second batch
-                // within this test's lifetime.
-                rate_cap_urls_per_sec: 50,
-                ..ServeConfig::default()
-            },
-            seeded_index(),
-        )
-        .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(b"BINARY\n").unwrap();
-        assert_eq!(read_line_raw(&stream).trim(), HANDSHAKE_OK);
-        let batch: Vec<String> = (0..proto::MAX_BATCH)
-            .map(|i| format!("https://site{i}.weebly.com/"))
-            .collect();
-        let mut buf = BytesMut::new();
-        proto::encode_bin_request(&mut buf, &BinRequest::CheckN(batch.clone())).unwrap();
-        stream.write_all(&buf).unwrap();
-        match read_reply(&stream) {
-            BinReply::VerdictN(vs) => assert_eq!(vs.len(), proto::MAX_BATCH),
-            other => panic!("burst allowance should admit the first batch, got {other:?}"),
-        }
-        let mut buf = BytesMut::new();
-        proto::encode_bin_request(&mut buf, &BinRequest::CheckN(batch)).unwrap();
-        stream.write_all(&buf).unwrap();
-        match read_reply(&stream) {
-            BinReply::Busy => {}
-            other => panic!("over-quota batch should shed BUSY, got {other:?}"),
-        }
-        let snap = server.metrics();
-        assert_eq!(
-            snap.counter("serve_rate_limited_total", &[]),
-            proto::MAX_BATCH as u64
-        );
-        assert_eq!(
-            snap.counter("serve_shed_total", &[]),
-            proto::MAX_BATCH as u64
         );
     }
 

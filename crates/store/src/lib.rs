@@ -46,7 +46,7 @@ pub use codec::{DecodeError, PayloadReader, PayloadWriter};
 pub use crc32::{crc32, crc32_update};
 pub use segment::Torn;
 pub use store::{
-    fsync_dir, list_segments, recover, RecordPos, Recovered, Recovery, Store, StoreObserver,
-    StoreOptions,
+    fsync_dir, list_segments, lock_dir, recover, RecordPos, Recovered, Recovery, Store,
+    StoreObserver, StoreOptions,
 };
 pub use tail::{TailBatch, TailCursor, TailFollower, TailStart};

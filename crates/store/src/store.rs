@@ -16,9 +16,13 @@
 //!   still holds a `snap-*.snap` file (written by an older version, which
 //!   deleted the segments that file covered) is refused, never read as a
 //!   partial history.
+//! * One writer per directory: [`Store::open`] takes [`lock_dir`] before
+//!   it recovers and holds it for the store's life, so a second writer is
+//!   refused instead of truncating the first one's in-flight tail.
+//!   Readers take no lock.
 
 use crate::segment::{parse_segment_name, scan_segment, segment_file_name, SegmentWriter};
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -93,13 +97,44 @@ pub struct Recovered {
     pub truncated_bytes: u64,
 }
 
-/// The WAL store. Single writer per directory; any number of
-/// [`crate::TailFollower`]s may read concurrently.
+/// The WAL store. Single writer per directory, enforced by
+/// [`lock_dir`]; any number of [`crate::TailFollower`]s may read
+/// concurrently.
 pub struct Store {
     dir: PathBuf,
     opts: StoreOptions,
     writer: SegmentWriter,
     observer: Option<Arc<dyn StoreObserver>>,
+    /// The directory's writer lock, released when the store drops.
+    _lock: File,
+}
+
+/// The file in a store directory whose lock marks its writer.
+const LOCK_FILE: &str = "LOCK";
+
+/// Become `dir`'s one writer: an exclusive, non-blocking lock on
+/// `dir/LOCK`, held until the returned file is closed (on drop, or when
+/// the process dies). A directory another writer holds is a
+/// `ResourceBusy` error naming it. The lock is advisory: it binds only
+/// writers that take it, which every writer in this workspace does.
+pub fn lock_dir(dir: &Path) -> io::Result<File> {
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(dir.join(LOCK_FILE))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(TryLockError::WouldBlock) => Err(io::Error::new(
+            io::ErrorKind::ResourceBusy,
+            format!(
+                "{}: store directory already has a writer holding its {LOCK_FILE}; \
+                 stop that writer first",
+                dir.display()
+            ),
+        )),
+        Err(TryLockError::Error(e)) => Err(e),
+    }
 }
 
 /// Fsync a directory so renames/unlinks within it are durable.
@@ -153,7 +188,8 @@ pub struct Recovery {
 /// deleting every segment after it. Each surviving record goes to
 /// `on_record` in append order, so the scan holds one segment's payloads
 /// at a time. Afterwards the directory is a valid prefix of what was
-/// appended, durably.
+/// appended, durably. It writes, so only the holder of [`lock_dir`] may
+/// run it: another writer's in-flight record looks like a torn tail.
 pub fn recover(dir: &Path, mut on_record: impl FnMut(RecordPos, Vec<u8>)) -> io::Result<Recovery> {
     let segments = list_segments(dir)?;
     let mut torn_tail = false;
@@ -217,7 +253,8 @@ impl Store {
         Store::open_with(dir, StoreOptions::default(), None)
     }
 
-    /// Open with explicit options and an optional observer.
+    /// Open with explicit options and an optional observer. Fails with
+    /// `ResourceBusy` if another writer holds the directory ([`lock_dir`]).
     pub fn open_with(
         dir: impl AsRef<Path>,
         opts: StoreOptions,
@@ -225,6 +262,7 @@ impl Store {
     ) -> io::Result<(Store, Recovered)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let lock = lock_dir(&dir)?;
         let mut records = Vec::new();
         let found = recover(&dir, |pos, payload| records.push((pos, payload)))?;
 
@@ -252,6 +290,7 @@ impl Store {
                 opts,
                 writer,
                 observer,
+                _lock: lock,
             },
             recovered,
         ))
@@ -349,6 +388,7 @@ mod tests {
     use super::*;
     use crate::segment::SEGMENT_HEADER_LEN;
     use crate::testutil::TempDir;
+    use std::io::Write;
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -526,6 +566,50 @@ mod tests {
         assert_eq!(found.tail, Some(end));
         assert_eq!(seen.len(), 6);
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), end.end_offset);
+    }
+
+    #[test]
+    fn a_second_writer_is_refused_and_every_synced_append_survives() {
+        let dir = TempDir::new("store-second-writer");
+        let want = payloads(200);
+        let (mut first, _) = Store::open(dir.path()).unwrap();
+        let refused = |at: usize| {
+            let err = Store::open(dir.path())
+                .err()
+                .expect("second writer refused");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::ResourceBusy,
+                "after {at} appends"
+            );
+            assert!(
+                err.to_string().contains(&dir.path().display().to_string()),
+                "{err}"
+            );
+        };
+        refused(0);
+        let seg = dir.path().join(segment_file_name(0));
+        for (i, p) in want.iter().enumerate() {
+            first.append(p).unwrap();
+            first.sync().unwrap();
+            if i == want.len() / 2 {
+                // The first writer mid-append, as the refused opener sees
+                // it: half a frame on disk, which recovery would truncate.
+                let synced = std::fs::metadata(&seg).unwrap().len();
+                let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+                f.write_all(&[7, 0, 0]).unwrap();
+                refused(i + 1);
+                assert_eq!(std::fs::metadata(&seg).unwrap().len(), synced + 3);
+                f.set_len(synced).unwrap();
+            }
+        }
+        drop(first);
+        let (_, got, torn) = reopen(dir.path());
+        assert!(!torn, "a refused open must not recover, or truncate");
+        assert_eq!(got, want);
+        // The lock file stays behind and is not a segment.
+        assert!(dir.path().join(LOCK_FILE).exists());
+        assert_eq!(list_segments(dir.path()).unwrap(), vec![0]);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 # keeps the two proofs one in-process 24-second workload cannot express:
 #   * the distributed cluster — loadgen --cluster spawns freephish-extd
 #     follower processes replicating from an in-process primary WAL and
-#     scatters CHECKN through the consistent-hash router: a rate-capped
-#     1/2/4/8-node scaling sweep (cluster_scaling), a replication-lag
-#     scrape off a follower's /varz (cluster_replication_lag), and a
+#     scatters CHECKN through the consistent-hash router: a
 #     kill-a-follower/resume-from-cursor/zero-lost-verdicts proof
-#     (cluster_failover);
+#     (cluster_failover) and a replication-lag scrape off the restarted
+#     follower's /varz (cluster_replication_lag);
 #   * the million-site scale path — loadgen --soak streams a 1M-site
 #     world under an RSS-growth gate (scale_world_build), external-merge
 #     bakes a 10M-entry snapshot index (mapidx_build), proves the mmap
@@ -25,9 +24,9 @@
 #     are asserted inside the binary, so a regression fails this script.
 #
 # Knobs: FREEPHISH_BENCH_OUT (output path, default BENCH_PIPELINE.json),
-#        FREEPHISH_LOADGEN_SECS / _BATCH (seconds per cluster sweep point,
+#        FREEPHISH_LOADGEN_SECS / _BATCH (seconds of failover load,
 #        URLs per CHECKN frame),
-#        FREEPHISH_CLUSTER_RATE / _CONNS (cluster phase shape),
+#        FREEPHISH_CLUSTER_CONNS (router connections in the cluster phase),
 #        FREEPHISH_SOAK_SITES / _INDEX / _SECS / _CONNS / _RSS_LIMIT_MB
 #        (soak phase shape; the 10M-entry default bake is disk-bound and
 #        takes a couple of minutes on slow volumes).
@@ -57,7 +56,7 @@ import json, sys
 rec = json.load(open(sys.argv[1]))
 required = {
     "schema_version",
-    "cluster_scaling", "cluster_replication_lag", "cluster_failover",
+    "cluster_replication_lag", "cluster_failover",
     "scale_world_build", "mapidx_build", "mapidx_load", "mapidx_load_ms",
     "soak", "soak_rss_peak_mb", "soak_p999_us",
 }

@@ -38,14 +38,15 @@ def names(*marked):
 
 
 RETIRED_TEXT = names(
-    "perf~bench", "--miss~-rate", "FREEPHISH_BENCH~_REPS", "FREEPHISH_LOADGEN~_CONNS"
+    "perf~bench", "--miss~-rate", "FREEPHISH_BENCH~_REPS", "FREEPHISH_LOADGEN~_CONNS",
+    "FREEPHISH_CLUSTER~_RATE",
 )
 RETIRED_KEYS = names(
     "classify~_hot_path", "site_similarity~_sweep", "pipeline~_tick", "train~_phase",
     "store_append~_throughput", "store~_recovery", "par~_metrics", "thr~eads",
     "serve~_throughput", "serve~_latency", "serve~_p999", "serve_worker~_utilization",
     "ops_scrape~_latency", "serve_miss~_classify", "serve_miss~_classify_per_sec",
-    "serve_tier~_hit_rates",
+    "serve_tier~_hit_rates", "cluster~_scaling",
 )
 
 FILE_SUFFIXES = (".rs", ".json", ".sh", ".md", ".toml", ".py")

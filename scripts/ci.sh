@@ -71,11 +71,11 @@ fi
 # is its segments (no snapshots, no fsync-per-append knob), one `repro` run, one property runner
 # (`freephish_simclock::prop`), one fetch trait, a resolver that is built
 # with its models: the forks, the dependencies, the tick-count knob, the
-# per-table knobs and the warm-up machinery this repo retired must not come
-# back (crates/benchmark keeps its own stand-ins, `proptest` and `criterion`
-# among them).
+# per-table knobs, the warm-up machinery and the admission rate cap this repo
+# retired must not come back (crates/benchmark keeps its own stand-ins,
+# `proptest` and `criterion` among them).
 echo "== retired names stay retired =="
-if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher|write_snapshot|load_snapshot|parse_snapshot_name|snapshot_seq|store_snapshots_total|sync_every_append|OverlayIndex|HeadEntry|filter_bit|base_epoch' \
+if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSetChecker|parking_lot|snapshot_every_ticks|FREEPHISH_T1_PAIRS|LAST_METRICS|proptest!|proptest::|^[[:space:]]*proptest[[:space:]]*[.=]|dependencies\.proptest\]|HttpFetcher|PageFetcher|fetcher_at|wait_warm|is_warm|resolver_cold_misses|TieredResolver::bootstrap|FixedHistogram|criterion|recover_local|SyntheticFetcher|write_snapshot|load_snapshot|parse_snapshot_name|snapshot_seq|store_snapshots_total|sync_every_append|OverlayIndex|HeadEntry|filter_bit|base_epoch|RateCap|rate_cap_urls_per_sec|serve_rate_limited|FREEPHISH_CLUSTER_RATE' \
     --include='*.rs' --include='Cargo.toml' --exclude-dir=benchmark --exclude-dir=target \
     Cargo.toml src tests examples crates; then
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2

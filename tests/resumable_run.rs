@@ -148,8 +148,13 @@ fn run_killed_at_arbitrary_ticks_resumes_bit_identical() {
         for _ in 0..kill_at {
             assert!(run.tick(&pipeline).unwrap());
         }
-        // Simulate the kill: leak the run so no destructor tidies up.
-        std::mem::forget(run);
+        // Simulate the kill. Every tick ends in an fsynced checkpoint, so
+        // nothing is buffered and dropping the run leaves the disk as a
+        // SIGKILL would; it also closes the journal's writer lock, as
+        // process exit does. (Leaking the run would keep that lock held
+        // in this process, and the reopen below would be refused as a
+        // second writer.)
+        drop(run);
 
         let mut resumed = JournaledRun::open(dir.path()).unwrap();
         assert_eq!(resumed.now().as_secs(), kill_at as u64 * 600);
@@ -177,7 +182,8 @@ fn run_killed_with_torn_wal_tail_resumes_bit_identical() {
         for _ in 0..kill_at {
             assert!(run.tick(&pipeline).unwrap());
         }
-        std::mem::forget(run);
+        // The kill, as above.
+        drop(run);
 
         // Damage the WAL tail the way a crash mid-append would: either a
         // half-written frame appended at the end, or bit rot near the tail
