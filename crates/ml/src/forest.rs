@@ -184,6 +184,12 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// The fitted trees, in training order; split features index each
+    /// tree's own column bag, not the dataset.
+    pub fn trees(&self) -> impl Iterator<Item = &RegTree> {
+        self.trees.iter().map(|ft| &ft.tree)
+    }
+
     /// How often each dataset feature is used by a split, across the
     /// forest — a split-count importance.
     pub fn feature_usage(&self, n_features: usize) -> Vec<usize> {

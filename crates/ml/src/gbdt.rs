@@ -16,7 +16,7 @@
 
 use crate::dataset::Dataset;
 use crate::flat::{FlatForest, FlatForestBuilder};
-use crate::tree::{BinnedMatrix, RegTree, TreeConfig};
+use crate::tree::{BinnedMatrix, RegTree, TreeConfig, TreeFitter};
 use freephish_simclock::Rng64;
 
 /// Boosting hyper-parameters.
@@ -138,6 +138,8 @@ impl Gbdt {
         let mut grad = vec![0.0f64; n];
         let mut hess = vec![0.0f64; n];
         let mut trees = Vec::with_capacity(config.n_trees);
+        let mut fitter = TreeFitter::new(&binned);
+        let mut sampled = vec![false; n];
 
         for _round in 0..config.n_trees {
             for (i, &score) in scores.iter().enumerate() {
@@ -151,10 +153,22 @@ impl Gbdt {
             } else {
                 (0..n).collect()
             };
-            let tree = RegTree::fit(&binned, &grad, &hess, &rows, &config.tree);
-            // Update all rows (not just the sample) with the shrunk output.
+            let tree = fitter.fit(&grad, &hess, &rows, &config.tree);
+            // Update all rows (not just the sample) with the shrunk output:
+            // a sampled row takes the leaf it landed in during the fit,
+            // which is the leaf `predict_row` would reach; the rest walk
+            // the tree.
+            sampled.fill(false);
+            for (value, leaf_rows) in fitter.leaves() {
+                for &r in leaf_rows {
+                    scores[r] += config.learning_rate * value;
+                    sampled[r] = true;
+                }
+            }
             for (i, score) in scores.iter_mut().enumerate() {
-                *score += config.learning_rate * tree.predict_row(data.row(i));
+                if !sampled[i] {
+                    *score += config.learning_rate * tree.predict_row(data.row(i));
+                }
             }
             trees.push(tree);
         }
@@ -232,6 +246,11 @@ impl Gbdt {
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
+    }
+
+    /// The fitted trees, in boosting order (leaves unshrunk).
+    pub fn trees(&self) -> &[RegTree] {
+        &self.trees
     }
 
     /// Split-count feature importance: how many splits across the ensemble

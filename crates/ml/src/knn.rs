@@ -86,7 +86,7 @@ impl Knn {
             .zip(&self.labels)
             .map(|(v, &l)| (l, self.dist(query, v)))
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
         scored.truncate(k);
         scored
     }
@@ -127,7 +127,7 @@ impl Knn {
             .zip(&self.labels)
             .filter(|(_, &l)| l == label)
             .map(|(v, _)| self.dist(query, v))
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
+            .min_by(f64::total_cmp)
     }
 }
 

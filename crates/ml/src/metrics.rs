@@ -116,7 +116,7 @@ pub fn auc(labels: &[u8], scores: &[f64]) -> f64 {
     }
     // Rank scores ascending; ties share the average rank.
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap());
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
     let mut ranks = vec![0.0f64; scores.len()];
     let mut i = 0;
     while i < order.len() {
@@ -159,7 +159,7 @@ pub fn threshold_at_fnr(labels: &[u8], scores: &[f64], max_fnr: f64) -> f64 {
     if pos.is_empty() {
         return 0.0;
     }
-    pos.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    pos.sort_by(f64::total_cmp);
     // With cutoff t = pos[k], the positives lost are those strictly below
     // t: at most k of them. The largest admissible k keeps k/n ≤ max_fnr.
     let allowed = (max_fnr.clamp(0.0, 1.0) * pos.len() as f64).floor() as usize;

@@ -215,6 +215,16 @@ impl StackModel {
     pub fn n_base_models(&self) -> usize {
         self.base_models.len()
     }
+
+    /// The layer-1 models retrained on the full training set.
+    pub fn base_models(&self) -> &[Gbdt] {
+        &self.base_models
+    }
+
+    /// The layer-2 model.
+    pub fn meta_model(&self) -> &Gbdt {
+        &self.meta_model
+    }
 }
 
 #[cfg(test)]

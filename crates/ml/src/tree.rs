@@ -11,6 +11,8 @@
 //! and leaf weights are `−G/(H+λ)`. Growth is either level-wise (classic
 //! GBDT / XGBoost) or best-first leaf-wise (LightGBM's signature).
 
+use std::ops::Range;
+
 /// Tree-growth hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
@@ -43,13 +45,17 @@ impl Default for TreeConfig {
 
 /// Feature matrix quantised to per-feature bins.
 ///
-/// `edges[f]` holds ascending thresholds; a value `x` falls in bin
-/// `edges[f].partition_point(|e| e < x)`, so `bin(x) <= b  ⇔  x <= edges[f][b]`
-/// for any edge index `b` — which is exactly the predicate a split needs.
+/// `edges[f]` holds ascending thresholds taken from the column's non-NaN
+/// values; a value `x` falls in bin `edges[f].partition_point(|e| e < x)`
+/// and a NaN in the last bin, so `bin(x) <= b  ⇔  x <= edges[f][b]` for any
+/// edge index `b` and any `x`, NaN included — which is exactly the
+/// predicate a split needs, and the way inference routes a row (NaN goes
+/// right, as `!(x <= t)` in [`crate::flat`]).
 #[derive(Debug, Clone)]
 pub struct BinnedMatrix {
-    /// Column-major bins: `bins[f][row]`.
-    bins: Vec<Vec<u8>>,
+    /// Row-major bins: `bins[row * n_features + f]`, so one node pass reads
+    /// each row's bins for every feature from one cache line.
+    bins: Vec<u8>,
     /// Ascending candidate thresholds per feature.
     edges: Vec<Vec<f64>>,
     n_rows: usize,
@@ -63,15 +69,16 @@ impl BinnedMatrix {
         let n_rows = rows.len();
         let n_features = rows.first().map(|r| r.len()).unwrap_or(0);
         let mut edges = Vec::with_capacity(n_features);
-        let mut bins = Vec::with_capacity(n_features);
+        let mut bins = vec![0u8; n_rows * n_features];
         for f in 0..n_features {
-            let mut col: Vec<f64> = rows.iter().map(|r| r[f]).collect();
-            col.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut col: Vec<f64> = rows.iter().map(|r| r[f]).filter(|x| !x.is_nan()).collect();
+            col.sort_by(f64::total_cmp);
             // Quantile edges, deduplicated.
+            let n = col.len();
             let mut e: Vec<f64> = Vec::new();
             for k in 1..max_bins {
-                let pos = k * n_rows / max_bins;
-                if pos < n_rows {
+                let pos = k * n / max_bins;
+                if pos < n {
                     let v = col[pos.saturating_sub(1)];
                     if e.last().map(|&last| v > last).unwrap_or(true) {
                         e.push(v);
@@ -85,12 +92,16 @@ impl BinnedMatrix {
                     e.pop();
                 }
             }
-            let b: Vec<u8> = rows
-                .iter()
-                .map(|r| e.partition_point(|&edge| edge < r[f]) as u8)
-                .collect();
+            for (r, row) in rows.iter().enumerate() {
+                let x = row[f];
+                let b = if x.is_nan() {
+                    e.len()
+                } else {
+                    e.partition_point(|&edge| edge < x)
+                };
+                bins[r * n_features + f] = b as u8;
+            }
             edges.push(e);
-            bins.push(b);
         }
         BinnedMatrix {
             bins,
@@ -106,7 +117,7 @@ impl BinnedMatrix {
 
     /// Number of features.
     pub fn n_features(&self) -> usize {
-        self.bins.len()
+        self.edges.len()
     }
 
     /// Number of bins for feature `f` (edges + 1).
@@ -116,7 +127,13 @@ impl BinnedMatrix {
 
     /// Bin of row `row` for feature `f`.
     pub fn bin(&self, f: usize, row: usize) -> u8 {
-        self.bins[f][row]
+        self.bins[row * self.n_features() + f]
+    }
+
+    /// Bins of row `row` for every feature.
+    fn row_bins(&self, row: usize) -> &[u8] {
+        let nf = self.n_features();
+        &self.bins[row * nf..(row + 1) * nf]
     }
 
     /// Threshold corresponding to splitting feature `f` at bin `b`
@@ -159,92 +176,155 @@ struct SplitCandidate {
     bin: usize,
 }
 
-/// Work item during growth: a prospective leaf.
+/// Work item during growth: a prospective leaf and its range of the
+/// fitter's row buffer.
 struct Pending {
     node_slot: usize,
-    rows: Vec<usize>,
+    rows: Range<usize>,
     depth: usize,
     grad_sum: f64,
     hess_sum: f64,
 }
 
-impl RegTree {
+/// Gradient statistics of the rows in one histogram bin.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinStats {
+    grad: f64,
+    hess: f64,
+    count: usize,
+}
+
+/// The training kernel: fits [`RegTree`]s over one [`BinnedMatrix`],
+/// keeping its buffers from one fit to the next.
+///
+/// Each node makes one pass over its rows and adds every row's gradient
+/// and hessian into the bins of all features at once, in one flat
+/// histogram arena. Every bin still sums its rows in the node's row order,
+/// so each sum — and hence each split, leaf and score — is bit-identical
+/// to filling one feature's histogram at a time. A split partitions its
+/// node's range of the row buffer in place, stably (left rows keep their
+/// order, then right rows keep theirs), so the children are ranges too.
+#[derive(Debug)]
+pub struct TreeFitter<'m> {
+    m: &'m BinnedMatrix,
+    /// `(feature, offset of its first bin in hist)` for every feature
+    /// with at least two bins; the others can never split.
+    features: Vec<(usize, usize)>,
+    /// All features' histograms for one node; all zero between nodes.
+    hist: Vec<BinStats>,
+    /// The fit's rows: every node owns a contiguous range.
+    rows: Vec<usize>,
+    /// A split's right-hand rows while its range is partitioned.
+    spill: Vec<usize>,
+    /// Every leaf of the last fit: its value and its range of `rows`.
+    leaves: Vec<(f64, Range<usize>)>,
+}
+
+impl<'m> TreeFitter<'m> {
+    /// A fitter over `m`; its histogram arena is allocated here, once.
+    pub fn new(m: &'m BinnedMatrix) -> Self {
+        let mut features = Vec::new();
+        let mut n_bins = 0;
+        for f in 0..m.n_features() {
+            if m.n_bins(f) >= 2 {
+                features.push((f, n_bins));
+                n_bins += m.n_bins(f);
+            }
+        }
+        TreeFitter {
+            m,
+            features,
+            hist: vec![BinStats::default(); n_bins],
+            rows: Vec::new(),
+            spill: Vec::new(),
+            leaves: Vec::new(),
+        }
+    }
+
     /// Fit a tree to the (gradient, hessian) targets over `rows`.
-    pub fn fit(
-        m: &BinnedMatrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        cfg: &TreeConfig,
-    ) -> RegTree {
+    pub fn fit(&mut self, grad: &[f64], hess: &[f64], rows: &[usize], cfg: &TreeConfig) -> RegTree {
         assert_eq!(grad.len(), hess.len());
         let mut nodes: Vec<Node> = vec![Node::Leaf { value: 0.0 }];
         let g0: f64 = rows.iter().map(|&r| grad[r]).sum();
         let h0: f64 = rows.iter().map(|&r| hess[r]).sum();
+        self.rows.clear();
+        self.rows.extend_from_slice(rows);
+        self.leaves.clear();
         let root = Pending {
             node_slot: 0,
-            rows: rows.to_vec(),
+            rows: 0..rows.len(),
             depth: 0,
             grad_sum: g0,
             hess_sum: h0,
         };
 
         if cfg.leaf_wise {
-            Self::grow_leafwise(m, grad, hess, cfg, &mut nodes, root);
+            self.grow_leafwise(grad, hess, cfg, &mut nodes, root);
         } else {
-            Self::grow_levelwise(m, grad, hess, cfg, &mut nodes, root);
+            self.grow_levelwise(grad, hess, cfg, &mut nodes, root);
         }
         RegTree { nodes }
     }
 
-    fn leaf_value(g: f64, h: f64, lambda: f64) -> f64 {
-        -g / (h + lambda)
+    /// The leaves of the last fit, each with the rows that landed in it:
+    /// every row passed to [`TreeFitter::fit`] appears under exactly one
+    /// leaf, the one [`RegTree::predict_row`] reaches from that row.
+    pub fn leaves(&self) -> impl Iterator<Item = (f64, &[usize])> {
+        self.leaves
+            .iter()
+            .map(|(value, rows)| (*value, &self.rows[rows.clone()]))
     }
 
     /// Best split for a node, or None when nothing clears min_leaf/γ.
     fn best_split(
-        m: &BinnedMatrix,
+        &mut self,
         grad: &[f64],
         hess: &[f64],
-        rows: &[usize],
-        g_total: f64,
-        h_total: f64,
+        p: &Pending,
         cfg: &TreeConfig,
     ) -> Option<SplitCandidate> {
-        if rows.len() < 2 * cfg.min_leaf {
+        let n = p.rows.len();
+        if n < 2 * cfg.min_leaf {
             return None;
         }
-        let parent_score = g_total * g_total / (h_total + cfg.lambda);
+        // One pass over the node's rows fills every feature's histogram.
+        for &r in &self.rows[p.rows.clone()] {
+            let (g, h) = (grad[r], hess[r]);
+            let bins = self.m.row_bins(r);
+            for &(f, offset) in &self.features {
+                let s = &mut self.hist[offset + bins[f] as usize];
+                s.grad += g;
+                s.hess += h;
+                s.count += 1;
+            }
+        }
+        let parent_score = p.grad_sum * p.grad_sum / (p.hess_sum + cfg.lambda);
         let mut best: Option<SplitCandidate> = None;
-        for f in 0..m.n_features() {
-            let nb = m.n_bins(f);
-            if nb < 2 {
-                continue;
-            }
-            // Histogram of (G, H, count) per bin.
-            let mut hg = vec![0.0f64; nb];
-            let mut hh = vec![0.0f64; nb];
-            let mut hc = vec![0usize; nb];
-            for &r in rows {
-                let b = m.bin(f, r) as usize;
-                hg[b] += grad[r];
-                hh[b] += hess[r];
-                hc[b] += 1;
-            }
-            // Prefix scan over split points (split after bin b: edges index b).
+        for &(f, offset) in &self.features {
+            let hist = &mut self.hist[offset..offset + self.m.n_bins(f)];
+            let last = hist.len() - 1;
+            // Prefix scan over split points (split after bin b: edges
+            // index b), zeroing the arena for the next node as it goes.
             let mut gl = 0.0;
             let mut hl = 0.0;
             let mut cl = 0usize;
-            for b in 0..nb - 1 {
-                gl += hg[b];
-                hl += hh[b];
-                cl += hc[b];
-                let cr = rows.len() - cl;
+            for (b, slot) in hist.iter_mut().enumerate() {
+                let s = std::mem::take(slot);
+                // No split after the last bin. An empty bin past the first
+                // repeats the previous candidate's gain exactly, and a tie
+                // never wins (`gain > best`), so skipping it is exact.
+                if b == last || (s.count == 0 && b > 0) {
+                    continue;
+                }
+                gl += s.grad;
+                hl += s.hess;
+                cl += s.count;
+                let cr = n - cl;
                 if cl < cfg.min_leaf || cr < cfg.min_leaf {
                     continue;
                 }
-                let gr = g_total - gl;
-                let hr = h_total - hl;
+                let gr = p.grad_sum - gl;
+                let hr = p.hess_sum - hl;
                 let gain = gl * gl / (hl + cfg.lambda) + gr * gr / (hr + cfg.lambda)
                     - parent_score
                     - cfg.gamma;
@@ -260,47 +340,51 @@ impl RegTree {
         best
     }
 
-    /// Apply a split: turn the pending leaf into a Split node and return the
-    /// two child Pending items.
+    /// Apply a split: turn the pending leaf into a Split node, partition
+    /// its rows in place and return the two child Pending items.
     fn apply_split(
-        m: &BinnedMatrix,
+        &mut self,
         grad: &[f64],
         hess: &[f64],
         nodes: &mut Vec<Node>,
         p: Pending,
         s: &SplitCandidate,
     ) -> (Pending, Pending) {
-        let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
         let (mut gl, mut hl) = (0.0, 0.0);
-        for &r in &p.rows {
-            if (m.bin(s.feature, r) as usize) <= s.bin {
+        let mut mid = p.rows.start;
+        self.spill.clear();
+        for i in p.rows.clone() {
+            let r = self.rows[i];
+            if (self.m.bin(s.feature, r) as usize) <= s.bin {
                 gl += grad[r];
                 hl += hess[r];
-                lrows.push(r);
+                self.rows[mid] = r;
+                mid += 1;
             } else {
-                rrows.push(r);
+                self.spill.push(r);
             }
         }
+        self.rows[mid..p.rows.end].copy_from_slice(&self.spill);
         let left_slot = nodes.len();
         nodes.push(Node::Leaf { value: 0.0 });
         let right_slot = nodes.len();
         nodes.push(Node::Leaf { value: 0.0 });
         nodes[p.node_slot] = Node::Split {
             feature: s.feature,
-            threshold: m.threshold(s.feature, s.bin),
+            threshold: self.m.threshold(s.feature, s.bin),
             left: left_slot,
             right: right_slot,
         };
         let left = Pending {
             node_slot: left_slot,
-            rows: lrows,
+            rows: p.rows.start..mid,
             depth: p.depth + 1,
             grad_sum: gl,
             hess_sum: hl,
         };
         let right = Pending {
             node_slot: right_slot,
-            rows: rrows,
+            rows: mid..p.rows.end,
             depth: p.depth + 1,
             grad_sum: p.grad_sum - gl,
             hess_sum: p.hess_sum - hl,
@@ -308,14 +392,14 @@ impl RegTree {
         (left, right)
     }
 
-    fn finalize_leaf(nodes: &mut [Node], p: &Pending, lambda: f64) {
-        nodes[p.node_slot] = Node::Leaf {
-            value: Self::leaf_value(p.grad_sum, p.hess_sum, lambda),
-        };
+    fn finalize_leaf(&mut self, nodes: &mut [Node], p: Pending, lambda: f64) {
+        let value = RegTree::leaf_value(p.grad_sum, p.hess_sum, lambda);
+        nodes[p.node_slot] = Node::Leaf { value };
+        self.leaves.push((value, p.rows));
     }
 
     fn grow_levelwise(
-        m: &BinnedMatrix,
+        &mut self,
         grad: &[f64],
         hess: &[f64],
         cfg: &TreeConfig,
@@ -325,22 +409,22 @@ impl RegTree {
         let mut stack = vec![root];
         while let Some(p) = stack.pop() {
             if p.depth >= cfg.max_depth {
-                Self::finalize_leaf(nodes, &p, cfg.lambda);
+                self.finalize_leaf(nodes, p, cfg.lambda);
                 continue;
             }
-            match Self::best_split(m, grad, hess, &p.rows, p.grad_sum, p.hess_sum, cfg) {
+            match self.best_split(grad, hess, &p, cfg) {
                 Some(s) => {
-                    let (l, r) = Self::apply_split(m, grad, hess, nodes, p, &s);
+                    let (l, r) = self.apply_split(grad, hess, nodes, p, &s);
                     stack.push(l);
                     stack.push(r);
                 }
-                None => Self::finalize_leaf(nodes, &p, cfg.lambda),
+                None => self.finalize_leaf(nodes, p, cfg.lambda),
             }
         }
     }
 
     fn grow_leafwise(
-        m: &BinnedMatrix,
+        &mut self,
         grad: &[f64],
         hess: &[f64],
         cfg: &TreeConfig,
@@ -351,8 +435,7 @@ impl RegTree {
         // gain until max_leaves is reached or no leaf can split.
         let mut leaves = 1usize;
         let mut frontier: Vec<(Pending, Option<SplitCandidate>)> = Vec::new();
-        let root_split =
-            Self::best_split(m, grad, hess, &root.rows, root.grad_sum, root.hess_sum, cfg);
+        let root_split = self.best_split(grad, hess, &root, cfg);
         frontier.push((root, root_split));
 
         while leaves < cfg.max_leaves {
@@ -361,12 +444,12 @@ impl RegTree {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, (_, s))| s.as_ref().map(|s| (i, s.gain)))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(i, _)| i);
             let Some(i) = best_idx else { break };
             let (p, s) = frontier.swap_remove(i);
             let s = s.expect("selected entry has a split");
-            let (l, r) = Self::apply_split(m, grad, hess, nodes, p, &s);
+            let (l, r) = self.apply_split(grad, hess, nodes, p, &s);
             leaves += 1;
             // Depth guard also applies in leaf-wise mode (LightGBM default
             // max_depth=-1, but bounding keeps worst cases tame).
@@ -374,22 +457,32 @@ impl RegTree {
                 let split = if child.depth >= cfg.max_depth.max(64) {
                     None
                 } else {
-                    Self::best_split(
-                        m,
-                        grad,
-                        hess,
-                        &child.rows,
-                        child.grad_sum,
-                        child.hess_sum,
-                        cfg,
-                    )
+                    self.best_split(grad, hess, &child, cfg)
                 };
                 frontier.push((child, split));
             }
         }
         for (p, _) in frontier {
-            Self::finalize_leaf(nodes, &p, cfg.lambda);
+            self.finalize_leaf(nodes, p, cfg.lambda);
         }
+    }
+}
+
+impl RegTree {
+    /// Fit a tree to the (gradient, hessian) targets over `rows`; see
+    /// [`TreeFitter`] to fit many over one matrix.
+    pub fn fit(
+        m: &BinnedMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        cfg: &TreeConfig,
+    ) -> RegTree {
+        TreeFitter::new(m).fit(grad, hess, rows, cfg)
+    }
+
+    fn leaf_value(g: f64, h: f64, lambda: f64) -> f64 {
+        -g / (h + lambda)
     }
 
     /// Predict the raw-score contribution for one feature row.
@@ -481,6 +574,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn nan_bins_last_and_splits_right() {
+        // Every fourth cell is NaN; the rest are 0..75 in order.
+        let rows: Vec<Vec<f64>> = (0..100)
+            .map(|i| vec![if i % 4 == 0 { f64::NAN } else { i as f64 }])
+            .collect();
+        let m = BinnedMatrix::build(&rows, 8);
+        let last = m.n_bins(0) - 1;
+        for b in 0..last {
+            assert!(
+                !m.threshold(0, b).is_nan(),
+                "edges come from non-NaN values"
+            );
+        }
+        for (r, row) in rows.iter().enumerate() {
+            if row[0].is_nan() {
+                assert_eq!(m.bin(0, r) as usize, last, "row {r}");
+            }
+        }
+        // NaN rows carry the positive gradient: the tree must send them
+        // right, where inference sends them.
+        let grad: Vec<f64> = rows
+            .iter()
+            .map(|r| {
+                if r[0].is_nan() || r[0] > 50.0 {
+                    -0.5
+                } else {
+                    0.5
+                }
+            })
+            .collect();
+        let hess = vec![0.25; rows.len()];
+        let idx: Vec<usize> = (0..rows.len()).collect();
+        let tree = RegTree::fit(&m, &grad, &hess, &idx, &TreeConfig::default());
+        assert!(tree.predict_row(&[f64::NAN]) > 0.0);
+        assert!(tree.predict_row(&[10.0]) < 0.0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property tests over the ML substrate.
 
 use freephish_ml::dataset::Dataset;
+use freephish_ml::flat::FlatForestBuilder;
 use freephish_ml::forest::{ForestConfig, RandomForest};
 use freephish_ml::gbdt::{Gbdt, GbdtConfig};
 use freephish_ml::metrics::{auc, BinaryMetrics, ConfusionMatrix};
 use freephish_ml::stacking::{StackModel, StackModelConfig};
-use freephish_ml::tree::BinnedMatrix;
+use freephish_ml::tree::{BinnedMatrix, TreeConfig, TreeFitter};
 use freephish_simclock::prop::{check, Gen};
 use freephish_simclock::Rng64;
 
@@ -40,6 +41,131 @@ fn binning_invariant() {
             for (r, row) in rows.iter().enumerate() {
                 assert_eq!((m.bin(0, r) as usize) <= b, row[0] <= t);
             }
+        }
+    });
+}
+
+/// A feature column of `n` rows: uniform values, a few distinct values,
+/// a constant, or values laced with NaN and ±inf.
+fn column(g: &mut Gen, n: usize) -> Vec<f64> {
+    match g.usize_in(0..4) {
+        0 => (0..n).map(|_| g.f64_in(-5.0..5.0)).collect(),
+        1 => {
+            let levels = [g.f64_in(-1.0..1.0), 0.0, g.f64_in(-1.0..1.0)];
+            (0..n).map(|_| *g.pick(&levels)).collect()
+        }
+        2 => vec![g.f64_in(-5.0..5.0); n],
+        _ => (0..n)
+            .map(|_| match g.usize_in(0..8) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => g.f64_in(-5.0..5.0),
+            })
+            .collect(),
+    }
+}
+
+/// Row-major rows of 1 to 4 drawn columns, some of them duplicates of
+/// another.
+fn feature_rows(g: &mut Gen, n: usize) -> Vec<Vec<f64>> {
+    let mut columns: Vec<Vec<f64>> = Vec::new();
+    for _ in 0..g.usize_in(1..5) {
+        let col = match columns.is_empty() || g.bool() {
+            true => column(g, n),
+            false => g.pick(&columns).clone(),
+        };
+        columns.push(col);
+    }
+    (0..n)
+        .map(|r| columns.iter().map(|c| c[r]).collect())
+        .collect()
+}
+
+fn tree_config(g: &mut Gen) -> TreeConfig {
+    TreeConfig {
+        max_depth: g.usize_in(1..8),
+        max_leaves: g.usize_in(2..32),
+        min_leaf: g.usize_in(0..6),
+        lambda: g.f64_in(0.0..2.0),
+        gamma: g.f64_in(0.0..0.5),
+        leaf_wise: g.bool(),
+    }
+}
+
+/// The training kernel never panics on NaN, ±inf, constant or duplicate
+/// columns, and every sampled row lands in the leaf that inference (boxed
+/// and flat) reaches from that row — the invariant the boosting loop's
+/// score update from leaves relies on.
+#[test]
+fn fitted_leaves_match_inference() {
+    check(256, |g| {
+        let n = g.usize_in(1..301);
+        let rows = feature_rows(g, n);
+        let grad = g.vec(n..n + 1, |g| g.f64_in(-1.0..1.0));
+        let hess = g.vec(n..n + 1, |g| g.f64_in(0.01..0.25));
+        let mut rng = Rng64::new(g.u64());
+        let sample: Vec<usize> = match g.usize_in(0..3) {
+            0 => (0..n).collect(),
+            1 => rng.sample_indices(n, g.usize_in(1..n + 1)),
+            _ => (0..n).map(|_| rng.index(n)).collect(),
+        };
+        let m = BinnedMatrix::build(&rows, g.usize_in(2..64));
+        let mut fitter = TreeFitter::new(&m);
+        let tree = fitter.fit(&grad, &hess, &sample, &tree_config(g));
+        let mut flat = FlatForestBuilder::new(-0.0);
+        flat.push_tree(&tree, None, |v| v);
+        let flat = flat.build();
+        let mut seen: Vec<usize> = Vec::new();
+        for (value, leaf_rows) in fitter.leaves() {
+            for &r in leaf_rows {
+                let row = &rows[r];
+                assert_eq!(tree.predict_row(row).to_bits(), value.to_bits(), "row {r}");
+                assert_eq!(flat.predict_row(row).to_bits(), value.to_bits(), "row {r}");
+            }
+            seen.extend_from_slice(leaf_rows);
+        }
+        let mut expected = sample.clone();
+        expected.sort_unstable();
+        seen.sort_unstable();
+        assert_eq!(seen, expected, "the leaves partition the sample");
+    });
+}
+
+/// Boosting and forests train on the same hostile columns without
+/// panicking, with and without row subsampling.
+#[test]
+fn training_survives_hostile_columns() {
+    check(64, |g| {
+        let n = g.usize_in(1..301);
+        let rows = feature_rows(g, n);
+        let mut d = Dataset::new((0..rows[0].len()).map(|f| format!("f{f}")).collect());
+        for row in rows {
+            let label = u8::from(g.bool());
+            d.push(row, label);
+        }
+        let mut rng = Rng64::new(g.u64());
+        let cfg = GbdtConfig {
+            n_trees: 4,
+            tree: tree_config(g),
+            max_bins: g.usize_in(2..64),
+            subsample: *g.pick(&[1.0, 0.8, 0.3]),
+            ..GbdtConfig::tiny()
+        };
+        let model = Gbdt::train(&cfg, &d, &mut rng);
+        let forest = RandomForest::train(
+            &ForestConfig {
+                n_trees: 3,
+                ..ForestConfig::tiny()
+            },
+            &d,
+            &mut rng,
+        );
+        for i in 0..d.len() {
+            let boxed = model.predict_proba_boxed(d.row(i));
+            assert_eq!(model.predict_proba(d.row(i)).to_bits(), boxed.to_bits());
+            let boxed = forest.predict_proba_boxed(d.row(i));
+            assert_eq!(forest.predict_proba(d.row(i)).to_bits(), boxed.to_bits());
         }
     });
 }

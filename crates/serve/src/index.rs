@@ -33,7 +33,8 @@
 //! One routine answers every read, a frame or a single URL. Each URL is
 //! keyed once with [`url_key`]: the shard comes from the low bits, each
 //! table's slot and tag from the high half. A lane of [`PROBE_LANE`] URLs
-//! at a time, every level fills only the slots still empty, in the
+//! at a time (a lane of one for a single URL, so one `check` sets up one
+//! lookup's state), every level fills only the slots still empty, in the
 //! [`KeyTable`]'s stages, so the cache misses of a lane's URLs overlap;
 //! the base then answers what the delta left, in its own stages. An empty
 //! delta hashes nothing.
@@ -144,42 +145,49 @@ impl Image {
     /// `Some` are left alone, and a slot stays `None` when no level holds
     /// its URL.
     fn get_many<K: AsRef<str>>(&self, urls: &[K], out: &mut [Option<f64>]) {
-        assert_eq!(urls.len(), out.len(), "one answer slot per URL");
-        // An empty delta answers nothing, so it need not hash: a node
-        // serving from a fresh bake has an empty delta.
-        if self.len > 0 {
-            for first in (0..urls.len()).step_by(PROBE_LANE) {
-                let lane = first..urls.len().min(first + PROBE_LANE);
-                let mut keys = [0; PROBE_LANE];
-                for slot in lane.clone().filter(|&slot| out[slot].is_none()) {
-                    keys[slot - first] = url_key(urls[slot].as_ref());
-                }
-                for level in LEVELS {
-                    let mut probe = Lane::new(level(&self.shards[0]));
-                    for slot in lane.clone() {
-                        if out[slot].is_some() {
-                            continue;
-                        }
-                        let key = keys[slot - first];
-                        let table = level(&self.shards[key as usize & self.mask]);
-                        if !table.is_empty() {
-                            probe.push(Lookup { table, key, slot }, urls, out);
-                        }
-                    }
-                    probe.flush(urls, out);
-                }
-            }
-        }
+        self.get_many_delta::<K, PROBE_LANE>(urls, out);
         if let Some(base) = &self.base {
             base.get_many(urls, out);
         }
     }
 
-    /// The one-URL case of [`Image::get_many`].
+    /// The one-URL case of [`Image::get_many`], probed at a lane width of
+    /// one, so a single URL sets up one lookup's state, not a frame's.
     fn get(&self, url: &str) -> Option<f64> {
         let mut out = [None];
-        self.get_many(&[url], &mut out);
-        out[0]
+        self.get_many_delta::<_, 1>(&[url], &mut out);
+        out[0].or_else(|| self.base.as_ref()?.get(url))
+    }
+
+    /// The delta's part of [`Image::get_many`], `N` URLs at a time.
+    fn get_many_delta<K: AsRef<str>, const N: usize>(&self, urls: &[K], out: &mut [Option<f64>]) {
+        assert_eq!(urls.len(), out.len(), "one answer slot per URL");
+        // An empty delta answers nothing, so it need not hash: a node
+        // serving from a fresh bake has an empty delta.
+        if self.len == 0 {
+            return;
+        }
+        for first in (0..urls.len()).step_by(N) {
+            let lane = first..urls.len().min(first + N);
+            let mut keys = [0; N];
+            for slot in lane.clone().filter(|&slot| out[slot].is_none()) {
+                keys[slot - first] = url_key(urls[slot].as_ref());
+            }
+            for level in LEVELS {
+                let mut probe = Lane::<_, _, N>::new(level(&self.shards[0]));
+                for slot in lane.clone() {
+                    if out[slot].is_some() {
+                        continue;
+                    }
+                    let key = keys[slot - first];
+                    let table = level(&self.shards[key as usize & self.mask]);
+                    if !table.is_empty() {
+                        probe.push(Lookup { table, key, slot }, urls, out);
+                    }
+                }
+                probe.flush(urls, out);
+            }
+        }
     }
 }
 

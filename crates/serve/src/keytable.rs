@@ -135,7 +135,7 @@ impl<V: Copy, U: Deref<Target = str> + Clone> KeyTable<V, U> {
     pub fn get_many<K: AsRef<str>>(&self, keys: &[u64], urls: &[K], out: &mut [Option<V>]) {
         assert_eq!(keys.len(), urls.len(), "one key per URL");
         assert_eq!(urls.len(), out.len(), "one answer slot per URL");
-        let mut lane = Lane::new(self);
+        let mut lane = Lane::<_, _, PROBE_LANE>::new(self);
         for (slot, &key) in keys.iter().enumerate() {
             if out[slot].is_none() {
                 lane.push(
@@ -311,21 +311,22 @@ impl<V, U> Clone for Lookup<'_, V, U> {
 
 impl<V, U> Copy for Lookup<'_, V, U> {}
 
-/// Up to [`PROBE_LANE`] lookups waiting for one staged probe.
-pub(crate) struct Lane<'t, V, U> {
-    lookups: [Lookup<'t, V, U>; PROBE_LANE],
+/// Up to `N` lookups waiting for one staged probe: [`PROBE_LANE`] for a
+/// batch, 1 for a single URL, which then sets up one lookup's state.
+pub(crate) struct Lane<'t, V, U, const N: usize> {
+    lookups: [Lookup<'t, V, U>; N],
     len: usize,
 }
 
-impl<'t, V: Copy, U: Deref<Target = str> + Clone> Lane<'t, V, U> {
+impl<'t, V: Copy, U: Deref<Target = str> + Clone, const N: usize> Lane<'t, V, U, N> {
     /// An empty lane; `table` only fills the unused entries.
-    pub(crate) fn new(table: &'t KeyTable<V, U>) -> Lane<'t, V, U> {
+    pub(crate) fn new(table: &'t KeyTable<V, U>) -> Lane<'t, V, U, N> {
         Lane {
             lookups: [Lookup {
                 table,
                 key: 0,
                 slot: 0,
-            }; PROBE_LANE],
+            }; N],
             len: 0,
         }
     }
@@ -339,7 +340,7 @@ impl<'t, V: Copy, U: Deref<Target = str> + Clone> Lane<'t, V, U> {
     ) {
         self.lookups[self.len] = lookup;
         self.len += 1;
-        if self.len == PROBE_LANE {
+        if self.len == N {
             self.flush(urls, out);
         }
     }
@@ -350,7 +351,7 @@ impl<'t, V: Copy, U: Deref<Target = str> + Clone> Lane<'t, V, U> {
             return;
         }
         let lookups = &self.lookups[..self.len];
-        let found = probe::<V, U, K, PROBE_LANE>(lookups, urls);
+        let found = probe::<V, U, K, N>(lookups, urls);
         for (l, i) in lookups.iter().zip(found) {
             if let Some(i) = i {
                 out[l.slot] = Some(l.table.value_at(i));

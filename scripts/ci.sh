@@ -112,6 +112,15 @@ if grep -rniE --include='*.rs' --exclude-dir=target '0xcbf2_?9ce4_?8422_?2325' s
   echo "ci.sh: ERROR: an FNV offset basis outside freephish_simclock; call fnv1a or fnv_shaped (see above)" >&2
   exit 1
 fi
+# The learners take whatever floats they are given: a sort or a min/max
+# that compares with `partial_cmp(..).unwrap()` panics on the first NaN, as
+# `BinnedMatrix::build` once did on one NaN cell. `crates/ml/src` compares
+# floats with `total_cmp`.
+echo "== crates/ml/src orders floats with total_cmp =="
+if grep -rnE 'partial_cmp\([^)]*\)\.unwrap\(\)' crates/ml/src; then
+  echo "ci.sh: ERROR: a NaN-panicking float comparison in crates/ml/src; use total_cmp (see above)" >&2
+  exit 1
+fi
 # `par` resolves the host's parallelism once per process, and the serving
 # engine once per server; on Linux every other call re-reads the cgroup
 # quota files, so no other code may probe the host again.
