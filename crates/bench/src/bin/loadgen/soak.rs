@@ -36,8 +36,8 @@ use freephish_core::{ScaleWorld, ScaleWorldConfig};
 use freephish_mapidx::{SnapshotIndex, DEFAULT_RUN_BYTES};
 use freephish_obs::process_rss_bytes;
 use freephish_serve::{
-    encode_bin_request, read_bin_reply, read_line_buffered, BinReply, BinRequest, EventedServer,
-    OpsServer, UrlChecker, Verdict, HANDSHAKE_OK,
+    binary_handshake, encode_bin_request, read_bin_reply, BinReply, BinRequest, EventedServer,
+    OpsServer, UrlChecker, Verdict,
 };
 use freephish_store::testutil::TempDir;
 use std::io::Write;
@@ -237,10 +237,7 @@ fn soak_worker(
 ) -> SoakCounts {
     let mut stream = TcpStream::connect(addr).expect("soak connect");
     stream.set_nodelay(true).ok();
-    stream.write_all(b"BINARY\n").expect("handshake write");
-    let mut inbuf = BytesMut::new();
-    let handshake = read_line_buffered(&mut stream, &mut inbuf).expect("handshake read");
-    assert_eq!(handshake, HANDSHAKE_OK, "engine refused binary protocol");
+    let mut inbuf = binary_handshake(&mut stream).expect("engine refused binary protocol");
     let mut outbuf = BytesMut::new();
     let mut counts = SoakCounts {
         urls: 0,

@@ -32,8 +32,7 @@ use bytes::BytesMut;
 use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use freephish_serve::proto::{
-    encode_bin_request, read_bin_reply, read_line_buffered, BinReply, BinRequest, HANDSHAKE_LINE,
-    HANDSHAKE_OK, MAX_BATCH,
+    binary_handshake, encode_bin_request, read_bin_reply, BinReply, BinRequest, MAX_BATCH,
 };
 use freephish_serve::{http_get, UrlChecker, Verdict};
 use std::io::{ErrorKind, Write};
@@ -285,15 +284,7 @@ impl RouterClient {
                 TcpStream::connect_timeout(&shared.backends[node], shared.cfg.connect_timeout)?;
             stream.set_nodelay(true).ok();
             stream.set_read_timeout(Some(shared.cfg.io_timeout))?;
-            stream.write_all(format!("{HANDSHAKE_LINE}\n").as_bytes())?;
-            let mut inbuf = BytesMut::new();
-            let reply = read_line_buffered(&mut stream, &mut inbuf)?;
-            if reply != HANDSHAKE_OK {
-                return Err(std::io::Error::new(
-                    ErrorKind::InvalidData,
-                    format!("backend refused binary handshake: {reply}"),
-                ));
-            }
+            let inbuf = binary_handshake(&mut stream)?;
             self.conns[node] = Some(Conn { stream, inbuf });
         }
         Ok(&mut self.conns[node].as_mut().expect("just connected").stream)

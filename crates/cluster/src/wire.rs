@@ -19,13 +19,17 @@
 //! ERROR    (0x86): UTF-8 message; the connection is finished
 //! ```
 //!
-//! The magic byte differs from the verdict wire's `0xFB` so a frame
-//! aimed at the wrong port is rejected on its first byte. Torn frames
-//! wait for more bytes ([`decode_repl`] returns `Ok(None)` without
-//! consuming); structurally impossible frames — oversized payloads,
-//! unknown opcodes, cursors whose fields contradict each other — are
-//! hard errors that close the connection, exactly like the verdict
-//! wire. Version 1 also shipped store snapshots, which stores no longer
+//! The frame layer is the verdict wire's own,
+//! [`freephish_serve::proto::Framing`], run with this wire's magic byte
+//! and payload cap ([`REPL_FRAMING`]); payload fields go through
+//! `freephish_store`'s `PayloadReader` and `PayloadWriter`. Only the
+//! opcode table above is this module's. The magic byte differs from the
+//! verdict wire's `0xFB` so a frame aimed at the wrong port is rejected
+//! on its first byte. Torn frames wait for more bytes ([`decode_repl`]
+//! returns `Ok(None)` without consuming); structurally impossible frames
+//! — oversized payloads, unknown opcodes, bytes left past a frame's
+//! fields, cursors whose fields contradict each other — are hard errors
+//! that close the connection, exactly like the verdict wire. Version 1 also shipped store snapshots, which stores no longer
 //! write; its `HELLO` is refused as an unsupported version. Record
 //! payload integrity is separate from framing:
 //! [`verify_record_frame`] re-checks the WAL frame with the store's own
@@ -33,17 +37,22 @@
 //! not vouch for.
 
 use bytes::BytesMut;
+use freephish_serve::proto::Framing;
 use freephish_store::segment::{decode_frame, FRAME_OVERHEAD, MAX_RECORD_LEN, SEGMENT_HEADER_LEN};
+use freephish_store::PayloadWriter;
 
 /// First byte of every replication frame.
 pub const REPL_MAGIC: u8 = 0xFC;
 /// Protocol version carried in `HELLO`.
 pub const REPL_VERSION: u16 = 2;
-/// Bytes of frame header: magic + opcode + u32 length.
-pub const REPL_FRAME_HEADER: usize = 6;
 /// Hard cap on a frame's declared payload: the largest WAL record plus
 /// the record frame's own overhead and this protocol's field prefixes.
 pub const MAX_REPL_PAYLOAD: usize = MAX_RECORD_LEN as usize + FRAME_OVERHEAD as usize + 16;
+/// The replication wire's framing.
+pub const REPL_FRAMING: Framing = Framing {
+    magic: REPL_MAGIC,
+    max_payload: MAX_REPL_PAYLOAD,
+};
 
 const OP_HELLO: u8 = 0x01;
 const OP_RESET: u8 = 0x82;
@@ -125,39 +134,30 @@ pub enum ReplFrame {
     Error(String),
 }
 
-fn put_frame(buf: &mut BytesMut, opcode: u8, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_REPL_PAYLOAD);
-    let mut header = [0u8; REPL_FRAME_HEADER];
-    header[0] = REPL_MAGIC;
-    header[1] = opcode;
-    header[2..6].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&header);
-    buf.extend_from_slice(payload);
-}
-
 /// Append the frame encoding of `frame` to `buf`. Inconsistent cursors
 /// and oversized payloads are refused at encode time so a conforming
 /// peer can never emit what decode would reject.
 pub fn encode_repl(buf: &mut BytesMut, frame: &ReplFrame) -> Result<(), String> {
-    match frame {
+    // HELLO's is the largest fixed-size payload; a RECORD sizes its own.
+    let mut payload = PayloadWriter::with_capacity(HELLO_LEN);
+    let opcode = match frame {
         ReplFrame::Hello(cursor) => {
             if !cursor.is_consistent() {
                 return Err(format!("inconsistent cursor: {cursor:?}"));
             }
-            let mut payload = [0u8; HELLO_LEN];
-            payload[..2].copy_from_slice(&REPL_VERSION.to_le_bytes());
-            if cursor.segment.is_some() {
-                payload[2] = FLAG_HAS_SEGMENT;
-            }
-            payload[3..7].copy_from_slice(&cursor.segment.unwrap_or(0).to_le_bytes());
-            payload[7..].copy_from_slice(&cursor.offset.to_le_bytes());
-            put_frame(buf, OP_HELLO, &payload);
+            payload.put_u16(REPL_VERSION);
+            payload.put_u8(cursor.segment.map_or(0, |_| FLAG_HAS_SEGMENT));
+            payload.put_u32(cursor.segment.unwrap_or(0));
+            payload.put_u64(cursor.offset);
+            OP_HELLO
         }
         ReplFrame::Reset { first_segment } => {
-            put_frame(buf, OP_RESET, &first_segment.to_le_bytes());
+            payload.put_u32(*first_segment);
+            OP_RESET
         }
         ReplFrame::Segment { index } => {
-            put_frame(buf, OP_SEGMENT, &index.to_le_bytes());
+            payload.put_u32(*index);
+            OP_SEGMENT
         }
         ReplFrame::Record {
             segment,
@@ -175,142 +175,84 @@ pub fn encode_repl(buf: &mut BytesMut, frame: &ReplFrame) -> Result<(), String> 
                     "end offset {end_offset} precedes the record itself"
                 ));
             }
-            let mut payload = Vec::with_capacity(12 + frame.len());
-            payload.extend_from_slice(&segment.to_le_bytes());
-            payload.extend_from_slice(&end_offset.to_le_bytes());
-            payload.extend_from_slice(frame);
-            put_frame(buf, OP_RECORD, &payload);
+            payload = PayloadWriter::with_capacity(12 + frame.len());
+            payload.put_u32(*segment);
+            payload.put_u64(*end_offset);
+            payload.put_raw(frame);
+            OP_RECORD
         }
         ReplFrame::Tip { segment, offset } => {
-            let mut payload = [0u8; 12];
-            payload[..4].copy_from_slice(&segment.to_le_bytes());
-            payload[4..].copy_from_slice(&offset.to_le_bytes());
-            put_frame(buf, OP_TIP, &payload);
+            payload.put_u32(*segment);
+            payload.put_u64(*offset);
+            OP_TIP
         }
         ReplFrame::Error(msg) => {
-            let truncated = &msg.as_bytes()[..msg.len().min(1024)];
-            put_frame(buf, OP_ERROR, truncated);
+            payload.put_raw(&msg.as_bytes()[..msg.len().min(1024)]);
+            OP_ERROR
         }
-    }
+    };
+    REPL_FRAMING.put_frame(buf, opcode, &payload.into_bytes());
     Ok(())
-}
-
-fn take_u32(payload: &mut BytesMut) -> Result<u32, String> {
-    if payload.len() < 4 {
-        return Err("truncated field in replication frame".to_string());
-    }
-    let raw = payload.split_to(4);
-    Ok(u32::from_le_bytes(raw[..4].try_into().unwrap()))
-}
-
-fn take_u64(payload: &mut BytesMut) -> Result<u64, String> {
-    if payload.len() < 8 {
-        return Err("truncated field in replication frame".to_string());
-    }
-    let raw = payload.split_to(8);
-    Ok(u64::from_le_bytes(raw[..8].try_into().unwrap()))
-}
-
-/// Split one complete frame's opcode + payload off the front of `buf`.
-/// `Ok(None)` without consuming means the frame is torn; wait for more
-/// bytes. Errors are unrecoverable and close the connection.
-fn split_frame(buf: &mut BytesMut) -> Result<Option<(u8, BytesMut)>, String> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    if buf[0] != REPL_MAGIC {
-        return Err(format!("bad replication frame magic 0x{:02x}", buf[0]));
-    }
-    if buf.len() < REPL_FRAME_HEADER {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-    if len > MAX_REPL_PAYLOAD {
-        return Err(format!("frame payload of {len} exceeds {MAX_REPL_PAYLOAD}"));
-    }
-    if buf.len() < REPL_FRAME_HEADER + len {
-        return Ok(None);
-    }
-    let opcode = buf[1];
-    let _ = buf.split_to(REPL_FRAME_HEADER);
-    Ok(Some((opcode, buf.split_to(len))))
 }
 
 /// Decode one complete replication frame off the front of `buf`, if
 /// present.
 pub fn decode_repl(buf: &mut BytesMut) -> Result<Option<ReplFrame>, String> {
-    let Some((opcode, mut payload)) = split_frame(buf)? else {
-        return Ok(None);
-    };
-    let frame = match opcode {
-        OP_HELLO => {
-            // The version comes first, so a peer of another version is
-            // told so whatever its HELLO's length.
-            if let Some(v) = payload.get(..2) {
-                let version = u16::from_le_bytes([v[0], v[1]]);
+    REPL_FRAMING.decode_frame(buf, |opcode, payload| {
+        let frame = match opcode {
+            OP_HELLO => {
+                // The version comes first, so a peer of another version
+                // is told so whatever its HELLO's length.
+                let version = payload.get_u16()?;
                 if version != REPL_VERSION {
                     return Err(format!("unsupported replication version {version}"));
                 }
+                let flags = payload.get_u8()?;
+                if flags & !FLAG_HAS_SEGMENT != 0 {
+                    return Err(format!("unknown HELLO flags 0x{flags:02x}"));
+                }
+                let segment = payload.get_u32()?;
+                let cursor = ReplCursor {
+                    segment: (flags & FLAG_HAS_SEGMENT != 0).then_some(segment),
+                    offset: payload.get_u64()?,
+                };
+                if !cursor.is_consistent() {
+                    return Err(format!("forged cursor: {cursor:?}"));
+                }
+                ReplFrame::Hello(cursor)
             }
-            if payload.len() != HELLO_LEN {
-                return Err(format!("HELLO payload of {} bytes", payload.len()));
+            OP_RESET => ReplFrame::Reset {
+                first_segment: payload.get_u32()?,
+            },
+            OP_SEGMENT => ReplFrame::Segment {
+                index: payload.get_u32()?,
+            },
+            OP_RECORD => {
+                let segment = payload.get_u32()?;
+                let end_offset = payload.get_u64()?;
+                let frame = payload.rest();
+                if frame.len() < FRAME_OVERHEAD as usize {
+                    return Err(format!("record frame of {} bytes is torn", frame.len()));
+                }
+                if end_offset < SEGMENT_HEADER_LEN + frame.len() as u64 {
+                    return Err(format!("forged record end offset {end_offset}"));
+                }
+                ReplFrame::Record {
+                    segment,
+                    end_offset,
+                    frame: frame.to_vec(),
+                }
             }
-            let flags = payload[2];
-            if flags & !FLAG_HAS_SEGMENT != 0 {
-                return Err(format!("unknown HELLO flags 0x{flags:02x}"));
-            }
-            let segment = u32::from_le_bytes(payload[3..7].try_into().unwrap());
-            let offset = u64::from_le_bytes(payload[7..].try_into().unwrap());
-            let cursor = ReplCursor {
-                segment: (flags & FLAG_HAS_SEGMENT != 0).then_some(segment),
-                offset,
-            };
-            if !cursor.is_consistent() {
-                return Err(format!("forged cursor: {cursor:?}"));
-            }
-            ReplFrame::Hello(cursor)
-        }
-        OP_RESET => {
-            let first_segment = take_u32(&mut payload)?;
-            if !payload.is_empty() {
-                return Err("trailing bytes in RESET frame".to_string());
-            }
-            ReplFrame::Reset { first_segment }
-        }
-        OP_SEGMENT => {
-            let index = take_u32(&mut payload)?;
-            if !payload.is_empty() {
-                return Err("trailing bytes in SEGMENT frame".to_string());
-            }
-            ReplFrame::Segment { index }
-        }
-        OP_RECORD => {
-            let segment = take_u32(&mut payload)?;
-            let end_offset = take_u64(&mut payload)?;
-            if payload.len() < FRAME_OVERHEAD as usize {
-                return Err(format!("record frame of {} bytes is torn", payload.len()));
-            }
-            if end_offset < SEGMENT_HEADER_LEN + payload.len() as u64 {
-                return Err(format!("forged record end offset {end_offset}"));
-            }
-            ReplFrame::Record {
-                segment,
-                end_offset,
-                frame: payload.to_vec(),
-            }
-        }
-        OP_TIP => {
-            let segment = take_u32(&mut payload)?;
-            let offset = take_u64(&mut payload)?;
-            if !payload.is_empty() {
-                return Err("trailing bytes in TIP frame".to_string());
-            }
-            ReplFrame::Tip { segment, offset }
-        }
-        OP_ERROR => ReplFrame::Error(String::from_utf8_lossy(&payload).into_owned()),
-        other => return Err(format!("unknown replication opcode 0x{other:02x}")),
-    };
-    Ok(Some(frame))
+            OP_TIP => ReplFrame::Tip {
+                segment: payload.get_u32()?,
+                offset: payload.get_u64()?,
+            },
+            OP_ERROR => ReplFrame::Error(String::from_utf8_lossy(payload.rest()).into_owned()),
+            other => return Err(format!("unknown replication opcode 0x{other:02x}")),
+        };
+        payload.expect_end()?;
+        Ok(frame)
+    })
 }
 
 /// Verify a shipped WAL record frame end to end with the store's frame
@@ -400,7 +342,7 @@ mod tests {
         payload[3..7].copy_from_slice(&1u32.to_le_bytes());
         payload[7..].copy_from_slice(&3u64.to_le_bytes());
         let mut raw = BytesMut::new();
-        put_frame(&mut raw, OP_HELLO, &payload);
+        REPL_FRAMING.put_frame(&mut raw, OP_HELLO, &payload);
         assert!(decode_repl(&mut raw).is_err());
     }
 
@@ -411,12 +353,12 @@ mod tests {
         let mut payload = [0u8; 19];
         payload[..2].copy_from_slice(&1u16.to_le_bytes());
         let mut raw = BytesMut::new();
-        put_frame(&mut raw, OP_HELLO, &payload);
+        REPL_FRAMING.put_frame(&mut raw, OP_HELLO, &payload);
         let err = decode_repl(&mut raw).unwrap_err();
         assert_eq!(err, "unsupported replication version 1");
         // Version 1's SNAPSHOT frame is no frame of this version.
         let mut raw = BytesMut::new();
-        put_frame(&mut raw, 0x81, &[0; 8]);
+        REPL_FRAMING.put_frame(&mut raw, 0x81, &[0; 8]);
         assert!(decode_repl(&mut raw).is_err());
     }
 

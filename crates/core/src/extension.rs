@@ -36,7 +36,7 @@ use std::time::Duration;
 pub use freephish_serve::proto::{
     decode_request, decode_verdict, encode_verdict, Request, HANDSHAKE_LINE, HANDSHAKE_OK,
 };
-use freephish_serve::{read_bin_reply, read_line_buffered};
+use freephish_serve::{binary_handshake, read_bin_reply, read_line_buffered};
 pub use freephish_serve::{BinReply, BinRequest, UrlChecker, Verdict, MAX_BATCH};
 
 // ---------------------------------------------------------------------------
@@ -207,14 +207,7 @@ impl VerdictClient {
     /// fires only when the connection itself is unusable.
     fn fetch_batch(&self, urls: &[String]) -> std::io::Result<Vec<Result<Verdict, String>>> {
         let mut stream = self.connect()?;
-        let mut buf = BytesMut::new();
-        stream.write_all(format!("{HANDSHAKE_LINE}\n").as_bytes())?;
-        let handshake = read_line_buffered(&mut stream, &mut buf)?;
-        if handshake != HANDSHAKE_OK {
-            return Err(io_invalid(format!(
-                "server refused the {HANDSHAKE_LINE} handshake: {handshake}"
-            )));
-        }
+        let mut buf = binary_handshake(&mut stream)?;
         let mut verdicts: Vec<Result<Verdict, String>> = Vec::with_capacity(urls.len());
         for batch in urls.chunks(MAX_BATCH) {
             let mut frame = BytesMut::new();
@@ -366,7 +359,7 @@ pub fn block_page(url: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use freephish_serve::{EventedServer, ShardedIndex};
+    use freephish_serve::{EventedServer, ServeConfig, ShardedIndex};
     use std::io::{BufRead, BufReader, Read};
     use std::net::TcpListener;
 
@@ -447,7 +440,11 @@ mod tests {
         let port = probe.local_addr().unwrap().port();
         drop(probe);
         let checker = Arc::new(ShardedIndex::with_default_shards());
-        let server = match EventedServer::start_on(port, checker) {
+        let cfg = ServeConfig {
+            port,
+            ..ServeConfig::default()
+        };
+        let server = match EventedServer::start_with(cfg, checker) {
             Ok(s) => s,
             Err(_) => return, // port raced away; nothing to assert
         };

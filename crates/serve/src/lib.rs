@@ -53,9 +53,9 @@ pub use index::{IndexPublisher, IndexSnapshot, PayloadDecoder, ShardedIndex};
 pub use keytable::{url_key, KeyTable};
 pub use ops::{http_get, OpsConfig, OpsServer, Readiness};
 pub use proto::{
-    decode_bin_reply, decode_bin_request, decode_request, decode_verdict, encode_bin_reply,
-    encode_bin_request, encode_verdict, read_bin_reply, read_line_buffered, BinReply, BinRequest,
-    Request, HANDSHAKE_LINE, HANDSHAKE_OK, MAX_BATCH,
+    binary_handshake, decode_bin_reply, decode_bin_request, decode_request, decode_verdict,
+    encode_bin_reply, encode_bin_request, encode_verdict, read_bin_reply, read_line_buffered,
+    BinReply, BinRequest, Request, HANDSHAKE_LINE, HANDSHAKE_OK, MAX_BATCH,
 };
 pub use server::{EventedServer, ServeConfig};
 pub use verdict::{UrlChecker, Verdict};

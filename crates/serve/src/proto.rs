@@ -1,14 +1,14 @@
 //! The verdict wire protocols: the seed's line protocol and the batched
 //! binary frame protocol.
 //!
-//! ## Line protocol (PR 3 and earlier)
+//! ## Line protocol
 //!
 //! One UTF-8, `\n`-terminated line per request — `CHECK <url>`,
 //! `ADD <url> <score>`, `STATS`, plus the `BINARY` upgrade handshake —
 //! answered by `PHISHING <score>` / `SAFE <score>` / `OK <generation>` /
 //! `STATS <json>` / `ERROR <msg>` / `BUSY` lines.
 //!
-//! ## Binary frame protocol (this PR)
+//! ## Binary frame protocol
 //!
 //! Length-prefixed frames supporting pipelining and *batched* checks:
 //!
@@ -34,17 +34,25 @@
 //!
 //! Limits are part of the contract, not advisory: frames whose declared
 //! payload exceeds [`MAX_FRAME_PAYLOAD`], batches over [`MAX_BATCH`]
-//! URLs, and URLs over [`MAX_URL_BYTES`] are protocol errors. Torn
-//! (incomplete) frames simply wait for more bytes.
+//! URLs, URLs over [`MAX_URL_BYTES`] and bytes left past a frame's
+//! fields are protocol errors. Torn (incomplete) frames simply wait for
+//! more bytes.
+//!
+//! [`Framing`] is the one frame layer (encode, peek-or-wait,
+//! decode-then-consume): the cluster's replication wire
+//! (`freephish_cluster::wire`) runs on it too, with its own magic byte,
+//! payload cap and opcode table, and both wires read and write payload
+//! fields with `freephish_store`'s `PayloadReader` and `PayloadWriter`.
 //!
 //! Blocking clients — the extension's `VerdictClient`, the cluster
-//! router's backend connections, load generators — read the handshake
-//! line and binary replies through [`read_line_buffered`] and
-//! [`read_bin_reply`].
+//! router's backend connections, load generators — upgrade a connection
+//! with [`binary_handshake`] and read replies through
+//! [`read_line_buffered`] and [`read_bin_reply`].
 
 use crate::verdict::Verdict;
 use bytes::BytesMut;
-use std::io::Read;
+use freephish_store::{PayloadReader, PayloadWriter};
+use std::io::{Read, Write};
 
 /// First byte of every binary frame; never a valid line-protocol start.
 pub const MAGIC: u8 = 0xFB;
@@ -196,169 +204,175 @@ const OP_STATSR: u8 = 0x84;
 const OP_ERROR: u8 = 0x85;
 const OP_BUSY: u8 = 0x86;
 
-fn put_frame(buf: &mut BytesMut, opcode: u8, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
-    let mut header = [0u8; FRAME_HEADER];
-    header[0] = MAGIC;
-    header[1] = opcode;
-    header[2..6].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&header);
-    buf.extend_from_slice(payload);
+/// One wire's framing: `magic | opcode u8 | len u32 LE | payload`, the
+/// payload at most `max_payload` bytes. The verdict wire and the
+/// cluster's replication wire share this one frame layer and differ only
+/// in these two protocol constants; each keeps its own opcode table.
+#[derive(Debug, Clone, Copy)]
+pub struct Framing {
+    /// First byte of every frame on the wire.
+    pub magic: u8,
+    /// Hard cap on a frame's declared payload length.
+    pub max_payload: usize,
 }
 
-fn put_url(payload: &mut Vec<u8>, url: &str) -> Result<(), String> {
+/// The verdict wire's framing.
+const VERDICT_FRAMING: Framing = Framing {
+    magic: MAGIC,
+    max_payload: MAX_FRAME_PAYLOAD,
+};
+
+impl Framing {
+    /// Append one frame carrying `payload` to `buf`.
+    pub fn put_frame(self, buf: &mut BytesMut, opcode: u8, payload: &[u8]) {
+        debug_assert!(payload.len() <= self.max_payload);
+        let mut header = [0u8; FRAME_HEADER];
+        header[0] = self.magic;
+        header[1] = opcode;
+        header[2..6].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(payload);
+    }
+
+    /// The opcode and payload of the complete frame at the front of
+    /// `buf`, borrowed where they lie. `Ok(None)` means the frame is still
+    /// torn (incomplete); errors mean the stream is unrecoverable (a bad
+    /// magic byte or an oversized declaration) and the connection should
+    /// be closed.
+    fn peek_frame(self, buf: &[u8]) -> Result<Option<(u8, &[u8])>, String> {
+        if buf.is_empty() {
+            return Ok(None);
+        }
+        if buf[0] != self.magic {
+            return Err(format!("bad frame magic 0x{:02x}", buf[0]));
+        }
+        if buf.len() < FRAME_HEADER {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
+        if len > self.max_payload {
+            return Err(format!(
+                "frame payload of {len} exceeds {}",
+                self.max_payload
+            ));
+        }
+        Ok(buf
+            .get(FRAME_HEADER..FRAME_HEADER + len)
+            .map(|payload| (buf[1], payload)))
+    }
+
+    /// Decode the complete frame at the front of `buf` with `parse`, then
+    /// consume it, whether its payload parsed or not. Framing errors and
+    /// torn frames consume nothing.
+    pub fn decode_frame<T>(
+        self,
+        buf: &mut BytesMut,
+        parse: impl FnOnce(u8, &mut PayloadReader<'_>) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let Some((opcode, payload)) = self.peek_frame(buf)? else {
+            return Ok(None);
+        };
+        let len = FRAME_HEADER + payload.len();
+        let parsed = parse(opcode, &mut PayloadReader::new(payload));
+        buf.advance(len);
+        parsed.map(Some)
+    }
+}
+
+fn put_url(payload: &mut PayloadWriter, url: &str) -> Result<(), String> {
     if url.len() > MAX_URL_BYTES {
         return Err(format!("url too long: {} bytes", url.len()));
     }
-    payload.extend_from_slice(&(url.len() as u16).to_le_bytes());
-    payload.extend_from_slice(url.as_bytes());
+    payload.put_u16(url.len() as u16);
+    payload.put_raw(url.as_bytes());
     Ok(())
+}
+
+fn put_verdict(payload: &mut PayloadWriter, v: &Verdict) {
+    payload.put_u8(if v.is_phishing() { 1 } else { 0 });
+    payload.put_f64(v.score());
 }
 
 /// Append the frame encoding of `req` to `buf`.
 pub fn encode_bin_request(buf: &mut BytesMut, req: &BinRequest) -> Result<(), String> {
-    match req {
+    let mut payload = PayloadWriter::new();
+    let opcode = match req {
         BinRequest::Check(url) => {
             if url.len() > MAX_FRAME_PAYLOAD {
                 return Err(format!("url too long: {} bytes", url.len()));
             }
-            put_frame(buf, OP_CHECK, url.as_bytes());
+            payload.put_raw(url.as_bytes());
+            OP_CHECK
         }
         BinRequest::CheckN(urls) => {
             if urls.len() > MAX_BATCH {
                 return Err(format!("batch of {} exceeds {MAX_BATCH}", urls.len()));
             }
-            let mut payload =
-                Vec::with_capacity(2 + urls.iter().map(|u| 2 + u.len()).sum::<usize>());
-            payload.extend_from_slice(&(urls.len() as u16).to_le_bytes());
+            payload =
+                PayloadWriter::with_capacity(2 + urls.iter().map(|u| 2 + u.len()).sum::<usize>());
+            payload.put_u16(urls.len() as u16);
             for url in urls {
                 put_url(&mut payload, url)?;
             }
             if payload.len() > MAX_FRAME_PAYLOAD {
                 return Err("batch payload exceeds frame cap".to_string());
             }
-            put_frame(buf, OP_CHECKN, &payload);
+            OP_CHECKN
         }
         BinRequest::Add(url, score) => {
-            let mut payload = Vec::with_capacity(2 + url.len() + 8);
             put_url(&mut payload, url)?;
-            payload.extend_from_slice(&score.to_le_bytes());
-            put_frame(buf, OP_ADD, &payload);
+            payload.put_f64(*score);
+            OP_ADD
         }
-        BinRequest::Stats => put_frame(buf, OP_STATS, &[]),
-    }
+        BinRequest::Stats => OP_STATS,
+    };
+    VERDICT_FRAMING.put_frame(buf, opcode, &payload.into_bytes());
     Ok(())
 }
 
 /// Append the frame encoding of `reply` to `buf`.
 pub fn encode_bin_reply(buf: &mut BytesMut, reply: &BinReply) {
-    fn put_verdict(payload: &mut Vec<u8>, v: &Verdict) {
-        payload.push(if v.is_phishing() { 1 } else { 0 });
-        payload.extend_from_slice(&v.score().to_le_bytes());
-    }
-    match reply {
+    let mut payload = PayloadWriter::new();
+    let opcode = match reply {
         BinReply::Verdict(v) => {
-            let mut payload = Vec::with_capacity(9);
             put_verdict(&mut payload, v);
-            put_frame(buf, OP_VERDICT, &payload);
+            OP_VERDICT
         }
         BinReply::VerdictN(vs) => {
-            let mut payload = Vec::with_capacity(2 + 9 * vs.len());
-            payload.extend_from_slice(&(vs.len() as u16).to_le_bytes());
-            for v in vs {
-                put_verdict(&mut payload, v);
-            }
-            put_frame(buf, OP_VERDICTN, &payload);
+            payload = PayloadWriter::with_capacity(2 + 9 * vs.len());
+            payload.put_u16(vs.len() as u16);
+            vs.iter().for_each(|v| put_verdict(&mut payload, v));
+            OP_VERDICTN
         }
-        BinReply::Ok(generation) => put_frame(buf, OP_OK, &generation.to_le_bytes()),
-        BinReply::Stats(json) => put_frame(buf, OP_STATSR, json.as_bytes()),
+        BinReply::Ok(generation) => {
+            payload.put_u64(*generation);
+            OP_OK
+        }
+        BinReply::Stats(json) => {
+            payload.put_raw(json.as_bytes());
+            OP_STATSR
+        }
         BinReply::Error(msg) => {
-            let truncated = &msg.as_bytes()[..msg.len().min(MAX_FRAME_PAYLOAD)];
-            put_frame(buf, OP_ERROR, truncated);
+            payload.put_raw(&msg.as_bytes()[..msg.len().min(MAX_FRAME_PAYLOAD)]);
+            OP_ERROR
         }
-        BinReply::Busy => put_frame(buf, OP_BUSY, &[]),
-    }
-}
-
-/// The opcode and payload of the complete frame at the front of `buf`,
-/// borrowed where they lie. `Ok(None)` means the frame is still torn
-/// (incomplete); errors mean the stream is unrecoverable (oversized or
-/// garbled framing) and the connection should be closed after an `ERROR`
-/// reply.
-fn peek_frame(buf: &[u8]) -> Result<Option<(u8, &[u8])>, String> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    if buf[0] != MAGIC {
-        return Err(format!("bad frame magic 0x{:02x}", buf[0]));
-    }
-    if buf.len() < FRAME_HEADER {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(format!(
-            "frame payload of {len} exceeds {MAX_FRAME_PAYLOAD}"
-        ));
-    }
-    Ok(buf
-        .get(FRAME_HEADER..FRAME_HEADER + len)
-        .map(|payload| (buf[1], payload)))
-}
-
-/// Decode the complete frame at the front of `buf` with `parse`, then
-/// consume it, whether its payload parsed or not. Framing errors and torn
-/// frames consume nothing.
-fn decode_frame<T>(
-    buf: &mut BytesMut,
-    parse: impl FnOnce(u8, &mut Payload) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    let Some((opcode, payload)) = peek_frame(buf)? else {
-        return Ok(None);
+        BinReply::Busy => OP_BUSY,
     };
-    let len = FRAME_HEADER + payload.len();
-    let parsed = parse(opcode, &mut Payload(payload));
-    buf.advance(len);
-    parsed.map(Some)
+    VERDICT_FRAMING.put_frame(buf, opcode, &payload.into_bytes());
 }
 
-/// A cursor over a frame's payload.
-struct Payload<'a>(&'a [u8]);
+fn get_url(payload: &mut PayloadReader<'_>) -> Result<String, String> {
+    let len = payload.get_u16()? as usize;
+    utf8_url(payload.take(len)?)
+}
 
-impl<'a> Payload<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        if self.0.len() < n {
-            return Err(format!("truncated {what} in frame"));
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let raw = self.take(2, "field")?;
-        Ok(u16::from_le_bytes([raw[0], raw[1]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let raw = self.take(8, "score")?;
-        Ok(f64::from_le_bytes(raw.try_into().unwrap()))
-    }
-
-    fn url(&mut self) -> Result<String, String> {
-        let len = self.u16()? as usize;
-        let raw = self.take(len, "url")?;
-        utf8_url(raw)
-    }
-
-    fn verdict(&mut self) -> Result<Verdict, String> {
-        let kind = self.take(1, "verdict")?[0];
-        let score = self.f64()?;
-        match kind {
-            1 => Ok(Verdict::Phishing(score)),
-            0 => Ok(Verdict::Safe(score)),
-            other => Err(format!("unknown verdict kind {other}")),
-        }
+fn get_verdict(payload: &mut PayloadReader<'_>) -> Result<Verdict, String> {
+    let kind = payload.get_u8()?;
+    let score = payload.get_f64()?;
+    match kind {
+        1 => Ok(Verdict::Phishing(score)),
+        0 => Ok(Verdict::Safe(score)),
+        other => Err(format!("unknown verdict kind {other}")),
     }
 }
 
@@ -369,69 +383,72 @@ fn utf8_url(raw: &[u8]) -> Result<String, String> {
 }
 
 /// Decode one complete request frame off the front of `buf`, if present.
+/// Bytes left past a frame's fields refuse it.
 pub fn decode_bin_request(buf: &mut BytesMut) -> Result<Option<BinRequest>, String> {
-    decode_frame(buf, |opcode, payload| match opcode {
-        OP_CHECK => {
-            let url = utf8_url(payload.0)?;
-            if url.is_empty() {
-                return Err("empty url in CHECK frame".to_string());
+    VERDICT_FRAMING.decode_frame(buf, |opcode, payload| {
+        let request = match opcode {
+            OP_CHECK => {
+                let url = utf8_url(payload.rest())?;
+                if url.is_empty() {
+                    return Err("empty url in CHECK frame".to_string());
+                }
+                BinRequest::Check(url)
             }
-            Ok(BinRequest::Check(url))
-        }
-        OP_CHECKN => {
-            let count = payload.u16()? as usize;
-            if count > MAX_BATCH {
-                return Err(format!("batch of {count} exceeds {MAX_BATCH}"));
+            OP_CHECKN => {
+                let count = payload.get_u16()? as usize;
+                if count > MAX_BATCH {
+                    return Err(format!("batch of {count} exceeds {MAX_BATCH}"));
+                }
+                let mut urls = Vec::with_capacity(count);
+                for _ in 0..count {
+                    urls.push(get_url(payload)?);
+                }
+                BinRequest::CheckN(urls)
             }
-            let mut urls = Vec::with_capacity(count);
-            for _ in 0..count {
-                urls.push(payload.url()?);
+            OP_ADD => {
+                let url = get_url(payload)?;
+                let score = payload.get_f64()?;
+                if url.is_empty() || !(0.0..=1.0).contains(&score) {
+                    return Err("malformed ADD frame".to_string());
+                }
+                BinRequest::Add(url, score)
             }
-            if !payload.0.is_empty() {
-                return Err("trailing bytes in CHECKN frame".to_string());
-            }
-            Ok(BinRequest::CheckN(urls))
-        }
-        OP_ADD => {
-            let url = payload.url()?;
-            let score = payload.f64()?;
-            if url.is_empty() || !(0.0..=1.0).contains(&score) {
-                return Err("malformed ADD frame".to_string());
-            }
-            Ok(BinRequest::Add(url, score))
-        }
-        OP_STATS => Ok(BinRequest::Stats),
-        other => Err(format!("unknown request opcode 0x{other:02x}")),
+            OP_STATS => BinRequest::Stats,
+            other => return Err(format!("unknown request opcode 0x{other:02x}")),
+        };
+        payload.expect_end()?;
+        Ok(request)
     })
 }
 
 /// Decode one complete reply frame off the front of `buf`, if present.
+/// Bytes left past a frame's fields refuse it.
 pub fn decode_bin_reply(buf: &mut BytesMut) -> Result<Option<BinReply>, String> {
-    decode_frame(buf, |opcode, payload| match opcode {
-        OP_VERDICT => Ok(BinReply::Verdict(payload.verdict()?)),
-        OP_VERDICTN => {
-            let count = payload.u16()? as usize;
-            if count > MAX_BATCH {
-                return Err(format!("verdict batch of {count} exceeds {MAX_BATCH}"));
+    VERDICT_FRAMING.decode_frame(buf, |opcode, payload| {
+        let reply = match opcode {
+            OP_VERDICT => BinReply::Verdict(get_verdict(payload)?),
+            OP_VERDICTN => {
+                let count = payload.get_u16()? as usize;
+                if count > MAX_BATCH {
+                    return Err(format!("verdict batch of {count} exceeds {MAX_BATCH}"));
+                }
+                let mut vs = Vec::with_capacity(count);
+                for _ in 0..count {
+                    vs.push(get_verdict(payload)?);
+                }
+                BinReply::VerdictN(vs)
             }
-            let mut vs = Vec::with_capacity(count);
-            for _ in 0..count {
-                vs.push(payload.verdict()?);
-            }
-            Ok(BinReply::VerdictN(vs))
-        }
-        OP_OK => match <[u8; 8]>::try_from(payload.0) {
-            Ok(raw) => Ok(BinReply::Ok(u64::from_le_bytes(raw))),
-            Err(_) => Err("malformed OK frame".to_string()),
-        },
-        OP_STATSR => std::str::from_utf8(payload.0)
-            .map(|json| BinReply::Stats(json.to_string()))
-            .map_err(|_| "non-utf8 stats".to_string()),
-        OP_ERROR => Ok(BinReply::Error(
-            String::from_utf8_lossy(payload.0).into_owned(),
-        )),
-        OP_BUSY => Ok(BinReply::Busy),
-        other => Err(format!("unknown reply opcode 0x{other:02x}")),
+            OP_OK => BinReply::Ok(payload.get_u64()?),
+            OP_STATSR => match std::str::from_utf8(payload.rest()) {
+                Ok(json) => BinReply::Stats(json.to_string()),
+                Err(_) => return Err("non-utf8 stats".to_string()),
+            },
+            OP_ERROR => BinReply::Error(String::from_utf8_lossy(payload.rest()).into_owned()),
+            OP_BUSY => BinReply::Busy,
+            other => return Err(format!("unknown reply opcode 0x{other:02x}")),
+        };
+        payload.expect_end()?;
+        Ok(reply)
     })
 }
 
@@ -476,6 +493,23 @@ pub fn read_line_buffered(stream: &mut impl Read, buf: &mut BytesMut) -> std::io
         }
         read_more(stream, buf)?;
     }
+}
+
+/// Upgrade a fresh blocking connection to the binary protocol: send the
+/// `BINARY` line and read the answer. Any answer but [`HANDSHAKE_OK`] is
+/// an `InvalidData` error carrying the server's line. Returns the
+/// connection's accumulation buffer, which keeps any frame bytes that
+/// arrived behind the answer.
+pub fn binary_handshake(stream: &mut (impl Read + Write)) -> std::io::Result<BytesMut> {
+    stream.write_all(format!("{HANDSHAKE_LINE}\n").as_bytes())?;
+    let mut buf = BytesMut::new();
+    let answer = read_line_buffered(stream, &mut buf)?;
+    if answer != HANDSHAKE_OK {
+        return Err(io_invalid(format!(
+            "server refused the {HANDSHAKE_LINE} handshake: {answer}"
+        )));
+    }
+    Ok(buf)
 }
 
 /// Read one complete binary reply frame through the shared buffer.
@@ -551,6 +585,44 @@ mod tests {
             assert_eq!(&got, r);
         }
         assert!(buf.is_empty());
+    }
+
+    /// `frame` with one more payload byte, its declared length to match.
+    fn with_a_trailing_byte(frame: &BytesMut) -> BytesMut {
+        let mut padded = frame.clone();
+        padded.extend_from_slice(&[0]);
+        let len = (padded.len() - FRAME_HEADER) as u32;
+        padded[2..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+        padded
+    }
+
+    #[test]
+    fn bytes_past_a_frames_fields_are_refused() {
+        let requests = [
+            BinRequest::CheckN(vec!["https://a.wix.com/".into()]),
+            BinRequest::Add("https://evil.weebly.com/".into(), 0.93),
+            BinRequest::Stats,
+        ];
+        for req in &requests {
+            let mut frame = BytesMut::new();
+            encode_bin_request(&mut frame, req).unwrap();
+            let mut buf = with_a_trailing_byte(&frame);
+            assert!(decode_bin_request(&mut buf).is_err(), "{req:?}");
+            assert!(buf.is_empty(), "a refused frame is consumed: {req:?}");
+        }
+        let replies = [
+            BinReply::Verdict(Verdict::Phishing(0.97)),
+            BinReply::VerdictN(vec![Verdict::Safe(0.1), Verdict::Phishing(0.8)]),
+            BinReply::Ok(42),
+            BinReply::Busy,
+        ];
+        for reply in &replies {
+            let mut frame = BytesMut::new();
+            encode_bin_reply(&mut frame, reply);
+            let mut buf = with_a_trailing_byte(&frame);
+            assert!(decode_bin_reply(&mut buf).is_err(), "{reply:?}");
+            assert!(buf.is_empty(), "a refused frame is consumed: {reply:?}");
+        }
     }
 
     #[test]

@@ -749,17 +749,6 @@ impl EventedServer {
         EventedServer::start_with(ServeConfig::default(), checker)
     }
 
-    /// Bind on 127.0.0.1 at `port` (0 = ephemeral) with default tuning.
-    pub fn start_on(port: u16, checker: Arc<dyn UrlChecker>) -> std::io::Result<EventedServer> {
-        EventedServer::start_with(
-            ServeConfig {
-                port,
-                ..ServeConfig::default()
-            },
-            checker,
-        )
-    }
-
     /// Bind and start serving with explicit tuning.
     pub fn start_with(
         cfg: ServeConfig,

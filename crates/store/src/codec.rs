@@ -4,7 +4,10 @@
 //! run journal, the verdict store) encode their typed events with these
 //! helpers so every field has one canonical, bit-exact representation —
 //! `f64`s travel as raw bits, never through decimal formatting, which is
-//! what lets a resumed run reproduce byte-identical output.
+//! what lets a resumed run reproduce byte-identical output. Both network
+//! wires (`serve::proto`'s verdict frames and `cluster::wire`'s
+//! replication frames) read and write their frame payloads with them too,
+//! a call per field from another crate: hence `#[inline]`.
 
 /// Append-only payload writer over a `Vec<u8>`.
 #[derive(Debug, Default)]
@@ -14,11 +17,13 @@ pub struct PayloadWriter {
 
 impl PayloadWriter {
     /// A fresh writer.
+    #[inline]
     pub fn new() -> PayloadWriter {
         PayloadWriter { buf: Vec::new() }
     }
 
     /// A writer with pre-allocated capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> PayloadWriter {
         PayloadWriter {
             buf: Vec::with_capacity(cap),
@@ -26,21 +31,31 @@ impl PayloadWriter {
     }
 
     /// One raw byte (record tags, enum discriminants).
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
+    /// A `u16`, little-endian.
+    #[inline]
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// A `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// A `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// An `f64` as its raw bit pattern (bit-exact round trip).
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -51,18 +66,20 @@ impl PayloadWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u32(b.len() as u32);
+    /// Raw bytes with no length prefix.
+    #[inline]
+    pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
     /// The encoded payload.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -85,6 +102,12 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<DecodeError> for String {
+    fn from(e: DecodeError) -> String {
+        e.to_string()
+    }
+}
+
 impl From<DecodeError> for std::io::Error {
     fn from(e: DecodeError) -> std::io::Error {
         std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
@@ -100,11 +123,14 @@ pub struct PayloadReader<'a> {
 
 impl<'a> PayloadReader<'a> {
     /// Read from the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> PayloadReader<'a> {
         PayloadReader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// The next `n` raw bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.buf.len() {
             return Err(DecodeError(format!(
                 "need {n} bytes at offset {}, payload has {}",
@@ -118,21 +144,31 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn get_u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
     /// A little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// An `f64` from its raw bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -144,18 +180,22 @@ impl<'a> PayloadReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("non-utf8 string".into()))
     }
 
-    /// Length-prefixed raw bytes.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.get_u32()? as usize;
-        self.take(len)
+    /// Every byte not yet consumed.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        let out = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        out
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Error unless the payload was consumed exactly.
+    #[inline]
     pub fn expect_end(&self) -> Result<(), DecodeError> {
         if self.remaining() == 0 {
             Ok(())
@@ -173,22 +213,25 @@ mod tests {
     fn round_trip_all_field_kinds() {
         let mut w = PayloadWriter::new();
         w.put_u8(7);
+        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
         w.put_f64(-0.0);
         w.put_f64(f64::from_bits(0x7FF8_0000_0000_0001)); // a NaN payload
         w.put_str("https://a.weebly.com/ünïcode");
-        w.put_bytes(&[1, 2, 3]);
+        w.put_raw(&[4, 5]);
         let bytes = w.into_bytes();
 
         let mut r = PayloadReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
+        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_f64().unwrap().to_bits(), 0x7FF8_0000_0000_0001);
         assert_eq!(r.get_str().unwrap(), "https://a.weebly.com/ünïcode");
-        assert_eq!(r.get_bytes().unwrap(), &[1, 2, 3]);
+        assert_eq!(r.take(1).unwrap(), &[4]);
+        assert_eq!(r.rest(), &[5]);
         assert!(r.expect_end().is_ok());
     }
 

@@ -112,6 +112,17 @@ if grep -rniE --include='*.rs' --exclude-dir=target '0xcbf2_?9ce4_?8422_?2325' s
   echo "ci.sh: ERROR: an FNV offset basis outside freephish_simclock; call fnv1a or fnv_shaped (see above)" >&2
   exit 1
 fi
+# One frame layer: `serve::proto::Framing` writes and splits the frame
+# header (magic, opcode, u32 length) for both wires, the verdict wire and
+# the cluster's replication wire, which differ only in magic byte and
+# payload cap. No other file writes or splits a header of its own
+# (crates/benchmark keeps its own client, as it keeps its own stand-ins).
+echo "== the frame header is written once, in serve::proto =="
+if grep -rnE --include='*.rs' --exclude-dir=target 'fn (put_frame|split_frame|peek_frame)\b|REPL_FRAME_HEADER' src tests examples crates |
+    grep -vE '^(crates/serve/src/proto\.rs:|crates/benchmark/)'; then
+  echo "ci.sh: ERROR: frame-header code outside serve::proto; use serve::proto::Framing (see above)" >&2
+  exit 1
+fi
 # The learners take whatever floats they are given: a sort or a min/max
 # that compares with `partial_cmp(..).unwrap()` panics on the first NaN, as
 # `BinnedMatrix::build` once did on one NaN cell. `crates/ml/src` compares
