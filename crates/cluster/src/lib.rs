@@ -10,12 +10,12 @@
 //!   WAL records downstream.
 //! - [`source`] / [`replica`] — the primary serves its live store
 //!   directory to any number of followers; each follower mirrors the
-//!   segment files byte-for-byte into its own directory, which doubles
-//!   as its durable cursor: on reconnect it runs the store's recovery
-//!   scan (truncate the torn tail, drop anything after it) and resumes
-//!   from the resulting `(segment, offset)` without re-shipping
-//!   completed segments. Both sides read the directory only through
-//!   `freephish-store`: a session is a `TailFollower`.
+//!   segment files byte-for-byte into its own directory through a
+//!   `Store` it holds open, whose recovery at start (truncate the torn
+//!   tail, drop anything after it) and position are its durable cursor:
+//!   it resumes from there without re-shipping completed segments. Both
+//!   sides touch the directory only through `freephish-store`: a session
+//!   reads with a `TailFollower`, a follower writes with a `Store`.
 //! - [`ring`] / [`router`] — a consistent-hash ring with virtual
 //!   nodes places every URL on a backend deterministically; the router
 //!   scatters `CHECKN` batches shard-by-shard, gathers replies in

@@ -1,19 +1,17 @@
 //! The follower side of replication: a background thread that keeps a
 //! local store directory a byte-faithful replica of a primary's WAL.
 //!
-//! The replica's directory *is* its cursor, and the replica is its one
-//! writer: it holds the directory's writer lock
-//! ([`freephish_store::lock_dir`]) for its whole life. On every
-//! (re)connect it runs the store's own recovery scan
-//! ([`freephish_store::recover`], what `Store::open` runs, without
-//! opening a writer): truncate the first defective tail, delete anything
-//! after it. It sends the resulting `(segment, offset)` as its `HELLO`
-//! cursor. The primary then resumes from that boundary without
-//! re-shipping completed segments, or bootstraps the follower with
-//! `RESET` and every segment from the first when the cursor is no live
+//! The replica writes its directory only through a [`Store`], opened
+//! once (lock and recovery included) and held for its life, which never
+//! rotates by size: `RECORD` appends, `SEGMENT` starts the next segment
+//! and `RESET` deletes every segment and starts the primary's first. The
+//! first `HELLO` sends the cursor recovery found (none for a fresh
+//! directory), later ones the store's position; the primary resumes
+//! there without re-shipping completed segments, or bootstraps the
+//! follower (`RESET`, then every segment) when the cursor is no live
 //! record boundary. Every shipped record is re-verified with the store's
-//! frame decoder before a byte is written, so a replica is exactly as
-//! trustworthy as a local recovery scan.
+//! frame decoder before it is appended. A failed store operation stops
+//! the follower: a failed `fdatasync` must not be retried on the file.
 //!
 //! The replica only mirrors files; serving is layered on top by
 //! pointing a [`freephish_serve::IndexPublisher`] (or any
@@ -28,10 +26,9 @@ use crate::wire::{decode_repl, encode_repl, verify_record_frame, ReplCursor, Rep
 use bytes::BytesMut;
 use freephish_obs::sync::lock;
 use freephish_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use freephish_store::segment::{segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN};
-use freephish_store::{fsync_dir, list_segments, lock_dir, recover};
-use std::fs::File;
-use std::io::{ErrorKind, Read, Write};
+use freephish_store::segment::SEGMENT_HEADER_LEN;
+use freephish_store::{RecordPos, Store, StoreOptions};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,12 +110,11 @@ struct Shared {
 }
 
 /// A live follower: one background thread mirroring `primary`'s WAL
-/// into a local directory.
+/// into a local directory through the [`Store`] it owns, whose writer
+/// lock is released once the thread stops.
 pub struct Replica {
     shared: Arc<Shared>,
     handle: Mutex<Option<JoinHandle<()>>>,
-    /// The directory's writer lock, released after the thread stops.
-    _lock: File,
 }
 
 impl Replica {
@@ -128,10 +124,13 @@ impl Replica {
         primary: SocketAddr,
         dir: impl AsRef<Path>,
         cfg: ReplicaConfig,
-    ) -> std::io::Result<Replica> {
+    ) -> io::Result<Replica> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let lock = lock_dir(&dir)?;
+        // Only the primary's `SEGMENT` frames start a segment.
+        let opts = StoreOptions {
+            segment_max_bytes: u64::MAX,
+        };
+        let (store, recovered) = Store::open_with(&dir, opts, None)?;
         let shared = Arc::new(Shared {
             dir,
             primary,
@@ -143,11 +142,10 @@ impl Replica {
         let s = shared.clone();
         let handle = std::thread::Builder::new()
             .name("repl-follower".to_string())
-            .spawn(move || follower_loop(&s))?;
+            .spawn(move || follower_loop(&s, store, recovered.tail))?;
         Ok(Replica {
             shared,
             handle: Mutex::new(Some(handle)),
-            _lock: lock,
         })
     }
 
@@ -190,13 +188,15 @@ impl Drop for Replica {
     }
 }
 
-fn invalid(msg: String) -> std::io::Error {
-    std::io::Error::new(ErrorKind::InvalidData, msg)
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, msg)
 }
 
-fn follower_loop(shared: &Shared) {
+fn follower_loop(shared: &Shared, mut store: Store, mut cursor: Option<RecordPos>) {
     while !shared.stop.load(Ordering::SeqCst) {
-        match run_session(shared) {
+        let session = run_session(shared, &mut store, cursor);
+        cursor = Some(store.position());
+        match session {
             Ok(()) => return, // clean shutdown
             Err(e) => {
                 shared.metrics.connected.set(0);
@@ -218,7 +218,7 @@ fn follower_loop(shared: &Shared) {
 /// Per-session apply state.
 struct Applier<'a> {
     shared: &'a Shared,
-    writer: Option<SegmentWriter>,
+    store: &'a mut Store,
     /// Primary tip from the last `TIP` frame.
     tip: Option<(u32, u64)>,
     /// First frame decides the session mode (resume vs bootstrap).
@@ -229,8 +229,14 @@ struct Applier<'a> {
 }
 
 impl Applier<'_> {
-    fn cursor_now(&self) -> Option<(u32, u64)> {
-        self.writer.as_ref().map(|w| (w.index(), w.len()))
+    /// Run `op` on the store. A failure stops the follower for good: a
+    /// failed write or `fdatasync` must not be retried on the same file.
+    fn write<T>(&mut self, op: impl FnOnce(&mut Store) -> io::Result<T>) -> io::Result<T> {
+        op(self.store).inspect_err(|e| {
+            let msg = format!("replica store failed ({e}); the follower stops");
+            freephish_obs::warn("cluster", msg);
+            self.shared.stop.store(true, Ordering::SeqCst);
+        })
     }
 
     fn note_session_mode(&mut self, bootstrap: bool) {
@@ -246,16 +252,16 @@ impl Applier<'_> {
 
     fn update_lag(&mut self) {
         let m = &self.shared.metrics;
-        let (Some((tip_seg, tip_off)), Some((cur_seg, cur_off))) = (self.tip, self.cursor_now())
-        else {
+        let Some((tip_seg, tip_off)) = self.tip else {
             return;
         };
-        let lag_segments = i64::from(tip_seg) - i64::from(cur_seg);
+        let cur = self.store.position();
+        let lag_segments = i64::from(tip_seg) - i64::from(cur.segment);
         m.lag_segments.set(lag_segments.max(0));
         // Byte lag is exact within a segment; across segments we report
         // the tip segment's fill as a lower bound.
-        let lag_bytes = if tip_seg == cur_seg {
-            tip_off.saturating_sub(cur_off)
+        let lag_bytes = if tip_seg == cur.segment {
+            tip_off.saturating_sub(cur.end_offset)
         } else {
             tip_off.saturating_sub(SEGMENT_HEADER_LEN)
         };
@@ -269,47 +275,41 @@ impl Applier<'_> {
         }
     }
 
-    fn flush(&mut self, force_sync: bool) -> std::io::Result<()> {
-        if let Some(w) = self.writer.as_mut() {
-            if force_sync || self.records_since_sync >= SYNC_EVERY_RECORDS {
-                w.sync()?;
-                self.records_since_sync = 0;
-            } else {
-                w.flush()?;
-            }
+    fn flush(&mut self, force_sync: bool) -> io::Result<()> {
+        if force_sync || self.records_since_sync >= SYNC_EVERY_RECORDS {
+            self.write(Store::sync)?;
+            self.records_since_sync = 0;
+        } else {
+            self.write(Store::flush)?;
         }
         Ok(())
     }
 
-    fn apply(&mut self, frame: ReplFrame) -> std::io::Result<()> {
-        let dir = &self.shared.dir;
+    fn apply(&mut self, frame: ReplFrame) -> io::Result<()> {
         let m = &self.shared.metrics;
         match frame {
             // A bootstrap replaces local history wholesale: drop every
             // local segment — the primary ships all of its own next.
-            ReplFrame::Reset { .. } => {
+            ReplFrame::Reset { first_segment } => {
                 self.note_session_mode(true);
-                self.writer = None;
-                for seg in list_segments(dir)? {
-                    std::fs::remove_file(dir.join(segment_file_name(seg)))?;
-                }
-                fsync_dir(dir)?;
+                self.write(|store| store.reset(first_segment))?;
             }
+            // The segment being appended (where a resumed or reset
+            // session starts), or the next one.
             ReplFrame::Segment { index } => {
                 self.note_session_mode(false);
-                self.flush(true)?;
-                let path = dir.join(segment_file_name(index));
-                self.writer = Some(if path.exists() {
-                    // Resuming our own tail: recovery already truncated
-                    // it to a record boundary.
-                    let len = std::fs::metadata(&path)?.len();
-                    SegmentWriter::open_append(dir, index, len)?
-                } else {
-                    SegmentWriter::create(dir, index)?
-                });
-                let w = self.writer.as_ref().expect("just set");
-                m.cursor_segment.set(i64::from(w.index()));
-                m.cursor_offset.set(w.len().min(i64::MAX as u64) as i64);
+                let at = self.store.position().segment;
+                if Some(index) == at.checked_add(1) {
+                    self.write(Store::start_next_segment)?;
+                    self.records_since_sync = 0;
+                } else if index != at {
+                    return Err(invalid(format!(
+                        "segment {index} announced while appending {at}"
+                    )));
+                }
+                let offset = self.store.position().end_offset;
+                m.cursor_segment.set(i64::from(index));
+                m.cursor_offset.set(offset.min(i64::MAX as u64) as i64);
             }
             ReplFrame::Record {
                 segment,
@@ -321,26 +321,24 @@ impl Applier<'_> {
                     m.crc_failures.inc();
                     invalid(e)
                 })?;
-                let Some(w) = self.writer.as_mut() else {
-                    return Err(invalid("RECORD before SEGMENT".to_string()));
-                };
-                if segment != w.index() {
+                let at = self.store.position();
+                if segment != at.segment {
                     return Err(invalid(format!(
                         "record for segment {segment} while appending {}",
-                        w.index()
+                        at.segment
                     )));
                 }
-                if w.len() + frame.len() as u64 != end_offset {
+                if at.end_offset + frame.len() as u64 != end_offset {
                     return Err(invalid(format!(
                         "record ends at {end_offset} but local tail is at {}",
-                        w.len()
+                        at.end_offset
                     )));
                 }
-                let framed = w.append(payload);
+                self.write(|store| store.append(payload))?;
                 self.records_since_sync += 1;
                 m.records_applied.inc();
-                m.bytes_applied.add(framed);
-                m.cursor_offset.set(w.len().min(i64::MAX as u64) as i64);
+                m.bytes_applied.add(frame.len() as u64);
+                m.cursor_offset.set(end_offset.min(i64::MAX as u64) as i64);
                 self.update_lag();
             }
             ReplFrame::Tip { segment, offset } => {
@@ -359,14 +357,12 @@ impl Applier<'_> {
     }
 }
 
-/// One connect → hello → apply-until-drop session. `Ok(())` only on
-/// clean shutdown.
-fn run_session(shared: &Shared) -> std::io::Result<()> {
-    // The directory is the cursor: recover it, dropping the records.
-    let found = recover(&shared.dir, |_, _| {})?;
+/// One connect → hello → apply-until-drop session, from `tail` (`None`:
+/// bootstrap me). `Ok(())` only on clean shutdown.
+fn run_session(shared: &Shared, store: &mut Store, tail: Option<RecordPos>) -> io::Result<()> {
     let cursor = ReplCursor {
-        segment: found.tail.map(|t| t.segment),
-        offset: found.tail.map_or(0, |t| t.end_offset),
+        segment: tail.map(|t| t.segment),
+        offset: tail.map_or(0, |t| t.end_offset),
     };
     let mut stream = TcpStream::connect_timeout(&shared.primary, shared.cfg.connect_timeout)?;
     stream.set_nodelay(true).ok();
@@ -385,7 +381,7 @@ fn run_session(shared: &Shared) -> std::io::Result<()> {
 
     let mut applier = Applier {
         shared,
-        writer: None,
+        store,
         tip: None,
         first_frame: true,
         session_start: Instant::now(),
@@ -405,10 +401,7 @@ fn run_session(shared: &Shared) -> std::io::Result<()> {
         match stream.read(&mut chunk) {
             Ok(0) => {
                 applier.flush(true)?;
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "primary closed",
-                ));
+                return Err(io::Error::new(ErrorKind::UnexpectedEof, "primary closed"));
             }
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {

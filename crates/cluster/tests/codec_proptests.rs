@@ -119,7 +119,7 @@ fn torn_streams_wait_at_every_cut_without_consuming() {
 #[test]
 fn any_single_bit_flip_in_a_record_is_rejected() {
     check(256, |g| {
-        let payload = g.vec(0..200, Gen::u8);
+        let payload = g.vec(1..200, Gen::u8);
         let (flip_pos, flip_bit) = (g.u16(), g.u64_in(0..8));
         let mut frame = Vec::new();
         encode_frame_into(&mut frame, &payload);
@@ -177,7 +177,7 @@ fn forged_record_end_offsets_are_rejected() {
 #[test]
 fn resume_from_any_record_boundary_replays_exactly_the_suffix() {
     check(256, |g| {
-        let payloads = g.vec(1..20, |g| g.vec(0..50, Gen::u8));
+        let payloads = g.vec(1..20, |g| g.vec(1..50, Gen::u8));
         let resume_at = g.u16();
         // Build a segment body the way the primary does and compute its
         // record boundaries, then check that resuming at any of them

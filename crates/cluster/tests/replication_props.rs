@@ -5,7 +5,8 @@
 //! behind a loopback `ReplicationSource`, and a `Replica` following it.
 //! A drawn script appends records of random sizes and restarts the
 //! follower; while the follower is down the primary may append, and the
-//! follower's newest segment may be torn. After every step the follower
+//! follower's newest segment may be torn, or a segment between its first
+//! and its newest deleted (a hole). After every step the follower
 //! catches up, and then its segment files must equal the primary's byte
 //! for byte. A restart whose recovered cursor is still a live segment of
 //! the primary must resume there and re-ship exactly the records past
@@ -31,6 +32,9 @@ enum Tear {
     Chop(u64),
     /// One bit of the last record flipped.
     Flip(u64),
+    /// A segment between the first and the newest deleted, as a lost
+    /// directory entry leaves it; the draw picks which.
+    Hole(u64),
 }
 
 #[derive(Debug)]
@@ -46,17 +50,18 @@ enum Step {
 }
 
 fn sizes(g: &mut Gen) -> Vec<usize> {
-    g.vec(0..12, |g| g.usize_in(0..160))
+    g.vec(0..12, |g| g.usize_in(1..160))
 }
 
 fn step(g: &mut Gen) -> Step {
     if g.usize_in(0..3) == 0 {
         Step::Restart {
             appends: sizes(g),
-            tear: g.option(|g| match g.usize_in(0..3) {
+            tear: g.option(|g| match g.usize_in(0..4) {
                 0 => Tear::JunkTail,
                 1 => Tear::Chop(g.u64_in(1..64)),
-                _ => Tear::Flip(g.u64()),
+                2 => Tear::Flip(g.u64()),
+                _ => Tear::Hole(g.u64()),
             }),
         }
     } else {
@@ -88,9 +93,14 @@ fn segments(dir: &Path) -> Vec<u32> {
 }
 
 /// Where a follower resumes from its directory: the end of the valid
-/// prefix of its newest segment.
+/// prefix of its newest segment, or of the segment before the first gap
+/// in its indices when it has one (recovery drops what follows a hole).
 fn recovered_cursor(dir: &Path) -> Option<(u32, u64)> {
-    let seg = *segments(dir).last()?;
+    let segs = segments(dir);
+    let seg = match segs.windows(2).find(|w| w[1] != w[0] + 1) {
+        Some(before_gap) => before_gap[0],
+        None => *segs.last()?,
+    };
     let scan = scan_segment(&dir.join(segment_file_name(seg))).unwrap();
     Some((seg, scan.good_len))
 }
@@ -110,7 +120,19 @@ fn records_past(dir: &Path, cursor: Option<(u32, u64)>) -> u64 {
 }
 
 fn tear(dir: &Path, how: Tear) {
-    let Some(seg) = segments(dir).last().copied() else {
+    let segs = segments(dir);
+    if let Tear::Hole(pick) = how {
+        // The segments with a neighbour on each side.
+        let inner = segs
+            .get(1..segs.len().saturating_sub(1))
+            .unwrap_or_default();
+        if !inner.is_empty() {
+            let seg = inner[(pick % inner.len() as u64) as usize];
+            std::fs::remove_file(dir.join(segment_file_name(seg))).unwrap();
+        }
+        return;
+    }
+    let Some(seg) = segs.last().copied() else {
         return;
     };
     let path = dir.join(segment_file_name(seg));

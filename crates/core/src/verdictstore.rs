@@ -390,6 +390,41 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_filled_adds_tail_is_truncated_and_every_add_served() {
+        let dir = TempDir::new("storechecker-zeroed");
+        let urls: Vec<String> = (0..5)
+            .map(|i| format!("https://zeroed{i}.wixsite.com/"))
+            .collect();
+        {
+            let checker = EventedStoreChecker::open(dir.path()).unwrap();
+            for url in &urls {
+                checker.add_durable(url, 0.9).unwrap();
+            }
+        }
+        // What a crash between a size update and its data, or a
+        // preallocated segment, leaves behind the acknowledged records.
+        let seg = dir
+            .path()
+            .join(ADDS_SUBDIR)
+            .join(freephish_store::segment::segment_file_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes.extend_from_slice(&[0; 512]);
+        std::fs::write(&seg, bytes).unwrap();
+
+        let checker = EventedStoreChecker::open(dir.path()).unwrap();
+        for url in &urls {
+            assert!(checker.check(url).is_phishing(), "{url}");
+        }
+        // The reopened node keeps journaling.
+        checker
+            .add_durable("https://after.wixsite.com/", 0.9)
+            .unwrap();
+        drop(checker);
+        let checker = EventedStoreChecker::open(dir.path()).unwrap();
+        assert_eq!(checker.len(), urls.len() + 1);
+    }
+
+    #[test]
     fn sidecar_never_touches_the_main_journal() {
         let dir = TempDir::new("storechecker-singlewriter");
         let mut journal = RunJournal::create(dir.path(), &meta()).unwrap();

@@ -11,18 +11,20 @@
 //! * **Segmented WAL** ([`segment`]): append-only `wal-<index>.log` files
 //!   of length-prefixed, CRC32-checksummed records. A store directory is
 //!   its segments and nothing else.
-//! * **Recovery** ([`Store::open`], or [`recover`] without a writer):
-//!   replay every segment, truncating at the first defect. Corruption is
-//!   *truncated*, never propagated: the recovered state is always a valid
-//!   prefix of what was appended (the crash model is tail damage — a torn
-//!   final write — plus arbitrary bit rot, which the checksums catch).
+//! * **Recovery** ([`Store::open`]): replay every segment, truncating at
+//!   the first defect — a bad frame, a zeroed region, or a missing
+//!   segment index. Corruption is *truncated*, never propagated: the
+//!   recovered state is always a valid prefix of what was appended (the
+//!   crash model is tail damage — a torn final write — plus arbitrary bit
+//!   rot, which the checksums catch).
 //! * **Tailing** ([`TailFollower`]): read-only incremental consumption of
 //!   a directory another process is writing, used by the verdict service
 //!   to hot-reload as the pipeline appends verdicts and by replication to
 //!   ship a primary's WAL.
 //!
-//! This crate is the only reader of the directory format: other crates
-//! list, recover, tail and check frames through it, never by hand.
+//! This crate is the only reader and writer of the directory format:
+//! other crates list, tail and check frames through it, and write only
+//! through a [`Store`] (a replica included), never by hand.
 //!
 //! The crate is deliberately std-only — no dependencies, not even on the
 //! rest of the workspace — so the durability layer stays small enough to
@@ -45,8 +47,5 @@ pub mod testutil;
 pub use codec::{DecodeError, PayloadReader, PayloadWriter};
 pub use crc32::{crc32, crc32_update};
 pub use segment::Torn;
-pub use store::{
-    fsync_dir, list_segments, lock_dir, recover, RecordPos, Recovered, Recovery, Store,
-    StoreObserver, StoreOptions,
-};
+pub use store::{list_segments, RecordPos, Recovered, Store, StoreObserver, StoreOptions};
 pub use tail::{TailBatch, TailCursor, TailFollower, TailStart};

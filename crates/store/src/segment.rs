@@ -8,15 +8,18 @@
 //! record := len:u32le | crc32(payload):u32le | payload[len]
 //! ```
 //!
-//! Scanning validates every frame and reports the first defect — a partial
-//! frame, an implausible length, or a checksum mismatch — as a *torn tail*
+//! A record holds at least one byte, so a zeroed region — whose frames
+//! would read as `len 0, crc 0`, the checksum of nothing — is never a
+//! record. Scanning validates every frame and reports the first defect — a
+//! partial frame, an implausible length (zero or over
+//! [`MAX_RECORD_LEN`]), or a checksum mismatch — as a *torn tail*
 //! together with the byte offset of the last good record, so recovery can
 //! truncate the file there and keep the valid prefix.
 
 use crate::crc32::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"FPWL";
@@ -53,7 +56,7 @@ pub fn encode_frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
 pub enum Torn {
     /// Fewer bytes remain than a frame header or its declared payload.
     PartialFrame,
-    /// The declared length exceeds [`MAX_RECORD_LEN`].
+    /// The declared length is zero or exceeds [`MAX_RECORD_LEN`].
     BadLength(u32),
     /// The payload does not match its checksum.
     BadChecksum,
@@ -106,7 +109,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), Torn> {
         .ok_or(Torn::PartialFrame)?;
     let len = u32::from_le_bytes(header[..4].try_into().unwrap());
     let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-    if len > MAX_RECORD_LEN {
+    if len == 0 || len > MAX_RECORD_LEN {
         return Err(Torn::BadLength(len));
     }
     let end = FRAME_OVERHEAD as usize + len as usize;
@@ -191,9 +194,8 @@ pub fn scan_segment(path: &Path) -> std::io::Result<SegmentScan> {
 /// (write + fdatasync) — the store's fsync policy decides when to call
 /// which.
 #[derive(Debug)]
-pub struct SegmentWriter {
+pub(crate) struct SegmentWriter {
     file: File,
-    path: PathBuf,
     index: u32,
     /// Logical length: header + every appended frame (flushed or not).
     len: u64,
@@ -204,19 +206,17 @@ impl SegmentWriter {
     /// Create segment `index` in `dir` and write its header (flushed, not
     /// yet fsynced).
     pub fn create(dir: &Path, index: u32) -> std::io::Result<SegmentWriter> {
-        let path = dir.join(segment_file_name(index));
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&path)?;
+            .open(dir.join(segment_file_name(index)))?;
         let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
         header.extend_from_slice(&SEGMENT_MAGIC);
         header.extend_from_slice(&index.to_le_bytes());
         file.write_all(&header)?;
         Ok(SegmentWriter {
             file,
-            path,
             index,
             len: SEGMENT_HEADER_LEN,
             buf: Vec::new(),
@@ -231,7 +231,6 @@ impl SegmentWriter {
         file.seek(SeekFrom::Start(len))?;
         Ok(SegmentWriter {
             file,
-            path,
             index,
             len,
             buf: Vec::new(),
@@ -268,19 +267,9 @@ impl SegmentWriter {
         self.len
     }
 
-    /// True when no record has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == SEGMENT_HEADER_LEN
-    }
-
     /// This segment's index.
     pub fn index(&self) -> u32 {
         self.index
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -302,16 +291,14 @@ mod tests {
         let dir = TempDir::new("segment-roundtrip");
         let mut w = SegmentWriter::create(dir.path(), 3).unwrap();
         w.append(b"first");
-        w.append(b"");
         w.append(&[0xAB; 300]);
         w.sync().unwrap();
         let scan = scan_segment(&dir.path().join(segment_file_name(3))).unwrap();
         assert!(scan.header_ok);
         assert_eq!(scan.torn, None);
-        assert_eq!(scan.records.len(), 3);
+        assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0].payload, b"first");
-        assert_eq!(scan.records[1].payload, b"");
-        assert_eq!(scan.records[2].payload, vec![0xAB; 300]);
+        assert_eq!(scan.records[1].payload, vec![0xAB; 300]);
         assert_eq!(scan.good_len, scan.file_len);
         assert_eq!(scan.good_len, w.len());
     }

@@ -11,15 +11,19 @@
 //! * [`Store::open`] scans segments in index order. At the first invalid
 //!   frame it truncates that segment to its last good record and deletes
 //!   any later segment, so the recovered state is always a valid prefix
-//!   of what was appended.
+//!   of what was appended. A missing index — segments 3 and 5 but no 4 —
+//!   is a defect too: the segments after the gap are deleted.
+//! * Every deletion of segments removes them newest first, so a reader
+//!   listing the directory mid-deletion never sees a gap.
 //! * A store directory is its segments and nothing else. A directory that
 //!   still holds a `snap-*.snap` file (written by an older version, which
 //!   deleted the segments that file covered) is refused, never read as a
 //!   partial history.
-//! * One writer per directory: [`Store::open`] takes [`lock_dir`] before
-//!   it recovers and holds it for the store's life, so a second writer is
-//!   refused instead of truncating the first one's in-flight tail.
-//!   Readers take no lock.
+//! * One writer per directory: [`Store::open`] locks the directory before
+//!   it recovers and holds the lock for the store's life, so a second
+//!   writer is refused instead of truncating the first one's in-flight
+//!   tail. Readers take no lock. Every writer is a `Store`, a replica's
+//!   included ([`Store::start_next_segment`], [`Store::reset`]).
 
 use crate::segment::{parse_segment_name, scan_segment, segment_file_name, SegmentWriter};
 use std::fs::{File, OpenOptions, TryLockError};
@@ -90,6 +94,9 @@ pub struct RecordPos {
 pub struct Recovered {
     /// Every WAL record, in append order, with positions.
     pub records: Vec<(RecordPos, Vec<u8>)>,
+    /// End of the last surviving segment, or `None` when none survived
+    /// (the store then started segment 0).
+    pub tail: Option<RecordPos>,
     /// Whether a torn/corrupt tail was found (and truncated).
     pub torn_tail: bool,
     /// Bytes dropped by tail truncation (including deleted later
@@ -97,8 +104,8 @@ pub struct Recovered {
     pub truncated_bytes: u64,
 }
 
-/// The WAL store. Single writer per directory, enforced by
-/// [`lock_dir`]; any number of [`crate::TailFollower`]s may read
+/// The WAL store. Single writer per directory, enforced by a lock on
+/// `DIR/LOCK`; any number of [`crate::TailFollower`]s may read
 /// concurrently.
 pub struct Store {
     dir: PathBuf,
@@ -117,7 +124,7 @@ const LOCK_FILE: &str = "LOCK";
 /// the process dies). A directory another writer holds is a
 /// `ResourceBusy` error naming it. The lock is advisory: it binds only
 /// writers that take it, which every writer in this workspace does.
-pub fn lock_dir(dir: &Path) -> io::Result<File> {
+pub(crate) fn lock_dir(dir: &Path) -> io::Result<File> {
     let file = OpenOptions::new()
         .create(true)
         .truncate(false)
@@ -138,7 +145,7 @@ pub fn lock_dir(dir: &Path) -> io::Result<File> {
 }
 
 /// Fsync a directory so renames/unlinks within it are durable.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
@@ -172,7 +179,7 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<u32>> {
 /// What the recovery scan ([`recover`]) found, besides the records it
 /// handed over.
 #[derive(Debug)]
-pub struct Recovery {
+pub(crate) struct Recovery {
     /// End of the last surviving segment — where appending resumes — or
     /// `None` when no segment survived.
     pub tail: Option<RecordPos>,
@@ -183,28 +190,32 @@ pub struct Recovery {
     pub truncated_bytes: u64,
 }
 
-/// The recovery scan [`Store::open`] runs, without opening a writer: scan
-/// the segments in index order, truncating the first defective tail and
-/// deleting every segment after it. Each surviving record goes to
-/// `on_record` in append order, so the scan holds one segment's payloads
-/// at a time. Afterwards the directory is a valid prefix of what was
-/// appended, durably. It writes, so only the holder of [`lock_dir`] may
-/// run it: another writer's in-flight record looks like a torn tail.
-pub fn recover(dir: &Path, mut on_record: impl FnMut(RecordPos, Vec<u8>)) -> io::Result<Recovery> {
+/// The recovery scan [`Store::open`] runs: scan the segments in index
+/// order, truncating the first defective tail and deleting every segment
+/// after it. A gap in the indices is such a defect: the segments past a
+/// hole do not follow the records before it. Each surviving record goes
+/// to `on_record` in append order, so the scan holds one segment's
+/// payloads at a time. Afterwards the directory is a valid prefix of
+/// what was appended, durably. It writes, so only the holder of
+/// [`lock_dir`] may run it: another writer's in-flight record looks like
+/// a torn tail.
+pub(crate) fn recover(
+    dir: &Path,
+    mut on_record: impl FnMut(RecordPos, Vec<u8>),
+) -> io::Result<Recovery> {
     let segments = list_segments(dir)?;
-    let mut torn_tail = false;
-    let mut truncated_bytes = 0u64;
     let mut tail = None;
-    for (i, &idx) in segments.iter().enumerate() {
-        let path = dir.join(segment_file_name(idx));
-        let scan = scan_segment(&path)?;
-        if !scan.header_ok {
-            // The whole file is invalid (crash during creation, or
-            // external damage): drop it and everything after.
-            torn_tail = true;
-            truncated_bytes += scan.file_len;
-            let _ = std::fs::remove_file(&path);
-        } else {
+    let torn_tail = 'scan: {
+        for (i, &idx) in segments.iter().enumerate() {
+            if i > 0 && idx != segments[i - 1] + 1 {
+                break 'scan true;
+            }
+            let scan = scan_segment(&dir.join(segment_file_name(idx)))?;
+            if !scan.header_ok {
+                // The whole file is invalid (crash during creation, or
+                // external damage): it goes with everything after it.
+                break 'scan true;
+            }
             for rec in scan.records {
                 let pos = RecordPos {
                     segment: idx,
@@ -216,35 +227,48 @@ pub fn recover(dir: &Path, mut on_record: impl FnMut(RecordPos, Vec<u8>)) -> io:
                 segment: idx,
                 end_offset: scan.good_len,
             });
-            if scan.torn.is_none() {
-                continue;
+            if scan.torn.is_some() {
+                break 'scan true;
             }
-            torn_tail = true;
-            truncated_bytes += scan.file_len - scan.good_len;
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(scan.good_len)?;
-            f.sync_data()?;
         }
-        // A defect poisons everything after it: later segments were
-        // appended after the damaged point and must not be replayed.
-        for &later in &segments[i + 1..] {
-            let path = dir.join(segment_file_name(later));
-            if let Ok(meta) = std::fs::metadata(&path) {
-                truncated_bytes += meta.len();
-            }
-            let _ = std::fs::remove_file(&path);
-        }
-        // Deleted files must stay deleted: a later segment that
-        // reappeared after a crash would replay records past the
-        // truncation point.
-        fsync_dir(dir)?;
-        break;
-    }
+        false
+    };
+    // A defect poisons everything after it: later segments were appended
+    // after the damaged point and must not be replayed.
+    let truncated_bytes = if torn_tail { cut_after(dir, tail)? } else { 0 };
     Ok(Recovery {
         tail,
         torn_tail,
         truncated_bytes,
     })
+}
+
+/// Cut the directory back to `end` (to nothing for `None`), durably:
+/// delete every later segment, newest first — so the directory is a run
+/// of consecutive indices at every step and a reader never meets a gap —
+/// then truncate `end`'s segment there. Returns the bytes dropped.
+fn cut_after(dir: &Path, end: Option<RecordPos>) -> io::Result<u64> {
+    let mut dropped = 0;
+    for idx in list_segments(dir)?.into_iter().rev() {
+        if end.is_some_and(|end| idx <= end.segment) {
+            break;
+        }
+        let path = dir.join(segment_file_name(idx));
+        dropped += std::fs::metadata(&path).map_or(0, |m| m.len());
+        std::fs::remove_file(&path)?;
+    }
+    if let Some(end) = end {
+        let f = OpenOptions::new()
+            .write(true)
+            .open(dir.join(segment_file_name(end.segment)))?;
+        dropped += f.metadata()?.len().saturating_sub(end.end_offset);
+        f.set_len(end.end_offset)?;
+        f.sync_data()?;
+    }
+    // Deleted files must stay deleted: a later segment that reappeared
+    // after a crash would replay records past the truncation point.
+    fsync_dir(dir)?;
+    Ok(dropped)
 }
 
 impl Store {
@@ -254,7 +278,7 @@ impl Store {
     }
 
     /// Open with explicit options and an optional observer. Fails with
-    /// `ResourceBusy` if another writer holds the directory ([`lock_dir`]).
+    /// `ResourceBusy` if another writer holds the directory.
     pub fn open_with(
         dir: impl AsRef<Path>,
         opts: StoreOptions,
@@ -281,6 +305,7 @@ impl Store {
         }
         let recovered = Recovered {
             records,
+            tail: found.tail,
             torn_tail: found.torn_tail,
             truncated_bytes: found.truncated_bytes,
         };
@@ -297,9 +322,17 @@ impl Store {
     }
 
     /// Append one record (buffered; durable only after [`Store::sync`]).
+    /// An empty payload is refused with `InvalidInput`: its frame would
+    /// be eight zero bytes, which recovery reads as a zeroed tail.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        if payload.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a WAL record needs at least one byte",
+            ));
+        }
         if self.writer.len() >= self.opts.segment_max_bytes {
-            self.rotate()?;
+            self.start_next_segment()?;
         }
         let t0 = Instant::now();
         let framed = self.writer.append(payload);
@@ -325,7 +358,10 @@ impl Store {
         Ok(())
     }
 
-    fn rotate(&mut self) -> io::Result<()> {
+    /// Seal the active segment (flush and fdatasync) and start the next
+    /// one, durably. [`Store::append`] calls this at `segment_max_bytes`;
+    /// a replica calls it where its primary's segment ends.
+    pub fn start_next_segment(&mut self) -> io::Result<()> {
         let t0 = Instant::now();
         self.writer.sync()?;
         if let Some(obs) = &self.observer {
@@ -340,23 +376,22 @@ impl Store {
         Ok(())
     }
 
+    /// Drop every record: delete every segment, newest first, and start
+    /// an empty `first_segment`, durably. A replica resets when its
+    /// primary bootstraps it.
+    pub fn reset(&mut self, first_segment: u32) -> io::Result<()> {
+        cut_after(&self.dir, None)?;
+        self.writer = SegmentWriter::create(&self.dir, first_segment)?;
+        fsync_dir(&self.dir)
+    }
+
     /// Drop every WAL record after `pos` (from [`Recovered::records`]).
     /// Used by consumers whose logical unit spans several records (the run
     /// journal truncates to its last checkpoint).
     pub fn truncate_after(&mut self, pos: RecordPos) -> io::Result<()> {
         self.writer.flush()?;
-        for idx in list_segments(&self.dir)? {
-            if idx > pos.segment {
-                let _ = std::fs::remove_file(self.dir.join(segment_file_name(idx)));
-            }
-        }
-        let f = OpenOptions::new()
-            .write(true)
-            .open(self.dir.join(segment_file_name(pos.segment)))?;
-        f.set_len(pos.end_offset)?;
-        f.sync_data()?;
+        cut_after(&self.dir, Some(pos))?;
         self.writer = SegmentWriter::open_append(&self.dir, pos.segment, pos.end_offset)?;
-        fsync_dir(&self.dir)?;
         Ok(())
     }
 
@@ -517,6 +552,129 @@ mod tests {
         assert_eq!(&got[..], &want[..got.len()]);
         // Later segments are gone.
         assert!(!dir.path().join(segment_file_name(2)).exists());
+    }
+
+    #[test]
+    fn a_missing_segment_is_a_torn_tail() {
+        let dir = TempDir::new("store-gap");
+        let opts = StoreOptions {
+            segment_max_bytes: 256,
+        };
+        let want = payloads(60);
+        {
+            let (mut store, _) = Store::open_with(dir.path(), opts, None).unwrap();
+            for p in &want {
+                store.append(p).unwrap();
+            }
+            store.sync().unwrap();
+            assert!(store.position().segment >= 6, "{:?}", store.position());
+        }
+        let (_, intact) = Store::open(dir.path()).unwrap();
+        let kept = intact
+            .records
+            .iter()
+            .filter(|(pos, _)| pos.segment < 4)
+            .count();
+        let end_of_3 = intact.records[kept - 1].0;
+        std::fs::remove_file(dir.path().join(segment_file_name(4))).unwrap();
+
+        let (_, rec) = Store::open(dir.path()).unwrap();
+        assert!(rec.torn_tail);
+        assert_eq!(rec.tail, Some(end_of_3));
+        let got: Vec<Vec<u8>> = rec.records.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, want[..kept].to_vec());
+        assert_eq!(list_segments(dir.path()).unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_zeroed_tail_of_any_length_is_torn() {
+        let dir = TempDir::new("store-zeroed");
+        let want = payloads(5);
+        let (mut store, _) = Store::open(dir.path()).unwrap();
+        for p in &want {
+            store.append(p).unwrap();
+        }
+        store.sync().unwrap();
+        let end = store.position();
+        drop(store);
+        let seg = dir.path().join(segment_file_name(0));
+        for zeros in (1..=24).chain([512, 4096]) {
+            let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+            f.write_all(&vec![0; zeros]).unwrap();
+            drop(f);
+            let (store, rec) = Store::open(dir.path()).unwrap();
+            assert!(rec.torn_tail, "{zeros} zero bytes");
+            assert_eq!(rec.truncated_bytes, zeros as u64);
+            assert_eq!(store.position(), end, "{zeros} zero bytes");
+            let got: Vec<Vec<u8>> = rec.records.into_iter().map(|(_, p)| p).collect();
+            assert_eq!(got, want, "{zeros} zero bytes");
+        }
+    }
+
+    #[test]
+    fn an_empty_payload_is_refused() {
+        let dir = TempDir::new("store-empty");
+        let (mut store, rec) = Store::open(dir.path()).unwrap();
+        assert_eq!(rec.tail, None, "a fresh directory has no tail");
+        let err = store.append(b"").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(store.position().end_offset, SEGMENT_HEADER_LEN);
+    }
+
+    #[test]
+    fn reset_leaves_one_empty_segment() {
+        let dir = TempDir::new("store-reset");
+        let opts = StoreOptions {
+            segment_max_bytes: 128,
+        };
+        let (mut store, _) = Store::open_with(dir.path(), opts, None).unwrap();
+        for p in payloads(30) {
+            store.append(&p).unwrap();
+        }
+        store.sync().unwrap();
+        assert!(store.position().segment > 2);
+        store.reset(0).unwrap();
+        let fresh = RecordPos {
+            segment: 0,
+            end_offset: SEGMENT_HEADER_LEN,
+        };
+        assert_eq!(store.position(), fresh);
+        assert_eq!(list_segments(dir.path()).unwrap(), vec![0]);
+        drop(store);
+        let (_, rec) = Store::open(dir.path()).unwrap();
+        assert!(rec.records.is_empty() && !rec.torn_tail);
+        assert_eq!(rec.tail, Some(fresh));
+    }
+
+    #[test]
+    fn starting_segments_by_hand_writes_what_rotation_writes() {
+        let rotated = TempDir::new("store-rotated");
+        let by_hand = TempDir::new("store-by-hand");
+        let small = StoreOptions {
+            segment_max_bytes: 128,
+        };
+        let never = StoreOptions {
+            segment_max_bytes: u64::MAX,
+        };
+        let (mut a, _) = Store::open_with(rotated.path(), small, None).unwrap();
+        let (mut b, _) = Store::open_with(by_hand.path(), never, None).unwrap();
+        for p in payloads(30) {
+            a.append(&p).unwrap();
+            while b.position().segment < a.position().segment {
+                b.start_next_segment().unwrap();
+            }
+            b.append(&p).unwrap();
+        }
+        a.sync().unwrap();
+        b.sync().unwrap();
+        let segments = list_segments(rotated.path()).unwrap();
+        assert!(segments.len() > 2);
+        assert_eq!(list_segments(by_hand.path()).unwrap(), segments);
+        for idx in segments {
+            let name = segment_file_name(idx);
+            let want = std::fs::read(rotated.path().join(&name)).unwrap();
+            assert!(std::fs::read(by_hand.path().join(&name)).unwrap() == want);
+        }
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //!   follower starts over at the first segment and **redelivers** —
 //!   consumers must apply records idempotently (the verdict checker's map
 //!   insert is).
-//! * A full frame with a bad checksum is genuine corruption: the follower
-//!   poisons itself and every subsequent poll errors.
+//! * A full frame with a bad checksum or an impossible length (a zeroed
+//!   region reads as length 0), and a missing segment index between two
+//!   present ones, are genuine corruption: the follower poisons itself
+//!   and every subsequent poll errors. Writers delete segments newest
+//!   first, so a truncation in progress never looks like a gap.
 //! * A directory holding a snapshot file from an older version is refused
 //!   ([`list_segments`]): every poll errors, naming the file.
 
@@ -235,12 +238,26 @@ impl TailFollower {
                     ));
                 }
                 None => match segments.iter().copied().find(|&i| i > seg) {
-                    Some(next) => {
+                    Some(next) if next == seg + 1 => {
                         self.segment = Some(next);
                         self.offset = SEGMENT_HEADER_LEN;
                         if one {
                             break;
                         }
+                    }
+                    Some(next) => {
+                        // A listing that raced a newest-first deletion
+                        // shows a later segment that is gone by now; one
+                        // still there means `seg + 1` is a hole.
+                        let exists = |i| self.dir.join(segment_file_name(i)).exists();
+                        if !exists(seg + 1) && exists(next) {
+                            self.poisoned = true;
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!("segment {} is missing before segment {next}", seg + 1),
+                            ));
+                        }
+                        break;
                     }
                     None => break,
                 },
@@ -485,6 +502,50 @@ mod tests {
             assert!(batch.start.is_some());
             assert_eq!(batch.records.len(), 3);
         }
+    }
+
+    #[test]
+    fn a_missing_segment_poisons() {
+        let dir = TempDir::new("tail-gap");
+        let (mut store, _) = Store::open_with(dir.path(), opts(128), None).unwrap();
+        for i in 0..30 {
+            store.append(format!("rec-{i:02}").as_bytes()).unwrap();
+        }
+        store.flush().unwrap();
+        assert!(store.position().segment > 2);
+        std::fs::remove_file(dir.path().join(segment_file_name(1))).unwrap();
+
+        let mut follower = TailFollower::new(dir.path());
+        let err = follower.poll().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("segment 1 is missing"), "{err}");
+        assert!(follower.poll().is_err(), "stays poisoned");
+    }
+
+    #[test]
+    fn a_suffix_deleted_newest_first_never_looks_like_a_gap() {
+        let dir = TempDir::new("tail-suffix");
+        let (mut store, _) = Store::open_with(dir.path(), opts(128), None).unwrap();
+        for i in 0..40 {
+            store.append(format!("rec-{i:02}").as_bytes()).unwrap();
+        }
+        store.flush().unwrap();
+        drop(store);
+        let segments = list_segments(dir.path()).unwrap();
+        assert!(segments.len() > 4);
+        // One follower at the end, one a segment at a time behind it.
+        let mut ahead = TailFollower::new(dir.path());
+        let mut behind = TailFollower::new(dir.path());
+        ahead.poll().unwrap();
+        behind.poll_segment().unwrap();
+        for &idx in segments[1..].iter().rev() {
+            std::fs::remove_file(dir.path().join(segment_file_name(idx))).unwrap();
+            ahead.poll().unwrap();
+            behind.poll_segment().unwrap();
+        }
+        behind.poll().unwrap();
+        assert_eq!(ahead.cursor(), behind.cursor());
+        assert_eq!(ahead.cursor().unwrap().segment, segments[0]);
     }
 
     #[test]

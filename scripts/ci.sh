@@ -81,13 +81,19 @@ if grep -rnE 'PrimaryChecker|FollowerChecker|RouterServer|serve_follower|KnownSe
   echo "ci.sh: ERROR: a retired name is back (see the matches above)" >&2
   exit 1
 fi
-# `freephish-store` is the one reader of a store directory: the cluster
-# reads it through `TailFollower` and `recover`, never by scanning
-# segments or listing the directory itself, and no crate decodes a buffer
-# of frames outside the store (every reader gets records).
+# `freephish-store` is the one reader and writer of a store directory:
+# the cluster reads it through `TailFollower` and writes it through
+# `Store`, never by scanning segments, listing the directory, or touching
+# a file itself, and no crate decodes a buffer of frames outside the store
+# (every reader gets records).
 echo "== the cluster reads the WAL only through freephish-store =="
 if grep -rnE '\b(scan_segment|scan_buffer)\b|fn list_(indexed|segments)' crates/cluster/src; then
   echo "ci.sh: ERROR: crates/cluster/src re-derives the store's directory format (see above)" >&2
+  exit 1
+fi
+echo "== the cluster writes the WAL only through Store =="
+if grep -rnE '\b(SegmentWriter|lock_dir|fsync_dir|list_segments|segment_file_name|OpenOptions)\b|\brecover\(|\bstd::fs\b' crates/cluster/src; then
+  echo "ci.sh: ERROR: crates/cluster/src writes or lists a store directory itself (see above)" >&2
   exit 1
 fi
 if grep -rnw 'scan_buffer' crates/*/src | grep -v '^crates/store/src/'; then
